@@ -6,10 +6,19 @@ solver, a non-differentiable Gauss-Newton polish on the consensus set, and
 one final damped Gauss-Newton step whose increment stays differentiable
 with respect to the 3D points. ``pose_gradient_wrt_points`` backpropagates
 an upstream pose gradient through that last increment.
+
+RANSAC draws its minimal samples one at a time from a seeded generator and
+solves each batch of draws together, as stacked SVDs. Hypotheses are scored
+preemptively (Nister, "Preemptive RANSAC", ICCV 2003): they are ranked by
+their inlier count on a fixed, evenly spaced subset of at most
+``PREEMPTIVE_SUBSET`` correspondences, whose inlier ratio also sets the
+confidence bound on the number of draws, and only the winner is scored on
+every correspondence. Gauss-Newton builds the closed-form 2x6 Jacobian rows
+of the pinhole projection and forms its normal equations as matrix
+products; the pose adjoint differentiates those closed-form rows directly.
 """
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,6 +76,16 @@ class Correspondences2D3D:
         if self.weights is None:
             return np.ones(len(self))
         return self.weights
+
+    def subset(self, select: np.ndarray) -> "Correspondences2D3D":
+        """The pairs picked by a boolean mask or an index array."""
+        if select.dtype == bool and select.all():
+            return self
+        return Correspondences2D3D(
+            self.pixels[select],
+            self.points[select],
+            None if self.weights is None else self.weights[select],
+        )
 
 
 @dataclass(frozen=True)
@@ -169,11 +188,20 @@ def estimate_focal_weiszfeld(
 # ---------------------------------------------------------------------------
 # PnP
 
-def _reproj_errors(
-    rotation: np.ndarray, translation: np.ndarray, K: Intrinsics, corr: Correspondences2D3D
+PREEMPTIVE_SUBSET = 1024
+
+
+def _reproj_errors_many(
+    rotations: np.ndarray, translations: np.ndarray, K: Intrinsics, corr: Correspondences2D3D
 ) -> np.ndarray:
-    """Per-pair reprojection distance; +inf where depth is non-positive."""
-    cam = corr.points @ rotation.T + translation
+    """(k, N) reprojection distances of N pairs under k poses.
+
+    Distances are +inf where depth is non-positive. All k poses act on the
+    points in one matrix product.
+    """
+    k = rotations.shape[0]
+    cam = (rotations.reshape(3 * k, 3) @ corr.points.T).reshape(k, 3, -1)
+    cam += translations[:, :, None]
     z = cam[:, 2]
     ok = z > DEPTH_EPS
     zs = np.where(ok, z, 1.0)
@@ -184,57 +212,95 @@ def _reproj_errors(
     return err
 
 
-def _dlt_pose(points: np.ndarray, norm_pix: np.ndarray):
-    """Minimal DLT solver on intrinsics-normalized pixels.
+def _reproj_errors(
+    rotation: np.ndarray, translation: np.ndarray, K: Intrinsics, corr: Correspondences2D3D
+) -> np.ndarray:
+    """Per-pair reprojection distance; +inf where depth is non-positive."""
+    return _reproj_errors_many(rotation[None], translation[None], K, corr)[0]
 
-    Returns (rotation, translation) or None when the configuration is
-    numerically degenerate (e.g. a coplanar sample).
+
+def _dlt_poses(points: np.ndarray, norm_pix: np.ndarray):
+    """DLT solver over a stack of samples on intrinsics-normalized pixels.
+
+    ``points`` (k, n, 3) and ``norm_pix`` (k, n, 2) hold k samples of n >= 6
+    pairs each. Returns rotations (k, 3, 3), translations (k, 3) and a (k,)
+    mask of the samples that gave a pose; the others are numerically
+    degenerate (e.g. coplanar) and hold finite placeholders.
     """
-    centroid = points.mean(axis=0)
-    spread = np.linalg.norm(points - centroid, axis=1).mean()
-    if spread < 1e-9:
-        return None
-    s = np.sqrt(3.0) / spread
-    Xn = (points - centroid) * s
-    n = points.shape[0]
-    A = np.zeros((2 * n, 12))
-    A[0::2, 0:3] = Xn
-    A[0::2, 3] = 1.0
-    A[0::2, 8:11] = -norm_pix[:, 0:1] * Xn
-    A[0::2, 11] = -norm_pix[:, 0]
-    A[1::2, 4:7] = Xn
-    A[1::2, 7] = 1.0
-    A[1::2, 8:11] = -norm_pix[:, 1:2] * Xn
-    A[1::2, 11] = -norm_pix[:, 1]
+    k, n, _ = points.shape
+    X = points.transpose(0, 2, 1)
+    centroid = X.mean(axis=2)
+    D = X - centroid[:, :, None]
+    spread = np.sqrt((D * D).sum(axis=1)).mean(axis=1)
+    ok = spread >= 1e-9
+    s = np.sqrt(3.0) / np.where(ok, spread, 1.0)
+    # with P = (s (X - centroid), 1), each pair gives the rows [P, 0, -u P]
+    # and [0, P, -v P] of the system A m = 0. The two halves of A are built
+    # without their zero columns, transposed so that each column is one
+    # contiguous row.
+    half = np.empty((k, 2, 8, n))
+    half[:, :, :3] = (D * s[:, None, None])[:, None]
+    half[:, :, 3] = 1.0
+    half[:, :, 4:] = -norm_pix.transpose(0, 2, 1)[:, :, None] * half[:, :, :4]
+    ok &= np.isfinite(half).all(axis=(1, 2, 3))
+    half[~ok] = 0.0
+    half = half.transpose(0, 1, 3, 2)
     try:
-        # reduced SVD: only the right singular vectors are needed, and the
-        # full U is quadratic in the consensus size during the polish re-fit
+        if n > 8:
+            # an 8x8 R factor keeps its half's Gram matrix, so the stacked
+            # factors have the singular values and right singular vectors
+            # of the tall system, without forming A^T A
+            half = np.linalg.qr(half, mode="r")
+        rows = half.shape[2]
+        A = np.zeros((k, 2 * rows, 12))
+        A[:, :rows, 0:4] = half[:, 0, :, :4]
+        A[:, rows:, 4:8] = half[:, 1, :, :4]
+        A[:, :rows, 8:] = half[:, 0, :, 4:]
+        A[:, rows:, 8:] = half[:, 1, :, 4:]
         _, sv, Vt = np.linalg.svd(A, full_matrices=False)
+        # near-rank-deficient systems have no unique solution worth decoding
+        ok &= sv[:, -2] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
+        M = Vt[:, -1].reshape(k, 3, 4)
+        # undo the 3D normalization: M acts on s*(X - centroid)
+        M3 = M[:, :, :3] * s[:, None, None]
+        m4 = M[:, :, 3] - (M3 @ centroid[:, :, None])[:, :, 0]
+        det = np.linalg.det(M3)
+        ok &= np.abs(det) >= 1e-12
+        sign = np.where(det < 0, -1.0, 1.0)
+        M3 *= sign[:, None, None]
+        m4 *= sign[:, None]
+        M3[~ok] = np.eye(3)
+        U, sing, Vt3 = np.linalg.svd(M3)
     except np.linalg.LinAlgError:
-        return None
-    # near-rank-deficient systems have no unique solution worth decoding
-    if sv[-2] < 1e-9 * max(sv[0], 1.0):
-        return None
-    M = Vt[-1].reshape(3, 4)
-    # undo the 3D normalization: M acts on s*(X - centroid)
-    T = np.eye(4)
-    T[:3, :3] *= s
-    T[:3, 3] = -s * centroid
-    M = M @ T
-    det = np.linalg.det(M[:, :3])
-    if abs(det) < 1e-12:
-        return None
-    if det < 0:
-        M = -M
-    U, sing, Vt3 = np.linalg.svd(M[:, :3])
-    lam = sing.mean()
-    if lam < 1e-12:
-        return None
-    R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt3)]) @ Vt3
-    t = M[:, 3] / lam
-    if not (np.isfinite(R).all() and np.isfinite(t).all()):
-        return None
-    return R, t
+        # LAPACK gave up on a matrix of the stack; no sample of it is used
+        return np.broadcast_to(np.eye(3), (k, 3, 3)), np.zeros((k, 3)), np.zeros(k, bool)
+    lam = sing.mean(axis=1)
+    ok &= lam >= 1e-12
+    U[:, :, 2] *= np.linalg.det(U @ Vt3)[:, None]
+    R = U @ Vt3
+    t = m4 / np.where(ok, lam, 1.0)[:, None]
+    ok &= np.isfinite(R).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
+    return R, t, ok
+
+
+def _dlt_pose(points: np.ndarray, norm_pix: np.ndarray):
+    """DLT pose from one set of pairs: (rotation, translation), or None when
+    the configuration is numerically degenerate (e.g. coplanar)."""
+    R, t, ok = _dlt_poses(points[None], norm_pix[None])
+    return (R[0], t[0]) if ok[0] else None
+
+
+def _iterations_needed(ratio: float, cfg: RansacConfig) -> int:
+    """Draws that contain an all-inlier sample with probability ``cfg.confidence``
+    at inlier ratio ``ratio``, capped at ``cfg.max_iterations``."""
+    hit = ratio**cfg.min_sample
+    if hit >= 1.0:
+        return 0
+    if hit <= 0.0:
+        return cfg.max_iterations
+    # log1p keeps a tiny hit rate from rounding 1 - hit to 1, a zero divisor
+    bound = np.ceil(np.log(1.0 - cfg.confidence) / np.log1p(-hit))
+    return int(min(bound, cfg.max_iterations))
 
 
 def solve_pnp_ransac(
@@ -242,45 +308,55 @@ def solve_pnp_ransac(
 ) -> PoseEstimate:
     """Robust world-to-camera pose from 2D-3D correspondences.
 
-    Seeded 6-point DLT hypotheses are scored by reprojection distance; the
-    largest consensus set wins and is polished by (non-differentiable)
-    Gauss-Newton. Iterations stop early once the usual confidence bound is
-    met, but never before a fixed floor so that near-degenerate scenes still
-    get a fair number of draws.
+    Seeded 6-point DLT hypotheses are ranked by their inlier count on a
+    fixed, evenly spaced subset of at most ``PREEMPTIVE_SUBSET`` pairs (all
+    pairs when there are no more); the winner's consensus over all pairs is
+    polished by (non-differentiable) Gauss-Newton. Iterations stop early once
+    the usual confidence bound on the subset's inlier ratio is met, but never
+    before a fixed floor so that near-degenerate scenes still get a fair
+    number of draws.
     """
     n = len(corr)
     if n < cfg.min_sample:
         raise TooFewCorrespondences(f"{n} < minimal sample {cfg.min_sample}")
     rng = np.random.default_rng(cfg.seed)
     norm_pix = (corr.pixels - np.array([K.cx, K.cy])) / K.focal
-    best_mask = None
+    scored = corr
+    if n > PREEMPTIVE_SUBSET:
+        scored = corr.subset(np.arange(PREEMPTIVE_SUBSET) * n // PREEMPTIVE_SUBSET)
     best_pose = None
     best_count = 0
     min_iters = min(32, cfg.max_iterations)
     needed = cfg.max_iterations
-    for it in range(cfg.max_iterations):
-        if it >= min_iters and it >= needed:
-            break
-        idx = rng.choice(n, size=cfg.min_sample, replace=False)
-        sol = _dlt_pose(corr.points[idx], norm_pix[idx])
-        if sol is None:
-            continue
-        err = _reproj_errors(sol[0], sol[1], K, corr)
-        mask = err < cfg.inlier_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            best_pose = sol
-            ratio = count / n
-            hit = ratio**cfg.min_sample
-            if hit >= 1.0:
-                needed = 0
-            elif hit > 0:
-                needed = int(np.ceil(np.log(1.0 - cfg.confidence) / np.log(1.0 - hit)))
-    if best_mask is None or best_count < cfg.min_sample:
-        raise NoConsensus(f"best consensus {best_count} of {n}")
-    pose = _polish(best_mask, corr, K, seed_pose=PoseSE3(*best_pose))
+    it = 0
+    # draws stay one seeded sample at a time; a batch holds at most
+    # min_iters of the draws the bound still allows, and is cut short when
+    # a new winner lowers the bound
+    while it < max(min_iters, needed):
+        batch = min(min_iters, max(min_iters, needed) - it)
+        idx = np.stack(
+            [rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(batch)]
+        )
+        R, t, ok = _dlt_poses(corr.points[idx], norm_pix[idx])
+        counts = np.zeros(batch, dtype=int)
+        if ok.any():
+            inl = _reproj_errors_many(R[ok], t[ok], K, scored) < cfg.inlier_threshold
+            counts[ok] = inl.sum(axis=1)
+        for j in range(batch):
+            if it >= max(min_iters, needed):
+                break
+            it += 1
+            if counts[j] > best_count:
+                best_count = int(counts[j])
+                best_pose = PoseSE3(R[j], t[j])
+                needed = _iterations_needed(best_count / len(scored), cfg)
+    best_mask = np.zeros(n, dtype=bool)
+    if best_pose is not None:
+        best_mask = _reproj_errors(best_pose.rotation, best_pose.translation, K, corr)
+        best_mask = best_mask < cfg.inlier_threshold
+    if int(best_mask.sum()) < cfg.min_sample:
+        raise NoConsensus(f"best consensus {int(best_mask.sum())} of {n}")
+    pose = _polish(best_mask, corr, K, seed_pose=best_pose)
     err = _reproj_errors(pose.rotation, pose.translation, K, corr)
     inliers = err < cfg.inlier_threshold
     if int(inliers.sum()) < cfg.min_sample:
@@ -301,11 +377,7 @@ def _polish(
     K: Intrinsics,
     seed_pose: PoseSE3 | None = None,
 ) -> PoseSE3:
-    sub = Correspondences2D3D(
-        corr.pixels[mask],
-        corr.points[mask],
-        None if corr.weights is None else corr.weights[mask],
-    )
+    sub = corr.subset(mask)
     # seed the polish from a full-consensus DLT fit when it is well posed,
     # otherwise fall back to the winning minimal-sample pose
     norm_pix = (sub.pixels - np.array([K.cx, K.cy])) / K.focal
@@ -317,7 +389,7 @@ def _polish(
     else:
         raise DegenerateGeometry("consensus set unusable for re-fit")
     for _ in range(10):
-        delta, _ = _gn_terms(pose, sub, K, damping=1e-9)[:2]
+        delta = _gn_terms(pose, sub, K, damping=1e-9)[0]
         pose = _apply_increment(delta, pose)
         if np.linalg.norm(delta) < 1e-14:
             break
@@ -335,52 +407,65 @@ def _apply_increment(delta: np.ndarray, base: PoseSE3) -> PoseSE3:
 
 
 def _projection_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics):
-    """Camera points, residuals and per-point Jacobian blocks at a pose.
+    """Pinhole terms of every pair at a pose, Jacobian in closed form.
 
-    Pairs with non-positive depth get zero weight so they drop out of the
-    normal equations without disturbing array shapes.
+    Returns ``(xn, yn, w, inv_z, f_z, J, r)``: the normalized coordinates
+    x/z and y/z of the camera points, the weights, 1/z, focal/z, the (m, 2, 6)
+    Jacobian of the residual with respect to a left twist (rotation part
+    first) and the (m, 2) residual pixel - projection. ``J`` and ``r`` are
+    views of (6, 2, m) and (2, m) arrays, so each Jacobian entry is one
+    contiguous row. Pairs with non-positive depth get zero weight, inverse
+    depth and Jacobian rows, so they drop out of the normal equations
+    without disturbing array shapes.
     """
-    Y = corr.points @ pose.rotation.T + pose.translation
-    z = Y[:, 2]
+    Y = pose.rotation @ corr.points.T + pose.translation[:, None]
+    z = Y[2]
     usable = z > DEPTH_EPS
     if not usable.any():
         raise DegenerateGeometry("all correspondences behind the camera")
     w = corr.effective_weights() * usable
-    zs = np.where(usable, z, 1.0)
+    inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=usable)
     f = K.focal
-    m = Y.shape[0]
-    A = np.zeros((m, 2, 3))
-    A[:, 0, 0] = f / zs
-    A[:, 1, 1] = f / zs
-    A[:, 0, 2] = -f * Y[:, 0] / zs**2
-    A[:, 1, 2] = -f * Y[:, 1] / zs**2
-    u = np.stack([f * Y[:, 0] / zs + K.cx, f * Y[:, 1] / zs + K.cy], axis=1)
-    r = corr.pixels - u
-    B = np.zeros((m, 3, 6))
-    B[:, 0, 1] = Y[:, 2]
-    B[:, 0, 2] = -Y[:, 1]
-    B[:, 1, 0] = -Y[:, 2]
-    B[:, 1, 2] = Y[:, 0]
-    B[:, 2, 0] = Y[:, 1]
-    B[:, 2, 1] = -Y[:, 0]
-    B[:, :, 3:] = np.eye(3)
-    J = -np.einsum("nij,njk->nik", A, B)
-    return Y, zs, w, A, B, J, r
+    xn = Y[0] * inv_z
+    yn = Y[1] * inv_z
+    f_z = f * inv_z
+    r = np.stack([corr.pixels[:, 0] - (f * xn + K.cx), corr.pixels[:, 1] - (f * yn + K.cy)])
+    # d(f*x/z, f*y/z) / d(omega, v) for Y -> Y + omega x Y + v, negated
+    fu = f * usable
+    fxy = fu * xn * yn
+    Jt = np.empty((6, 2, len(corr)))
+    Jt[0, 0] = fxy
+    Jt[1, 0] = -fu * (1.0 + xn * xn)
+    Jt[2, 0] = fu * yn
+    Jt[3, 0] = -f_z
+    Jt[4, 0] = 0.0
+    Jt[5, 0] = f_z * xn
+    Jt[0, 1] = fu * (1.0 + yn * yn)
+    Jt[1, 1] = -fxy
+    Jt[2, 1] = -fu * xn
+    Jt[3, 1] = 0.0
+    Jt[4, 1] = -f_z
+    Jt[5, 1] = f_z * yn
+    return xn, yn, w, inv_z, f_z, Jt.transpose(2, 1, 0), r.T
 
 
 def _gn_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics, damping: float):
     """One damped Gauss-Newton increment and its normal-equation pieces."""
-    Y, zs, w, A, B, J, r = _projection_terms(pose, corr, K)
-    H0 = np.einsum("n,nij,nik->jk", w, J, J)
+    terms = _projection_terms(pose, corr, K)
+    w, J, r = terms[2], terms[5], terms[6]
+    # J^T with one row per twist entry and one column per residual row
+    Jk = J.transpose(2, 1, 0).reshape(6, -1)
+    wJ = Jk * np.tile(w, 2)
+    H0 = wJ @ Jk.T
     eps = damping * np.trace(H0) / 6.0
     H = H0 + eps * np.eye(6)
-    g = np.einsum("n,nij,ni->j", w, J, r)
+    g = wJ @ r.T.reshape(-1)
     try:
         np.linalg.cholesky(H)
         delta = -np.linalg.solve(H, g)
     except np.linalg.LinAlgError as exc:
         raise SingularNormalEquations(str(exc)) from exc
-    return delta, H, (Y, zs, w, A, B, J, r)
+    return delta, H, terms
 
 
 def gauss_newton_refine(
@@ -399,20 +484,16 @@ def gauss_newton_refine(
         raise ValueError("inlier mask does not cover the correspondences")
     if int(mask.sum()) < 3:
         raise TooFewCorrespondences(f"{int(mask.sum())} inliers")
-    sub = Correspondences2D3D(
-        corr.pixels[mask],
-        corr.points[mask],
-        None if corr.weights is None else corr.weights[mask],
-    )
+    sub = corr.subset(mask)
     pose = detached.pose
     base = pose
     delta = np.zeros(6)
     for _ in range(cfg.num_steps):
         base = pose
-        delta, _, _ = _gn_terms(base, sub, K, cfg.damping)
+        delta = _gn_terms(base, sub, K, cfg.damping)[0]
         pose = _apply_increment(delta, base)
-    err = _reproj_errors(pose.rotation, pose.translation, K, corr)
-    rms = float(np.sqrt(np.mean(err[mask] ** 2)))
+    err = _reproj_errors(pose.rotation, pose.translation, K, sub)
+    rms = float(np.sqrt(np.mean(err**2)))
     return PoseEstimate(
         pose=pose,
         inliers=mask,
@@ -440,72 +521,51 @@ def pose_gradient_wrt_points(
             refined pose entries, shapes (3, 3) and (3,).
 
     Returns:
-        (N, 3) array dL/dX; rows outside the inlier set (or with
-        non-positive depth at the base pose) are zero.
+        (N, 3) array dL/dX; rows outside the inlier set (or with zero weight
+        or non-positive depth at the base pose) are zero.
     """
     grad_R = np.asarray(upstream[0], dtype=np.float64)
     grad_T = np.asarray(upstream[1], dtype=np.float64)
     if grad_R.shape != (3, 3) or grad_T.shape != (3,):
         raise ValueError("upstream must be (3,3) rotation and (3,) translation grads")
     mask = detached.inliers
-    sub = Correspondences2D3D(
-        corr.pixels[mask],
-        corr.points[mask],
-        None if corr.weights is None else corr.weights[mask],
-    )
     base = detached.base_pose
     damping = detached.gn_damping
-    delta, H, (Y, zs, w, A, B, J, r) = _gn_terms(base, sub, K, damping)
+    delta, H, (xn, yn, w, inv_z, f_z, J, r) = _gn_terms(base, corr.subset(mask), K, damping)
 
     # pose = exp(delta) o base: pull the pose gradient back to the twist
-    omega = delta[:3]
     G_E = grad_R @ base.rotation.T + np.outer(grad_T, base.translation)
-    dE = so3_exp_jac(omega)
     grad_delta = np.empty(6)
-    for i in range(3):
-        grad_delta[i] = np.sum(G_E * dE[i])
+    grad_delta[:3] = (so3_exp_jac(delta[:3]) * G_E).sum(axis=(1, 2))
     grad_delta[3:] = grad_T
 
     # delta = -H^{-1} g
-    q = -np.linalg.solve(H, grad_delta)
-    grad_g = q
-    grad_H = np.outer(q, delta)
+    grad_g = -np.linalg.solve(H, grad_delta)
+    grad_H = np.outer(grad_g, delta)
     grad_H0 = grad_H + (damping / 6.0) * np.trace(grad_H) * np.eye(6)
     S = grad_H0 + grad_H0.T
 
-    # g = sum w J^T r and H0 = sum w J^T J
-    grad_J = np.einsum("n,ni,j->nij", w, r, grad_g)
-    grad_J += np.einsum("n,nij,jk->nik", w, J, S)
-    grad_r = np.einsum("n,nij,j->ni", w, J, grad_g)
+    # g = sum w J^T r and H0 = sum w J^T J; every term carries w, so rows of
+    # zero weight (and of non-positive depth) get exactly zero gradient.
+    # G[k, i] is dL/dJ[:, i, k] and grad_r[i] is dL/dr[:, i]
+    m = w.shape[0]
+    Jk = J.transpose(2, 1, 0).reshape(6, -1)
+    G = (grad_g[:, None, None] * r.T + (S @ Jk).reshape(6, 2, m)) * w
+    grad_r = (grad_g @ Jk).reshape(2, m) * w
 
-    # J = -A B
-    grad_A = -np.einsum("nij,nkj->nik", grad_J, B)
-    grad_B = -np.einsum("nji,njk->nik", A, grad_J)
-
-    grad_Y = np.zeros_like(Y)
-    C = grad_B[:, :, :3]
-    grad_Y[:, 0] += C[:, 1, 2] - C[:, 2, 1]
-    grad_Y[:, 1] += C[:, 2, 0] - C[:, 0, 2]
-    grad_Y[:, 2] += C[:, 0, 1] - C[:, 1, 0]
-
+    # J and r = pix - (f xn + cx, f yn + cy) as functions of xn, yn and f/z
     f = K.focal
-    inv_z2 = 1.0 / zs**2
-    grad_Y[:, 0] += grad_A[:, 0, 2] * (-f * inv_z2)
-    grad_Y[:, 1] += grad_A[:, 1, 2] * (-f * inv_z2)
-    grad_Y[:, 2] += (grad_A[:, 0, 0] + grad_A[:, 1, 1]) * (-f * inv_z2)
-    grad_Y[:, 2] += grad_A[:, 0, 2] * (2 * f * Y[:, 0] / zs**3)
-    grad_Y[:, 2] += grad_A[:, 1, 2] * (2 * f * Y[:, 1] / zs**3)
+    cross = G[0, 0] - G[1, 1]
+    g_xn = f * (yn * cross - 2.0 * xn * G[1, 0] - G[2, 1] - grad_r[0]) + f_z * G[5, 0]
+    g_yn = f * (xn * cross + 2.0 * yn * G[0, 1] + G[2, 0] - grad_r[1]) + f_z * G[5, 1]
+    g_fz = xn * G[5, 0] + yn * G[5, 1] - G[3, 0] - G[4, 1]
 
-    # residual r = pix - u(Y)
-    grad_u = -grad_r
-    grad_Y += np.einsum("nij,ni->nj", A, grad_u)
-
-    # points with zero weight carried no signal into the step
-    grad_Y *= (w > 0)[:, None]
-    grad_sub = grad_Y @ base.rotation
-
+    # xn = x/z, yn = y/z and f_z = f/z of the camera point Y = R X + t
+    grad_Y = np.stack(
+        [g_xn * inv_z, g_yn * inv_z, -(g_xn * xn + g_yn * yn + g_fz * f_z) * inv_z], axis=1
+    )
     out = np.zeros((len(corr), 3))
-    out[mask] = grad_sub
+    out[mask] = grad_Y @ base.rotation
     return out
 
 
@@ -530,7 +590,6 @@ def solve_cameras_for_video(
     grid: PixelGrid,
     ransac: RansacConfig = RansacConfig(),
     gn: GNConfig = GNConfig(),
-    max_workers: int = 1,
 ) -> tuple[Intrinsics, list[PoseEstimate]]:
     """Shared intrinsics and per-frame world-to-camera poses for a video.
 
@@ -569,10 +628,4 @@ def solve_cameras_for_video(
         except WorldTrackError as exc:
             raise exc.with_frame(j)
 
-    frames = range(len(recon_pointmaps))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            estimates = list(pool.map(solve_frame, frames))
-    else:
-        estimates = [solve_frame(j) for j in frames]
-    return K, estimates
+    return K, [solve_frame(j) for j in range(len(recon_pointmaps))]

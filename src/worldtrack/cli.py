@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 operation failure, 2 bad usage.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,10 +33,6 @@ from .oracle import (
     projected_track_supervision,
 )
 from .seqio import load_sequence, save_sequence
-
-
-def _default_threads() -> int:
-    return max(1, int(os.environ.get("WORLDTRACK_THREADS", "1")))
 
 
 def _write_json(path, payload: dict):
@@ -77,13 +72,7 @@ def cmd_solve_camera(args) -> int:
     grid = PixelGrid.create(first.width, first.height)
     ransac = RansacConfig(seed=args.seed)
     gn = GNConfig()
-    K, estimates = solve_cameras_for_video(
-        seq.recon_pointmaps,
-        grid,
-        ransac,
-        gn,
-        max_workers=args.threads,
-    )
+    K, estimates = solve_cameras_for_video(seq.recon_pointmaps, grid, ransac, gn)
     frames = []
     for j, est in enumerate(estimates):
         frames.append(
@@ -240,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seq", required=True)
     s.add_argument("--out", default=None, help="report path, '-' for stdout")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=_default_threads())
     s.set_defaults(func=cmd_solve_camera)
 
     s = sub.add_parser("adapt", help="test-time optimization of the tracking branch")

@@ -643,7 +643,6 @@ def pose_gradient_on_pointmap(
     corr, flat_idx = correspondences_from_pointmap(recon_pm, grid)
     per_corr = pose_gradient_wrt_points(estimate, corr, K, upstream)
     out = np.zeros((recon_pm.height, recon_pm.width, 3))
-    rows = flat_idx // recon_pm.width
-    cols = flat_idx % recon_pm.width
-    np.add.at(out, (rows, cols), per_corr)
+    # one correspondence per valid pixel: flat_idx has no repeats to sum
+    out.reshape(-1, 3)[flat_idx] = per_corr
     return out

@@ -3,12 +3,17 @@ import pytest
 from conftest import make_pnp_instance, random_pose
 
 from worldtrack.camera import (
+    PREEMPTIVE_SUBSET,
     Correspondences2D3D,
     GNConfig,
     PoseEstimate,
     RansacConfig,
     _apply_increment,
+    _dlt_pose,
+    _dlt_poses,
     _gn_terms,
+    _iterations_needed,
+    _projection_terms,
     _reproj_errors,
     correspondences_from_pointmap,
     estimate_focal_weiszfeld,
@@ -30,6 +35,7 @@ from worldtrack.geometry import (
     PoseSE3,
     backproject,
     so3_exp,
+    so3_exp_jac,
 )
 
 
@@ -115,15 +121,21 @@ def test_pnp_exact_on_clean_data():
         assert est.rms_reprojection_error < 1e-9
 
 
+def with_outliers(rng, corr, fraction):
+    """Shift a fraction of the pixels by 5-25 px; returns pairs and outlier ids."""
+    n = len(corr)
+    pix = np.array(corr.pixels)
+    out_idx = rng.choice(n, int(fraction * n), replace=False)
+    shift = rng.uniform(5.0, 25.0, size=(out_idx.size, 2))
+    pix[out_idx] += shift * rng.choice([-1, 1], (out_idx.size, 2))
+    return Correspondences2D3D(pix, corr.points), out_idx
+
+
 def test_pnp_with_outliers():
     rng = np.random.default_rng(8)
     for trial in range(5):
         K, pose, corr = make_pnp_instance(rng, n=80)
-        pix = np.array(corr.pixels)
-        n_out = 24  # 30 percent
-        out_idx = rng.choice(80, n_out, replace=False)
-        pix[out_idx] += rng.uniform(5.0, 25.0, size=(n_out, 2)) * rng.choice([-1, 1], (n_out, 2))
-        bad = Correspondences2D3D(pix, corr.points)
+        bad, out_idx = with_outliers(rng, corr, 0.3)
         est = solve_pnp_ransac(bad, K, RansacConfig(seed=trial))
         ang, dt = pose_errors(est.pose, pose)
         assert ang < 1e-6 and dt < 1e-6, f"trial {trial}: {ang}, {dt}"
@@ -155,6 +167,105 @@ def test_pnp_error_cases():
     ))
     with pytest.raises(NoConsensus):
         solve_pnp_ransac(behind, K2, RansacConfig(max_iterations=16))
+
+
+def test_ransac_bound_survives_tiny_inlier_ratio():
+    cfg = RansacConfig(max_iterations=256)
+    # ratio**6 = 1e-18 rounds 1 - hit to 1, which once gave log(1) = 0
+    assert _iterations_needed(1e-3, cfg) == cfg.max_iterations
+    assert _iterations_needed(0.0, cfg) == cfg.max_iterations
+    assert _iterations_needed(1.0, cfg) == 0
+    assert _iterations_needed(0.9, cfg) == int(np.ceil(np.log(1e-3) / np.log(1 - 0.9**6)))
+
+
+def test_pnp_preemptive_scoring_on_large_instance():
+    rng = np.random.default_rng(21)
+    K, pose, corr = make_pnp_instance(rng, n=5000)
+    assert len(corr) > PREEMPTIVE_SUBSET
+    bad, out_idx = with_outliers(rng, corr, 0.3)
+    est = solve_pnp_ransac(bad, K, RansacConfig(seed=3))
+    ang, dt = pose_errors(est.pose, pose)
+    assert ang < 1e-6 and dt < 1e-6
+    expected = np.ones(len(corr), dtype=bool)
+    expected[out_idx] = False
+    assert np.array_equal(est.inliers, expected)
+    again = solve_pnp_ransac(bad, K, RansacConfig(seed=3))
+    assert np.array_equal(again.pose.rotation, est.pose.rotation)
+    assert np.array_equal(again.pose.translation, est.pose.translation)
+    assert np.array_equal(again.inliers, est.inliers)
+
+
+def dlt_pose_reference(points, norm_pix):
+    """Per-sample DLT, the scalar form the stacked solver must reproduce."""
+    centroid = points.mean(axis=0)
+    spread = np.linalg.norm(points - centroid, axis=1).mean()
+    if spread < 1e-9:
+        return None
+    s = np.sqrt(3.0) / spread
+    Xn = (points - centroid) * s
+    n = points.shape[0]
+    A = np.zeros((2 * n, 12))
+    A[0::2, 0:3] = Xn
+    A[0::2, 3] = 1.0
+    A[0::2, 8:11] = -norm_pix[:, 0:1] * Xn
+    A[0::2, 11] = -norm_pix[:, 0]
+    A[1::2, 4:7] = Xn
+    A[1::2, 7] = 1.0
+    A[1::2, 8:11] = -norm_pix[:, 1:2] * Xn
+    A[1::2, 11] = -norm_pix[:, 1]
+    _, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    if sv[-2] < 1e-9 * max(sv[0], 1.0):
+        return None
+    T = np.eye(4)
+    T[:3, :3] *= s
+    T[:3, 3] = -s * centroid
+    M = Vt[-1].reshape(3, 4) @ T
+    det = np.linalg.det(M[:, :3])
+    if abs(det) < 1e-12:
+        return None
+    if det < 0:
+        M = -M
+    U, sing, Vt3 = np.linalg.svd(M[:, :3])
+    lam = sing.mean()
+    if lam < 1e-12:
+        return None
+    R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt3)]) @ Vt3
+    t = M[:, 3] / lam
+    if not (np.isfinite(R).all() and np.isfinite(t).all()):
+        return None
+    return R, t
+
+
+def test_batched_dlt_matches_scalar_solver():
+    rng = np.random.default_rng(30)
+    K, pose, corr = make_pnp_instance(rng, n=60)
+    norm_pix = (corr.pixels - np.array([K.cx, K.cy])) / K.focal
+    samples = [rng.choice(60, 6, replace=False) for _ in range(40)]
+    pts = [corr.points[i] for i in samples]
+    pix = [norm_pix[i] for i in samples]
+    # coplanar samples: six world points on one plane, seen exactly
+    for _ in range(8):
+        plane = rng.uniform(-1, 1, (6, 2)) @ rng.normal(size=(2, 3)) + rng.normal(size=3)
+        cam = pose.apply(plane)
+        pts.append(plane)
+        pix.append(cam[:, :2] / cam[:, 2:3])
+    pts.append(np.repeat(corr.points[:1], 6, axis=0))  # no spread at all
+    pix.append(norm_pix[:6])
+    R, t, ok = _dlt_poses(np.stack(pts), np.stack(pix))
+    accepted = 0
+    for j in range(len(pts)):
+        ref = dlt_pose_reference(pts[j], pix[j])
+        assert ok[j] == (ref is not None), f"sample {j}"
+        if ref is not None:
+            accepted += 1
+            assert np.abs(R[j] - ref[0]).max() < 1e-12
+            assert np.abs(t[j] - ref[1]).max() < 1e-12
+    assert accepted == 40 and not ok[40:].any()
+    # the full-set re-fit goes through the 12x12 R factor of the tall system
+    full = _dlt_pose(corr.points, norm_pix)
+    ref = dlt_pose_reference(corr.points, norm_pix)
+    assert np.abs(full[0] - ref[0]).max() < 1e-12
+    assert np.abs(full[1] - ref[1]).max() < 1e-12
 
 
 # ---- Gauss-Newton refinement ----
@@ -213,6 +324,35 @@ def test_gn_first_order_optimality():
     _, _, (_, _, w, _, _, J, r) = _gn_terms(est.pose, corr, K, damping=1e-9)
     grad = np.einsum("n,nij,ni->j", w, J, r)
     assert np.abs(grad).max() < 1e-6
+
+
+def test_projection_jacobian_matches_central_differences():
+    rng = np.random.default_rng(9)
+    K, pose, corr = make_pnp_instance(rng, n=30)
+    pts = np.array(corr.points)
+    # rows 0-2 behind the camera, row 3 on its plane
+    cam = pose.apply(pts)
+    cam[:3, 2] *= -1.0
+    cam[3, 2] = 0.0
+    pts = pose.inverse().apply(cam)
+    w = np.ones(30)
+    w[4:7] = 0.0
+    corr = Correspondences2D3D(corr.pixels, pts, w)
+    _, _, wt, _, _, J, r = _projection_terms(pose, corr, K)
+    h = 1e-6
+    fd = np.zeros_like(J)
+    for k in range(6):
+        step = np.zeros(6)
+        step[k] = h
+        hi = _projection_terms(_apply_increment(step, pose), corr, K)[6]
+        lo = _projection_terms(_apply_increment(-step, pose), corr, K)[6]
+        fd[:, :, k] = (hi - lo) / (2 * h)
+    front = np.arange(4, 30)  # zero-weight rows 4-6 included
+    scale = np.abs(J[front]).max()
+    assert np.abs(J[front] - fd[front]).max() < 1e-6 * scale
+    assert np.all(J[:4] == 0.0) and np.all(wt[:4] == 0.0)
+    assert np.all(wt[4:7] == 0.0) and np.all(wt[7:] == 1.0)
+    assert r.shape == (30, 2) and np.isfinite(r).all()
 
 
 def test_gn_huge_damping_freezes_pose():
@@ -286,6 +426,65 @@ def test_pose_gradient_zero_weight_and_non_inlier_rows():
     assert np.any(grads[0] != 0.0)
 
 
+def pose_gradient_reference(est, corr, K, gR, gT):
+    """The adjoint through the factored Jacobian J = -A B (A: d pixel / d Y,
+    B: d Y / d twist), the form the closed-form adjoint must reproduce."""
+    sub = corr.subset(est.inliers)
+    base, damping = est.base_pose, est.gn_damping
+    Y = sub.points @ base.rotation.T + base.translation
+    x, y, z = Y.T
+    w = sub.effective_weights() * (z > 0)
+    f = K.focal
+    zero = np.zeros_like(z)
+    A = np.stack([np.stack([f / z, zero, -f * x / z**2], 1),
+                  np.stack([zero, f / z, -f * y / z**2], 1)], 1)
+    B = np.zeros((len(sub), 3, 6))
+    B[:, :, :3] = -np.stack([np.stack([zero, -z, y], 1), np.stack([z, zero, -x], 1),
+                             np.stack([-y, x, zero], 1)], 1)
+    B[:, :, 3:] = np.eye(3)
+    J = -np.einsum("nij,njk->nik", A, B)
+    r = sub.pixels - np.stack([f * x / z + K.cx, f * y / z + K.cy], 1)
+    H = np.einsum("n,nij,nik->jk", w, J, J)
+    H += damping * np.trace(H) / 6.0 * np.eye(6)
+    delta = -np.linalg.solve(H, np.einsum("n,nij,ni->j", w, J, r))
+    G_E = gR @ base.rotation.T + np.outer(gT, base.translation)
+    grad_delta = np.concatenate([np.einsum("ijk,jk->i", so3_exp_jac(delta[:3]), G_E), gT])
+    q = -np.linalg.solve(H, grad_delta)
+    grad_H = np.outer(q, delta)
+    S = grad_H + damping / 6.0 * np.trace(grad_H) * np.eye(6)
+    S = S + S.T
+    grad_J = np.einsum("n,ni,j->nij", w, r, q) + np.einsum("n,nij,jk->nik", w, J, S)
+    grad_A = -np.einsum("nij,nkj->nik", grad_J, B)
+    C = -np.einsum("nji,njk->nik", A, grad_J)
+    grad_Y = np.stack([C[:, 1, 2] - C[:, 2, 1], C[:, 2, 0] - C[:, 0, 2],
+                       C[:, 0, 1] - C[:, 1, 0]], 1)
+    grad_Y[:, 0] -= grad_A[:, 0, 2] * f / z**2
+    grad_Y[:, 1] -= grad_A[:, 1, 2] * f / z**2
+    grad_Y[:, 2] += (2 * f / z**3) * (grad_A[:, 0, 2] * x + grad_A[:, 1, 2] * y)
+    grad_Y[:, 2] -= (grad_A[:, 0, 0] + grad_A[:, 1, 1]) * f / z**2
+    grad_Y -= np.einsum("nij,ni->nj", A, w[:, None] * np.einsum("nij,j->ni", J, q))
+    out = np.zeros((len(corr), 3))
+    out[est.inliers] = grad_Y @ base.rotation
+    return out
+
+
+def test_pose_gradient_matches_factored_reference():
+    rng = np.random.default_rng(14)
+    for _ in range(4):
+        K, pose, corr = make_pnp_instance(rng, n=40)
+        w = rng.uniform(0.5, 2.0, 40)
+        w[5] = 0.0
+        weighted = Correspondences2D3D(corr.pixels, corr.points, w)
+        detached = perturbed_estimate(pose, weighted, rng, scale=0.05)
+        mask = rng.random(40) > 0.2
+        detached = PoseEstimate(detached.pose, mask, np.nan, np.zeros(6), detached.pose)
+        est = gauss_newton_refine(detached, weighted, K, GNConfig(damping=1e-3))
+        gR, gT = rng.normal(size=(3, 3)), rng.normal(size=3)
+        got = pose_gradient_wrt_points(est, weighted, K, (gR, gT))
+        ref = pose_gradient_reference(est, weighted, K, gR, gT)
+        assert np.abs(got - ref).max() < 1e-9 * np.abs(ref).max()
+
+
 # ---- whole-video solving ----
 
 def build_recon_video(rng, T=5, width=24, height=18, focal=30.0, static=False):
@@ -339,16 +538,6 @@ def test_solve_cameras_attaches_frame_index():
     with pytest.raises(TooFewCorrespondences) as info:
         solve_cameras_for_video(pms, grid)
     assert info.value.frame == 2
-
-
-def test_solve_cameras_parallel_matches_serial():
-    rng = np.random.default_rng(4)
-    _, _, pms, grid = build_recon_video(rng, T=4)
-    _, serial = solve_cameras_for_video(pms, grid, max_workers=1)
-    _, threaded = solve_cameras_for_video(pms, grid, max_workers=4)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.pose.rotation, b.pose.rotation)
-        assert np.array_equal(a.pose.translation, b.pose.translation)
 
 
 def test_correspondences_from_pointmap_indexing():

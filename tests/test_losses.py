@@ -9,6 +9,7 @@ from worldtrack.camera import (
     RansacConfig,
     correspondences_from_pointmap,
     gauss_newton_refine,
+    pose_gradient_wrt_points,
     solve_cameras_for_video,
 )
 from worldtrack.errors import (
@@ -376,6 +377,29 @@ def test_total_loss_gradient_fd_through_pose():
         lo = evaluate(pts1 - delta)[0].total
         fd = (hi - lo) / (2 * FD_STEP)
         assert rel_err(fd, full_grad[r, c, d]) < FD_TOL
+
+
+def test_pose_gradient_on_pointmap_matches_scatter_add():
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(recon_noise=0.01, seed=3)
+    _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=2))
+    valid = np.ones((H, W), dtype=bool)
+    valid[1, 2:5] = False
+    valid[4, 0] = False
+    pm = Pointmap(recon[1].points, valid, 0, 1, 1)
+    corr, flat_idx = correspondences_from_pointmap(pm, grid)
+    est = gauss_newton_refine(
+        PoseEstimate(estimates[1].pose, np.ones(len(corr), dtype=bool), np.nan,
+                     np.zeros(6), estimates[1].pose),
+        corr, K,
+    )
+    rng = np.random.default_rng(4)
+    upstream = (rng.normal(size=(3, 3)), rng.normal(size=3))
+    got = pose_gradient_on_pointmap(est, pm, grid, K, upstream)
+    want = np.zeros((H, W, 3))
+    np.add.at(want, (flat_idx // W, flat_idx % W),
+              pose_gradient_wrt_points(est, corr, K, upstream))
+    assert np.array_equal(got, want)
+    assert np.all(got[~valid] == 0.0) and np.any(got[valid] != 0.0)
 
 
 # ---------------------------------------------------------------------------
