@@ -1,21 +1,27 @@
 """Camera recovery from per-frame pointmaps.
 
 The pipeline per frame is: robust focal estimation from the anchor
-pointmap (shared across the video), RANSAC PnP with a 6-point DLT minimal
+pointmap (shared across the video), RANSAC PnP with a 6-point minimal
 solver, a non-differentiable Gauss-Newton polish on the consensus set, and
 one final damped Gauss-Newton step whose increment stays differentiable
 with respect to the 3D points. ``pose_gradient_wrt_points`` backpropagates
 an upstream pose gradient through that last increment.
 
 RANSAC draws its minimal samples one at a time from a seeded generator and
-solves each batch of draws together, as stacked SVDs. Hypotheses are scored
-preemptively (Nister, "Preemptive RANSAC", ICCV 2003): they are ranked by
-their inlier count on a fixed, evenly spaced subset of at most
+solves each batch of draws together, as stacked SVDs. A sample whose centred
+3D points are near-planar (smallest-to-middle eigenvalue ratio of their
+scatter below ``PLANAR_RATIO``) defeats the DLT, so it is solved instead by
+decomposing the homography between its plane and the image (Zhang, "A
+flexible new technique for camera calibration", TPAMI 2000). Hypotheses are
+scored preemptively (Nister, "Preemptive RANSAC", ICCV 2003): they are
+ranked by their inlier count on a fixed, evenly spaced subset of at most
 ``PREEMPTIVE_SUBSET`` correspondences, whose inlier ratio also sets the
 confidence bound on the number of draws, and only the winner is scored on
-every correspondence. Gauss-Newton builds the closed-form 2x6 Jacobian rows
-of the pinhole projection and forms its normal equations as matrix
-products; the pose adjoint differentiates those closed-form rows directly.
+every correspondence. The polish starts Gauss-Newton from the winning
+minimal-sample pose on the winner's full consensus set. Gauss-Newton builds
+the closed-form 2x6 Jacobian rows of the pinhole projection and forms its
+normal equations as matrix products; the pose adjoint differentiates those
+closed-form rows directly.
 """
 
 import logging
@@ -77,11 +83,21 @@ class Correspondences2D3D:
             return np.ones(len(self))
         return self.weights
 
+    @classmethod
+    def _adopt(cls, pixels, points, weights=None) -> "Correspondences2D3D":
+        """Wrap float64 arrays of valid shapes that the caller has just built
+        and holds no other reference to: they are frozen, not copied."""
+        corr = object.__new__(cls)
+        object.__setattr__(corr, "pixels", _freeze(pixels))
+        object.__setattr__(corr, "points", _freeze(points))
+        object.__setattr__(corr, "weights", None if weights is None else _freeze(weights))
+        return corr
+
     def subset(self, select: np.ndarray) -> "Correspondences2D3D":
         """The pairs picked by a boolean mask or an index array."""
         if select.dtype == bool and select.all():
             return self
-        return Correspondences2D3D(
+        return Correspondences2D3D._adopt(
             self.pixels[select],
             self.points[select],
             None if self.weights is None else self.weights[select],
@@ -189,6 +205,9 @@ def estimate_focal_weiszfeld(
 # PnP
 
 PREEMPTIVE_SUBSET = 1024
+# samples whose scatter has a smallest-to-middle eigenvalue ratio below this
+# are solved as planar (the threshold of OpenCV's planarity test)
+PLANAR_RATIO = 1e-3
 
 
 def _reproj_errors_many(
@@ -246,17 +265,11 @@ def _dlt_poses(points: np.ndarray, norm_pix: np.ndarray):
     half[~ok] = 0.0
     half = half.transpose(0, 1, 3, 2)
     try:
-        if n > 8:
-            # an 8x8 R factor keeps its half's Gram matrix, so the stacked
-            # factors have the singular values and right singular vectors
-            # of the tall system, without forming A^T A
-            half = np.linalg.qr(half, mode="r")
-        rows = half.shape[2]
-        A = np.zeros((k, 2 * rows, 12))
-        A[:, :rows, 0:4] = half[:, 0, :, :4]
-        A[:, rows:, 4:8] = half[:, 1, :, :4]
-        A[:, :rows, 8:] = half[:, 0, :, 4:]
-        A[:, rows:, 8:] = half[:, 1, :, 4:]
+        A = np.zeros((k, 2 * n, 12))
+        A[:, :n, 0:4] = half[:, 0, :, :4]
+        A[:, n:, 4:8] = half[:, 1, :, :4]
+        A[:, :n, 8:] = half[:, 0, :, 4:]
+        A[:, n:, 8:] = half[:, 1, :, 4:]
         _, sv, Vt = np.linalg.svd(A, full_matrices=False)
         # near-rank-deficient systems have no unique solution worth decoding
         ok &= sv[:, -2] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
@@ -283,11 +296,85 @@ def _dlt_poses(points: np.ndarray, norm_pix: np.ndarray):
     return R, t, ok
 
 
-def _dlt_pose(points: np.ndarray, norm_pix: np.ndarray):
-    """DLT pose from one set of pairs: (rotation, translation), or None when
-    the configuration is numerically degenerate (e.g. coplanar)."""
-    R, t, ok = _dlt_poses(points[None], norm_pix[None])
-    return (R[0], t[0]) if ok[0] else None
+def _plane_poses(points: np.ndarray, norm_pix: np.ndarray):
+    """Homography solver over a stack of near-planar samples.
+
+    Same arguments and returns as ``_dlt_poses``. Each sample's points are
+    expressed in the frame of their principal axes, the homography from the
+    two in-plane coordinates to the normalized pixels is fit by DLT (both
+    sides Hartley-normalized), and its columns [h1 h2 h3] ~ [r1 r2 t] give
+    the pose (Zhang, TPAMI 2000), with the rotation projected onto SO(3).
+    """
+    k, n, _ = points.shape
+    centroid = points.mean(axis=1)
+    D = points - centroid[:, None]
+    try:
+        _, axes = np.linalg.eigh(D.transpose(0, 2, 1) @ D)
+    except np.linalg.LinAlgError:
+        return np.broadcast_to(np.eye(3), (k, 3, 3)), np.zeros((k, 3)), np.zeros(k, bool)
+    # columns: the two in-plane axes, then the normal, as a right-handed frame
+    B = axes[:, :, ::-1].copy()
+    B[:, :, 2] *= np.sign(np.linalg.det(B))[:, None]
+    plane = (D @ B)[:, :, :2]
+    s_p = np.sqrt(2.0) / np.sqrt((plane * plane).sum(axis=2)).mean(axis=1)
+    mean_x = norm_pix.mean(axis=1)
+    dx = norm_pix - mean_x[:, None]
+    s_x = np.sqrt(2.0) / np.sqrt((dx * dx).sum(axis=2)).mean(axis=1)
+    ok = np.isfinite(s_p) & np.isfinite(s_x)
+    P = np.ones((k, n, 3))
+    P[:, :, :2] = plane * np.where(ok, s_p, 1.0)[:, None, None]
+    x = dx * np.where(ok, s_x, 1.0)[:, None, None]
+    # each pair gives the rows [P, 0, -u P] and [0, P, -v P] of A h = 0
+    A = np.zeros((k, 2 * n, 9))
+    A[:, :n, 0:3] = P
+    A[:, n:, 3:6] = P
+    A[:, :n, 6:] = -x[:, :, :1] * P
+    A[:, n:, 6:] = -x[:, :, 1:] * P
+    ok &= np.isfinite(A).all(axis=(1, 2))
+    A[~ok] = 0.0
+    try:
+        _, sv, Vt = np.linalg.svd(A, full_matrices=False)
+        ok &= sv[:, -2] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
+        Hn = Vt[:, -1].reshape(k, 3, 3)
+        # undo both normalizations: H = T_x^-1 Hn T_p
+        Hm = Hn * np.where(ok, s_p, 1.0)[:, None, None]
+        Hm[:, :, 2] = Hn[:, :, 2]
+        inv_s_x = 1.0 / np.where(ok, s_x, 1.0)
+        H = Hm.copy()
+        H[:, :2] = Hm[:, :2] * inv_s_x[:, None, None] + mean_x[:, :, None] * Hm[:, 2:3]
+        # scale and sign: unit rotation columns, centroid in front
+        norms = np.linalg.norm(H[:, :, 0], axis=1) + np.linalg.norm(H[:, :, 1], axis=1)
+        ok &= norms > 1e-12
+        lam = np.where(H[:, 2, 2] < 0, -2.0, 2.0) / np.where(ok, norms, 1.0)
+        H *= lam[:, None, None]
+        M = np.empty((k, 3, 3))
+        M[:, :, :2] = H[:, :, :2]
+        M[:, :, 2] = np.cross(H[:, :, 0], H[:, :, 1])
+        M[~ok] = np.eye(3)
+        U, _, Vt3 = np.linalg.svd(M)
+    except np.linalg.LinAlgError:
+        return np.broadcast_to(np.eye(3), (k, 3, 3)), np.zeros((k, 3)), np.zeros(k, bool)
+    U[:, :, 2] *= np.linalg.det(U @ Vt3)[:, None]
+    # the pose acts on B^T (X - centroid); fold that frame back in
+    R = U @ Vt3 @ B.transpose(0, 2, 1)
+    t = H[:, :, 2] - (R @ centroid[:, :, None])[:, :, 0]
+    ok &= np.isfinite(R).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
+    return R, t, ok
+
+
+def _minimal_poses(points: np.ndarray, norm_pix: np.ndarray):
+    """Poses from a stack of minimal samples: near-planar samples by their
+    plane homography, the others by DLT. Returns as ``_dlt_poses``."""
+    D = points - points.mean(axis=1, keepdims=True)
+    ev = np.linalg.eigvalsh(D.transpose(0, 2, 1) @ D)
+    planar = ev[:, 0] < PLANAR_RATIO * ev[:, 1]
+    R = np.empty((points.shape[0], 3, 3))
+    t = np.empty((points.shape[0], 3))
+    ok = np.empty(points.shape[0], dtype=bool)
+    for solver, pick in ((_dlt_poses, ~planar), (_plane_poses, planar)):
+        if pick.any():
+            R[pick], t[pick], ok[pick] = solver(points[pick], norm_pix[pick])
+    return R, t, ok
 
 
 def _iterations_needed(ratio: float, cfg: RansacConfig) -> int:
@@ -308,13 +395,14 @@ def solve_pnp_ransac(
 ) -> PoseEstimate:
     """Robust world-to-camera pose from 2D-3D correspondences.
 
-    Seeded 6-point DLT hypotheses are ranked by their inlier count on a
-    fixed, evenly spaced subset of at most ``PREEMPTIVE_SUBSET`` pairs (all
-    pairs when there are no more); the winner's consensus over all pairs is
-    polished by (non-differentiable) Gauss-Newton. Iterations stop early once
-    the usual confidence bound on the subset's inlier ratio is met, but never
-    before a fixed floor so that near-degenerate scenes still get a fair
-    number of draws.
+    Seeded 6-point hypotheses (DLT, or a plane homography for near-planar
+    samples) are ranked by their inlier count on a fixed, evenly spaced
+    subset of at most ``PREEMPTIVE_SUBSET`` pairs (all pairs when there are
+    no more); the winner's consensus over all pairs is polished by
+    (non-differentiable) Gauss-Newton from the winning pose. Iterations stop
+    early once the usual confidence bound on the subset's inlier ratio is
+    met, but never before a fixed floor so that near-degenerate scenes still
+    get a fair number of draws.
     """
     n = len(corr)
     if n < cfg.min_sample:
@@ -337,7 +425,7 @@ def solve_pnp_ransac(
         idx = np.stack(
             [rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(batch)]
         )
-        R, t, ok = _dlt_poses(corr.points[idx], norm_pix[idx])
+        R, t, ok = _minimal_poses(corr.points[idx], norm_pix[idx])
         counts = np.zeros(batch, dtype=int)
         if ok.any():
             inl = _reproj_errors_many(R[ok], t[ok], K, scored) < cfg.inlier_threshold
@@ -356,7 +444,7 @@ def solve_pnp_ransac(
         best_mask = best_mask < cfg.inlier_threshold
     if int(best_mask.sum()) < cfg.min_sample:
         raise NoConsensus(f"best consensus {int(best_mask.sum())} of {n}")
-    pose = _polish(best_mask, corr, K, seed_pose=best_pose)
+    pose = _polish(corr.subset(best_mask), K, best_pose)
     err = _reproj_errors(pose.rotation, pose.translation, K, corr)
     inliers = err < cfg.inlier_threshold
     if int(inliers.sum()) < cfg.min_sample:
@@ -371,23 +459,8 @@ def solve_pnp_ransac(
     )
 
 
-def _polish(
-    mask: np.ndarray,
-    corr: Correspondences2D3D,
-    K: Intrinsics,
-    seed_pose: PoseSE3 | None = None,
-) -> PoseSE3:
-    sub = corr.subset(mask)
-    # seed the polish from a full-consensus DLT fit when it is well posed,
-    # otherwise fall back to the winning minimal-sample pose
-    norm_pix = (sub.pixels - np.array([K.cx, K.cy])) / K.focal
-    sol = _dlt_pose(sub.points, norm_pix)
-    if sol is not None:
-        pose = PoseSE3(sol[0], sol[1])
-    elif seed_pose is not None:
-        pose = seed_pose
-    else:
-        raise DegenerateGeometry("consensus set unusable for re-fit")
+def _polish(sub: Correspondences2D3D, K: Intrinsics, pose: PoseSE3) -> PoseSE3:
+    """Gauss-Newton on the consensus set, started from the RANSAC winner."""
     for _ in range(10):
         delta = _gn_terms(pose, sub, K, damping=1e-9)[0]
         pose = _apply_increment(delta, pose)
@@ -579,10 +652,18 @@ def correspondences_from_pointmap(
     """Valid pixels of a pointmap as correspondences, plus flat indices."""
     if (pm.height, pm.width) != (grid.height, grid.width):
         raise ValueError("pointmap and grid sizes differ")
-    flat_valid = pm.valid.reshape(-1)
-    idx = np.nonzero(flat_valid)[0]
-    corr = Correspondences2D3D(grid.flat()[idx], pm.points.reshape(-1, 3)[idx])
-    return corr, idx
+    return correspondences_from_points(pm.points.reshape(-1, 3), pm.valid.reshape(-1), grid)
+
+
+def correspondences_from_points(
+    points: np.ndarray, valid: np.ndarray, grid: PixelGrid
+) -> tuple[Correspondences2D3D, np.ndarray]:
+    """Valid pixels of one frame's raw points as correspondences, plus flat
+    indices; points (H*W, 3) and valid (H*W,) are in raster order."""
+    corr = Correspondences2D3D._adopt(
+        grid.flat().compress(valid, axis=0), points.compress(valid, axis=0)
+    )
+    return corr, np.flatnonzero(valid)
 
 
 def solve_cameras_for_video(

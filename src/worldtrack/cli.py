@@ -200,6 +200,25 @@ def cmd_check_grads(args) -> int:
     return 1 if failed else 0
 
 
+def _finite(text: str, positive: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not np.isfinite(value) or value < 0 or (positive and value == 0):
+        kind = "positive" if positive else "non-negative"
+        raise argparse.ArgumentTypeError(f"must be a finite {kind} number, got {text!r}")
+    return value
+
+
+def _step_size(text: str) -> float:
+    return _finite(text, positive=True)
+
+
+def _weight(text: str) -> float:
+    return _finite(text, positive=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="worldtrack",
@@ -235,12 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seq", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--steps", type=int, default=500)
-    s.add_argument("--lr", type=float, default=1e-2)
+    s.add_argument("--lr", type=_step_size, default=1e-2)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--unfreeze-recon", action="store_true")
-    s.add_argument("--w-traj", type=float, default=1.0)
-    s.add_argument("--w-depth", type=float, default=10.0)
-    s.add_argument("--w-align", type=float, default=5.0)
+    s.add_argument("--w-traj", type=_weight, default=1.0)
+    s.add_argument("--w-depth", type=_weight, default=10.0)
+    s.add_argument("--w-align", type=_weight, default=5.0)
     s.set_defaults(func=cmd_adapt)
 
     s = sub.add_parser("eval", help="score predictions against ground truth")

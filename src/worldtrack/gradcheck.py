@@ -128,16 +128,24 @@ def check_supervised_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_T
     return CheckResult("supervised_pointmap_loss", worst, tol)
 
 
-def _pnp_instance(rng, n=40, width=64, height=48, focal=80.0):
+def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4):
+    """Exact 2D-3D correspondences for a random camera looking at a cloud.
+
+    The camera turns by up to ``max_angle`` about a random axis. The cloud
+    is built by backprojecting random in-image pixels at random depths in
+    that camera, then mapping to world coordinates, so the ground-truth
+    reprojection error is zero. Returns (intrinsics, pose, correspondences).
+    """
     K = Intrinsics(focal, width / 2.0, height / 2.0)
-    pose = PoseSE3(so3_exp(rng.normal(0, 0.15, 3)), rng.normal(0, 0.2, 3))
-    pix_t = np.column_stack(
-        [rng.uniform(2, width - 2, n), rng.uniform(2, height - 2, n)]
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    pose = PoseSE3(so3_exp(axis * rng.uniform(0, max_angle)), rng.normal(size=3) * 0.5)
+    pix = np.column_stack(
+        [rng.uniform(2.0, width - 2.0, n), rng.uniform(2.0, height - 2.0, n)]
     )
-    depths = rng.uniform(1.5, 4.0, n)
-    pts_cam = backproject(K, pix_t, depths)
-    pts_world = pose.inverse().apply(pts_cam)
-    return K, pose, camera.Correspondences2D3D(pix_t, pts_world)
+    depth = rng.uniform(1.5, 6.0, n)
+    world = pose.inverse().apply(backproject(K, pix, depth))
+    return K, pose, camera.Correspondences2D3D(pix, world)
 
 
 def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
@@ -146,7 +154,7 @@ def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     gn = camera.GNConfig()
     worst = 0.0
     for _ in range(trials):
-        K, true_pose, corr = _pnp_instance(rng)
+        K, true_pose, corr = make_pnp_instance(rng)
         base = PoseSE3(
             so3_exp(rng.normal(0, 0.01, 3)) @ true_pose.rotation,
             true_pose.translation + rng.normal(0, 0.01, 3),

@@ -5,7 +5,9 @@ tracked 3D points against 2D track supervision (scale-invariant in the
 image plane), projected depth against monocular depth supervision (with a
 closed-form scale), and 3D agreement between the tracking and
 reconstruction branches at corresponding pixels. All losses return their
-analytic gradients; nothing here relies on autodiff.
+analytic gradients; nothing here relies on autodiff. The multi-frame
+objective evaluates every frame in one pass over stacked point arrays, and
+the single-frame losses call the same kernels with one frame.
 """
 
 import logging
@@ -18,6 +20,7 @@ from .camera import (
     PoseEstimate,
     RansacConfig,
     correspondences_from_pointmap,
+    correspondences_from_points,
     gauss_newton_refine,
     pose_gradient_wrt_points,
     solve_cameras_for_video,
@@ -166,6 +169,134 @@ class LossBreakdown:
 
 
 # ---------------------------------------------------------------------------
+# frame-batched kernels: T frames at once, coordinates first; the public
+# losses call them with T = 1. Kernels return per-frame checks, (bad (T,),
+# error type, message) in evaluation order, and keep failing frames finite:
+# callers raise the earliest failing frame before using any value.
+
+
+def _raise_first(checks, attach_frame: bool = True):
+    """Raise the first failing check of the earliest failing frame."""
+    bad = np.stack([c[0] for c in checks])
+    failing = bad.any(axis=0)
+    if failing.any():
+        j = int(np.argmax(failing))
+        _, kind, message = checks[int(np.argmax(bad[:, j]))]
+        exc = kind(message)
+        raise exc.with_frame(j) if attach_frame else exc
+
+
+def _frame_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-frame sums of a * b over every axis but the first, as one
+    batched matrix product (no temporary the size of the inputs)."""
+    T = len(a)
+    return (a.reshape(T, 1, -1) @ b.reshape(T, -1, 1))[:, 0, 0]
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zeros of ``shape`` plus values summed at their flat indices."""
+    out = np.bincount(index.reshape(-1), weights=values.reshape(-1), minlength=np.prod(shape))
+    return out.reshape(shape)
+
+
+def _project(X: np.ndarray, R: np.ndarray, t: np.ndarray, valid: np.ndarray):
+    """Projection of (T, 3, N) points under T world-to-camera poses.
+
+    Returns the normalized image coordinates (x/z, y/z) as (T, 2, N), the
+    inverse depth (T, N) and the visible mask, ``valid`` with positive
+    depth; both are zero where not visible. Pixels are f xy + (cx, cy).
+    """
+    Y = R @ X
+    Y += t[:, :, None]
+    visible = valid & (Y[:, 2] > DEPTH_EPS)
+    inv_z = np.divide(1.0, Y[:, 2], out=np.zeros(visible.shape), where=visible)
+    xy = Y[:, :2]
+    xy *= inv_z[:, None]
+    return xy, inv_z, visible
+
+
+def _traj_terms(dp, gt_c, gt_r, visible):
+    """Scale-invariant trajectory terms of T frames: losses (T,), gradient
+    with respect to the predictions (T, 2, N), pairs dropped for sitting on
+    the center (T,) and checks. dp and gt_c are the (finite) predictions and
+    ground truth minus the center, (T, 2, N), and gt_r the ground-truth
+    radii. dp is used as scratch space."""
+    radius = dp[:, 0] * dp[:, 0]
+    radius += dp[:, 1] * dp[:, 1]
+    np.sqrt(radius, out=radius)
+    used = visible & (radius >= RADIUS_FLOOR)
+    n = used.sum(axis=1)
+    checks = [
+        (~visible.any(axis=1), AllOccluded, "no visible pairs for the trajectory loss"),
+        (n == 0, DegenerateRadius, "every visible pair sits on the scale center"),
+    ]
+    n = np.maximum(n, 1)
+    radius[~used] = 1.0
+    ratio = gt_r * used
+    ratio /= radius
+    s = np.sum(ratio, axis=1) / n
+    e = dp * s[:, None, None]
+    e -= gt_c
+    e *= used[:, None]
+    loss = _frame_dot(e, e) / n
+    # d loss / d pred through both the error and the shared scale s
+    beta = 2.0 / n * _frame_dot(e, dp)
+    ratio /= radius
+    ratio /= radius
+    ratio *= (-beta / n)[:, None]
+    e *= (2.0 * s / n)[:, None, None]
+    dp *= ratio[:, None]
+    e += dp
+    return loss, e, visible.sum(axis=1) - used.sum(axis=1), checks
+
+
+def _depth_terms(z: np.ndarray, mono: np.ndarray, mask: np.ndarray):
+    """Scale-aligned depth terms of T frames: losses (T,), gradient with
+    respect to the projected depths z (T, P) and checks. Depths compare
+    where ``mask`` holds and z > 0, against the (finite) ``mono``; each
+    frame's closed-form scale sum(z z_mono) / sum(z^2) is differentiated."""
+    pair = mask & (z > DEPTH_EPS)
+    checks = [
+        (~mask.any(axis=1), NoOverlap, "no pixels shared by pointmap and depth supervision"),
+        (~pair.any(axis=1), NonPositiveProjectedDepth, "all projected depths non-positive"),
+    ]
+    n = np.maximum(pair.sum(axis=1), 1)
+    zp = z * pair
+    zm = mono * pair
+    d1 = _frame_dot(zp, zm)
+    d2 = _frame_dot(zp, zp)
+    d2[d2 == 0.0] = 1.0
+    alpha = d1 / d2
+    grad = zp * alpha[:, None]
+    grad -= zm
+    loss = _frame_dot(grad, grad) / n
+    # grad holds the residuals; add the scale's own dependence on z,
+    # common * d alpha / dz with d alpha / dz = (zm d2 - 2 zp d1) / d2^2
+    common = 2.0 / n * _frame_dot(grad, zp)
+    grad *= (2.0 * alpha / n)[:, None]
+    grad += zm * (common / d2)[:, None]
+    grad -= zp * (2.0 * common * d1 / (d2 * d2))[:, None]
+    return loss, grad, checks
+
+
+def _align_pairs(corr, qflat, trk_valid, rec_valid):
+    """Usable (query, frame) pairs of the alignment term, by frame, then
+    query: each pair's frame and the (3, m) flat indices of its tracking and
+    recon points in (T, 3, P) stacks. corr (N, T) holds partner pixels."""
+    t, q = np.nonzero(corr.T >= 0)
+    trk_pix, rec_pix = qflat[q], corr[q, t]
+    ok = trk_valid[t, trk_pix] & rec_valid[t, rec_pix]
+    t, P = t[ok], trk_valid.shape[1]
+    base = t * 3 * P + np.arange(3)[:, None] * P
+    return t, base + trk_pix[ok], base + rec_pix[ok]
+
+
+def _coordinates_first(points: np.ndarray) -> np.ndarray:
+    """(T, H, W, 3) points as a (T, 3, H*W) array."""
+    return np.ascontiguousarray(points.reshape(len(points), -1, 3).transpose(0, 2, 1))
+
+
+# ---------------------------------------------------------------------------
 # individual losses
 
 
@@ -181,17 +312,13 @@ def reproject_tracks(
     tracking_pm.require_tracking_branch()
     pose = _as_pose(pose_est)
     rows, cols = queries_to_indices(queries, tracking_pm.width, tracking_pm.height)
-    pts = tracking_pm.points[rows, cols]
-    valid = tracking_pm.valid[rows, cols]
-    cam = pts @ pose.rotation.T + pose.translation
-    z = cam[:, 2]
-    visible = valid & (z > DEPTH_EPS)
-    zs = np.where(visible, z, 1.0)
-    pix = np.stack(
-        [K.focal * cam[:, 0] / zs + K.cx, K.focal * cam[:, 1] / zs + K.cy], axis=1
+    xy, _, visible = _project(
+        tracking_pm.points[rows, cols].T[None], pose.rotation[None],
+        pose.translation[None], tracking_pm.valid[rows, cols][None],
     )
-    pix[~visible] = 0.0
-    return pix, visible
+    pix = K.focal * xy[0].T + [K.cx, K.cy]
+    pix[~visible[0]] = 0.0
+    return pix, visible[0]
 
 
 def traj_loss(
@@ -215,60 +342,15 @@ def traj_loss(
     c = np.asarray(center, dtype=np.float64)
     if visible is None:
         visible = np.ones(pred.shape[0], dtype=bool)
-    if not visible.any():
-        raise AllOccluded("no visible pairs for the trajectory loss")
-    dp = pred - c
-    radius = np.linalg.norm(dp, axis=1)
-    used = visible & (radius >= RADIUS_FLOOR)
-    dropped = int(visible.sum() - used.sum())
-    if not used.any():
-        raise DegenerateRadius("every visible pair sits on the scale center")
-    if dropped:
-        log.debug("traj_loss dropped %d near-center pairs", dropped)
-    n = int(used.sum())
-    dpu = dp[used]
-    ru = radius[used]
-    gu = np.linalg.norm(gt[used] - c, axis=1)
-    ratios = gu / ru
-    s = ratios.mean()
-    e = dpu * s + c - gt[used]
-    loss = float(np.mean(np.sum(e * e, axis=1)))
-    # d loss / d pred through both the error and the shared scale
-    beta = 2.0 / n * np.sum(e * dpu)
-    ds_dp = -(gu / (n * ru**3))[:, None] * dpu
-    grad_used = (2.0 * s / n) * e + beta * ds_dp
-    grad = np.zeros_like(pred)
-    grad[used] = grad_used
-    return loss, grad, dropped
-
-
-def _depth_core(recon_pm: Pointmap, pose: PoseSE3, mono_depth, mono_valid):
-    mono_depth = np.asarray(mono_depth, dtype=np.float64)
-    if mono_depth.shape != (recon_pm.height, recon_pm.width):
-        raise ShapeMismatch(f"depth map {mono_depth.shape} vs grid")
-    mask = recon_pm.valid.copy()
-    if mono_valid is not None:
-        mask &= np.asarray(mono_valid, dtype=bool)
-    if not mask.any():
-        raise NoOverlap("no pixels shared by pointmap and depth supervision")
-    pts = recon_pm.points[mask]
-    r3 = pose.rotation[2]
-    z_proj = pts @ r3 + pose.translation[2]
-    pos = z_proj > DEPTH_EPS
-    if not pos.any():
-        raise NonPositiveProjectedDepth("all projected depths non-positive")
-    zp = z_proj[pos]
-    zm = mono_depth[mask][pos]
-    d1 = float(zp @ zm)
-    d2 = float(zp @ zp)
-    alpha = d1 / d2
-    resid = alpha * zp - zm
-    n = zp.shape[0]
-    loss = float(np.mean(resid * resid))
-    dalpha = (zm * d2 - 2.0 * zp * d1) / d2**2
-    common = 2.0 / n * float(resid @ zp)
-    grad_zp = (2.0 * alpha / n) * resid + common * dalpha
-    return loss, grad_zp, (mask, pos, pts, r3, alpha)
+    visible = np.asarray(visible, dtype=bool)[None]
+    # entries that are not visible drop out; zero them so they stay finite
+    dp = np.where(visible, (pred - c).T, 0.0)[None]
+    gt_c = np.where(visible, (gt - c).T, 0.0)[None]
+    loss, grad, dropped, checks = _traj_terms(dp, gt_c, np.hypot(*gt_c[0])[None], visible)
+    _raise_first(checks, attach_frame=False)
+    if dropped[0]:
+        log.debug("traj_loss dropped %d near-center pairs", dropped[0])
+    return float(loss[0]), grad[0].T, int(dropped[0])
 
 
 def depth_loss(
@@ -286,14 +368,19 @@ def depth_loss(
     """
     recon_pm.require_recon_branch()
     pose = _as_pose(pose_est)
-    loss, grad_zp, (mask, pos, pts, r3, _) = _depth_core(
-        recon_pm, pose, mono_depth, mono_valid
+    mono_depth = np.asarray(mono_depth, dtype=np.float64)
+    if mono_depth.shape != (recon_pm.height, recon_pm.width):
+        raise ShapeMismatch(f"depth map {mono_depth.shape} vs grid")
+    mask = recon_pm.valid.copy()
+    if mono_valid is not None:
+        mask &= np.asarray(mono_valid, dtype=bool)
+    r3 = pose.rotation[2]
+    z = recon_pm.points @ r3 + pose.translation[2]
+    loss, grad_z, checks = _depth_terms(
+        z.reshape(1, -1), np.where(mask, mono_depth, 0.0).reshape(1, -1), mask.reshape(1, -1)
     )
-    grad_pts = np.zeros((recon_pm.height, recon_pm.width, 3))
-    full = np.zeros(pts.shape[0])
-    full[pos] = grad_zp
-    grad_pts[mask] = full[:, None] * r3
-    return loss, grad_pts
+    _raise_first(checks, attach_frame=False)
+    return float(loss[0]), grad_z.reshape(z.shape)[..., None] * r3
 
 
 def align_loss(
@@ -312,28 +399,18 @@ def align_loss(
         raise ValueError(
             f"branch times differ: {tracking_pm.time} vs {recon_pm.time}"
         )
+    H, W = tracking_pm.height, tracking_pm.width
+    rows, cols = queries_to_indices(sup.query_pixels, W, H)
     j = tracking_pm.time
-    grad_trk = np.zeros((tracking_pm.height, tracking_pm.width, 3))
-    grad_rec = np.zeros((recon_pm.height, recon_pm.width, 3))
-    pair_idx = sup.correspondence[:, j]
-    has = pair_idx >= 0
-    if not has.any():
-        return 0.0, grad_trk, grad_rec, 0
-    rows, cols = queries_to_indices(
-        sup.query_pixels[has], tracking_pm.width, tracking_pm.height
+    _, trk_idx, rec_idx = _align_pairs(
+        sup.correspondence[:, j : j + 1], rows * W + cols,
+        tracking_pm.valid.reshape(1, -1), recon_pm.valid.reshape(1, -1),
     )
-    flat = pair_idx[has]
-    r2 = flat // recon_pm.width
-    c2 = flat % recon_pm.width
-    ok = tracking_pm.valid[rows, cols] & recon_pm.valid[r2, c2]
-    if not ok.any():
-        return 0.0, grad_trk, grad_rec, 0
-    rows, cols, r2, c2 = rows[ok], cols[ok], r2[ok], c2[ok]
-    diff = tracking_pm.points[rows, cols] - recon_pm.points[r2, c2]
-    loss = float(np.sum(diff * diff))
-    np.add.at(grad_trk, (rows, cols), 2.0 * diff)
-    np.add.at(grad_rec, (r2, c2), -2.0 * diff)
-    return loss, grad_trk, grad_rec, int(ok.sum())
+    trk = _coordinates_first(tracking_pm.points[None]).reshape(-1)
+    diff = trk[trk_idx] - _coordinates_first(recon_pm.points[None]).reshape(-1)[rec_idx]
+    g_trk, g_rec = (_scatter(i, g, (3, H, W)).transpose(1, 2, 0)
+                    for i, g in ((trk_idx, 2.0 * diff), (rec_idx, -2.0 * diff)))
+    return float(np.sum(diff * diff)), g_trk, g_rec, diff.shape[1]
 
 
 def supervised_pointmap_loss(
@@ -376,89 +453,143 @@ def supervised_pointmap_loss(
 # full objective
 
 
-def _project_chain(pts: np.ndarray, pose: PoseSE3, K: Intrinsics):
-    """Projection of (N, 3) points with a closure for backprop.
+@dataclass(frozen=True)
+class _Layout:
+    """The fixed inputs of T frames' objective, laid out once: the
+    supervision and masks as (T, ...) arrays, and the query and alignment
+    indices into (T, 3, P) point stacks."""
 
-    The closure maps an upstream (N, 2) pixel gradient to gradients with
-    respect to the points, the rotation and the translation.
+    weights: LossWeights
+    focal: float
+    offset: np.ndarray  # (2, 1): the principal point minus the scale center
+    query_ok: np.ndarray  # (T, N): visible queries on valid tracking pixels
+    query_sel: slice | np.ndarray  # the query pixels, a slice for all in order
+    repeats: np.ndarray | None  # flat (T, 3, N) stack indices if pixels repeat
+    gt_c: np.ndarray  # (T, 2, N): tracks minus the center, zero if unused
+    gt_r: np.ndarray  # (T, N): their radii
+    depth_mask: np.ndarray  # (T, P)
+    mono_z: np.ndarray  # (T, P): monocular depth, zero outside depth_mask
+    align_frame: np.ndarray  # (m,): the frame of each alignment pair
+    align_trk: np.ndarray  # (3, m): flat indices into the tracking stack
+    align_rec: np.ndarray  # (3, m): flat indices into the recon stack
+
+
+def _objective(tracking_pms, recon_pms, K, sup, mono, weights):
+    """Validate T frames of P pixels and lay their objective out once.
+
+    Returns both branches' (T, 3, P) point stacks, the (T, P) recon mask
+    and the ``_Layout`` that ``_evaluate`` takes.
     """
-    Y = pts @ pose.rotation.T + pose.translation
-    z = Y[:, 2]
-    ok = z > DEPTH_EPS
-    zs = np.where(ok, z, 1.0)
-    f = K.focal
-    pix = np.stack([f * Y[:, 0] / zs + K.cx, f * Y[:, 1] / zs + K.cy], axis=1)
-    pix[~ok] = 0.0
+    T = len(tracking_pms)
+    if not (T == len(recon_pms) == sup.num_frames == mono.depth.shape[0]):
+        raise ShapeMismatch("frame counts disagree across inputs")
+    H, W, _ = shape = tracking_pms[0].points.shape
+    for j, (trk_pm, rec_pm) in enumerate(zip(tracking_pms, recon_pms)):
+        if trk_pm.time != j or rec_pm.time != j:
+            raise ValueError(f"pointmap at index {j} carries the wrong frame time")
+        if trk_pm.points.shape != shape or rec_pm.points.shape != shape:
+            raise ShapeMismatch("all frames must share one pixel grid")
+        try:
+            trk_pm.require_tracking_branch()
+            rec_pm.require_recon_branch()
+        except WorldTrackError as exc:
+            raise exc.with_frame(j)
+    if mono.depth.shape[1:] != (H, W):
+        raise ShapeMismatch(f"depth maps {mono.depth.shape[1:]} vs grid {(H, W)}").with_frame(0)
+    branches = (tracking_pms, recon_pms)
+    trk, rec = (_coordinates_first(np.stack([pm.points for pm in pms])) for pms in branches)
+    trk_valid, rec_valid = (np.stack([pm.valid for pm in pms]).reshape(T, -1)
+                            for pms in branches)
 
-    def backward(grad_pix: np.ndarray):
-        gp = grad_pix * ok[:, None]
-        grad_Y = np.zeros_like(Y)
-        grad_Y[:, 0] = gp[:, 0] * f / zs
-        grad_Y[:, 1] = gp[:, 1] * f / zs
-        grad_Y[:, 2] = -(gp[:, 0] * Y[:, 0] + gp[:, 1] * Y[:, 1]) * f / zs**2
-        grad_pts = grad_Y @ pose.rotation
-        grad_R = np.einsum("ni,nj->ij", grad_Y, pts)
-        grad_T = grad_Y.sum(axis=0)
-        return grad_pts, grad_R, grad_T
-
-    return pix, ok, backward
-
-
-@dataclass
-class _FrameGrads:
-    """Per-frame gradient bundle produced by the full objective."""
-
-    tracking: np.ndarray
-    recon: np.ndarray
-    pose_rotation: np.ndarray
-    pose_translation: np.ndarray
-
-
-def _frame_objective(
-    tracking_pm: Pointmap,
-    recon_pm: Pointmap,
-    pose: PoseSE3,
-    K: Intrinsics,
-    sup: TrackSupervision,
-    mono: DepthSupervision,
-    weights: LossWeights,
-    query_rows: np.ndarray,
-    query_cols: np.ndarray,
-):
-    """Losses and gradients for one frame; terms are unweighted values."""
-    j = tracking_pm.time
-    H, W = tracking_pm.height, tracking_pm.width
-    center = np.array([W / 2.0, H / 2.0])
-    g_track = np.zeros((H, W, 3))
-
-    pts_q = tracking_pm.points[query_rows, query_cols]
-    valid_q = tracking_pm.valid[query_rows, query_cols]
-    pix, depth_ok, backward = _project_chain(pts_q, pose, K)
-    vis = sup.visibility[:, j] & valid_q & depth_ok
-    l_traj, grad_pix, _ = traj_loss(pix, sup.tracks2d[:, j], center, vis)
-    w_traj = weights.traj
-    grad_q, gR, gT = backward(grad_pix * w_traj)
-    np.add.at(g_track, (query_rows, query_cols), grad_q)
-
-    l_depth, grad_zp, (mask, pos, pts_d, r3, _) = _depth_core(
-        recon_pm, pose, mono.depth[j], mono.valid[j]
+    rows, cols = queries_to_indices(sup.query_pixels, W, H)
+    qflat = rows * W + cols
+    query_ok = sup.visibility.T & trk_valid[:, qflat]
+    center = np.array([[W / 2.0], [H / 2.0]])
+    gt_c = np.where(query_ok[:, None], sup.tracks2d.transpose(1, 2, 0) - center, 0.0)
+    depth_mask = rec_valid & mono.valid.reshape(T, -1)
+    repeats = None
+    if np.unique(qflat).size < qflat.size:
+        repeats = (np.arange(T)[:, None, None] * 3 + np.arange(3)[:, None]) * H * W + qflat
+    align_frame, align_trk, align_rec = _align_pairs(
+        sup.correspondence, qflat, trk_valid, rec_valid
     )
-    full = np.zeros(pts_d.shape[0])
-    full[pos] = grad_zp
-    g_recon = np.zeros((H, W, 3))
-    g_recon[mask] = weights.depth * full[:, None] * r3
-    # the depth term also pulls on the pose: z_proj = r3 . X + t_z
-    gR_depth = np.zeros((3, 3))
-    gR_depth[2] = full @ pts_d
-    gR = gR + weights.depth * gR_depth
-    gT = gT + weights.depth * np.array([0.0, 0.0, full.sum()])
+    layout = _Layout(
+        weights=weights, focal=K.focal, offset=np.array([[K.cx], [K.cy]]) - center,
+        query_ok=query_ok,
+        # queries on every pixel in raster order select by a slice (a view)
+        query_sel=slice(None) if np.array_equal(qflat, np.arange(H * W)) else qflat,
+        repeats=repeats, gt_c=gt_c, gt_r=np.hypot(gt_c[:, 0], gt_c[:, 1]),
+        depth_mask=depth_mask, mono_z=np.where(depth_mask, mono.depth.reshape(T, -1), 0.0),
+        align_frame=align_frame, align_trk=align_trk, align_rec=align_rec,
+    )
+    return trk, rec, rec_valid, layout
 
-    l_align, g_align_trk, g_align_rec, _ = align_loss(tracking_pm, recon_pm, sup)
-    g_track += weights.align * g_align_trk
-    g_recon += weights.align * g_align_rec
 
-    grads = _FrameGrads(g_track, g_recon, gR, gT)
-    return np.array([l_traj, l_depth, l_align]), grads
+def _trajectory(lay: _Layout, Xq, R, t, depth_checks):
+    """The traj terms (T,) and their gradient with respect to the queries'
+    camera points (T, 3, N); raises the earliest failing frame's error."""
+    xy, inv_z, visible = _project(Xq, R, t, lay.query_ok)
+    loss, g, dropped, checks = _traj_terms(
+        lay.focal * xy + lay.offset, lay.gt_c, lay.gt_r, visible
+    )
+    _raise_first(checks + depth_checks)
+    if dropped.any():
+        log.debug("traj term dropped near-center pairs per frame: %s", dropped.tolist())
+    # back through pix = f (x, y) / z + (cx, cy) of camera points Y
+    g *= (lay.weights.traj * lay.focal * inv_z)[:, None]
+    g_Y = np.empty((len(g), 3, g.shape[2]))
+    g_Y[:, :2] = g
+    g *= xy
+    g_Y[:, 2] = -(g[:, 0] + g[:, 1])
+    return loss, g_Y
+
+
+def _evaluate(lay: _Layout, trk, rec, R, t, recon_grad=True):
+    """All frames' objective in one pass.
+
+    Returns the unweighted (T, 3) terms and the gradients (g_trk, g_rec,
+    g_R, g_T) of the summed weighted objective with respect to both (T, 3,
+    P) stacks and the poses; only g_trk without ``recon_grad``. Temporaries
+    are dropped as soon as they are used: they set the peak memory.
+    """
+    w = lay.weights
+    z = (R[:, 2:3] @ rec)[:, 0] + t[:, 2:3]
+    l_depth, g_z, depth_checks = _depth_terms(z, lay.mono_z, lay.depth_mask)
+    del z
+    Xq = trk[:, :, lay.query_sel]
+    l_traj, g_Y = _trajectory(lay, Xq, R, t, depth_checks)
+    g_R = g_T = g_rec = None
+    if recon_grad:
+        # the depth term pulls on the pose and the recon points through
+        # z = r3 . X + t_z
+        g_R = g_Y @ Xq.transpose(0, 2, 1)
+        g_R[:, 2] += w.depth * (rec @ g_z[:, :, None])[:, :, 0]
+        g_T = g_Y.sum(axis=2)
+        g_T[:, 2] += w.depth * g_z.sum(axis=1)
+    g_q = R.transpose(0, 2, 1) @ g_Y
+    del Xq, g_Y
+    # the pair differences, scaled in place into their gradient
+    g_align = trk.reshape(-1)[lay.align_trk] - rec.reshape(-1)[lay.align_rec]
+    l_align = np.bincount(lay.align_frame, weights=np.sum(g_align * g_align, axis=0),
+                          minlength=len(trk))
+    g_align *= 2.0 * w.align
+    g_trk = _scatter(lay.align_trk, g_align, trk.shape)
+    if lay.repeats is None:
+        g_trk[:, :, lay.query_sel] += g_q
+    else:
+        g_trk += _scatter(lay.repeats, g_q, trk.shape)
+    del g_q
+    if recon_grad:
+        g_align *= -1.0
+        g_rec = _scatter(lay.align_rec, g_align, rec.shape)
+        del g_align
+        g_rec += (w.depth * g_z)[:, None] * R[:, 2, :, None]
+    return np.column_stack([l_traj, l_depth, l_align]), (g_trk, g_rec, g_R, g_T)
+
+
+def _pose_stack(poses):
+    poses = [_as_pose(p) for p in poses]
+    return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
 
 
 def total_loss(
@@ -471,34 +602,20 @@ def total_loss(
     weights: LossWeights = LossWeights(),
 ) -> LossBreakdown:
     """Weighted multi-frame objective, averaged over frames."""
-    breakdown, _ = _total_with_grads(
-        tracking_pms, recon_pms, poses, K, sup, mono, weights
-    )
-    return breakdown
+    return _total_with_grads(tracking_pms, recon_pms, poses, K, sup, mono, weights)[0]
 
 
 def _total_with_grads(tracking_pms, recon_pms, poses, K, sup, mono, weights):
-    T = len(tracking_pms)
-    if not (T == len(recon_pms) == len(poses) == sup.num_frames == mono.depth.shape[0]):
+    """The breakdown plus the gradients ``(g_trk, g_rec, g_R, g_T)`` of
+    the frames' summed objective: (T, H, W, 3) for both branches, (T, 3, 3)
+    and (T, 3) for the poses."""
+    if len(poses) != len(tracking_pms):
         raise ShapeMismatch("frame counts disagree across inputs")
-    first = tracking_pms[0]
-    qr, qc = queries_to_indices(sup.query_pixels, first.width, first.height)
-    per_term = np.zeros((T, 3))
-    grads = []
-    for j in range(T):
-        if tracking_pms[j].time != j or recon_pms[j].time != j:
-            raise ValueError(f"pointmap at index {j} carries the wrong frame time")
-        if tracking_pms[j].points.shape != first.points.shape:
-            raise ShapeMismatch("all frames must share one pixel grid")
-        try:
-            per_term[j], g = _frame_objective(
-                tracking_pms[j], recon_pms[j], _as_pose(poses[j]), K,
-                sup, mono, weights, qr, qc,
-            )
-        except WorldTrackError as exc:
-            raise exc.with_frame(j)
-        grads.append(g)
-    return LossBreakdown.combine(per_term, weights), grads
+    trk, rec, _, layout = _objective(tracking_pms, recon_pms, K, sup, mono, weights)
+    per_term, (g_trk, g_rec, g_R, g_T) = _evaluate(layout, trk, rec, *_pose_stack(poses))
+    shape = (len(poses),) + tracking_pms[0].points.shape
+    g_trk, g_rec = (g.transpose(0, 2, 1).reshape(shape) for g in (g_trk, g_rec))
+    return LossBreakdown.combine(per_term, weights), (g_trk, g_rec, g_R, g_T)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +654,11 @@ def tta_optimize(
     Gauss-Newton re-refinement) and the loss gradient flows into the
     reconstruction points through the final GN increment.
 
+    The points live in two (T, 3, H*W) arrays for the whole run (the valid
+    masks are fixed); pointmaps are built once, from the final arrays.
+    Non-finite points or loss totals, or a total above
+    ``divergence_factor`` times the first, raise ``DivergenceDetected``.
+
     The trace holds one entry per evaluated step plus a final evaluation
     after the last update; zero steps returns the state unchanged with an
     empty trace.
@@ -551,81 +673,92 @@ def tta_optimize(
         return state, []
 
     K, estimates = solve_cameras_for_video(state.recon_pointmaps, grid, ransac, gn)
-    track_pts = [np.array(pm.points) for pm in state.tracking_params]
-    recon_pts = [np.array(pm.points) for pm in state.recon_pointmaps]
+    trk, rec, rec_valid, layout = _objective(
+        state.tracking_params, state.recon_pointmaps, K, sup, mono, weights
+    )
+    live = not state.freeze_recon
 
-    def materialize():
-        tracking = [
-            pm.with_points(track_pts[j]) for j, pm in enumerate(state.tracking_params)
-        ]
-        if state.freeze_recon:
-            recon = state.recon_pointmaps
-        else:
-            recon = [
-                pm.with_points(recon_pts[j]) for j, pm in enumerate(state.recon_pointmaps)
-            ]
-        return tracking, recon
+    def correspondences():
+        # live poses of frames 1..T-1 are refined on one pair per valid
+        # recon pixel; the pose gradient flows back through the same pairs
+        return [correspondences_from_points(rec[j].T, rec_valid[j], grid) for j in range(1, T)]
 
-    trace: list[LossBreakdown] = []
-    initial_total = None
-    lr0 = state.step_size
-    for step in range(state.steps):
-        tracking, recon = materialize()
-        if not state.freeze_recon and step > 0:
-            estimates = _resolve_poses(recon, grid, K, estimates, gn)
-        breakdown, grads = _total_with_grads(
-            tracking, recon, estimates, K, sup, mono, weights
+    def refresh_poses(step):
+        # guard the updated points first: an overflowed step would otherwise
+        # surface as a misleading solver or occlusion error
+        if not (np.isfinite(trk).all() and (not live or np.isfinite(rec).all())):
+            raise DivergenceDetected(f"step {step}: adapted points are not finite")
+        if not live:
+            return estimates, None
+        pairs = correspondences()
+        detached = (
+            replace(e, increment=np.zeros(6), base_pose=e.pose, gn_damping=gn.damping)
+            for e in estimates[1:]
         )
+        refined = [gauss_newton_refine(e, corr, K, gn) for e, (corr, _) in zip(detached, pairs)]
+        return estimates[:1] + refined, pairs
+
+    def evaluate(step, recon_grad):
+        per_term, grads = _evaluate(layout, trk, rec, *_pose_stack(estimates), recon_grad)
+        breakdown = LossBreakdown.combine(per_term, weights)
+        if not np.isfinite(breakdown.total):
+            raise DivergenceDetected(f"step {step}: total {breakdown.total} is not finite")
+        return breakdown, grads
+
+    pairs = correspondences() if live else None
+    trace: list[LossBreakdown] = []
+    for step in range(state.steps):
+        if step > 0:
+            estimates, pairs = refresh_poses(step)
+        breakdown, (g_trk, g_rec, g_R, g_T) = evaluate(step, live)
         trace.append(breakdown)
-        if initial_total is None:
-            initial_total = breakdown.total
-        elif breakdown.total > divergence_factor * max(initial_total, 1e-30):
+        initial_total = trace[0].total
+        if breakdown.total > divergence_factor * max(initial_total, 1e-30):
             raise DivergenceDetected(
                 f"step {step}: total {breakdown.total:.3e} exceeds "
                 f"{divergence_factor}x initial {initial_total:.3e}"
             )
-        lr = lr0
+        lr = state.step_size
         if cosine_decay:
-            lr = lr0 * 0.5 * (1.0 + np.cos(np.pi * step / state.steps))
-        for j in range(T):
-            g = grads[j].tracking / T
-            g[~tracking[j].valid] = 0.0
-            track_pts[j] -= lr * g
-            if not state.freeze_recon:
-                gr = grads[j].recon / T
-                if j > 0:
-                    gr += pose_gradient_on_pointmap(
-                        estimates[j], recon[j], grid, K,
-                        (grads[j].pose_rotation / T, grads[j].pose_translation / T),
-                    )
-                gr[~recon[j].valid] = 0.0
-                recon_pts[j] -= lr * gr
+            lr *= 0.5 * (1.0 + np.cos(np.pi * step / state.steps))
+        g_trk *= lr / T
+        trk -= g_trk
+        if live:
+            g_rec = _recon_gradient(g_rec, g_R, g_T, estimates, pairs, K)
+            g_rec *= lr
+            rec -= g_rec
+        # the next evaluation sets the peak memory: free the gradients first
+        del g_trk, g_rec
+    estimates, _ = refresh_poses(state.steps)
+    trace.append(evaluate(state.steps, False)[0])
 
-    tracking, recon = materialize()
-    if not state.freeze_recon:
-        estimates = _resolve_poses(recon, grid, K, estimates, gn)
-    final_breakdown = total_loss(tracking, recon, estimates, K, sup, mono, weights)
-    trace.append(final_breakdown)
-    new_state = replace(state, tracking_params=tracking, recon_pointmaps=recon)
-    return new_state, trace
+    shape = state.tracking_params[0].points.shape
+    tracking = [
+        pm.with_points(trk[j].T.reshape(shape)) for j, pm in enumerate(state.tracking_params)
+    ]
+    recon = state.recon_pointmaps
+    if live:
+        recon = [pm.with_points(rec[j].T.reshape(shape)) for j, pm in enumerate(recon)]
+    return replace(state, tracking_params=tracking, recon_pointmaps=recon), trace
 
 
-def _resolve_poses(recon, grid, K, previous, gn):
-    """Warm-started per-frame pose refresh for live reconstruction maps."""
-    out = [previous[0]]
-    for j in range(1, len(recon)):
-        corr, _ = correspondences_from_pointmap(recon[j], grid)
-        prev = previous[j]
-        detached = PoseEstimate(
-            pose=prev.pose,
-            inliers=prev.inliers,
-            rms_reprojection_error=prev.rms_reprojection_error,
-            increment=np.zeros(6),
-            base_pose=prev.pose,
-            gn_damping=gn.damping,
-        )
-        out.append(gauss_newton_refine(detached, corr, K, gn))
-    return out
+def _recon_gradient(g_rec, g_R, g_T, estimates, pairs, K):
+    """The mean objective's gradient on the recon stack, in place of the
+    summed objective's direct part g_rec (T, 3, P), with the pose gradients
+    of frames 1..T-1 routed through the (corr, flat_idx) pairs they were
+    refined on."""
+    T = len(g_rec)
+    g_rec /= T
+    for j, (corr, flat_idx) in enumerate(pairs, start=1):
+        _add_pose_gradient(g_rec[j].T, estimates[j], corr, flat_idx, K, (g_R[j] / T, g_T[j] / T))
+    return g_rec
+
+
+def _add_pose_gradient(out, estimate, corr, flat_idx, K, upstream):
+    """Add a pose gradient onto the rows flat_idx of the (P, 3) out, through
+    the estimate's last Gauss-Newton increment."""
+    # one correspondence per valid pixel: flat_idx has no repeats to sum
+    out[flat_idx] += pose_gradient_wrt_points(estimate, corr, K, upstream)
 
 
 def pose_gradient_on_pointmap(
@@ -641,8 +774,6 @@ def pose_gradient_on_pointmap(
     an (H, W, 3) gradient through the solver's last Gauss-Newton increment.
     """
     corr, flat_idx = correspondences_from_pointmap(recon_pm, grid)
-    per_corr = pose_gradient_wrt_points(estimate, corr, K, upstream)
     out = np.zeros((recon_pm.height, recon_pm.width, 3))
-    # one correspondence per valid pixel: flat_idx has no repeats to sum
-    out.reshape(-1, 3)[flat_idx] = per_corr
+    _add_pose_gradient(out.reshape(-1, 3), estimate, corr, flat_idx, K, upstream)
     return out

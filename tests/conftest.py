@@ -3,8 +3,8 @@
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from worldtrack.camera import Correspondences2D3D
-from worldtrack.geometry import Intrinsics, PoseSE3, backproject
+from worldtrack.geometry import PoseSE3
+from worldtrack.gradcheck import make_pnp_instance  # noqa: F401  (shared with the tests)
 
 
 def random_pose(rng, max_angle=None) -> PoseSE3:
@@ -15,21 +15,3 @@ def random_pose(rng, max_angle=None) -> PoseSE3:
         axis /= np.linalg.norm(axis)
         R = Rotation.from_rotvec(axis * rng.uniform(0, max_angle)).as_matrix()
     return PoseSE3(R, rng.normal(size=3) * 0.5)
-
-
-def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4):
-    """Exact 2D-3D correspondences for a random camera looking at a cloud.
-
-    The cloud is built by backprojecting random in-image pixels at random
-    depths in the target camera, then mapping to world coordinates, so the
-    ground-truth reprojection error is zero.
-    """
-    K = Intrinsics(focal, width / 2.0, height / 2.0)
-    pose = random_pose(rng, max_angle=max_angle)
-    pix = np.column_stack(
-        [rng.uniform(2.0, width - 2.0, n), rng.uniform(2.0, height - 2.0, n)]
-    )
-    depth = rng.uniform(1.5, 6.0, n)
-    cam_pts = backproject(K, pix, depth)
-    world = pose.inverse().apply(cam_pts)
-    return K, pose, Correspondences2D3D(pix, world)

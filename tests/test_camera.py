@@ -9,13 +9,14 @@ from worldtrack.camera import (
     PoseEstimate,
     RansacConfig,
     _apply_increment,
-    _dlt_pose,
     _dlt_poses,
     _gn_terms,
     _iterations_needed,
+    _minimal_poses,
     _projection_terms,
     _reproj_errors,
     correspondences_from_pointmap,
+    correspondences_from_points,
     estimate_focal_weiszfeld,
     gauss_newton_refine,
     pose_gradient_wrt_points,
@@ -261,11 +262,55 @@ def test_batched_dlt_matches_scalar_solver():
             assert np.abs(R[j] - ref[0]).max() < 1e-12
             assert np.abs(t[j] - ref[1]).max() < 1e-12
     assert accepted == 40 and not ok[40:].any()
-    # the full-set re-fit goes through the 12x12 R factor of the tall system
-    full = _dlt_pose(corr.points, norm_pix)
-    ref = dlt_pose_reference(corr.points, norm_pix)
-    assert np.abs(full[0] - ref[0]).max() < 1e-12
-    assert np.abs(full[1] - ref[1]).max() < 1e-12
+
+
+def test_minimal_poses_solve_planar_samples_by_homography():
+    rng = np.random.default_rng(31)
+    K, pose, corr = make_pnp_instance(rng, n=60)
+    norm_pix = (corr.pixels - np.array([K.cx, K.cy])) / K.focal
+    pts = [corr.points[rng.choice(60, 6, replace=False)] for _ in range(6)]
+    for off_plane in (0.0, 1e-5, 1e-4):
+        for _ in range(4):
+            # six pixels on a tilted plane 2-4 m ahead, pushed off it a little
+            normal = np.array([*rng.normal(0.0, 0.3, 2), 1.0])
+            normal /= np.linalg.norm(normal)
+            rays = backproject(K, rng.uniform((2.0, 2.0), (62.0, 46.0), (6, 2)), np.ones(6))
+            cam = rays * (rng.uniform(2.0, 4.0) / (rays @ normal))[:, None]
+            cam += off_plane * rng.normal(size=(6, 1)) * normal
+            pts.append(pose.inverse().apply(cam))
+    line = rng.uniform(-1, 1, (6, 1)) * np.array([0.3, 0.2, 0.1]) + np.array([0, 0, 3.0])
+    pts.append(pose.inverse().apply(line))  # collinear: no homography either
+    pts = np.stack(pts)
+    cam = pts @ pose.rotation.T + pose.translation
+    pix = cam[:, :, :2] / cam[:, :, 2:3]
+    R, t, ok = _minimal_poses(pts, pix)
+    # non-planar samples go through the DLT unchanged
+    R_dlt, t_dlt, ok_dlt = _dlt_poses(pts[:6], pix[:6])
+    assert ok_dlt.all() and np.array_equal(R[:6], R_dlt) and np.array_equal(t[:6], t_dlt)
+    # exactly and nearly coplanar samples are solved, not rejected
+    assert ok[6:-1].all() and not ok[-1]
+    for j in range(6, len(pts) - 1):
+        ang, dt = pose_errors(PoseSE3(R[j], t[j]), pose)
+        tol = 1e-9 if j < 10 else 1e-2
+        assert ang < tol and dt < tol, f"sample {j}: {ang:.2e} rad, {dt:.2e} m"
+
+
+def test_pnp_on_noisy_plane():
+    rng = np.random.default_rng(32)
+    K = Intrinsics(80.0, 32.0, 24.0)
+    pose = random_pose(rng, max_angle=0.3)
+    normal = np.array([0.1, -0.2, 1.0]) / np.linalg.norm([0.1, -0.2, 1.0])
+    n = 400
+    pix = np.column_stack([rng.uniform(2.0, 62.0, n), rng.uniform(2.0, 46.0, n)])
+    rays = backproject(K, pix, np.ones(n))
+    # a tilted plane 3 m ahead, points pushed 2 mm off it at random
+    depth = 3.0 / (rays @ normal)
+    cam = rays * depth[:, None] + rng.normal(0.0, 2e-3, (n, 1)) * normal
+    corr = Correspondences2D3D(pix, pose.inverse().apply(cam))
+    est = solve_pnp_ransac(corr, K, RansacConfig(seed=4))
+    ang, dt = pose_errors(est.pose, pose)
+    assert ang < 1e-2 and dt < 1e-2, f"{ang:.2e} rad, {dt:.2e} m"
+    assert est.inliers.mean() > 0.9
 
 
 # ---- Gauss-Newton refinement ----
@@ -540,6 +585,23 @@ def test_solve_cameras_attaches_frame_index():
     assert info.value.frame == 2
 
 
+def test_internal_subsets_are_frozen_and_public_pairs_are_copied():
+    rng = np.random.default_rng(33)
+    pix, pts, w = rng.uniform(0, 10, (8, 2)), rng.normal(size=(8, 3)), rng.uniform(size=8)
+    corr = Correspondences2D3D(pix, pts, w)
+    pix[0], pts[0], w[0] = -1.0, -1.0, -1.0
+    assert (corr.pixels[0] != -1.0).all() and (corr.points[0] != -1.0).all()
+    assert corr.weights[0] != -1.0
+    keep = np.array([True, False] * 4)
+    for sub in (corr.subset(keep), corr.subset(np.nonzero(keep)[0])):
+        assert np.array_equal(sub.pixels, corr.pixels[keep])
+        assert np.array_equal(sub.points, corr.points[keep])
+        assert np.array_equal(sub.weights, corr.weights[keep])
+        assert not any(a.flags.writeable for a in (sub.pixels, sub.points, sub.weights))
+    with pytest.raises(ValueError):
+        Correspondences2D3D(pix, pts[:5])
+
+
 def test_correspondences_from_pointmap_indexing():
     grid = PixelGrid.create(4, 3)
     pts = np.arange(36, dtype=np.float64).reshape(3, 4, 3) + 1.0
@@ -551,3 +613,10 @@ def test_correspondences_from_pointmap_indexing():
     assert idx.tolist() == [6, 8]
     assert np.allclose(corr.pixels[0], [2.5, 1.5])
     assert np.allclose(corr.points[1], pts[2, 0])
+    # the same pairs from a coordinates-first (3, H*W) stack, as adaptation
+    # keeps its points
+    stacked = np.ascontiguousarray(pts.reshape(-1, 3).T)
+    raw, raw_idx = correspondences_from_points(stacked.T, valid.reshape(-1), grid)
+    assert np.array_equal(raw_idx, idx)
+    assert np.array_equal(raw.pixels, corr.pixels) and np.array_equal(raw.points, corr.points)
+    assert not raw.points.flags.writeable and not np.shares_memory(raw.points, stacked)

@@ -128,3 +128,18 @@ def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-0.01"), ("--lr", "abc"),
+     ("--w-traj", "nan"), ("--w-depth", "-1"), ("--w-align", "inf")],
+)
+def test_adapt_rejects_bad_step_size_and_weights(tmp_path, capsys, flag, value):
+    # the input does not exist: exit 2 shows the value was refused before any work
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", "--seq", str(tmp_path / "missing.seq"),
+              "--out", str(tmp_path / "out"), flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -8,6 +8,7 @@ from worldtrack.camera import (
     PoseEstimate,
     RansacConfig,
     correspondences_from_pointmap,
+    correspondences_from_points,
     gauss_newton_refine,
     pose_gradient_wrt_points,
     solve_cameras_for_video,
@@ -43,6 +44,10 @@ from worldtrack.losses import (
     total_loss,
     tta_optimize,
     traj_loss,
+    _evaluate,
+    _objective,
+    _pose_stack,
+    _recon_gradient,
     _total_with_grads,
 )
 
@@ -317,21 +322,29 @@ def test_total_loss_gradient_fd_frozen_poses():
             analytic = grad_field[idx][r, c, d] / T
             assert rel_err(fd, analytic) < FD_TOL
 
-    fd_check(tracking, 0, [g.tracking for g in grads])
-    fd_check(tracking, 1, [g.tracking for g in grads])
-    fd_check(recon, 0, [g.recon for g in grads])
-    fd_check(recon, 1, [g.recon for g in grads])
+    g_trk, g_rec, _, _ = grads
+    fd_check(tracking, 0, g_trk)
+    fd_check(tracking, 1, g_trk)
+    fd_check(recon, 0, g_rec)
+    fd_check(recon, 1, g_rec)
 
 
 def test_total_loss_gradient_fd_through_pose():
-    """Recon gradient including the pose path, against finite differences.
+    """Recon gradient of live adaptation, pose path included, against
+    finite differences.
 
     The pose of frame 1 is re-refined from a fixed detached base each
-    evaluation, exactly the coupling used by unfrozen adaptation.
+    evaluation, on the pairs built from the raw point stacks, exactly the
+    coupling and the code used by unfrozen adaptation; recon holes check
+    that the pose gradient lands on the pixels it came from.
     """
     K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
         num_frames=2, track_noise=0.03, recon_noise=0.02, seed=22
     )
+    valid = np.ones((H, W), dtype=bool)
+    valid[2, 1:4] = False
+    valid[5, 7] = False
+    recon[1] = Pointmap(recon[1].points, valid, 0, 1, 1)
     weights = LossWeights()
     gn = GNConfig()
     _, estimates = solve_cameras_for_video(
@@ -346,37 +359,26 @@ def test_total_loss_gradient_fd_through_pose():
         base_pose=base.pose,
         gn_damping=gn.damping,
     )
+    trk, rec, rec_valid, layout = _objective(tracking, recon, K, sup, mono, weights)
 
-    def evaluate(pts1):
-        pm1 = recon[1].with_points(pts1)
-        corr, _ = correspondences_from_pointmap(pm1, grid)
-        est1 = gauss_newton_refine(detached, corr, K, gn)
-        return _total_with_grads(
-            tracking, [recon[0], pm1], [estimates[0], est1], K, sup, mono, weights
-        )
+    def evaluate(rec):
+        pairs = [correspondences_from_points(rec[1].T, rec_valid[1], grid)]
+        ests = [estimates[0], gauss_newton_refine(detached, pairs[0][0], K, gn)]
+        per_term, grads = _evaluate(layout, trk, rec, *_pose_stack(ests))
+        return LossBreakdown.combine(per_term, weights).total, grads, ests, pairs
 
-    pts1 = np.array(recon[1].points)
-    breakdown, grads = evaluate(pts1)
-    pm1 = recon[1].with_points(pts1)
-    corr, _ = correspondences_from_pointmap(pm1, grid)
-    refined = gauss_newton_refine(detached, corr, K, gn)
-    T = 2
-    pose_part = pose_gradient_on_pointmap(
-        refined, pm1, grid, K,
-        (grads[1].pose_rotation / T, grads[1].pose_translation / T),
-    )
-    full_grad = grads[1].recon / T + pose_part
+    _, (_, g_rec, g_R, g_T), ests, pairs = evaluate(rec)
+    full_grad = _recon_gradient(g_rec, g_R, g_T, ests, pairs, K)
+    assert np.all(full_grad[1][:, ~valid.reshape(-1)] == 0.0)
 
     rng = np.random.default_rng(1)
-    for _ in range(8):
-        r, c = rng.integers(0, H), rng.integers(0, W)
-        d = rng.integers(0, 3)
-        delta = np.zeros_like(pts1)
-        delta[r, c, d] = FD_STEP
-        hi = evaluate(pts1 + delta)[0].total
-        lo = evaluate(pts1 - delta)[0].total
-        fd = (hi - lo) / (2 * FD_STEP)
-        assert rel_err(fd, full_grad[r, c, d]) < FD_TOL
+    pixels = np.flatnonzero(valid)
+    for j in (0, 1, 1, 1, 1, 1, 1, 1):
+        p, d = rng.choice(pixels), rng.integers(0, 3)
+        delta = np.zeros_like(rec)
+        delta[j, d, p] = FD_STEP
+        fd = (evaluate(rec + delta)[0] - evaluate(rec - delta)[0]) / (2 * FD_STEP)
+        assert rel_err(fd, full_grad[j, d, p]) < FD_TOL
 
 
 def test_pose_gradient_on_pointmap_matches_scatter_add():
@@ -400,6 +402,167 @@ def test_pose_gradient_on_pointmap_matches_scatter_add():
               pose_gradient_wrt_points(est, corr, K, upstream))
     assert np.array_equal(got, want)
     assert np.all(got[~valid] == 0.0) and np.any(got[valid] != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the frame-batched objective against a per-frame reference
+
+
+def reference_objective(tracking, recon, poses, K, sup, mono, weights):
+    """Frame-by-frame form of the objective, the loop the batched kernels
+    replace: (T, 3) terms, point gradients (T, H, W, 3) of both branches and
+    pose gradients (T, 3, 3), (T, 3) of the frames' summed objective."""
+    T = len(tracking)
+    Hh, Ww = tracking[0].height, tracking[0].width
+    center = np.array([Ww / 2.0, Hh / 2.0])
+    qc = np.floor(sup.query_pixels[:, 0]).astype(int)
+    qr = np.floor(sup.query_pixels[:, 1]).astype(int)
+    per_term = np.zeros((T, 3))
+    g_trk = np.zeros((T, Hh, Ww, 3))
+    g_rec = np.zeros((T, Hh, Ww, 3))
+    g_R = np.zeros((T, 3, 3))
+    g_T = np.zeros((T, 3))
+    for j in range(T):
+        R, t = poses[j].rotation, poses[j].translation
+        # trajectory term through the projection of the query points
+        pts = tracking[j].points[qr, qc]
+        Y = pts @ R.T + t
+        z = Y[:, 2]
+        ok = z > 1e-12
+        zs = np.where(ok, z, 1.0)
+        pix = np.stack([K.focal * Y[:, 0] / zs + K.cx, K.focal * Y[:, 1] / zs + K.cy], 1)
+        vis = sup.visibility[:, j] & tracking[j].valid[qr, qc] & ok
+        dp = pix - center
+        radius = np.linalg.norm(dp, axis=1)
+        used = vis & (radius >= 1e-8)
+        n = int(used.sum())
+        gt = sup.tracks2d[used, j]
+        gu = np.linalg.norm(gt - center, axis=1)
+        s = (gu / radius[used]).mean()
+        e = dp[used] * s + center - gt
+        per_term[j, 0] = np.mean(np.sum(e * e, axis=1))
+        beta = 2.0 / n * np.sum(e * dp[used])
+        grad_pix = np.zeros_like(pix)
+        ds_dp = -(gu / (n * radius[used] ** 3))[:, None] * dp[used]
+        grad_pix[used] = (2.0 * s / n) * e + beta * ds_dp
+        gp = grad_pix * weights.traj
+        grad_Y = np.stack([
+            gp[:, 0] * K.focal / zs,
+            gp[:, 1] * K.focal / zs,
+            -(gp[:, 0] * Y[:, 0] + gp[:, 1] * Y[:, 1]) * K.focal / zs**2,
+        ], axis=1)
+        np.add.at(g_trk[j], (qr, qc), grad_Y @ R)
+        g_R[j] = grad_Y.T @ pts
+        g_T[j] = grad_Y.sum(axis=0)
+        # depth term with its closed-form scale
+        mask = recon[j].valid & mono.valid[j]
+        X = recon[j].points[mask]
+        zp_all = X @ R[2] + t[2]
+        pos = zp_all > 1e-12
+        zp, zm = zp_all[pos], mono.depth[j][mask][pos]
+        d1, d2 = zp @ zm, zp @ zp
+        alpha = d1 / d2
+        resid = alpha * zp - zm
+        m = zp.shape[0]
+        per_term[j, 1] = np.mean(resid * resid)
+        full = np.zeros(X.shape[0])
+        dalpha = (zm * d2 - 2.0 * zp * d1) / d2**2
+        full[pos] = (2.0 * alpha / m) * resid + 2.0 / m * (resid @ zp) * dalpha
+        g_rec[j][mask] = weights.depth * full[:, None] * R[2]
+        g_R[j, 2] += weights.depth * (full @ X)
+        g_T[j, 2] += weights.depth * full.sum()
+        # alignment term over the frame's correspondence pairs
+        has = sup.correspondence[:, j] >= 0
+        rows, cols = qr[has], qc[has]
+        r2, c2 = np.divmod(sup.correspondence[has, j], Ww)
+        ok2 = tracking[j].valid[rows, cols] & recon[j].valid[r2, c2]
+        rows, cols, r2, c2 = rows[ok2], cols[ok2], r2[ok2], c2[ok2]
+        diff = tracking[j].points[rows, cols] - recon[j].points[r2, c2]
+        per_term[j, 2] = np.sum(diff * diff)
+        a_trk = np.zeros((Hh, Ww, 3))
+        a_rec = np.zeros((Hh, Ww, 3))
+        np.add.at(a_trk, (rows, cols), 2.0 * diff)
+        np.add.at(a_rec, (r2, c2), -2.0 * diff)
+        g_trk[j] += weights.align * a_trk
+        g_rec[j] += weights.align * a_rec
+    return per_term, g_trk, g_rec, g_R, g_T
+
+
+def assert_close(got, want, tol=1e-12):
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got - want).max() <= tol * scale, np.abs(got - want).max()
+
+
+def scene_with_repeats(seed, repeats=True):
+    """The mini scene with repeated query pixels (or, without ``repeats``,
+    a shuffled subset of distinct ones), many queries paired with one recon
+    pixel, invalid pixels on both branches, occluded pairs and noisy
+    points; a fixed mini-scene pose per frame."""
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
+        num_frames=3, track_noise=0.04, recon_noise=0.02, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    n = sup.num_queries
+    if repeats:
+        pick = np.concatenate([np.arange(n), rng.choice(n, 12, replace=False)])
+    else:
+        pick = rng.permutation(n)[: n - 7]
+    queries = sup.query_pixels[pick] + 0.25 * (np.arange(len(pick)) >= n)[:, None]
+    tracks2d = sup.tracks2d[pick]
+    vis = np.array(sup.visibility[pick])
+    vis[rng.choice(len(vis), 10, replace=False), 1:] = False
+    corr = np.array(sup.correspondence[pick])
+    paired = rng.uniform(size=len(corr)) < 0.6
+    corr[:, 1] = np.where(paired, rng.integers(0, 5, len(corr)), -1)
+    corr[:, 2] = rng.integers(-1, H * W, len(corr))
+    sup = TrackSupervision(queries, tracks2d, vis, corr)
+    drop = rng.uniform(size=(3, H, W)) < 0.1
+    drop[:, 0, 0] = False
+    tracking = [pm.with_points(pm.points, pm.valid & ~d) for pm, d in zip(tracking, drop)]
+    recon = [pm.with_points(pm.points, pm.valid & ~d) for pm, d in zip(recon, drop[::-1])]
+    return K, poses, tracking, recon, sup, mono
+
+
+@pytest.mark.parametrize("seed, repeats", [(51, True), (52, True), (53, False)])
+def test_batched_objective_matches_per_frame_reference(seed, repeats):
+    K, poses, tracking, recon, sup, mono = scene_with_repeats(seed, repeats)
+    cols, rows = np.floor(sup.query_pixels).astype(int).T
+    assert (np.unique(rows * W + cols).size < sup.num_queries) == repeats
+    weights = LossWeights(1.3, 7.0, 2.5)
+    breakdown, (g_trk, g_rec, g_R, g_T) = _total_with_grads(
+        tracking, recon, poses, K, sup, mono, weights
+    )
+    per_term, r_trk, r_rec, r_R, r_T = reference_objective(
+        tracking, recon, poses, K, sup, mono, weights
+    )
+    assert (per_term[:, 2] > 0).all()
+    assert_close(breakdown.per_frame[:, :3], per_term)
+    assert_close(g_trk, r_trk)
+    assert_close(g_rec, r_rec)
+    assert_close(g_R, r_R)
+    assert_close(g_T, r_T)
+
+
+def test_total_loss_raises_for_earliest_failing_frame():
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(num_frames=3)
+    vis = np.array(sup.visibility)
+    vis[:, 2] = False  # frame 2: trajectory term has no pairs
+    occluded = TrackSupervision(sup.query_pixels, sup.tracks2d, vis, sup.correspondence)
+    valid = np.array(mono.valid)
+    valid[1] = False  # frame 1: depth term has no pixels
+    no_depth = DepthSupervision(mono.depth, valid)
+    with pytest.raises(AllOccluded) as info:
+        total_loss(tracking, recon, poses, K, occluded, mono)
+    assert info.value.frame == 2
+    with pytest.raises(NoOverlap) as info:
+        total_loss(tracking, recon, poses, K, occluded, no_depth)
+    assert info.value.frame == 1
+    # within one frame the trajectory term is checked first
+    vis[:, 1] = False
+    both = TrackSupervision(sup.query_pixels, sup.tracks2d, vis, sup.correspondence)
+    with pytest.raises(AllOccluded) as info:
+        total_loss(tracking, recon, poses, K, both, no_depth)
+    assert info.value.frame == 1
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +669,12 @@ def test_total_loss_attaches_frame_index():
     with pytest.raises(AllOccluded) as info:
         total_loss(tracking, recon, poses, K, bad, mono)
     assert info.value.frame == 1
+    # a depth map off the grid fails at the first frame, as per-frame
+    # evaluation found it
+    small = DepthSupervision(mono.depth[:, :-1], mono.valid[:, :-1])
+    with pytest.raises(ShapeMismatch) as info:
+        total_loss(tracking, recon, poses, K, sup, small)
+    assert info.value.frame == 0
 
 
 def test_reproject_tracks_matches_supervision():
@@ -570,6 +739,17 @@ def test_tta_divergence_guard():
     )
     state = AdaptState(tracking, recon, step_size=50.0, steps=200)
     with pytest.raises(DivergenceDetected):
+        tta_optimize(state, sup, mono)
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+@pytest.mark.parametrize("step_size", [np.nan, np.inf])
+def test_tta_non_finite_step_is_divergence(freeze, step_size):
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
+        num_frames=2, track_noise=0.05, recon_noise=0.02, seed=45
+    )
+    state = AdaptState(tracking, recon, freeze_recon=freeze, step_size=step_size, steps=5)
+    with pytest.raises(DivergenceDetected, match="step 1"):
         tta_optimize(state, sup, mono)
 
 
