@@ -32,7 +32,6 @@ from .camera import (
 )
 from .errors import WorldTrackError
 from .geometry import (
-    FramePair,
     Intrinsics,
     PixelGrid,
     Pointmap,
@@ -40,9 +39,7 @@ from .geometry import (
     TrackSet,
     assemble_trajectories,
     backproject,
-    build_video_pairs,
-    project,
-    transform_points,
+    project_points,
 )
 from .losses import (
     AdaptState,
@@ -74,7 +71,6 @@ __all__ = [
     "AdaptState",
     "Correspondences2D3D",
     "DepthSupervision",
-    "FramePair",
     "GNConfig",
     "Intrinsics",
     "LossBreakdown",
@@ -96,7 +92,6 @@ __all__ = [
     "apd_3d",
     "assemble_trajectories",
     "backproject",
-    "build_video_pairs",
     "correspondences_from_pointmap",
     "corrupt",
     "depth_loss",
@@ -111,7 +106,7 @@ __all__ = [
     "make_track_supervision",
     "median_scale_align",
     "pose_gradient_wrt_points",
-    "project",
+    "project_points",
     "projected_track_supervision",
     "reproject_tracks",
     "save_sequence",
@@ -121,7 +116,6 @@ __all__ = [
     "supervised_pointmap_loss",
     "total_loss",
     "traj_loss",
-    "transform_points",
     "tta_optimize",
     "umeyama_sim3_align",
     "__version__",

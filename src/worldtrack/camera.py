@@ -44,6 +44,7 @@ from .geometry import (
     Pointmap,
     PoseSE3,
     _freeze,
+    project_points,
     so3_exp,
     so3_exp_jac,
 )
@@ -213,21 +214,13 @@ PLANAR_RATIO = 1e-3
 def _reproj_errors_many(
     rotations: np.ndarray, translations: np.ndarray, K: Intrinsics, corr: Correspondences2D3D
 ) -> np.ndarray:
-    """(k, N) reprojection distances of N pairs under k poses.
-
-    Distances are +inf where depth is non-positive. All k poses act on the
-    points in one matrix product.
-    """
-    k = rotations.shape[0]
-    cam = (rotations.reshape(3 * k, 3) @ corr.points.T).reshape(k, 3, -1)
-    cam += translations[:, :, None]
-    z = cam[:, 2]
-    ok = z > DEPTH_EPS
-    zs = np.where(ok, z, 1.0)
-    du = K.focal * cam[:, 0] / zs + K.cx - corr.pixels[:, 0]
-    dv = K.focal * cam[:, 1] / zs + K.cy - corr.pixels[:, 1]
+    """(k, N) reprojection distances of N pairs under k poses; +inf where
+    the depth is non-positive."""
+    xy, _, _, visible = project_points(rotations, translations, corr.points.T)
+    du = K.focal * xy[:, 0] + K.cx - corr.pixels[:, 0]
+    dv = K.focal * xy[:, 1] + K.cy - corr.pixels[:, 1]
     err = np.sqrt(du * du + dv * dv)
-    err[~ok] = np.inf
+    err[~visible] = np.inf
     return err
 
 
@@ -491,16 +484,13 @@ def _projection_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics):
     depth and Jacobian rows, so they drop out of the normal equations
     without disturbing array shapes.
     """
-    Y = pose.rotation @ corr.points.T + pose.translation[:, None]
-    z = Y[2]
-    usable = z > DEPTH_EPS
+    (xn, yn), _, inv_z, usable = (
+        a[0] for a in project_points(pose.rotation[None], pose.translation[None], corr.points.T)
+    )
     if not usable.any():
         raise DegenerateGeometry("all correspondences behind the camera")
     w = corr.effective_weights() * usable
-    inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=usable)
     f = K.focal
-    xn = Y[0] * inv_z
-    yn = Y[1] * inv_z
     f_z = f * inv_z
     r = np.stack([corr.pixels[:, 0] - (f * xn + K.cx), corr.pixels[:, 1] - (f * yn + K.cy)])
     # d(f*x/z, f*y/z) / d(omega, v) for Y -> Y + omega x Y + v, negated

@@ -200,23 +200,24 @@ def cmd_check_grads(args) -> int:
     return 1 if failed else 0
 
 
-def _finite(text: str, positive: bool) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not np.isfinite(value) or value < 0 or (positive and value == 0):
-        kind = "positive" if positive else "non-negative"
-        raise argparse.ArgumentTypeError(f"must be a finite {kind} number, got {text!r}")
-    return value
+def _bounded(convert, positive: bool):
+    """An argparse type for a finite number, positive or non-negative."""
+    kind = "positive" if positive else "non-negative"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a valid number: {text!r}") from None
+        if not np.isfinite(value) or value < 0 or (positive and value == 0):
+            raise argparse.ArgumentTypeError(f"must be a finite {kind} number, got {text!r}")
+        return value
+
+    return parse
 
 
-def _step_size(text: str) -> float:
-    return _finite(text, positive=True)
-
-
-def _weight(text: str) -> float:
-    return _finite(text, positive=False)
+_positive, _non_negative = _bounded(float, True), _bounded(float, False)
+_positive_int, _count = _bounded(int, True), _bounded(int, False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", help="generate a synthetic sequence")
     s.add_argument("--preset", choices=PRESETS, required=True)
-    s.add_argument("--width", type=int, default=64)
-    s.add_argument("--height", type=int, default=48)
-    s.add_argument("--frames", type=int, default=24)
-    s.add_argument("--focal", type=float, default=80.0)
+    s.add_argument("--width", type=_positive_int, default=64)
+    s.add_argument("--height", type=_positive_int, default=48)
+    s.add_argument("--frames", type=_positive_int, default=24)
+    s.add_argument("--focal", type=_positive, default=80.0)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--noise", type=float, default=0.0)
-    s.add_argument("--drift", type=float, default=0.0)
+    s.add_argument("--noise", type=_non_negative, default=0.0)
+    s.add_argument("--drift", type=_non_negative, default=0.0)
     s.add_argument(
         "--corrupt-targets", nargs="+", default=["tracking"],
         choices=["tracking", "recon"],
@@ -253,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("adapt", help="test-time optimization of the tracking branch")
     s.add_argument("--seq", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--steps", type=int, default=500)
-    s.add_argument("--lr", type=_step_size, default=1e-2)
+    s.add_argument("--steps", type=_count, default=500)
+    s.add_argument("--lr", type=_positive, default=1e-2)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--unfreeze-recon", action="store_true")
-    s.add_argument("--w-traj", type=_weight, default=1.0)
-    s.add_argument("--w-depth", type=_weight, default=10.0)
-    s.add_argument("--w-align", type=_weight, default=5.0)
+    s.add_argument("--w-traj", type=_non_negative, default=1.0)
+    s.add_argument("--w-depth", type=_non_negative, default=10.0)
+    s.add_argument("--w-align", type=_non_negative, default=5.0)
     s.set_defaults(func=cmd_adapt)
 
     s = sub.add_parser("eval", help="score predictions against ground truth")
@@ -267,15 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gt", required=True)
     s.add_argument("--mode", choices=["tracks", "recon", "both"], default="both")
     s.add_argument("--alignment", choices=["none", "median", "sim3"], default="median")
-    s.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    s.add_argument("--max-queries", type=int, default=0)
+    s.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
+    s.add_argument("--max-queries", type=_count, default=0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("check-grads", help="finite-difference gradient audit")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--trials", type=int, default=4)
+    s.add_argument("--trials", type=_positive_int, default=4)
     s.set_defaults(func=cmd_check_grads)
     return p
 

@@ -21,10 +21,6 @@ class WorldTrackError(Exception):
 
 # ---- geometry ----
 
-class NonPositiveDepth(WorldTrackError):
-    """Projection requested for a point at or behind the camera plane."""
-
-
 class EmptyVideo(WorldTrackError):
     """A video with zero frames was supplied."""
 

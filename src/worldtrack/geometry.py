@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     BranchContractViolation,
     EmptyVideo,
-    NonPositiveDepth,
     QueryOutOfBounds,
     ShapeMismatch,
 )
@@ -255,18 +254,6 @@ class PixelGrid:
 
 
 @dataclass(frozen=True)
-class FramePair:
-    anchor_index: int
-    other_index: int
-
-    def __post_init__(self):
-        if self.anchor_index != 0:
-            raise ValueError("pairs are anchored at frame 0")
-        if self.other_index < 0:
-            raise ValueError("frame index must be non-negative")
-
-
-@dataclass(frozen=True)
 class TrackSet:
     """N query points over T frames, 2D or 3D.
 
@@ -306,46 +293,42 @@ class TrackSet:
 # operations
 
 
-def project(intrinsics: Intrinsics, pose: PoseSE3, point: np.ndarray) -> np.ndarray:
-    """Project one 3D point to pixel coordinates.
+def project_points(R: np.ndarray, t: np.ndarray, X: np.ndarray, valid=True):
+    """Pinhole projection of points under k world-to-camera poses.
 
-    Args:
-        intrinsics: pinhole intrinsics.
-        pose: world-to-camera transform.
-        point: (3,) world point.
-
-    Returns:
-        (2,) pixel coordinate.
-
-    Raises:
-        NonPositiveDepth: if the camera-frame depth is <= 1e-12.
+    ``R`` (k, 3, 3) and ``t`` (k, 3) hold the poses; ``X`` is (k, 3, N), one
+    point set per pose, or (3, N), shared by all of them. Returns the
+    normalized coordinates (x/z, y/z) as (k, 2, N) and the depth z, the
+    inverse depth and the ``visible`` mask, ``valid & (z > DEPTH_EPS)``, as
+    (k, N) each. Normalized coordinates and inverse depth are zero where not
+    visible; pixels are focal * xy + (cx, cy).
     """
-    cam = pose.apply(np.asarray(point, dtype=np.float64))
-    z = cam[2]
-    if z <= DEPTH_EPS:
-        raise NonPositiveDepth(f"depth {z:.3e} not projectable")
-    f = intrinsics.focal
-    return np.array([f * cam[0] / z + intrinsics.cx, f * cam[1] / z + intrinsics.cy])
+    if X.ndim == 2:
+        # shared points: all k poses act on them in one matrix product
+        Y = (R.reshape(-1, 3) @ X).reshape(len(R), 3, -1)
+    else:
+        Y = R @ X
+    Y += t[:, :, None]
+    z = Y[:, 2]
+    visible = z > DEPTH_EPS
+    if valid is not True:
+        visible &= valid
+    # 1 / inf = +0: cheaper than a divide masked by ``where``, and the same bits
+    inv_z = np.where(visible, z, np.inf)
+    np.divide(1.0, inv_z, out=inv_z)
+    xy = Y[:, :2]
+    xy *= inv_z[:, None]
+    return xy, z, inv_z, visible
 
 
-def project_many(
-    intrinsics: Intrinsics, pose: PoseSE3, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of (..., 3) points.
-
-    Returns (pixels, depths); entries with depth <= 1e-12 hold zeros in
-    pixels and must be masked by the caller via the returned depths.
-    """
-    cam = pose.apply(points)
-    z = cam[..., 2]
-    ok = z > DEPTH_EPS
-    zs = np.where(ok, z, 1.0)
-    f = intrinsics.focal
-    u = f * cam[..., 0] / zs + intrinsics.cx
-    v = f * cam[..., 1] / zs + intrinsics.cy
-    pixels = np.stack([u, v], axis=-1)
-    pixels[~ok] = 0.0
-    return pixels, z
+def _pixels(K: Intrinsics, pose: PoseSE3, points: np.ndarray, valid=True):
+    """Pixels (N, 2), depths (N,) and visible mask (N,) of world points
+    (N, 3) in one camera; pixels are zero where not visible."""
+    R, t = pose.rotation[None], pose.translation[None]
+    xy, z, _, visible = project_points(R, t, points.T, valid)
+    pix = K.focal * xy[0].T + [K.cx, K.cy]
+    pix[~visible[0]] = 0.0
+    return pix, z[0], visible[0]
 
 
 def backproject(intrinsics: Intrinsics, pixels: np.ndarray, depth: np.ndarray) -> np.ndarray:
@@ -360,32 +343,6 @@ def backproject(intrinsics: Intrinsics, pixels: np.ndarray, depth: np.ndarray) -
     x = (pixels[..., 0] - intrinsics.cx) / f * depth
     y = (pixels[..., 1] - intrinsics.cy) / f * depth
     return np.stack([x, y, depth], axis=-1)
-
-
-def transform_points(
-    pose: PoseSE3, pm: Pointmap, coord_frame: int | None = None
-) -> Pointmap:
-    """Apply a rigid transform to every valid pixel of a pointmap.
-
-    Invalid pixels stay zeroed. The coord_frame tag is replaced when the
-    target frame index is given, otherwise kept.
-    """
-    pts = pose.apply(pm.points)
-    pts[~pm.valid] = 0.0
-    return Pointmap(
-        pts,
-        pm.valid,
-        pm.coord_frame if coord_frame is None else coord_frame,
-        pm.content_frame,
-        pm.time,
-    )
-
-
-def build_video_pairs(num_frames: int) -> list[FramePair]:
-    """Anchor-frame pairing: (0, j) for every frame j of the video."""
-    if num_frames <= 0:
-        raise EmptyVideo(f"video has {num_frames} frames")
-    return [FramePair(0, j) for j in range(num_frames)]
 
 
 def queries_to_indices(queries: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:

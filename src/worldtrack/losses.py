@@ -19,7 +19,7 @@ from .camera import (
     GNConfig,
     PoseEstimate,
     RansacConfig,
-    correspondences_from_pointmap,
+    correspondences_from_pointmap,  # noqa: F401  (perfbench traces this binding)
     correspondences_from_points,
     gauss_newton_refine,
     pose_gradient_wrt_points,
@@ -43,6 +43,8 @@ from .geometry import (
     Pointmap,
     PoseSE3,
     _freeze,
+    _pixels,
+    project_points,
     queries_to_indices,
 )
 
@@ -199,22 +201,6 @@ def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _project(X: np.ndarray, R: np.ndarray, t: np.ndarray, valid: np.ndarray):
-    """Projection of (T, 3, N) points under T world-to-camera poses.
-
-    Returns the normalized image coordinates (x/z, y/z) as (T, 2, N), the
-    inverse depth (T, N) and the visible mask, ``valid`` with positive
-    depth; both are zero where not visible. Pixels are f xy + (cx, cy).
-    """
-    Y = R @ X
-    Y += t[:, :, None]
-    visible = valid & (Y[:, 2] > DEPTH_EPS)
-    inv_z = np.divide(1.0, Y[:, 2], out=np.zeros(visible.shape), where=visible)
-    xy = Y[:, :2]
-    xy *= inv_z[:, None]
-    return xy, inv_z, visible
-
-
 def _traj_terms(dp, gt_c, gt_r, visible):
     """Scale-invariant trajectory terms of T frames: losses (T,), gradient
     with respect to the predictions (T, 2, N), pairs dropped for sitting on
@@ -312,13 +298,9 @@ def reproject_tracks(
     tracking_pm.require_tracking_branch()
     pose = _as_pose(pose_est)
     rows, cols = queries_to_indices(queries, tracking_pm.width, tracking_pm.height)
-    xy, _, visible = _project(
-        tracking_pm.points[rows, cols].T[None], pose.rotation[None],
-        pose.translation[None], tracking_pm.valid[rows, cols][None],
-    )
-    pix = K.focal * xy[0].T + [K.cx, K.cy]
-    pix[~visible[0]] = 0.0
-    return pix, visible[0]
+    valid = tracking_pm.valid[rows, cols]
+    pix, _, visible = _pixels(K, pose, tracking_pm.points[rows, cols], valid)
+    return pix, visible
 
 
 def traj_loss(
@@ -528,7 +510,7 @@ def _objective(tracking_pms, recon_pms, K, sup, mono, weights):
 def _trajectory(lay: _Layout, Xq, R, t, depth_checks):
     """The traj terms (T,) and their gradient with respect to the queries'
     camera points (T, 3, N); raises the earliest failing frame's error."""
-    xy, inv_z, visible = _project(Xq, R, t, lay.query_ok)
+    xy, _, inv_z, visible = project_points(R, t, Xq, lay.query_ok)
     loss, g, dropped, checks = _traj_terms(
         lay.focal * xy + lay.offset, lay.gt_c, lay.gt_r, visible
     )
@@ -669,6 +651,8 @@ def tta_optimize(
         grid = PixelGrid.create(first.width, first.height)
     if ransac is None:
         ransac = RansacConfig(seed=state.seed)
+    if state.steps < 0:
+        raise ValueError(f"steps must be non-negative, got {state.steps}")
     if state.steps == 0:
         return state, []
 
@@ -750,30 +734,7 @@ def _recon_gradient(g_rec, g_R, g_T, estimates, pairs, K):
     T = len(g_rec)
     g_rec /= T
     for j, (corr, flat_idx) in enumerate(pairs, start=1):
-        _add_pose_gradient(g_rec[j].T, estimates[j], corr, flat_idx, K, (g_R[j] / T, g_T[j] / T))
+        # one correspondence per valid pixel: flat_idx has no repeats to sum
+        upstream = (g_R[j] / T, g_T[j] / T)
+        g_rec[j].T[flat_idx] += pose_gradient_wrt_points(estimates[j], corr, K, upstream)
     return g_rec
-
-
-def _add_pose_gradient(out, estimate, corr, flat_idx, K, upstream):
-    """Add a pose gradient onto the rows flat_idx of the (P, 3) out, through
-    the estimate's last Gauss-Newton increment."""
-    # one correspondence per valid pixel: flat_idx has no repeats to sum
-    out[flat_idx] += pose_gradient_wrt_points(estimate, corr, K, upstream)
-
-
-def pose_gradient_on_pointmap(
-    estimate: PoseEstimate,
-    recon_pm: Pointmap,
-    grid: PixelGrid,
-    K: Intrinsics,
-    upstream: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Route a pose gradient back onto the pointmap pixels that solved it.
-
-    upstream is (dL/dR, dL/dT) at the estimate's final pose; the result is
-    an (H, W, 3) gradient through the solver's last Gauss-Newton increment.
-    """
-    corr, flat_idx = correspondences_from_pointmap(recon_pm, grid)
-    out = np.zeros((recon_pm.height, recon_pm.width, 3))
-    _add_pose_gradient(out.reshape(-1, 3), estimate, corr, flat_idx, K, upstream)
-    return out

@@ -4,9 +4,10 @@ The generator builds scenes whose rendered products are self-consistent to
 float precision: every anchor pixel owns one content point lying exactly on
 its camera-0 ray, reconstruction maps sample content exactly on each
 frame's camera rays (so pose recovery is exact), depth maps and 2D tracks
-are produced by the same projection arithmetic the losses use, and a set
-of beacon points is steered to land exactly on pixel centers of every
-frame so the cross-branch alignment term has exact pairs mid-sequence.
+come from ``geometry.project_points``, the kernel the losses and the camera
+solver project with, and a set of beacon points is steered to land exactly
+on pixel centers of every frame so the cross-branch alignment term has
+exact pairs mid-sequence.
 
 Corruption (noise and drift) is applied separately so the clean sequence
 stays available as ground truth.
@@ -25,8 +26,8 @@ from .geometry import (
     Pointmap,
     PoseSE3,
     TrackSet,
+    _pixels,
     backproject,
-    project_many,
     so3_exp,
 )
 from .losses import DepthSupervision, TrackSupervision
@@ -307,7 +308,7 @@ def render(scene: Scene) -> RenderedSequence:
     cand = np.concatenate(cand, axis=0)
     motion = np.concatenate(motion)
 
-    pix0, z0 = project_many(K, scene.cameras[0], cand)
+    pix0, z0, _ = _pixels(K, scene.cameras[0], cand)
     winner0, zbuf0 = _zbuffer(pix0, z0, W, H)
     if (winner0 < 0).any():
         holes = int((winner0 < 0).sum())
@@ -342,7 +343,7 @@ def render(scene: Scene) -> RenderedSequence:
     tracks2d = np.zeros((n_owners, T, 2))
     visibility = np.zeros((n_owners, T), dtype=bool)
     for j in range(T):
-        pixj, zj = project_many(K, scene.cameras[j], pos[j])
+        pixj, zj, _ = _pixels(K, scene.cameras[j], pos[j])
         if is_beacon.any() and zj[~is_beacon].size:
             margin = zj[~is_beacon].min() - zj[is_beacon].max()
             assert margin > BEACON_CLEARANCE, (
@@ -448,6 +449,21 @@ def corrupt(
     )
 
 
+def _landing_cells(seq: RenderedSequence) -> np.ndarray:
+    """(N, T) flat index of the reconstruction cell each visible track lands
+    in, -1 where the track is invisible, off the grid or on an invalid cell."""
+    first = seq.tracking_pointmaps[0]
+    H, W = first.height, first.width
+    t2 = seq.tracks2d.positions
+    cols = np.floor(t2[..., 0]).astype(np.int64)
+    rows = np.floor(t2[..., 1]).astype(np.int64)
+    ok = seq.tracks2d.visibility & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
+    cell = np.where(ok, rows * W + cols, -1)
+    valid = np.stack([pm.valid.reshape(-1) for pm in seq.recon_pointmaps])
+    ok &= valid[np.arange(len(valid)), np.maximum(cell, 0)]
+    return np.where(ok, cell, -1)
+
+
 def make_track_supervision(seq: RenderedSequence) -> TrackSupervision:
     """Extract 2D tracks plus cross-branch pairs found by exact 3D match.
 
@@ -457,29 +473,16 @@ def make_track_supervision(seq: RenderedSequence) -> TrackSupervision:
     beacons and, under a static camera, from unoccluded static content.
     """
     first = seq.tracking_pointmaps[0]
-    H, W = first.height, first.width
-    queries = PixelGrid.create(W, H).flat()
-    t2 = np.array(seq.tracks2d.positions)
-    vis = np.array(seq.tracks2d.visibility)
-    n, T = vis.shape
-    corr = np.full((n, T), -1, dtype=np.int64)
-    for j in range(T):
-        pm = seq.recon_pointmaps[j]
-        cols = np.floor(t2[:, j, 0]).astype(np.int64)
-        rows = np.floor(t2[:, j, 1]).astype(np.int64)
-        cand = (
-            vis[:, j]
-            & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
-        )
-        cand[cand] &= pm.valid[rows[cand], cols[cand]]
-        if not cand.any():
-            continue
-        stored = pm.points[rows[cand], cols[cand]]
-        tracked = seq.tracks3d.positions[cand, j]
-        match = np.abs(stored - tracked).max(axis=1) <= CLAIM_TOL
-        sel = np.nonzero(cand)[0][match]
-        corr[sel, j] = rows[sel] * W + cols[sel]
-    return TrackSupervision(queries, t2, vis, corr)
+    T, P = len(seq.recon_pointmaps), first.height * first.width
+    cell = _landing_cells(seq)
+    pair = np.flatnonzero(cell >= 0)  # query * T + frame
+    recon = np.concatenate([pm.points.reshape(-1, 3) for pm in seq.recon_pointmaps])
+    stored = recon[pair % T * P + cell.flat[pair]]
+    d = np.abs(stored - seq.tracks3d.positions.reshape(-1, 3)[pair])
+    match = np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2]) <= CLAIM_TOL
+    cell.flat[pair[~match]] = -1
+    queries = PixelGrid.create(first.width, first.height).flat()
+    return TrackSupervision(queries, seq.tracks2d.positions, seq.tracks2d.visibility, cell)
 
 
 def projected_track_supervision(seq: RenderedSequence) -> TrackSupervision:
@@ -490,20 +493,8 @@ def projected_track_supervision(seq: RenderedSequence) -> TrackSupervision:
     supervision for adapting data whose branches currently disagree; the
     alignment term then pulls them together instead of starting at zero.
     """
-    first = seq.tracking_pointmaps[0]
-    H, W = first.height, first.width
-    t2 = np.array(seq.tracks2d.positions)
-    vis = np.array(seq.tracks2d.visibility)
-    n, T = vis.shape
-    corr = np.full((n, T), -1, dtype=np.int64)
-    for j in range(T):
-        pm = seq.recon_pointmaps[j]
-        cols = np.floor(t2[:, j, 0]).astype(np.int64)
-        rows = np.floor(t2[:, j, 1]).astype(np.int64)
-        ok = vis[:, j] & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
-        ok[ok] &= pm.valid[rows[ok], cols[ok]]
-        corr[ok, j] = rows[ok] * W + cols[ok]
-    return TrackSupervision(t2[:, 0], t2, vis, corr)
+    t2 = seq.tracks2d.positions
+    return TrackSupervision(t2[:, 0], t2, seq.tracks2d.visibility, _landing_cells(seq))
 
 
 def make_depth_supervision(seq: RenderedSequence) -> DepthSupervision:

@@ -92,10 +92,23 @@ def save_sequence(path, seq: RenderedSequence) -> None:
     _write_atomic(outdir / MANIFEST_NAME, payload.encode())
 
 
-def _get(indir: Path, entry: dict) -> np.ndarray:
-    raw = (indir / entry["file"]).read_bytes()
-    arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]))
-    return arr.reshape(entry["shape"])
+def _get(indir: Path, arrays: dict, name: str) -> np.ndarray:
+    """The manifest's array ``name``; its entry is checked before the read."""
+    try:
+        entry = arrays[name]
+        fname, dtype = entry["file"], np.dtype(entry["dtype"])
+        shape = tuple(int(n) for n in entry["shape"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{indir}: manifest entry {name!r} is missing or malformed") from None
+    if not isinstance(fname, str) or fname in ("", ".", "..") or Path(fname).name != fname:
+        raise ValueError(f"{indir}: entry {name!r} names {fname!r}, not a file in the directory")
+    raw = (indir / fname).read_bytes()
+    size = dtype.itemsize * int(np.prod(shape))
+    if len(raw) != size:
+        raise ValueError(
+            f"{indir / fname}: {len(raw)} bytes, {dtype.str} {list(shape)} needs {size}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def load_sequence(path) -> RenderedSequence:
@@ -107,18 +120,21 @@ def load_sequence(path) -> RenderedSequence:
     tag = manifest.get("format")
     if tag != FORMAT_TAG:
         raise ValueError(f"unsupported sequence format {tag!r}")
+    missing = {"arrays", "width", "height", "num_frames", "spec"} - manifest.keys()
+    if missing:
+        raise ValueError(f"{mpath}: no {', '.join(sorted(missing))}")
     arrays = manifest["arrays"]
     W, H, T = manifest["width"], manifest["height"], manifest["num_frames"]
 
-    tracking_raw = _get(indir, arrays["tracking_pointmaps"]).astype(np.float64)
-    recon_raw = _get(indir, arrays["recon_pointmaps"]).astype(np.float64)
-    depth = _get(indir, arrays["depth"]).astype(np.float64)
-    tracks2d = _get(indir, arrays["tracks2d"]).astype(np.float64)
-    tracks3d = _get(indir, arrays["tracks3d"]).astype(np.float64)
-    visibility = _get(indir, arrays["visibility"]).astype(bool)
-    dynamic_mask = _get(indir, arrays["dynamic_mask"]).astype(bool)
-    f, cx, cy = _get(indir, arrays["intrinsics"]).astype(np.float64)
-    cam_raw = _get(indir, arrays["cameras"]).astype(np.float64)
+    tracking_raw = _get(indir, arrays, "tracking_pointmaps").astype(np.float64)
+    recon_raw = _get(indir, arrays, "recon_pointmaps").astype(np.float64)
+    depth = _get(indir, arrays, "depth").astype(np.float64)
+    tracks2d = _get(indir, arrays, "tracks2d").astype(np.float64)
+    tracks3d = _get(indir, arrays, "tracks3d").astype(np.float64)
+    visibility = _get(indir, arrays, "visibility").astype(bool)
+    dynamic_mask = _get(indir, arrays, "dynamic_mask").astype(bool)
+    f, cx, cy = _get(indir, arrays, "intrinsics").astype(np.float64)
+    cam_raw = _get(indir, arrays, "cameras").astype(np.float64)
 
     def from_stack(stack, content_of, time_of):
         out = []

@@ -143,3 +143,27 @@ def test_adapt_rejects_bad_step_size_and_weights(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [SYNTH + ["--width", "0"], SYNTH + ["--height", "-4"], SYNTH + ["--frames", "0"],
+     SYNTH + ["--focal", "-1"], SYNTH + ["--noise", "-0.1"], SYNTH + ["--drift", "nan"],
+     ["adapt", "--seq", "{seq}", "--steps", "-1"],
+     ["eval", "--pred", "{seq}", "--gt", "{seq}", "--window", "0"],
+     ["eval", "--pred", "{seq}", "--gt", "{seq}", "--max-queries", "-5"],
+     ["check-grads", "--trials", "0"]],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_usage_errors_exit_two_before_any_work(workdir, tmp_path, capsys, argv):
+    # a real input: without the refusal each command would run and write
+    argv = [a.format(seq=workdir / "clean.seq") for a in argv]
+    flag = argv[-2]
+    if argv[0] != "check-grads":
+        argv += ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+    assert list(tmp_path.iterdir()) == []

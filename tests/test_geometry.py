@@ -5,25 +5,21 @@ from scipy.spatial.transform import Rotation
 from worldtrack.errors import (
     BranchContractViolation,
     EmptyVideo,
-    NonPositiveDepth,
     QueryOutOfBounds,
 )
 from worldtrack.geometry import (
-    FramePair,
     Intrinsics,
     PixelGrid,
     Pointmap,
     PoseSE3,
     TrackSet,
+    _pixels,
     assemble_trajectories,
     backproject,
-    build_video_pairs,
-    project,
-    project_many,
+    project_points,
     skew,
     so3_exp,
     so3_exp_jac,
-    transform_points,
 )
 
 
@@ -40,17 +36,21 @@ def test_project_frozen_value():
     # v = 500*(-0.1) + 240
     K = Intrinsics(500.0, 320.0, 240.0)
     pose = PoseSE3(np.eye(3), np.array([0.0, 0.0, 1.0]))
-    pix = project(K, pose, np.array([0.1, -0.2, 1.0]))
-    assert np.allclose(pix, [345.0, 190.0], atol=1e-12)
+    pix, z, visible = _pixels(K, pose, np.array([[0.1, -0.2, 1.0]]))
+    assert np.allclose(pix, [[345.0, 190.0]], atol=1e-12)
+    assert z[0] == 2.0 and visible[0]
 
 
 def test_project_rejects_nonpositive_depth():
-    K = Intrinsics(100.0, 32.0, 24.0)
-    pose = PoseSE3.identity()
-    with pytest.raises(NonPositiveDepth):
-        project(K, pose, np.array([0.0, 0.0, 0.0]))
-    with pytest.raises(NonPositiveDepth):
-        project(K, pose, np.array([0.1, 0.1, -2.0]))
+    R, t = np.eye(3)[None], np.zeros((1, 3))
+    X = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, -2.0], [0.1, 0.1, 2.0], [0.2, 0.1, 1.0]]).T
+    xy, z, inv_z, visible = project_points(R, t, X, valid=np.array([True, True, True, False]))
+    assert visible.tolist() == [[False, False, True, False]]
+    assert np.array_equal(z, [[0.0, -2.0, 2.0, 1.0]])
+    # not visible: zero coordinates and inverse depth, whatever the depth
+    assert np.array_equal(xy[0, :, [0, 1, 3]], np.zeros((3, 2)))
+    assert np.array_equal(inv_z, [[0.0, 0.0, 0.5, 0.0]])
+    assert np.array_equal(xy[0, :, 2], [0.05, 0.05])
 
 
 def test_project_backproject_round_trip():
@@ -59,22 +59,31 @@ def test_project_backproject_round_trip():
     pix = rng.uniform(0.0, 64.0, size=(200, 2))
     z = rng.uniform(0.5, 8.0, size=200)
     pts = backproject(K, pix, z)
-    back, depths = project_many(K, PoseSE3.identity(), pts)
+    back, depths, visible = _pixels(K, PoseSE3.identity(), pts)
     assert np.allclose(back, pix, atol=1e-9)
     assert np.allclose(depths, z)
+    assert visible.all()
 
 
-def test_project_many_matches_scalar_op():
+@pytest.mark.parametrize("shared", [True, False])
+def test_project_points_many_poses_match_per_point_formula(shared):
     rng = np.random.default_rng(3)
-    K = Intrinsics(60.0, 32.0, 24.0)
-    pose = random_pose(rng)
-    pts = pose.inverse().apply(
-        backproject(K, rng.uniform(2, 60, size=(50, 2)), rng.uniform(1, 5, size=50))
-    )
-    pix, z = project_many(K, pose, pts)
-    for i in range(50):
-        assert np.allclose(pix[i], project(K, pose, pts[i]), atol=1e-10)
-        assert z[i] > 0
+    poses = [random_pose(rng) for _ in range(4)]
+    R = np.stack([p.rotation for p in poses])
+    t = np.stack([p.translation for p in poses])
+    X = rng.normal(size=(3, 40)) if shared else rng.normal(size=(4, 3, 40))
+    valid = rng.random((4, 40)) > 0.2
+    xy, z, inv_z, visible = project_points(R, t, X.copy(), valid)
+    assert xy.shape == (4, 2, 40) and z.shape == inv_z.shape == visible.shape == (4, 40)
+    for k, pose in enumerate(poses):
+        for n in range(40):
+            cam = pose.apply((X if shared else X[k]).T[n])
+            assert z[k, n] == pytest.approx(cam[2], abs=1e-14)
+            assert visible[k, n] == (valid[k, n] and cam[2] > 1e-12)
+            want = cam[:2] / cam[2] if visible[k, n] else np.zeros(2)
+            np.testing.assert_allclose(xy[k, :, n], want, rtol=1e-12, atol=1e-14)
+            assert inv_z[k, n] == pytest.approx(1.0 / cam[2] if visible[k, n] else 0.0)
+    assert (~visible).any() and visible.any()
 
 
 # ---- poses ----
@@ -95,19 +104,6 @@ def test_pose_compose_inverse():
         x = rng.normal(size=3)
         assert np.allclose(a.compose(b).apply(x), a.apply(b.apply(x)), atol=1e-12)
         assert np.allclose(a.compose(a.inverse()).apply(x), x, atol=1e-10)
-
-
-def test_transform_points_composes():
-    rng = np.random.default_rng(5)
-    pts = rng.normal(size=(6, 8, 3))
-    valid = rng.random((6, 8)) > 0.3
-    pm = Pointmap(pts, valid, coord_frame=0, content_frame=0, time=2)
-    p1, p2 = random_pose(rng), random_pose(rng)
-    two_step = transform_points(p2, transform_points(p1, pm))
-    one_step = transform_points(p2.compose(p1), pm)
-    assert np.allclose(two_step.points, one_step.points, atol=1e-12)
-    assert two_step.coord_frame == pm.coord_frame
-    assert transform_points(p1, pm, coord_frame=3).coord_frame == 3
 
 
 # ---- rotation helpers ----
@@ -178,7 +174,7 @@ def test_pointmap_arrays_immutable():
         pm.points[0, 0, 0] = 5.0
 
 
-# ---- grids and pairing ----
+# ---- grids ----
 
 def test_pixel_grid_centers():
     grid = PixelGrid.create(4, 3)
@@ -188,16 +184,6 @@ def test_pixel_grid_centers():
     flat = grid.flat()
     # row-major: second entry is the next column
     assert np.allclose(flat[1], [1.5, 0.5])
-
-
-def test_build_video_pairs():
-    pairs = build_video_pairs(4)
-    assert [p.other_index for p in pairs] == [0, 1, 2, 3]
-    assert all(p.anchor_index == 0 for p in pairs)
-    with pytest.raises(EmptyVideo):
-        build_video_pairs(0)
-    with pytest.raises(ValueError):
-        FramePair(1, 2)
 
 
 # ---- trajectory assembly ----

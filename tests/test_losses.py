@@ -7,10 +7,8 @@ from worldtrack.camera import (
     GNConfig,
     PoseEstimate,
     RansacConfig,
-    correspondences_from_pointmap,
     correspondences_from_points,
     gauss_newton_refine,
-    pose_gradient_wrt_points,
     solve_cameras_for_video,
 )
 from worldtrack.errors import (
@@ -38,7 +36,6 @@ from worldtrack.losses import (
     TrackSupervision,
     align_loss,
     depth_loss,
-    pose_gradient_on_pointmap,
     reproject_tracks,
     supervised_pointmap_loss,
     total_loss,
@@ -381,29 +378,6 @@ def test_total_loss_gradient_fd_through_pose():
         assert rel_err(fd, full_grad[j, d, p]) < FD_TOL
 
 
-def test_pose_gradient_on_pointmap_matches_scatter_add():
-    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(recon_noise=0.01, seed=3)
-    _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=2))
-    valid = np.ones((H, W), dtype=bool)
-    valid[1, 2:5] = False
-    valid[4, 0] = False
-    pm = Pointmap(recon[1].points, valid, 0, 1, 1)
-    corr, flat_idx = correspondences_from_pointmap(pm, grid)
-    est = gauss_newton_refine(
-        PoseEstimate(estimates[1].pose, np.ones(len(corr), dtype=bool), np.nan,
-                     np.zeros(6), estimates[1].pose),
-        corr, K,
-    )
-    rng = np.random.default_rng(4)
-    upstream = (rng.normal(size=(3, 3)), rng.normal(size=3))
-    got = pose_gradient_on_pointmap(est, pm, grid, K, upstream)
-    want = np.zeros((H, W, 3))
-    np.add.at(want, (flat_idx // W, flat_idx % W),
-              pose_gradient_wrt_points(est, corr, K, upstream))
-    assert np.array_equal(got, want)
-    assert np.all(got[~valid] == 0.0) and np.any(got[valid] != 0.0)
-
-
 # ---------------------------------------------------------------------------
 # the frame-batched objective against a per-frame reference
 
@@ -696,6 +670,12 @@ def test_tta_zero_steps_is_identity():
     assert trace == []
     assert out.tracking_params is tracking
     assert out.recon_pointmaps is recon
+
+
+def test_tta_rejects_negative_steps():
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(num_frames=2)
+    with pytest.raises(ValueError, match="steps"):
+        tta_optimize(AdaptState(tracking, recon, steps=-1), sup, mono)
 
 
 def test_tta_frozen_reduces_loss_and_preserves_recon():

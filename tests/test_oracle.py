@@ -1,13 +1,16 @@
 """Synthetic sequence generator: structure, exactness, and corruption."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from worldtrack.camera import GNConfig, RansacConfig, solve_cameras_for_video
 from worldtrack.errors import EmptyRaster, UnknownPreset
-from worldtrack.geometry import PixelGrid, PoseSE3, project_many
+from worldtrack.geometry import PixelGrid, PoseSE3, TrackSet, _pixels
 from worldtrack.losses import total_loss
 from worldtrack.oracle import (
+    CLAIM_TOL,
     PRESETS,
     Scene,
     SceneSpec,
@@ -16,6 +19,7 @@ from worldtrack.oracle import (
     generate_sequence,
     make_depth_supervision,
     make_track_supervision,
+    projected_track_supervision,
     render,
 )
 
@@ -81,7 +85,7 @@ def test_recon_points_sit_on_camera_rays(sequences, preset):
     grid = PixelGrid.create(SMALL["width"], SMALL["height"])
     for j in (1, seq.num_frames - 1):
         pm = seq.recon_pointmaps[j]
-        pix, z = project_many(seq.intrinsics, seq.cameras[j], pm.points[pm.valid])
+        pix, z, _ = _pixels(seq.intrinsics, seq.cameras[j], pm.points[pm.valid])
         np.testing.assert_allclose(pix, grid.coords[pm.valid], atol=1e-9)
         np.testing.assert_allclose(z, seq.depth[j][pm.valid], atol=1e-9)
 
@@ -130,6 +134,75 @@ def test_cross_branch_claims(sequences, preset):
         stored = seq.recon_pointmaps[j].points.reshape(-1, 3)[flat]
         tracked = seq.tracks3d.positions[rowsel, j]
         assert np.abs(stored - tracked).max() <= 1e-9
+
+
+def reference_correspondence(seq, exact: bool) -> np.ndarray:
+    """The per-frame loops the supervision builders replaced: the landing
+    cell of each visible in-grid track on a valid recon pixel, and with
+    ``exact`` only where the stored point matches the tracked one."""
+    first = seq.tracking_pointmaps[0]
+    H, W = first.height, first.width
+    t2 = np.array(seq.tracks2d.positions)
+    vis = np.array(seq.tracks2d.visibility)
+    n, T = vis.shape
+    corr = np.full((n, T), -1, dtype=np.int64)
+    for j in range(T):
+        pm = seq.recon_pointmaps[j]
+        cols = np.floor(t2[:, j, 0]).astype(np.int64)
+        rows = np.floor(t2[:, j, 1]).astype(np.int64)
+        ok = vis[:, j] & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
+        ok[ok] &= pm.valid[rows[ok], cols[ok]]
+        if exact and ok.any():
+            stored = pm.points[rows[ok], cols[ok]]
+            tracked = seq.tracks3d.positions[ok, j]
+            ok[ok] = np.abs(stored - tracked).max(axis=1) <= CLAIM_TOL
+        corr[ok, j] = rows[ok] * W + cols[ok]
+    return corr
+
+
+def stressed(seq):
+    """Tracks pushed off each side of the grid or hidden after frame 0, and
+    a fifth of the recon pixels invalidated."""
+    t2 = np.array(seq.tracks2d.positions)
+    vis = np.array(seq.tracks2d.visibility)
+    t2[0::11, 1:, 0] = -0.25
+    t2[1::11, 1:, 0] = seq.spec.width
+    t2[2::11, 1:, 1] = -3.0
+    t2[3::11, 1:, 1] = seq.spec.height + 0.5
+    vis[4::11, 1:] = False
+    rng = np.random.default_rng(0)
+    recon = [pm.with_points(pm.points, pm.valid & (rng.random(pm.valid.shape) > 0.2))
+             for pm in seq.recon_pointmaps]
+    return replace(seq, tracks2d=TrackSet(t2, vis, seq.tracks2d.dynamic), recon_pointmaps=recon)
+
+
+@pytest.mark.parametrize("variant", ["clean", "corrupted", "stressed"])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_supervision_builders_match_per_frame_reference(sequences, preset, variant):
+    seq = sequences[preset]
+    if variant == "corrupted":
+        seq = corrupt(seq, noise=1e-3, drift=1e-3, targets=("tracking", "recon"), seed=2)
+    elif variant == "stressed":
+        seq = stressed(seq)
+    exact, projected = make_track_supervision(seq), projected_track_supervision(seq)
+    want_exact = reference_correspondence(seq, exact=True)
+    want_projected = reference_correspondence(seq, exact=False)
+    assert exact.correspondence.dtype == projected.correspondence.dtype == np.int64
+    assert np.array_equal(exact.correspondence, want_exact)
+    assert np.array_equal(projected.correspondence, want_projected)
+    for sup in (exact, projected):
+        assert np.array_equal(sup.tracks2d, seq.tracks2d.positions)
+        assert np.array_equal(sup.visibility, seq.tracks2d.visibility)
+    grid = PixelGrid.create(seq.spec.width, seq.spec.height)
+    assert np.array_equal(exact.query_pixels, grid.flat())
+    assert np.array_equal(projected.query_pixels, seq.tracks2d.positions[:, 0])
+    # the exact claims are a subset of the projected pairs, and both drop
+    # some pairs: the cases the reference distinguishes all occur
+    claimed = want_exact >= 0
+    assert np.array_equal(want_projected[claimed], want_exact[claimed])
+    assert claimed[:, 1:].sum() < (want_projected[:, 1:] >= 0).sum()
+    if variant == "stressed":
+        assert (want_projected[0::11, 1:] == -1).all() and (want_projected[4::11, 1:] == -1).all()
 
 
 def test_static_camera_keeps_static_claims(sequences):

@@ -90,3 +90,47 @@ def test_no_stray_tmp_files(tmp_path, seq):
     save_sequence(tmp_path / "s", seq)
     leftovers = [p for p in (tmp_path / "s").iterdir() if p.name.endswith(".tmp")]
     assert leftovers == []
+
+
+def _edit_manifest(path, edit):
+    mpath = path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    edit(manifest["arrays"])
+    mpath.write_text(json.dumps(manifest))
+
+
+def test_missing_array_entry_is_named(tmp_path, seq):
+    save_sequence(tmp_path / "s", seq)
+    _edit_manifest(tmp_path / "s", lambda arrays: arrays.pop("depth"))
+    with pytest.raises(ValueError, match="'depth'"):
+        load_sequence(tmp_path / "s")
+
+
+@pytest.mark.parametrize("fname", ["../a.seq/depth.raw", "{root}/a.seq/depth.raw", "sub/x", ".."])
+def test_array_file_outside_directory_is_refused(tmp_path, seq, fname):
+    # a.seq/depth.raw exists and fits: only the check stops the read
+    save_sequence(tmp_path / "a.seq", seq)
+    save_sequence(tmp_path / "b.seq", seq)
+    fname = fname.format(root=tmp_path)
+    _edit_manifest(tmp_path / "b.seq", lambda arrays: arrays["depth"].update(file=fname))
+    with pytest.raises(ValueError, match="'depth'.*not a file in the directory"):
+        load_sequence(tmp_path / "b.seq")
+
+
+def test_array_byte_length_mismatch_names_file(tmp_path, seq):
+    save_sequence(tmp_path / "s", seq)
+    path = tmp_path / "s" / "depth.raw"
+    path.write_bytes(path.read_bytes()[:25])
+    with pytest.raises(ValueError, match="depth.raw: 25 bytes") as exc:
+        load_sequence(tmp_path / "s")
+    assert "\n" not in str(exc.value)
+
+
+def test_bad_manifest_exits_one_without_traceback(tmp_path, seq, capsys):
+    from worldtrack.cli import main
+
+    save_sequence(tmp_path / "s", seq)
+    _edit_manifest(tmp_path / "s", lambda arrays: arrays.pop("cameras"))
+    assert main(["solve-camera", "--seq", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'cameras'" in err and err.count("\n") == 1
