@@ -20,7 +20,6 @@ from .bench import (
 )
 from .camera import (
     Correspondences2D3D,
-    GNConfig,
     PoseEstimate,
     RansacConfig,
     correspondences_from_pointmap,
@@ -71,7 +70,6 @@ __all__ = [
     "AdaptState",
     "Correspondences2D3D",
     "DepthSupervision",
-    "GNConfig",
     "Intrinsics",
     "LossBreakdown",
     "LossWeights",

@@ -5,7 +5,9 @@ pointmap (shared across the video), RANSAC PnP with a 6-point minimal
 solver, a non-differentiable Gauss-Newton polish on the consensus set, and
 one final damped Gauss-Newton step whose increment stays differentiable
 with respect to the 3D points. ``pose_gradient_wrt_points`` backpropagates
-an upstream pose gradient through that last increment.
+an upstream pose gradient through that last increment. The solver has one
+configuration: its thresholds, iteration caps and damping are the module
+constants below, and only the RANSAC seed is chosen by the caller.
 
 RANSAC draws its minimal samples one at a time from a seeded generator and
 solves each batch of draws together, as stacked SVDs. A sample whose centred
@@ -25,7 +27,7 @@ closed-form rows directly.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,16 +54,25 @@ from .geometry import (
 log = logging.getLogger(__name__)
 
 WEISZFELD_FLOOR = 1e-8
+WEISZFELD_ITERATIONS = 10
 MIN_FOCAL_PIXELS = 10
+# RANSAC: draws at most, reprojection inlier threshold (pixels), points per
+# minimal sample (the DLT needs 6) and the confidence of the draw bound
+RANSAC_MAX_ITERATIONS = 256
+INLIER_THRESHOLD = 2.0
+MIN_SAMPLE = 6
+RANSAC_CONFIDENCE = 0.999
+# Levenberg-style damping of every Gauss-Newton step, relative to the mean
+# diagonal of the normal equations
+GN_DAMPING = 1e-9
 
 
 @dataclass(frozen=True)
 class Correspondences2D3D:
-    """Paired pixels (N, 2) and world points (N, 3) with optional weights."""
+    """Paired pixels (N, 2) and world points (N, 3)."""
 
     pixels: np.ndarray
     points: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         pix = np.array(self.pixels, dtype=np.float64)
@@ -70,101 +81,57 @@ class Correspondences2D3D:
             raise ValueError(f"bad correspondence shapes {pix.shape}, {pts.shape}")
         object.__setattr__(self, "pixels", _freeze(pix))
         object.__setattr__(self, "points", _freeze(pts))
-        if self.weights is not None:
-            w = np.array(self.weights, dtype=np.float64)
-            if w.shape != (pix.shape[0],) or (w < 0).any():
-                raise ValueError("weights must be non-negative, one per pair")
-            object.__setattr__(self, "weights", _freeze(w))
 
     def __len__(self) -> int:
         return self.pixels.shape[0]
 
-    def effective_weights(self) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(len(self))
-        return self.weights
-
     @classmethod
-    def _adopt(cls, pixels, points, weights=None) -> "Correspondences2D3D":
+    def _adopt(cls, pixels, points) -> "Correspondences2D3D":
         """Wrap float64 arrays of valid shapes that the caller has just built
         and holds no other reference to: they are frozen, not copied."""
         corr = object.__new__(cls)
         object.__setattr__(corr, "pixels", _freeze(pixels))
         object.__setattr__(corr, "points", _freeze(points))
-        object.__setattr__(corr, "weights", None if weights is None else _freeze(weights))
         return corr
 
     def subset(self, select: np.ndarray) -> "Correspondences2D3D":
         """The pairs picked by a boolean mask or an index array."""
         if select.dtype == bool and select.all():
             return self
-        return Correspondences2D3D._adopt(
-            self.pixels[select],
-            self.points[select],
-            None if self.weights is None else self.weights[select],
-        )
+        return Correspondences2D3D._adopt(self.pixels[select], self.points[select])
 
 
 @dataclass(frozen=True)
 class RansacConfig:
-    max_iterations: int = 256
-    inlier_threshold: float = 2.0
-    min_sample: int = 6
+    """The seed of RANSAC's sample draws (frame j of a video draws with
+    ``seed + j``)."""
+
     seed: int = 0
-    confidence: float = 0.999
-
-    def __post_init__(self):
-        if self.min_sample < 6:
-            raise ValueError("min_sample must be at least 6 for the DLT solver")
-        if self.max_iterations < 1 or self.inlier_threshold <= 0:
-            raise ValueError("max_iterations and inlier_threshold must be positive")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class GNConfig:
-    num_steps: int = 1
-    damping: float = 1e-9
-
-    def __post_init__(self):
-        if self.num_steps < 0 or self.damping < 0:
-            raise ValueError("num_steps and damping must be non-negative")
 
 
 @dataclass(frozen=True)
 class PoseEstimate:
     """Solver output for one frame.
 
-    ``increment`` is the last Gauss-Newton twist (rotation part first) taken
-    from ``base_pose``; ``pose`` equals the exp of the increment applied to
-    ``base_pose`` on the left. ``inliers`` indexes the correspondences the
-    estimate was solved from.
+    ``pose`` is one Gauss-Newton step on the ``inliers`` taken from
+    ``base_pose`` (the two are equal for an estimate that took no step);
+    ``inliers`` indexes the correspondences the estimate was solved from.
     """
 
     pose: PoseSE3
     inliers: np.ndarray
     rms_reprojection_error: float
-    increment: np.ndarray
     base_pose: PoseSE3
-    gn_damping: float = 1e-9
 
     def __post_init__(self):
-        inl = np.array(self.inliers, dtype=bool)
-        inc = np.array(self.increment, dtype=np.float64)
-        if inc.shape != (6,):
-            raise ValueError(f"increment must be a 6-twist, got {inc.shape}")
-        object.__setattr__(self, "inliers", _freeze(inl))
-        object.__setattr__(self, "increment", _freeze(inc))
+        object.__setattr__(self, "inliers", _freeze(np.array(self.inliers, dtype=bool)))
 
 
 # ---------------------------------------------------------------------------
 # focal estimation
 
 
-def estimate_focal_weiszfeld(
-    pm: Pointmap, grid: PixelGrid, iterations: int = 10
-) -> Intrinsics:
+def estimate_focal_weiszfeld(pm: Pointmap, grid: PixelGrid) -> Intrinsics:
     """Recover a shared focal length from an anchor self-view pointmap.
 
     Minimizes the robust objective sum_n ||u_n - f * q_n|| over f, where
@@ -193,7 +160,7 @@ def estimate_focal_weiszfeld(
     if denom < 1e-12:
         raise DegenerateGeometry("all rays are axial; focal unobservable")
     f = uq.sum() / denom
-    for _ in range(iterations):
+    for _ in range(WEISZFELD_ITERATIONS):
         res = np.linalg.norm(u - f * q, axis=1)
         w = 1.0 / np.maximum(res, WEISZFELD_FLOOR)
         f = (w * uq).sum() / (w * qq).sum()
@@ -224,11 +191,9 @@ def _reproj_errors_many(
     return err
 
 
-def _reproj_errors(
-    rotation: np.ndarray, translation: np.ndarray, K: Intrinsics, corr: Correspondences2D3D
-) -> np.ndarray:
+def _reproj_errors(pose: PoseSE3, K: Intrinsics, corr: Correspondences2D3D) -> np.ndarray:
     """Per-pair reprojection distance; +inf where depth is non-positive."""
-    return _reproj_errors_many(rotation[None], translation[None], K, corr)[0]
+    return _reproj_errors_many(pose.rotation[None], pose.translation[None], K, corr)[0]
 
 
 def _dlt_poses(points: np.ndarray, norm_pix: np.ndarray):
@@ -370,17 +335,18 @@ def _minimal_poses(points: np.ndarray, norm_pix: np.ndarray):
     return R, t, ok
 
 
-def _iterations_needed(ratio: float, cfg: RansacConfig) -> int:
-    """Draws that contain an all-inlier sample with probability ``cfg.confidence``
-    at inlier ratio ``ratio``, capped at ``cfg.max_iterations``."""
-    hit = ratio**cfg.min_sample
+def _iterations_needed(ratio: float) -> int:
+    """Draws that contain an all-inlier sample with probability
+    ``RANSAC_CONFIDENCE`` at inlier ratio ``ratio``, capped at
+    ``RANSAC_MAX_ITERATIONS``."""
+    hit = ratio**MIN_SAMPLE
     if hit >= 1.0:
         return 0
     if hit <= 0.0:
-        return cfg.max_iterations
+        return RANSAC_MAX_ITERATIONS
     # log1p keeps a tiny hit rate from rounding 1 - hit to 1, a zero divisor
-    bound = np.ceil(np.log(1.0 - cfg.confidence) / np.log1p(-hit))
-    return int(min(bound, cfg.max_iterations))
+    bound = np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log1p(-hit))
+    return int(min(bound, RANSAC_MAX_ITERATIONS))
 
 
 def solve_pnp_ransac(
@@ -398,8 +364,8 @@ def solve_pnp_ransac(
     get a fair number of draws.
     """
     n = len(corr)
-    if n < cfg.min_sample:
-        raise TooFewCorrespondences(f"{n} < minimal sample {cfg.min_sample}")
+    if n < MIN_SAMPLE:
+        raise TooFewCorrespondences(f"{n} < minimal sample {MIN_SAMPLE}")
     rng = np.random.default_rng(cfg.seed)
     norm_pix = (corr.pixels - np.array([K.cx, K.cy])) / K.focal
     scored = corr
@@ -407,8 +373,8 @@ def solve_pnp_ransac(
         scored = corr.subset(np.arange(PREEMPTIVE_SUBSET) * n // PREEMPTIVE_SUBSET)
     best_pose = None
     best_count = 0
-    min_iters = min(32, cfg.max_iterations)
-    needed = cfg.max_iterations
+    min_iters = 32
+    needed = RANSAC_MAX_ITERATIONS
     it = 0
     # draws stay one seeded sample at a time; a batch holds at most
     # min_iters of the draws the bound still allows, and is cut short when
@@ -416,12 +382,12 @@ def solve_pnp_ransac(
     while it < max(min_iters, needed):
         batch = min(min_iters, max(min_iters, needed) - it)
         idx = np.stack(
-            [rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(batch)]
+            [rng.choice(n, size=MIN_SAMPLE, replace=False) for _ in range(batch)]
         )
         R, t, ok = _minimal_poses(corr.points[idx], norm_pix[idx])
         counts = np.zeros(batch, dtype=int)
         if ok.any():
-            inl = _reproj_errors_many(R[ok], t[ok], K, scored) < cfg.inlier_threshold
+            inl = _reproj_errors_many(R[ok], t[ok], K, scored) < INLIER_THRESHOLD
             counts[ok] = inl.sum(axis=1)
         for j in range(batch):
             if it >= max(min_iters, needed):
@@ -430,32 +396,25 @@ def solve_pnp_ransac(
             if counts[j] > best_count:
                 best_count = int(counts[j])
                 best_pose = PoseSE3(R[j], t[j])
-                needed = _iterations_needed(best_count / len(scored), cfg)
+                needed = _iterations_needed(best_count / len(scored))
     best_mask = np.zeros(n, dtype=bool)
     if best_pose is not None:
-        best_mask = _reproj_errors(best_pose.rotation, best_pose.translation, K, corr)
-        best_mask = best_mask < cfg.inlier_threshold
-    if int(best_mask.sum()) < cfg.min_sample:
+        best_mask = _reproj_errors(best_pose, K, corr) < INLIER_THRESHOLD
+    if int(best_mask.sum()) < MIN_SAMPLE:
         raise NoConsensus(f"best consensus {int(best_mask.sum())} of {n}")
     pose = _polish(corr.subset(best_mask), K, best_pose)
-    err = _reproj_errors(pose.rotation, pose.translation, K, corr)
-    inliers = err < cfg.inlier_threshold
-    if int(inliers.sum()) < cfg.min_sample:
+    err = _reproj_errors(pose, K, corr)
+    inliers = err < INLIER_THRESHOLD
+    if int(inliers.sum()) < MIN_SAMPLE:
         inliers = best_mask
     rms = float(np.sqrt(np.mean(err[inliers] ** 2)))
-    return PoseEstimate(
-        pose=pose,
-        inliers=inliers,
-        rms_reprojection_error=rms,
-        increment=np.zeros(6),
-        base_pose=pose,
-    )
+    return PoseEstimate(pose=pose, inliers=inliers, rms_reprojection_error=rms, base_pose=pose)
 
 
 def _polish(sub: Correspondences2D3D, K: Intrinsics, pose: PoseSE3) -> PoseSE3:
     """Gauss-Newton on the consensus set, started from the RANSAC winner."""
     for _ in range(10):
-        delta = _gn_terms(pose, sub, K, damping=1e-9)[0]
+        delta = _gn_terms(pose, sub, K)[0]
         pose = _apply_increment(delta, pose)
         if np.linalg.norm(delta) < 1e-14:
             break
@@ -476,25 +435,24 @@ def _projection_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics):
     """Pinhole terms of every pair at a pose, Jacobian in closed form.
 
     Returns ``(xn, yn, w, inv_z, f_z, J, r)``: the normalized coordinates
-    x/z and y/z of the camera points, the weights, 1/z, focal/z, the (m, 2, 6)
-    Jacobian of the residual with respect to a left twist (rotation part
-    first) and the (m, 2) residual pixel - projection. ``J`` and ``r`` are
-    views of (6, 2, m) and (2, m) arrays, so each Jacobian entry is one
-    contiguous row. Pairs with non-positive depth get zero weight, inverse
-    depth and Jacobian rows, so they drop out of the normal equations
-    without disturbing array shapes.
+    x/z and y/z of the camera points, the visible mask w (positive depth),
+    1/z, focal/z, the (m, 2, 6) Jacobian of the residual with respect to a
+    left twist (rotation part first) and the (m, 2) residual pixel -
+    projection. ``J`` and ``r`` are views of (6, 2, m) and (2, m) arrays, so
+    each Jacobian entry is one contiguous row. Pairs with non-positive depth
+    get zero inverse depth and Jacobian rows and are masked out of the
+    normal equations without disturbing array shapes.
     """
-    (xn, yn), _, inv_z, usable = (
+    (xn, yn), _, inv_z, w = (
         a[0] for a in project_points(pose.rotation[None], pose.translation[None], corr.points.T)
     )
-    if not usable.any():
+    if not w.any():
         raise DegenerateGeometry("all correspondences behind the camera")
-    w = corr.effective_weights() * usable
     f = K.focal
     f_z = f * inv_z
     r = np.stack([corr.pixels[:, 0] - (f * xn + K.cx), corr.pixels[:, 1] - (f * yn + K.cy)])
     # d(f*x/z, f*y/z) / d(omega, v) for Y -> Y + omega x Y + v, negated
-    fu = f * usable
+    fu = f * w
     fxy = fu * xn * yn
     Jt = np.empty((6, 2, len(corr)))
     Jt[0, 0] = fxy
@@ -512,7 +470,7 @@ def _projection_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics):
     return xn, yn, w, inv_z, f_z, Jt.transpose(2, 1, 0), r.T
 
 
-def _gn_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics, damping: float):
+def _gn_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics):
     """One damped Gauss-Newton increment and its normal-equation pieces."""
     terms = _projection_terms(pose, corr, K)
     w, J, r = terms[2], terms[5], terms[6]
@@ -520,7 +478,7 @@ def _gn_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics, damping: 
     Jk = J.transpose(2, 1, 0).reshape(6, -1)
     wJ = Jk * np.tile(w, 2)
     H0 = wJ @ Jk.T
-    eps = damping * np.trace(H0) / 6.0
+    eps = GN_DAMPING * np.trace(H0) / 6.0
     H = H0 + eps * np.eye(6)
     g = wJ @ r.T.reshape(-1)
     try:
@@ -532,15 +490,13 @@ def _gn_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics, damping: 
 
 
 def gauss_newton_refine(
-    detached: PoseEstimate,
-    corr: Correspondences2D3D,
-    K: Intrinsics,
-    cfg: GNConfig = GNConfig(),
+    detached: PoseEstimate, corr: Correspondences2D3D, K: Intrinsics
 ) -> PoseEstimate:
-    """Refine a detached pose by damped Gauss-Newton steps on the inliers.
+    """Refine a detached pose by one damped Gauss-Newton step on its inliers.
 
-    The returned estimate records the final step's base pose and twist
-    increment; that last step is the differentiable part of the solve.
+    Only ``detached.pose`` and ``detached.inliers`` are read. The returned
+    estimate records the step's base pose; the step is the differentiable
+    part of the solve.
     """
     mask = detached.inliers
     if mask.shape[0] != len(corr):
@@ -548,23 +504,10 @@ def gauss_newton_refine(
     if int(mask.sum()) < 3:
         raise TooFewCorrespondences(f"{int(mask.sum())} inliers")
     sub = corr.subset(mask)
-    pose = detached.pose
-    base = pose
-    delta = np.zeros(6)
-    for _ in range(cfg.num_steps):
-        base = pose
-        delta = _gn_terms(base, sub, K, cfg.damping)[0]
-        pose = _apply_increment(delta, base)
-    err = _reproj_errors(pose.rotation, pose.translation, K, sub)
-    rms = float(np.sqrt(np.mean(err**2)))
-    return PoseEstimate(
-        pose=pose,
-        inliers=mask,
-        rms_reprojection_error=rms,
-        increment=delta,
-        base_pose=base,
-        gn_damping=cfg.damping,
-    )
+    base = detached.pose
+    pose = _apply_increment(_gn_terms(base, sub, K)[0], base)
+    rms = float(np.sqrt(np.mean(_reproj_errors(pose, K, sub) ** 2)))
+    return PoseEstimate(pose=pose, inliers=mask, rms_reprojection_error=rms, base_pose=base)
 
 
 def pose_gradient_wrt_points(
@@ -577,15 +520,15 @@ def pose_gradient_wrt_points(
 
     Args:
         detached: estimate from ``gauss_newton_refine``; its base pose is
-            treated as a constant, only the final increment is live.
+            treated as a constant, only the Gauss-Newton increment is live.
         corr: the same correspondences the estimate was refined on.
         K: intrinsics.
         upstream: (dL/dR, dL/dT) of a scalar loss with respect to the
             refined pose entries, shapes (3, 3) and (3,).
 
     Returns:
-        (N, 3) array dL/dX; rows outside the inlier set (or with zero weight
-        or non-positive depth at the base pose) are zero.
+        (N, 3) array dL/dX; rows outside the inlier set (or with
+        non-positive depth at the base pose) are zero.
     """
     grad_R = np.asarray(upstream[0], dtype=np.float64)
     grad_T = np.asarray(upstream[1], dtype=np.float64)
@@ -593,8 +536,7 @@ def pose_gradient_wrt_points(
         raise ValueError("upstream must be (3,3) rotation and (3,) translation grads")
     mask = detached.inliers
     base = detached.base_pose
-    damping = detached.gn_damping
-    delta, H, (xn, yn, w, inv_z, f_z, J, r) = _gn_terms(base, corr.subset(mask), K, damping)
+    delta, H, (xn, yn, w, inv_z, f_z, J, r) = _gn_terms(base, corr.subset(mask), K)
 
     # pose = exp(delta) o base: pull the pose gradient back to the twist
     G_E = grad_R @ base.rotation.T + np.outer(grad_T, base.translation)
@@ -605,11 +547,11 @@ def pose_gradient_wrt_points(
     # delta = -H^{-1} g
     grad_g = -np.linalg.solve(H, grad_delta)
     grad_H = np.outer(grad_g, delta)
-    grad_H0 = grad_H + (damping / 6.0) * np.trace(grad_H) * np.eye(6)
+    grad_H0 = grad_H + (GN_DAMPING / 6.0) * np.trace(grad_H) * np.eye(6)
     S = grad_H0 + grad_H0.T
 
-    # g = sum w J^T r and H0 = sum w J^T J; every term carries w, so rows of
-    # zero weight (and of non-positive depth) get exactly zero gradient.
+    # g = sum w J^T r and H0 = sum w J^T J; every term carries the visible
+    # mask w, so rows of non-positive depth get exactly zero gradient.
     # G[k, i] is dL/dJ[:, i, k] and grad_r[i] is dL/dr[:, i]
     m = w.shape[0]
     Jk = J.transpose(2, 1, 0).reshape(6, -1)
@@ -660,7 +602,6 @@ def solve_cameras_for_video(
     recon_pointmaps: list[Pointmap],
     grid: PixelGrid,
     ransac: RansacConfig = RansacConfig(),
-    gn: GNConfig = GNConfig(),
 ) -> tuple[Intrinsics, list[PoseEstimate]]:
     """Shared intrinsics and per-frame world-to-camera poses for a video.
 
@@ -685,17 +626,10 @@ def solve_cameras_for_video(
             corr, _ = correspondences_from_pointmap(pm, grid)
             if j == 0:
                 pose = PoseSE3.identity()
-                err = _reproj_errors(pose.rotation, pose.translation, K, corr)
-                return PoseEstimate(
-                    pose=pose,
-                    inliers=np.ones(len(corr), dtype=bool),
-                    rms_reprojection_error=float(np.sqrt(np.mean(err**2))),
-                    increment=np.zeros(6),
-                    base_pose=pose,
-                    gn_damping=gn.damping,
-                )
-            coarse = solve_pnp_ransac(corr, K, replace(ransac, seed=ransac.seed + j))
-            return gauss_newton_refine(coarse, corr, K, gn)
+                rms = float(np.sqrt(np.mean(_reproj_errors(pose, K, corr) ** 2)))
+                return PoseEstimate(pose, np.ones(len(corr), dtype=bool), rms, pose)
+            coarse = solve_pnp_ransac(corr, K, RansacConfig(ransac.seed + j))
+            return gauss_newton_refine(coarse, corr, K)
         except WorldTrackError as exc:
             raise exc.with_frame(j)
 

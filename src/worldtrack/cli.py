@@ -17,14 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, camera
 from .bench import DEFAULT_WINDOW, eval_recon, eval_tracking, subsample_queries
-from .camera import GNConfig, RansacConfig, solve_cameras_for_video
+from .camera import RansacConfig, solve_cameras_for_video
 from .errors import WorldTrackError
 from .geometry import PixelGrid, TrackSet, assemble_trajectories
 from .gradcheck import run_all
 from .losses import AdaptState, LossWeights, tta_optimize
 from .oracle import (
+    MIN_GRID,
     PRESETS,
     SceneSpec,
     corrupt,
@@ -70,9 +71,7 @@ def cmd_solve_camera(args) -> int:
     seq = load_sequence(args.seq)
     first = seq.recon_pointmaps[0]
     grid = PixelGrid.create(first.width, first.height)
-    ransac = RansacConfig(seed=args.seed)
-    gn = GNConfig()
-    K, estimates = solve_cameras_for_video(seq.recon_pointmaps, grid, ransac, gn)
+    K, estimates = solve_cameras_for_video(seq.recon_pointmaps, grid, RansacConfig(args.seed))
     frames = []
     for j, est in enumerate(estimates):
         frames.append(
@@ -91,13 +90,13 @@ def cmd_solve_camera(args) -> int:
         "cx": K.cx,
         "cy": K.cy,
         "solver": {
-            "max_iterations": ransac.max_iterations,
-            "inlier_threshold": ransac.inlier_threshold,
-            "min_sample": ransac.min_sample,
-            "confidence": ransac.confidence,
-            "seed": ransac.seed,
-            "gn_damping": gn.damping,
-            "gn_steps": gn.num_steps,
+            "max_iterations": camera.RANSAC_MAX_ITERATIONS,
+            "inlier_threshold": camera.INLIER_THRESHOLD,
+            "min_sample": camera.MIN_SAMPLE,
+            "confidence": camera.RANSAC_CONFIDENCE,
+            "seed": args.seed,
+            "gn_damping": camera.GN_DAMPING,
+            "gn_steps": 1,
         },
         "frames": frames,
     }
@@ -200,24 +199,25 @@ def cmd_check_grads(args) -> int:
     return 1 if failed else 0
 
 
-def _bounded(convert, positive: bool):
-    """An argparse type for a finite number, positive or non-negative."""
-    kind = "positive" if positive else "non-negative"
+def _bounded(convert, minimum=0, strict: bool = False):
+    """An argparse type for a finite number at least ``minimum``, or above
+    it when ``strict``."""
+    kind = f"{'above' if strict else 'at least'} {minimum}"
 
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a valid number: {text!r}") from None
-        if not np.isfinite(value) or value < 0 or (positive and value == 0):
-            raise argparse.ArgumentTypeError(f"must be a finite {kind} number, got {text!r}")
+        if not np.isfinite(value) or value < minimum or (strict and value == minimum):
+            raise argparse.ArgumentTypeError(f"must be a finite number {kind}, got {text!r}")
         return value
 
     return parse
 
 
-_positive, _non_negative = _bounded(float, True), _bounded(float, False)
-_positive_int, _count = _bounded(int, True), _bounded(int, False)
+_positive, _non_negative = _bounded(float, strict=True), _bounded(float)
+_positive_int, _count, _grid_size = _bounded(int, 1), _bounded(int), _bounded(int, MIN_GRID)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", help="generate a synthetic sequence")
     s.add_argument("--preset", choices=PRESETS, required=True)
-    s.add_argument("--width", type=_positive_int, default=64)
-    s.add_argument("--height", type=_positive_int, default=48)
+    s.add_argument("--width", type=_grid_size, default=64)
+    s.add_argument("--height", type=_grid_size, default=48)
     s.add_argument("--frames", type=_positive_int, default=24)
     s.add_argument("--focal", type=_positive, default=80.0)
     s.add_argument("--seed", type=int, default=0)
@@ -285,10 +285,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WorldTrackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (WorldTrackError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

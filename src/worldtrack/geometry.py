@@ -101,8 +101,8 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
-        if not (self.focal > 0.0 and np.isfinite(self.focal)):
-            raise ValueError(f"focal must be positive, got {self.focal}")
+        if not (self.focal > 0.0 and np.isfinite((self.focal, self.cx, self.cy)).all()):
+            raise ValueError(f"intrinsics must be finite with a positive focal, got {self}")
 
     def as_matrix(self) -> np.ndarray:
         return np.array(
@@ -128,9 +128,11 @@ class PoseSE3:
             raise ShapeMismatch(f"pose shapes {R.shape}, {t.shape}")
         err = np.abs(R.T @ R - np.eye(3)).max()
         det = np.linalg.det(R)
-        if err > ROT_TOL or abs(det - 1.0) > ROT_TOL:
+        # phrased so that a NaN fails it: NaN compares false
+        if not (err <= ROT_TOL and abs(det - 1.0) <= ROT_TOL and np.isfinite(t).all()):
             raise ValueError(
-                f"rotation not orthonormal: |R^T R - I|={err:.3e}, det={det:.12f}"
+                f"pose is not a finite rotation and translation: "
+                f"|R^T R - I|={err:.3e}, det={det:.12f}, translation={t}"
             )
         object.__setattr__(self, "rotation", _freeze(R))
         object.__setattr__(self, "translation", _freeze(t))

@@ -151,7 +151,6 @@ def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4)
 def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     """Adjoint of the final Gauss-Newton pose step versus differences."""
     rng = np.random.default_rng(seed)
-    gn = camera.GNConfig()
     worst = 0.0
     for _ in range(trials):
         K, true_pose, corr = make_pnp_instance(rng)
@@ -159,26 +158,19 @@ def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
             so3_exp(rng.normal(0, 0.01, 3)) @ true_pose.rotation,
             true_pose.translation + rng.normal(0, 0.01, 3),
         )
-        detached = camera.PoseEstimate(
-            pose=base,
-            inliers=np.ones(corr.pixels.shape[0], bool),
-            rms_reprojection_error=0.0,
-            increment=np.zeros(6),
-            base_pose=base,
-            gn_damping=gn.damping,
-        )
+        detached = camera.PoseEstimate(base, np.ones(corr.pixels.shape[0], bool), 0.0, base)
         upstream = (rng.normal(0, 1, (3, 3)), rng.normal(0, 1, 3))
 
         def scalar(points):
             est = camera.gauss_newton_refine(
-                detached, camera.Correspondences2D3D(corr.pixels, points), K, gn
+                detached, camera.Correspondences2D3D(corr.pixels, points), K
             )
             return float(
                 np.sum(upstream[0] * est.pose.rotation)
                 + upstream[1] @ est.pose.translation
             )
 
-        est = camera.gauss_newton_refine(detached, corr, K, gn)
+        est = camera.gauss_newton_refine(detached, corr, K)
         grad = camera.pose_gradient_wrt_points(est, corr, K, upstream)
         for n in rng.choice(corr.pixels.shape[0], 3, replace=False):
             for d in range(3):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .camera import (
-    GNConfig,
     PoseEstimate,
     RansacConfig,
     correspondences_from_pointmap,  # noqa: F401  (perfbench traces this binding)
@@ -51,6 +50,8 @@ from .geometry import (
 log = logging.getLogger(__name__)
 
 RADIUS_FLOOR = 1e-8
+# adaptation stops once a step's total exceeds this multiple of the first
+DIVERGENCE_FACTOR = 10.0
 
 
 def _as_pose(pose_like) -> PoseSE3:
@@ -621,42 +622,36 @@ def tta_optimize(
     sup: TrackSupervision,
     mono: DepthSupervision,
     weights: LossWeights = LossWeights(),
-    ransac: RansacConfig | None = None,
-    gn: GNConfig = GNConfig(),
-    grid: PixelGrid | None = None,
-    cosine_decay: bool = False,
-    divergence_factor: float = 10.0,
 ) -> tuple[AdaptState, list[LossBreakdown]]:
     """Plain gradient descent on the tracking pointmaps.
 
     With freeze_recon the cameras are solved once from the reconstruction
     pointmaps and held fixed, and the reconstruction side is returned
     untouched. Otherwise the reconstruction pointmaps are optimized too:
-    poses are re-solved every step (full RANSAC once, then a warm-started
-    Gauss-Newton re-refinement) and the loss gradient flows into the
-    reconstruction points through the final GN increment.
+    poses are re-solved every step (full RANSAC once, seeded by
+    ``state.seed``, then one warm-started Gauss-Newton step) and the loss
+    gradient flows into the reconstruction points through that GN increment.
 
     The points live in two (T, 3, H*W) arrays for the whole run (the valid
     masks are fixed); pointmaps are built once, from the final arrays.
     Non-finite points or loss totals, or a total above
-    ``divergence_factor`` times the first, raise ``DivergenceDetected``.
+    ``DIVERGENCE_FACTOR`` times the first, raise ``DivergenceDetected``.
 
     The trace holds one entry per evaluated step plus a final evaluation
     after the last update; zero steps returns the state unchanged with an
     empty trace.
     """
     T = len(state.tracking_params)
-    if grid is None:
-        first = state.tracking_params[0]
-        grid = PixelGrid.create(first.width, first.height)
-    if ransac is None:
-        ransac = RansacConfig(seed=state.seed)
     if state.steps < 0:
         raise ValueError(f"steps must be non-negative, got {state.steps}")
     if state.steps == 0:
         return state, []
 
-    K, estimates = solve_cameras_for_video(state.recon_pointmaps, grid, ransac, gn)
+    first = state.tracking_params[0]
+    grid = PixelGrid.create(first.width, first.height)
+    K, estimates = solve_cameras_for_video(
+        state.recon_pointmaps, grid, RansacConfig(seed=state.seed)
+    )
     trk, rec, rec_valid, layout = _objective(
         state.tracking_params, state.recon_pointmaps, K, sup, mono, weights
     )
@@ -675,11 +670,7 @@ def tta_optimize(
         if not live:
             return estimates, None
         pairs = correspondences()
-        detached = (
-            replace(e, increment=np.zeros(6), base_pose=e.pose, gn_damping=gn.damping)
-            for e in estimates[1:]
-        )
-        refined = [gauss_newton_refine(e, corr, K, gn) for e, (corr, _) in zip(detached, pairs)]
+        refined = [gauss_newton_refine(e, corr, K) for e, (corr, _) in zip(estimates[1:], pairs)]
         return estimates[:1] + refined, pairs
 
     def evaluate(step, recon_grad):
@@ -697,19 +688,16 @@ def tta_optimize(
         breakdown, (g_trk, g_rec, g_R, g_T) = evaluate(step, live)
         trace.append(breakdown)
         initial_total = trace[0].total
-        if breakdown.total > divergence_factor * max(initial_total, 1e-30):
+        if breakdown.total > DIVERGENCE_FACTOR * max(initial_total, 1e-30):
             raise DivergenceDetected(
                 f"step {step}: total {breakdown.total:.3e} exceeds "
-                f"{divergence_factor}x initial {initial_total:.3e}"
+                f"{DIVERGENCE_FACTOR}x initial {initial_total:.3e}"
             )
-        lr = state.step_size
-        if cosine_decay:
-            lr *= 0.5 * (1.0 + np.cos(np.pi * step / state.steps))
-        g_trk *= lr / T
+        g_trk *= state.step_size / T
         trk -= g_trk
         if live:
             g_rec = _recon_gradient(g_rec, g_R, g_T, estimates, pairs, K)
-            g_rec *= lr
+            g_rec *= state.step_size
             rec -= g_rec
         # the next evaluation sets the peak memory: free the gradients first
         del g_trk, g_rec

@@ -39,6 +39,8 @@ PRESETS = (
     "degenerate-planar",
 )
 
+# the smallest image side a scene can be rendered at, in pixels
+MIN_GRID = 8
 STATIC_ID = -1
 CLAIM_TOL = 1e-9
 BEACON_CLEARANCE = 0.1
@@ -58,8 +60,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise UnknownPreset(f"{self.preset!r}; choose from {PRESETS}")
-        if self.width < 8 or self.height < 8:
-            raise ValueError("grid must be at least 8x8")
+        if self.width < MIN_GRID or self.height < MIN_GRID:
+            raise ValueError(f"grid must be at least {MIN_GRID}x{MIN_GRID}")
         if self.num_frames < 1:
             raise ValueError("need at least one frame")
         if self.focal <= 0:

@@ -92,14 +92,18 @@ def save_sequence(path, seq: RenderedSequence) -> None:
     _write_atomic(outdir / MANIFEST_NAME, payload.encode())
 
 
-def _get(indir: Path, arrays: dict, name: str) -> np.ndarray:
-    """The manifest's array ``name``; its entry is checked before the read."""
+def _get(indir: Path, arrays: dict, name: str, expect: tuple) -> np.ndarray:
+    """The manifest's array ``name``, of shape ``expect`` (None matches any
+    length); its entry is checked before the read."""
     try:
         entry = arrays[name]
         fname, dtype = entry["file"], np.dtype(entry["dtype"])
         shape = tuple(int(n) for n in entry["shape"])
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"{indir}: manifest entry {name!r} is missing or malformed") from None
+    if len(shape) != len(expect) or any(e not in (None, n) for e, n in zip(expect, shape)):
+        want = ", ".join("N" if e is None else str(e) for e in expect)
+        raise ValueError(f"{indir}: entry {name!r} has shape {list(shape)}, not [{want}]")
     if not isinstance(fname, str) or fname in ("", ".", "..") or Path(fname).name != fname:
         raise ValueError(f"{indir}: entry {name!r} names {fname!r}, not a file in the directory")
     raw = (indir / fname).read_bytes()
@@ -126,15 +130,16 @@ def load_sequence(path) -> RenderedSequence:
     arrays = manifest["arrays"]
     W, H, T = manifest["width"], manifest["height"], manifest["num_frames"]
 
-    tracking_raw = _get(indir, arrays, "tracking_pointmaps").astype(np.float64)
-    recon_raw = _get(indir, arrays, "recon_pointmaps").astype(np.float64)
-    depth = _get(indir, arrays, "depth").astype(np.float64)
-    tracks2d = _get(indir, arrays, "tracks2d").astype(np.float64)
-    tracks3d = _get(indir, arrays, "tracks3d").astype(np.float64)
-    visibility = _get(indir, arrays, "visibility").astype(bool)
-    dynamic_mask = _get(indir, arrays, "dynamic_mask").astype(bool)
-    f, cx, cy = _get(indir, arrays, "intrinsics").astype(np.float64)
-    cam_raw = _get(indir, arrays, "cameras").astype(np.float64)
+    tracking_raw = _get(indir, arrays, "tracking_pointmaps", (T, H, W, 3)).astype(np.float64)
+    recon_raw = _get(indir, arrays, "recon_pointmaps", (T, H, W, 3)).astype(np.float64)
+    depth = _get(indir, arrays, "depth", (T, H, W)).astype(np.float64)
+    tracks2d = _get(indir, arrays, "tracks2d", (None, T, 2)).astype(np.float64)
+    N = len(tracks2d)
+    tracks3d = _get(indir, arrays, "tracks3d", (N, T, 3)).astype(np.float64)
+    visibility = _get(indir, arrays, "visibility", (N, T)).astype(bool)
+    dynamic_mask = _get(indir, arrays, "dynamic_mask", (H, W)).astype(bool)
+    f, cx, cy = _get(indir, arrays, "intrinsics", (3,)).astype(np.float64)
+    cam_raw = _get(indir, arrays, "cameras", (T, 3, 4)).astype(np.float64)
 
     def from_stack(stack, content_of, time_of):
         out = []
@@ -146,7 +151,11 @@ def load_sequence(path) -> RenderedSequence:
 
     tracking = from_stack(tracking_raw, lambda j: 0, lambda j: j)
     recon = from_stack(recon_raw, lambda j: j, lambda j: j)
-    cameras = [PoseSE3(cam_raw[j, :, :3], cam_raw[j, :, 3]) for j in range(T)]
+    try:
+        intrinsics = Intrinsics(float(f), float(cx), float(cy))
+        cameras = [PoseSE3(cam_raw[j, :, :3], cam_raw[j, :, 3]) for j in range(T)]
+    except ValueError as exc:
+        raise ValueError(f"{indir}: {exc}") from None
 
     # per-track dynamic flags come from the anchor-grid mask at each query
     q = tracks2d[:, 0]
@@ -156,7 +165,7 @@ def load_sequence(path) -> RenderedSequence:
 
     return RenderedSequence(
         spec=SceneSpec(**manifest["spec"]),
-        intrinsics=Intrinsics(float(f), float(cx), float(cy)),
+        intrinsics=intrinsics,
         cameras=cameras,
         tracking_pointmaps=tracking,
         recon_pointmaps=recon,

@@ -23,7 +23,7 @@ from worldtrack.bench import (
     eval_tracking,
     umeyama_sim3_align,
 )
-from worldtrack.camera import GNConfig, RansacConfig, solve_cameras_for_video
+from worldtrack.camera import RansacConfig, solve_cameras_for_video
 from worldtrack.cli import main as cli_main
 from worldtrack.geometry import (
     PixelGrid,
@@ -144,9 +144,7 @@ def test_05_camera_round_trip_on_all_presets():
             seq = generate_sequence(
                 SceneSpec(preset, width=64, height=48, num_frames=64, focal=80.0, seed=2)
             )
-            K, ests = solve_cameras_for_video(
-                seq.recon_pointmaps, grid, RansacConfig(seed=0), GNConfig()
-            )
+            K, ests = solve_cameras_for_video(seq.recon_pointmaps, grid, RansacConfig(seed=0))
             elapsed = time.perf_counter() - t0
             assert abs(K.focal - 80.0) / 80.0 < 1e-3, f"{preset}: focal {K.focal}"
             for est, cam in zip(ests, seq.cameras):

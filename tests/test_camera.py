@@ -3,9 +3,10 @@ import pytest
 from conftest import make_pnp_instance, random_pose
 
 from worldtrack.camera import (
+    GN_DAMPING,
     PREEMPTIVE_SUBSET,
+    RANSAC_MAX_ITERATIONS,
     Correspondences2D3D,
-    GNConfig,
     PoseEstimate,
     RansacConfig,
     _apply_increment,
@@ -159,24 +160,21 @@ def test_pnp_error_cases():
     K, _, corr = make_pnp_instance(rng, n=5)
     with pytest.raises(TooFewCorrespondences):
         solve_pnp_ransac(corr, K)
-    with pytest.raises(ValueError):
-        RansacConfig(min_sample=5)
     # all points behind every hypothesis: no consensus possible
     K2, pose2, corr2 = make_pnp_instance(rng, n=12)
     behind = Correspondences2D3D(corr2.pixels, pose2.inverse().apply(
         backproject(K2, corr2.pixels, -np.abs(np.random.default_rng(0).uniform(1, 3, 12)))
     ))
     with pytest.raises(NoConsensus):
-        solve_pnp_ransac(behind, K2, RansacConfig(max_iterations=16))
+        solve_pnp_ransac(behind, K2)
 
 
 def test_ransac_bound_survives_tiny_inlier_ratio():
-    cfg = RansacConfig(max_iterations=256)
     # ratio**6 = 1e-18 rounds 1 - hit to 1, which once gave log(1) = 0
-    assert _iterations_needed(1e-3, cfg) == cfg.max_iterations
-    assert _iterations_needed(0.0, cfg) == cfg.max_iterations
-    assert _iterations_needed(1.0, cfg) == 0
-    assert _iterations_needed(0.9, cfg) == int(np.ceil(np.log(1e-3) / np.log(1 - 0.9**6)))
+    assert _iterations_needed(1e-3) == RANSAC_MAX_ITERATIONS == 256
+    assert _iterations_needed(0.0) == RANSAC_MAX_ITERATIONS
+    assert _iterations_needed(1.0) == 0
+    assert _iterations_needed(0.9) == int(np.ceil(np.log(1e-3) / np.log(1 - 0.9**6)))
 
 
 def test_pnp_preemptive_scoring_on_large_instance():
@@ -318,25 +316,27 @@ def test_pnp_on_noisy_plane():
 def perturbed_estimate(pose: PoseSE3, corr, rng, scale=0.03) -> PoseEstimate:
     twist = rng.normal(size=6) * scale
     rough = _apply_increment(twist, pose)
-    return PoseEstimate(
-        pose=rough,
-        inliers=np.ones(len(corr), dtype=bool),
-        rms_reprojection_error=np.nan,
-        increment=np.zeros(6),
-        base_pose=rough,
-    )
+    return PoseEstimate(rough, np.ones(len(corr), dtype=bool), np.nan, rough)
+
+
+def refine_steps(est: PoseEstimate, corr, K, steps: int) -> PoseEstimate:
+    """Chain single Gauss-Newton steps, each from the previous pose."""
+    for _ in range(steps):
+        est = gauss_newton_refine(est, corr, K)
+    return est
 
 
 def test_gn_converges_on_clean_data():
     rng = np.random.default_rng(3)
     K, pose, corr = make_pnp_instance(rng, n=40)
     detached = perturbed_estimate(pose, corr, rng)
-    est = gauss_newton_refine(detached, corr, K, GNConfig(num_steps=6))
+    est = refine_steps(detached, corr, K, 6)
     ang, dt = pose_errors(est.pose, pose)
     assert ang < 1e-9 and dt < 1e-9
     assert est.rms_reprojection_error < 1e-10
-    # stored increment and base reproduce the pose
-    again = _apply_increment(est.increment, est.base_pose)
+    # the step from the stored base reproduces the pose
+    delta = _gn_terms(est.base_pose, corr.subset(est.inliers), K)[0]
+    again = _apply_increment(delta, est.base_pose)
     assert np.allclose(again.rotation, est.pose.rotation, atol=1e-15)
     assert np.allclose(again.translation, est.pose.translation, atol=1e-15)
 
@@ -346,17 +346,10 @@ def test_gn_steps_do_not_increase_residuals():
     for _ in range(10):
         K, pose, corr = make_pnp_instance(rng, n=30)
         est = perturbed_estimate(pose, corr, rng, scale=0.05)
-        prev = np.sum(_reproj_errors(est.pose.rotation, est.pose.translation, K, corr) ** 2)
-        cur_pose = est.pose
+        prev = np.sum(_reproj_errors(est.pose, K, corr) ** 2)
         for _ in range(4):
-            refined = gauss_newton_refine(
-                PoseEstimate(cur_pose, est.inliers, np.nan, np.zeros(6), cur_pose),
-                corr, K, GNConfig(num_steps=1),
-            )
-            cur_pose = refined.pose
-            cost = np.sum(
-                _reproj_errors(cur_pose.rotation, cur_pose.translation, K, corr) ** 2
-            )
+            est = gauss_newton_refine(est, corr, K)
+            cost = np.sum(_reproj_errors(est.pose, K, corr) ** 2)
             assert cost <= prev * (1 + 1e-12)
             prev = cost
 
@@ -365,8 +358,8 @@ def test_gn_first_order_optimality():
     rng = np.random.default_rng(6)
     K, pose, corr = make_pnp_instance(rng, n=35)
     detached = perturbed_estimate(pose, corr, rng)
-    est = gauss_newton_refine(detached, corr, K, GNConfig(num_steps=8))
-    _, _, (_, _, w, _, _, J, r) = _gn_terms(est.pose, corr, K, damping=1e-9)
+    est = refine_steps(detached, corr, K, 8)
+    _, _, (_, _, w, _, _, J, r) = _gn_terms(est.pose, corr, K)
     grad = np.einsum("n,nij,ni->j", w, J, r)
     assert np.abs(grad).max() < 1e-6
 
@@ -379,10 +372,7 @@ def test_projection_jacobian_matches_central_differences():
     cam = pose.apply(pts)
     cam[:3, 2] *= -1.0
     cam[3, 2] = 0.0
-    pts = pose.inverse().apply(cam)
-    w = np.ones(30)
-    w[4:7] = 0.0
-    corr = Correspondences2D3D(corr.pixels, pts, w)
+    corr = Correspondences2D3D(corr.pixels, pose.inverse().apply(cam))
     _, _, wt, _, _, J, r = _projection_terms(pose, corr, K)
     h = 1e-6
     fd = np.zeros_like(J)
@@ -392,21 +382,11 @@ def test_projection_jacobian_matches_central_differences():
         hi = _projection_terms(_apply_increment(step, pose), corr, K)[6]
         lo = _projection_terms(_apply_increment(-step, pose), corr, K)[6]
         fd[:, :, k] = (hi - lo) / (2 * h)
-    front = np.arange(4, 30)  # zero-weight rows 4-6 included
+    front = np.arange(4, 30)
     scale = np.abs(J[front]).max()
     assert np.abs(J[front] - fd[front]).max() < 1e-6 * scale
-    assert np.all(J[:4] == 0.0) and np.all(wt[:4] == 0.0)
-    assert np.all(wt[4:7] == 0.0) and np.all(wt[7:] == 1.0)
+    assert np.all(J[:4] == 0.0) and not wt[:4].any() and wt[4:].all()
     assert r.shape == (30, 2) and np.isfinite(r).all()
-
-
-def test_gn_huge_damping_freezes_pose():
-    rng = np.random.default_rng(7)
-    K, pose, corr = make_pnp_instance(rng, n=25)
-    detached = perturbed_estimate(pose, corr, rng)
-    est = gauss_newton_refine(detached, corr, K, GNConfig(damping=1e15))
-    assert np.linalg.norm(est.increment) < 1e-12
-    assert np.allclose(est.pose.rotation, detached.pose.rotation, atol=1e-12)
 
 
 # ---- differentiable increment ----
@@ -417,7 +397,7 @@ def linear_pose_loss(gR, gT):
     return value
 
 
-def fd_point_gradient(detached, corr, K, cfg, loss, idx, h=1e-5):
+def fd_point_gradient(detached, corr, K, loss, idx, h=1e-5):
     """Central differences through the full refine call, base pose fixed."""
     grads = np.zeros((len(idx), 3))
     for row, n in enumerate(idx):
@@ -425,11 +405,11 @@ def fd_point_gradient(detached, corr, K, cfg, loss, idx, h=1e-5):
             shifted = np.array(corr.points)
             shifted[n, k] += h
             hi = loss(gauss_newton_refine(
-                detached, Correspondences2D3D(corr.pixels, shifted, corr.weights), K, cfg
+                detached, Correspondences2D3D(corr.pixels, shifted), K
             ).pose)
             shifted[n, k] -= 2 * h
             lo = loss(gauss_newton_refine(
-                detached, Correspondences2D3D(corr.pixels, shifted, corr.weights), K, cfg
+                detached, Correspondences2D3D(corr.pixels, shifted), K
             ).pose)
             grads[row, k] = (hi - lo) / (2 * h)
     return grads
@@ -437,16 +417,15 @@ def fd_point_gradient(detached, corr, K, cfg, loss, idx, h=1e-5):
 
 def test_pose_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
-    cfg = GNConfig(num_steps=1)
     worst = 0.0
     for trial in range(12):
         K, pose, corr = make_pnp_instance(rng, n=24)
         detached = perturbed_estimate(pose, corr, rng, scale=0.04)
-        est = gauss_newton_refine(detached, corr, K, cfg)
+        est = gauss_newton_refine(detached, corr, K)
         gR, gT = rng.normal(size=(3, 3)), rng.normal(size=3)
         analytic = pose_gradient_wrt_points(est, corr, K, (gR, gT))
         pick = rng.choice(len(corr), 5, replace=False)
-        fd = fd_point_gradient(detached, corr, K, cfg, linear_pose_loss(gR, gT), pick)
+        fd = fd_point_gradient(detached, corr, K, linear_pose_loss(gR, gT), pick)
         for row, n in enumerate(pick):
             denom = max(np.linalg.norm(fd[row]), 1e-8)
             rel = np.linalg.norm(analytic[n] - fd[row]) / denom
@@ -454,19 +433,24 @@ def test_pose_gradient_matches_finite_differences():
     assert worst < 1e-4, f"max relative error {worst:.3e}"
 
 
-def test_pose_gradient_zero_weight_and_non_inlier_rows():
+def behind_camera(pose: PoseSE3, corr, rows) -> Correspondences2D3D:
+    """The pairs with the given rows mirrored to negative depth under pose."""
+    cam = pose.apply(np.array(corr.points))
+    cam[rows, 2] *= -1.0
+    return Correspondences2D3D(corr.pixels, pose.inverse().apply(cam))
+
+
+def test_pose_gradient_behind_camera_and_non_inlier_rows():
     rng = np.random.default_rng(13)
     K, pose, corr = make_pnp_instance(rng, n=20)
-    w = np.ones(20)
-    w[3] = 0.0
-    weighted = Correspondences2D3D(corr.pixels, corr.points, w)
-    detached = perturbed_estimate(pose, weighted, rng)
+    corr = behind_camera(pose, corr, [3])
+    detached = perturbed_estimate(pose, corr, rng)
     mask = np.ones(20, dtype=bool)
     mask[7] = False
-    detached = PoseEstimate(detached.pose, mask, np.nan, np.zeros(6), detached.pose)
-    est = gauss_newton_refine(detached, weighted, K)
-    grads = pose_gradient_wrt_points(est, weighted, K, (rng.normal(size=(3, 3)), rng.normal(size=3)))
-    assert np.all(grads[3] == 0.0), "zero-weight row must carry no gradient"
+    detached = PoseEstimate(detached.pose, mask, np.nan, detached.pose)
+    est = gauss_newton_refine(detached, corr, K)
+    grads = pose_gradient_wrt_points(est, corr, K, (rng.normal(size=(3, 3)), rng.normal(size=3)))
+    assert np.all(grads[3] == 0.0), "a row behind the camera must carry no gradient"
     assert np.all(grads[7] == 0.0), "non-inlier row must carry no gradient"
     assert np.any(grads[0] != 0.0)
 
@@ -475,10 +459,10 @@ def pose_gradient_reference(est, corr, K, gR, gT):
     """The adjoint through the factored Jacobian J = -A B (A: d pixel / d Y,
     B: d Y / d twist), the form the closed-form adjoint must reproduce."""
     sub = corr.subset(est.inliers)
-    base, damping = est.base_pose, est.gn_damping
+    base, damping = est.base_pose, GN_DAMPING
     Y = sub.points @ base.rotation.T + base.translation
     x, y, z = Y.T
-    w = sub.effective_weights() * (z > 0)
+    w = (z > 0).astype(float)
     f = K.focal
     zero = np.zeros_like(z)
     A = np.stack([np.stack([f / z, zero, -f * x / z**2], 1),
@@ -517,16 +501,14 @@ def test_pose_gradient_matches_factored_reference():
     rng = np.random.default_rng(14)
     for _ in range(4):
         K, pose, corr = make_pnp_instance(rng, n=40)
-        w = rng.uniform(0.5, 2.0, 40)
-        w[5] = 0.0
-        weighted = Correspondences2D3D(corr.pixels, corr.points, w)
-        detached = perturbed_estimate(pose, weighted, rng, scale=0.05)
+        corr = behind_camera(pose, corr, [5])
+        detached = perturbed_estimate(pose, corr, rng, scale=0.05)
         mask = rng.random(40) > 0.2
-        detached = PoseEstimate(detached.pose, mask, np.nan, np.zeros(6), detached.pose)
-        est = gauss_newton_refine(detached, weighted, K, GNConfig(damping=1e-3))
+        detached = PoseEstimate(detached.pose, mask, np.nan, detached.pose)
+        est = gauss_newton_refine(detached, corr, K)
         gR, gT = rng.normal(size=(3, 3)), rng.normal(size=3)
-        got = pose_gradient_wrt_points(est, weighted, K, (gR, gT))
-        ref = pose_gradient_reference(est, weighted, K, gR, gT)
+        got = pose_gradient_wrt_points(est, corr, K, (gR, gT))
+        ref = pose_gradient_reference(est, corr, K, gR, gT)
         assert np.abs(got - ref).max() < 1e-9 * np.abs(ref).max()
 
 
@@ -587,17 +569,15 @@ def test_solve_cameras_attaches_frame_index():
 
 def test_internal_subsets_are_frozen_and_public_pairs_are_copied():
     rng = np.random.default_rng(33)
-    pix, pts, w = rng.uniform(0, 10, (8, 2)), rng.normal(size=(8, 3)), rng.uniform(size=8)
-    corr = Correspondences2D3D(pix, pts, w)
-    pix[0], pts[0], w[0] = -1.0, -1.0, -1.0
+    pix, pts = rng.uniform(0, 10, (8, 2)), rng.normal(size=(8, 3))
+    corr = Correspondences2D3D(pix, pts)
+    pix[0], pts[0] = -1.0, -1.0
     assert (corr.pixels[0] != -1.0).all() and (corr.points[0] != -1.0).all()
-    assert corr.weights[0] != -1.0
     keep = np.array([True, False] * 4)
     for sub in (corr.subset(keep), corr.subset(np.nonzero(keep)[0])):
         assert np.array_equal(sub.pixels, corr.pixels[keep])
         assert np.array_equal(sub.points, corr.points[keep])
-        assert np.array_equal(sub.weights, corr.weights[keep])
-        assert not any(a.flags.writeable for a in (sub.pixels, sub.points, sub.weights))
+        assert not any(a.flags.writeable for a in (sub.pixels, sub.points))
     with pytest.raises(ValueError):
         Correspondences2D3D(pix, pts[:5])
 

@@ -121,6 +121,13 @@ def test_missing_input_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_one(workdir, tmp_path, capsys):
+    code = main(["solve-camera", "--seq", str(workdir / "clean.seq"), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--preset", "no-such-preset", "--out", "x"])
@@ -152,7 +159,8 @@ def test_adapt_rejects_bad_step_size_and_weights(tmp_path, capsys, flag, value):
      ["adapt", "--seq", "{seq}", "--steps", "-1"],
      ["eval", "--pred", "{seq}", "--gt", "{seq}", "--window", "0"],
      ["eval", "--pred", "{seq}", "--gt", "{seq}", "--max-queries", "-5"],
-     ["check-grads", "--trials", "0"]],
+     ["check-grads", "--trials", "0"],
+     pytest.param(SYNTH + ["--width", "5"], id="synth--width-below-minimum")],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
 def test_usage_errors_exit_two_before_any_work(workdir, tmp_path, capsys, argv):

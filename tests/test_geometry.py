@@ -97,6 +97,22 @@ def test_pose_rejects_non_orthonormal():
         PoseSE3(R, np.zeros(3))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pose_and_intrinsics_reject_non_finite_values(bad):
+    R = np.eye(3)
+    R[1, 2] = bad
+    with pytest.raises(ValueError):
+        PoseSE3(R, np.zeros(3))
+    with pytest.raises(ValueError):
+        PoseSE3(np.full((3, 3), bad), np.zeros(3))
+    with pytest.raises(ValueError):
+        PoseSE3(np.eye(3), np.array([0.0, bad, 0.0]))
+    for args in ((bad, 32.0, 24.0), (80.0, bad, 24.0), (80.0, 32.0, bad)):
+        with pytest.raises(ValueError):
+            Intrinsics(*args)
+
+
 def test_pose_compose_inverse():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from worldtrack.camera import (
-    GNConfig,
-    PoseEstimate,
     RansacConfig,
     correspondences_from_points,
     gauss_newton_refine,
@@ -343,24 +341,13 @@ def test_total_loss_gradient_fd_through_pose():
     valid[5, 7] = False
     recon[1] = Pointmap(recon[1].points, valid, 0, 1, 1)
     weights = LossWeights()
-    gn = GNConfig()
-    _, estimates = solve_cameras_for_video(
-        recon, grid, RansacConfig(seed=5), gn
-    )
-    base = estimates[1]
-    detached = PoseEstimate(
-        pose=base.pose,
-        inliers=base.inliers,
-        rms_reprojection_error=base.rms_reprojection_error,
-        increment=np.zeros(6),
-        base_pose=base.pose,
-        gn_damping=gn.damping,
-    )
+    # the refine reads only the pose and inliers of the solved estimate
+    _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=5))
     trk, rec, rec_valid, layout = _objective(tracking, recon, K, sup, mono, weights)
 
     def evaluate(rec):
         pairs = [correspondences_from_points(rec[1].T, rec_valid[1], grid)]
-        ests = [estimates[0], gauss_newton_refine(detached, pairs[0][0], K, gn)]
+        ests = [estimates[0], gauss_newton_refine(estimates[1], pairs[0][0], K)]
         per_term, grads = _evaluate(layout, trk, rec, *_pose_stack(ests))
         return LossBreakdown.combine(per_term, weights).total, grads, ests, pairs
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from worldtrack.camera import GNConfig, RansacConfig, solve_cameras_for_video
+from worldtrack.camera import RansacConfig, solve_cameras_for_video
 from worldtrack.errors import EmptyRaster, UnknownPreset
 from worldtrack.geometry import PixelGrid, PoseSE3, TrackSet, _pixels
 from worldtrack.losses import total_loss
@@ -222,9 +222,7 @@ def test_occlusion_marks_tracks_invisible(sequences):
 def test_cameras_recoverable_from_recon(sequences, preset):
     seq = sequences[preset]
     grid = PixelGrid.create(SMALL["width"], SMALL["height"])
-    K, estimates = solve_cameras_for_video(
-        seq.recon_pointmaps, grid, RansacConfig(), GNConfig()
-    )
+    K, estimates = solve_cameras_for_video(seq.recon_pointmaps, grid, RansacConfig())
     assert abs(K.focal - SMALL["focal"]) / SMALL["focal"] < 1e-6
     for est, true in zip(estimates, seq.cameras):
         dR = est.pose.rotation @ true.rotation.T

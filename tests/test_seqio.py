@@ -126,6 +126,30 @@ def test_array_byte_length_mismatch_names_file(tmp_path, seq):
     assert "\n" not in str(exc.value)
 
 
+def test_array_shape_must_match_manifest_grid(tmp_path, seq):
+    # (T, W, H) holds as many bytes as (T, H, W): only the shape check stops it
+    save_sequence(tmp_path / "s", seq)
+    _edit_manifest(tmp_path / "s", lambda arrays: arrays["depth"].update(shape=[5, 24, 18]))
+    with pytest.raises(ValueError, match=r"'depth' has shape \[5, 24, 18\], not \[5, 18, 24\]"):
+        load_sequence(tmp_path / "s")
+
+
+@pytest.mark.parametrize("name, index", [("cameras", 1 * 12 + 3), ("intrinsics", 1)])
+def test_non_finite_camera_or_intrinsics_refused(tmp_path, seq, capsys, name, index):
+    from worldtrack.cli import main
+
+    save_sequence(tmp_path / "s", seq)
+    path = tmp_path / "s" / f"{name}.raw"
+    values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    values[index] = np.nan
+    path.write_bytes(values.tobytes())
+    with pytest.raises(ValueError, match="finite"):
+        load_sequence(tmp_path / "s")
+    assert main(["solve-camera", "--seq", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+
+
 def test_bad_manifest_exits_one_without_traceback(tmp_path, seq, capsys):
     from worldtrack.cli import main
 
