@@ -1,13 +1,14 @@
 """Camera recovery from per-frame pointmaps.
 
 The pipeline per frame is: robust focal estimation from the anchor
-pointmap (shared across the video), RANSAC PnP with a 6-point minimal
-solver, a non-differentiable Gauss-Newton polish on the consensus set, and
-one final damped Gauss-Newton step whose increment stays differentiable
-with respect to the 3D points. ``pose_gradient_wrt_points`` backpropagates
-an upstream pose gradient through that last increment. The solver has one
-configuration: its thresholds, iteration caps and damping are the module
-constants below, and only the RANSAC seed is chosen by the caller.
+pointmap (shared across the video), locally optimised RANSAC PnP with a
+6-point minimal solver and a non-differentiable Gauss-Newton polish, and
+one final damped Gauss-Newton step on the winner's inliers whose increment
+stays differentiable with respect to the 3D points.
+``pose_gradient_wrt_points`` backpropagates an upstream pose gradient
+through that last increment. The solver has one configuration: its
+thresholds, iteration caps and damping are the module constants below, and
+only the RANSAC seed is chosen by the caller.
 
 RANSAC draws its minimal samples one at a time from a seeded generator and
 solves each batch of draws together, as stacked SVDs. A sample whose centred
@@ -17,13 +18,18 @@ decomposing the homography between its plane and the image (Zhang, "A
 flexible new technique for camera calibration", TPAMI 2000). Hypotheses are
 scored preemptively (Nister, "Preemptive RANSAC", ICCV 2003): they are
 ranked by their inlier count on a fixed, evenly spaced subset of at most
-``PREEMPTIVE_SUBSET`` correspondences, whose inlier ratio also sets the
-confidence bound on the number of draws, and only the winner is scored on
-every correspondence. The polish starts Gauss-Newton from the winning
-minimal-sample pose on the winner's full consensus set. Gauss-Newton builds
-the closed-form 2x6 Jacobian rows of the pinhole projection and forms its
-normal equations as matrix products; the pose adjoint differentiates those
-closed-form rows directly.
+``PREEMPTIVE_SUBSET`` correspondences. Each hypothesis that beats the best
+count is optimised locally (Chum, Matas & Kittler, "Locally optimized
+RANSAC", DAGM 2003; with the capped least-squares sample of Lebeda, Matas &
+Chum, "Fixing the locally optimized RANSAC", BMVC 2012): Gauss-Newton
+polishes it on its consensus within that subset, and the polish and the
+re-count repeat while the count rises. The polished count is the best
+count, and its ratio sets the confidence bound on the number of draws.
+Only the winner is scored on every correspondence, once, and the final
+Gauss-Newton step is the only linearisation of the full set. Gauss-Newton
+builds the closed-form 2x6 Jacobian rows of the pinhole projection and
+forms its normal equations as matrix products; the pose adjoint
+differentiates those closed-form rows directly.
 """
 
 import logging
@@ -357,11 +363,12 @@ def solve_pnp_ransac(
     Seeded 6-point hypotheses (DLT, or a plane homography for near-planar
     samples) are ranked by their inlier count on a fixed, evenly spaced
     subset of at most ``PREEMPTIVE_SUBSET`` pairs (all pairs when there are
-    no more); the winner's consensus over all pairs is polished by
-    (non-differentiable) Gauss-Newton from the winning pose. Iterations stop
-    early once the usual confidence bound on the subset's inlier ratio is
-    met, but never before a fixed floor so that near-degenerate scenes still
-    get a fair number of draws.
+    no more). Each new best is polished by (non-differentiable)
+    Gauss-Newton on its consensus within that subset, and re-counted, for
+    as long as its count rises. Iterations stop early once the usual
+    confidence bound on the polished inlier ratio is met, but never before
+    a fixed floor so that near-degenerate scenes still get a fair number of
+    draws. The winner's inliers and RMS come from one pass over all pairs.
     """
     n = len(corr)
     if n < MIN_SAMPLE:
@@ -385,34 +392,64 @@ def solve_pnp_ransac(
             [rng.choice(n, size=MIN_SAMPLE, replace=False) for _ in range(batch)]
         )
         R, t, ok = _minimal_poses(corr.points[idx], norm_pix[idx])
-        counts = np.zeros(batch, dtype=int)
+        inl = np.zeros((batch, len(scored)), dtype=bool)
         if ok.any():
-            inl = _reproj_errors_many(R[ok], t[ok], K, scored) < INLIER_THRESHOLD
-            counts[ok] = inl.sum(axis=1)
+            inl[ok] = _reproj_errors_many(R[ok], t[ok], K, scored) < INLIER_THRESHOLD
+        counts = inl.sum(axis=1)
         for j in range(batch):
             if it >= max(min_iters, needed):
                 break
             it += 1
             if counts[j] > best_count:
-                best_count = int(counts[j])
-                best_pose = PoseSE3(R[j], t[j])
+                best_pose, best_count = _local_optimisation(
+                    PoseSE3(R[j], t[j]), inl[j], scored, K
+                )
                 needed = _iterations_needed(best_count / len(scored))
-    best_mask = np.zeros(n, dtype=bool)
-    if best_pose is not None:
-        best_mask = _reproj_errors(best_pose, K, corr) < INLIER_THRESHOLD
-    if int(best_mask.sum()) < MIN_SAMPLE:
-        raise NoConsensus(f"best consensus {int(best_mask.sum())} of {n}")
-    pose = _polish(corr.subset(best_mask), K, best_pose)
-    err = _reproj_errors(pose, K, corr)
+    if best_pose is None:
+        raise NoConsensus(f"best consensus 0 of {n}")
+    err = _reproj_errors(best_pose, K, corr)
     inliers = err < INLIER_THRESHOLD
     if int(inliers.sum()) < MIN_SAMPLE:
-        inliers = best_mask
+        raise NoConsensus(f"best consensus {int(inliers.sum())} of {n}")
     rms = float(np.sqrt(np.mean(err[inliers] ** 2)))
-    return PoseEstimate(pose=pose, inliers=inliers, rms_reprojection_error=rms, base_pose=pose)
+    return PoseEstimate(
+        pose=best_pose, inliers=inliers, rms_reprojection_error=rms, base_pose=best_pose
+    )
+
+
+def _local_optimisation(
+    pose: PoseSE3, mask: np.ndarray, scored: Correspondences2D3D, K: Intrinsics
+) -> tuple[PoseSE3, int]:
+    """A new best hypothesis polished on its consensus within the scored
+    pairs, and its inlier count there.
+
+    The polish and the re-count repeat while the count strictly rises; a
+    polished pose is kept when its count is at least the previous one. One
+    round is not enough: on noisy pairs the first polish, fit to the
+    minimal sample's narrow consensus, still leaves many inliers out. The
+    count is bounded by the number of scored pairs, so the loop ends. A
+    solver error in the polish keeps the raw hypothesis.
+    """
+    raw, raw_count = pose, int(mask.sum())
+    count = raw_count
+    try:
+        while True:
+            polished = _polish(scored.subset(mask), K, pose)
+            polished_mask = _reproj_errors(polished, K, scored) < INLIER_THRESHOLD
+            polished_count = int(polished_mask.sum())
+            if polished_count < count:
+                break
+            rose = polished_count > count
+            pose, mask, count = polished, polished_mask, polished_count
+            if not rose:
+                break
+    except WorldTrackError:
+        return raw, raw_count
+    return pose, count
 
 
 def _polish(sub: Correspondences2D3D, K: Intrinsics, pose: PoseSE3) -> PoseSE3:
-    """Gauss-Newton on the consensus set, started from the RANSAC winner."""
+    """Gauss-Newton to convergence on a consensus set, from a hypothesis."""
     for _ in range(10):
         delta = _gn_terms(pose, sub, K)[0]
         pose = _apply_increment(delta, pose)

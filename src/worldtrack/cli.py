@@ -154,6 +154,15 @@ def cmd_adapt(args) -> int:
 def cmd_eval(args) -> int:
     pred = load_sequence(args.pred)
     gt = load_sequence(args.gt)
+    shapes = [
+        f"{seq.tracking_pointmaps[0].width}x{seq.tracking_pointmaps[0].height}"
+        f"x{seq.num_frames}"
+        for seq in (pred, gt)
+    ]
+    if shapes[0] != shapes[1]:
+        raise ValueError(
+            f"--pred is {shapes[0]} but --gt is {shapes[1]} (width x height x frames)"
+        )
     payload: dict = {"window": args.window, "alignment": args.alignment}
     if args.mode in ("tracks", "both"):
         queries = np.array(gt.tracks2d.positions[:, 0])

@@ -361,7 +361,7 @@ def queries_to_indices(queries: np.ndarray, width: int, height: int) -> tuple[np
     if bad.any():
         i = int(np.argmax(bad))
         raise QueryOutOfBounds(
-            f"query {i} at {tuple(q[i])} outside {width}x{height} grid"
+            f"query {i} at {tuple(q[i].tolist())} outside {width}x{height} grid"
         )
     return rows, cols
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import UnknownPreset
 from .geometry import Intrinsics, Pointmap, PoseSE3, TrackSet
 from .oracle import RenderedSequence, SceneSpec
 
@@ -115,18 +116,35 @@ def _get(indir: Path, arrays: dict, name: str, expect: tuple) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
+def _scene_spec(mpath: Path, spec) -> SceneSpec:
+    """The manifest's ``spec`` object as a ``SceneSpec``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{mpath}: spec must be an object, not {spec!r}")
+    try:
+        return SceneSpec(**spec)
+    except (TypeError, ValueError, UnknownPreset) as exc:
+        raise ValueError(f"{mpath}: bad spec: {exc}") from None
+
+
 def load_sequence(path) -> RenderedSequence:
     indir = Path(path)
     mpath = indir / MANIFEST_NAME
     if not mpath.is_file():
         raise FileNotFoundError(f"{indir} has no {MANIFEST_NAME}")
     manifest = json.loads(mpath.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{mpath}: not a JSON object")
     tag = manifest.get("format")
     if tag != FORMAT_TAG:
         raise ValueError(f"unsupported sequence format {tag!r}")
     missing = {"arrays", "width", "height", "num_frames", "spec"} - manifest.keys()
     if missing:
         raise ValueError(f"{mpath}: no {', '.join(sorted(missing))}")
+    for key in ("width", "height", "num_frames"):
+        value = manifest[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{mpath}: {key} must be a positive integer, not {value!r}")
+    spec = _scene_spec(mpath, manifest["spec"])
     arrays = manifest["arrays"]
     W, H, T = manifest["width"], manifest["height"], manifest["num_frames"]
 
@@ -164,7 +182,7 @@ def load_sequence(path) -> RenderedSequence:
     dynamic = dynamic_mask[rows, cols]
 
     return RenderedSequence(
-        spec=SceneSpec(**manifest["spec"]),
+        spec=spec,
         intrinsics=intrinsics,
         cameras=cameras,
         tracking_pointmaps=tracking,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import make_pnp_instance, random_pose
 
+from worldtrack import camera
 from worldtrack.camera import (
     GN_DAMPING,
     PREEMPTIVE_SUBSET,
@@ -39,6 +40,7 @@ from worldtrack.geometry import (
     so3_exp,
     so3_exp_jac,
 )
+from worldtrack.oracle import SceneSpec, corrupt, generate_sequence
 
 
 def plane_pointmap(focal, width=32, height=24, z=2.0, tilt=(0.0, 0.0)):
@@ -545,6 +547,48 @@ def test_solve_cameras_recovers_moving_path():
         ang, dt = pose_errors(est.pose, cam)
         assert ang < 1e-4 and dt < 1e-4, f"frame {t}: {ang:.2e} rad, {dt:.2e} m"
     assert np.array_equal(ests[0].pose.rotation, np.eye(3))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("preset", ["orbit-dynamic", "degenerate-planar"])
+def test_solve_cameras_on_noisy_recon_maps(preset, seed):
+    # 3 mm recon noise at 256x192: every frame has far more pairs than the
+    # preemptive subset, so RANSAC polishes on the subset alone
+    spec = SceneSpec(preset, width=256, height=192, num_frames=6, focal=320.0, seed=seed)
+    seq = generate_sequence(spec)
+    noisy = corrupt(seq, noise=0.003, targets=("recon",), seed=seed + 1)
+    _, ests = solve_cameras_for_video(noisy.recon_pointmaps, PixelGrid.create(256, 192))
+    for t, (cam, est) in enumerate(zip(seq.cameras, ests)):
+        assert est.inliers.size > PREEMPTIVE_SUBSET
+        assert est.inliers.mean() >= 0.99, f"frame {t}: inlier ratio {est.inliers.mean():.4f}"
+        ang, dt = pose_errors(est.pose, cam)
+        assert ang < 1e-3 and dt < 3e-3, f"frame {t}: {ang:.2e} rad, {dt:.2e} m"
+
+
+def test_full_set_is_linearised_once_per_frame(monkeypatch):
+    rng = np.random.default_rng(4)
+    K, cams, pms, grid = build_recon_video(rng, width=48, height=32, focal=60.0)
+    assert grid.width * grid.height > PREEMPTIVE_SUBSET
+    sizes = []
+    gn_terms, ransac = camera._gn_terms, camera.solve_pnp_ransac
+
+    def counted_gn_terms(pose, corr, K):
+        sizes[-1].append(len(corr))
+        return gn_terms(pose, corr, K)
+
+    def frame_ransac(*args):
+        sizes.append([])
+        return ransac(*args)
+
+    monkeypatch.setattr(camera, "_gn_terms", counted_gn_terms)
+    monkeypatch.setattr(camera, "solve_pnp_ransac", frame_ransac)
+    _, ests = solve_cameras_for_video(pms, grid)
+    assert len(sizes) == len(pms) - 1
+    for t, frame in enumerate(sizes, start=1):
+        assert sum(m > PREEMPTIVE_SUBSET for m in frame) == 1, f"frame {t}: {frame}"
+    for cam, est in zip(cams, ests):
+        ang, dt = pose_errors(est.pose, cam)
+        assert ang < 1e-6 and dt < 1e-6
 
 
 def test_solve_cameras_static_video_is_identity():

@@ -99,6 +99,26 @@ def test_eval_max_queries_subsamples(workdir, capsys):
     assert "recon" not in rep
 
 
+@pytest.mark.parametrize(
+    "size, shape",
+    [(["--width", "16", "--height", "12"], "16x12x4"), (["--frames", "3"], "24x18x3")],
+    ids=["grid", "frames"],
+)
+def test_eval_refuses_mismatched_sequences(workdir, tmp_path, capsys, size, shape):
+    other, clean = tmp_path / "other.seq", workdir / "clean.seq"
+    assert main(SYNTH + size + ["--out", str(other)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "eval.json"
+    for pred, gt, first, second in [
+        (other, clean, shape, "24x18x4"),
+        (clean, other, "24x18x4", shape),
+    ]:
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --pred is {first} but --gt is {second} (width x height x frames)\n"
+        assert not out.exists()
+
+
 def test_check_grads_pass_and_fail(capsys, monkeypatch):
     assert main(["check-grads", "--trials", "1"]) == 0
     out = capsys.readouterr().out

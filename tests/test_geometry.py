@@ -242,7 +242,7 @@ def test_assemble_trajectories_visibility_from_valid_bit():
 
 def test_assemble_trajectories_rejects_bad_queries_and_branch():
     pms = make_tracking_pms()
-    with pytest.raises(QueryOutOfBounds):
+    with pytest.raises(QueryOutOfBounds, match=r"^query 0 at \(4\.5, 0\.5\) outside 4x3 grid$"):
         assemble_trajectories(pms, np.array([[4.5, 0.5]]))
     with pytest.raises(QueryOutOfBounds):
         assemble_trajectories(pms, np.array([[-0.1, 0.5]]))

@@ -17,11 +17,15 @@ from workloads import AdaptLiveS, ReconM  # noqa: E402
 
 
 class SmallReconM(ReconM):
-    width, height, frames, focal = 32, 24, 4, 40.0
+    # 1,536 pairs a frame: more than the preemptive subset, as at full size
+    width, height, frames, focal = 48, 32, 4, 60.0
     setup_repeats = 1
 
 
 class SmallAdaptLiveS(AdaptLiveS):
+    # checked for errors only: at 32x24x6 the first adaptation step
+    # overshoots and the loss-rise check fires (see the FOUND line on the
+    # first-step overshoot in CHANGES.md)
     width, height, frames, focal = 32, 24, 6, 40.0
     setup_repeats = 1
     solve_repeats = eval_repeats = 1
@@ -35,3 +39,6 @@ def test_every_benchmark_operation_runs_without_error(tmp_path, workload):
     ops = [make() for i in range(len(items)) for make in workload.operations(worldtrack, items, i)]
     assert ops and all(op.attempted for op in ops)
     assert [(op.item, op.errors) for op in ops if op.errors] == []
+    if isinstance(workload, ReconM):
+        # clean poses and focal against the oracle
+        assert [(op.item, op.problems) for op in ops if op.problems] == []

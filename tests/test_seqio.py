@@ -84,6 +84,9 @@ def test_unknown_format_tag_rejected(tmp_path, seq):
     manifest["format"] = FORMAT_TAG
     mpath.write_text(json.dumps(manifest))
     load_sequence(tmp_path / "s")
+    mpath.write_text(json.dumps([manifest]))
+    with pytest.raises(ValueError, match="manifest.json: not a JSON object"):
+        load_sequence(tmp_path / "s")
 
 
 def test_no_stray_tmp_files(tmp_path, seq):
@@ -158,3 +161,51 @@ def test_bad_manifest_exits_one_without_traceback(tmp_path, seq, capsys):
     assert main(["solve-camera", "--seq", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'cameras'" in err and err.count("\n") == 1
+
+
+def _edit_top(path, key, value):
+    mpath = path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest[key] = value
+    mpath.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("key", ["width", "height", "num_frames"])
+@pytest.mark.parametrize("value", [5.0, True, 0, -5, "5", None])
+def test_manifest_sizes_must_be_positive_integers(tmp_path, seq, capsys, key, value):
+    from worldtrack.cli import main
+
+    save_sequence(tmp_path / "s", seq)
+    _edit_top(tmp_path / "s", key, value)
+    message = f"manifest.json: {key} must be a positive integer"
+    with pytest.raises(ValueError, match=message) as exc:
+        load_sequence(tmp_path / "s")
+    assert "\n" not in str(exc.value)
+    assert main(["solve-camera", "--seq", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"not {value!r}" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"preset": "orbit-dynamic", "colour": 1}, "bad spec: .*'colour'"),
+        (["orbit-dynamic"], "spec must be an object"),
+        ({"width": 24}, "bad spec: .*preset"),
+        ({"preset": "orbit-dynamic", "width": "24"}, "bad spec"),
+        ({"preset": "no-such-preset"}, "bad spec: 'no-such-preset'"),
+    ],
+    ids=["unknown-key", "not-object", "no-preset", "string-width", "unknown-preset"],
+)
+def test_manifest_spec_must_fit_scene_spec(tmp_path, seq, capsys, spec, message):
+    from worldtrack.cli import main
+
+    save_sequence(tmp_path / "s", seq)
+    _edit_top(tmp_path / "s", "spec", spec)
+    with pytest.raises(ValueError, match=f"manifest.json: {message}") as exc:
+        load_sequence(tmp_path / "s")
+    assert "\n" not in str(exc.value)
+    assert main(["solve-camera", "--seq", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
