@@ -49,7 +49,6 @@ from .losses import (
     align_loss,
     depth_loss,
     reproject_tracks,
-    supervised_pointmap_loss,
     total_loss,
     traj_loss,
     tta_optimize,
@@ -111,7 +110,6 @@ __all__ = [
     "solve_cameras_for_video",
     "solve_pnp_ransac",
     "subsample_queries",
-    "supervised_pointmap_loss",
     "total_loss",
     "traj_loss",
     "tta_optimize",

@@ -29,7 +29,11 @@ Only the winner is scored on every correspondence, once, and the final
 Gauss-Newton step is the only linearisation of the full set. Gauss-Newton
 builds the closed-form 2x6 Jacobian rows of the pinhole projection and
 forms its normal equations as matrix products; the pose adjoint
-differentiates those closed-form rows directly.
+differentiates those closed-form rows directly, and its rotation term uses
+the closed-form SO(3) left Jacobian. An inlier mask is a weight, not a copy:
+pairs outside it get zero weight and zero Jacobian rows. The inner loops
+carry raw (R, t) arrays; only a returned estimate holds a validated
+``PoseSE3``.
 """
 
 import logging
@@ -53,8 +57,8 @@ from .geometry import (
     PoseSE3,
     _freeze,
     project_points,
+    skew,
     so3_exp,
-    so3_exp_jac,
 )
 
 log = logging.getLogger(__name__)
@@ -85,6 +89,9 @@ class Correspondences2D3D:
         pts = np.array(self.points, dtype=np.float64)
         if pix.ndim != 2 or pix.shape[1] != 2 or pts.shape != (pix.shape[0], 3):
             raise ValueError(f"bad correspondence shapes {pix.shape}, {pts.shape}")
+        # pairs outside an inlier mask get weight zero, which needs finite values
+        if not (np.isfinite(pix).all() and np.isfinite(pts).all()):
+            raise ValueError("correspondences must be finite")
         object.__setattr__(self, "pixels", _freeze(pix))
         object.__setattr__(self, "points", _freeze(pts))
 
@@ -99,12 +106,6 @@ class Correspondences2D3D:
         object.__setattr__(corr, "pixels", _freeze(pixels))
         object.__setattr__(corr, "points", _freeze(points))
         return corr
-
-    def subset(self, select: np.ndarray) -> "Correspondences2D3D":
-        """The pairs picked by a boolean mask or an index array."""
-        if select.dtype == bool and select.all():
-            return self
-        return Correspondences2D3D._adopt(self.pixels[select], self.points[select])
 
 
 @dataclass(frozen=True)
@@ -195,11 +196,6 @@ def _reproj_errors_many(
     err = np.sqrt(du * du + dv * dv)
     err[~visible] = np.inf
     return err
-
-
-def _reproj_errors(pose: PoseSE3, K: Intrinsics, corr: Correspondences2D3D) -> np.ndarray:
-    """Per-pair reprojection distance; +inf where depth is non-positive."""
-    return _reproj_errors_many(pose.rotation[None], pose.translation[None], K, corr)[0]
 
 
 def _dlt_poses(points: np.ndarray, norm_pix: np.ndarray):
@@ -377,8 +373,9 @@ def solve_pnp_ransac(
     norm_pix = (corr.pixels - np.array([K.cx, K.cy])) / K.focal
     scored = corr
     if n > PREEMPTIVE_SUBSET:
-        scored = corr.subset(np.arange(PREEMPTIVE_SUBSET) * n // PREEMPTIVE_SUBSET)
-    best_pose = None
+        pick = np.arange(PREEMPTIVE_SUBSET) * n // PREEMPTIVE_SUBSET
+        scored = Correspondences2D3D._adopt(corr.pixels[pick], corr.points[pick])
+    best_R = best_t = None
     best_count = 0
     min_iters = 32
     needed = RANSAC_MAX_ITERATIONS
@@ -401,27 +398,24 @@ def solve_pnp_ransac(
                 break
             it += 1
             if counts[j] > best_count:
-                best_pose, best_count = _local_optimisation(
-                    PoseSE3(R[j], t[j]), inl[j], scored, K
-                )
+                best_R, best_t, best_count = _local_optimisation(R[j], t[j], scored, K, inl[j])
                 needed = _iterations_needed(best_count / len(scored))
-    if best_pose is None:
+    if best_R is None:
         raise NoConsensus(f"best consensus 0 of {n}")
-    err = _reproj_errors(best_pose, K, corr)
+    err = _reproj_errors_many(best_R[None], best_t[None], K, corr)[0]
     inliers = err < INLIER_THRESHOLD
     if int(inliers.sum()) < MIN_SAMPLE:
         raise NoConsensus(f"best consensus {int(inliers.sum())} of {n}")
     rms = float(np.sqrt(np.mean(err[inliers] ** 2)))
-    return PoseEstimate(
-        pose=best_pose, inliers=inliers, rms_reprojection_error=rms, base_pose=best_pose
-    )
+    pose = PoseSE3(best_R, best_t)
+    return PoseEstimate(pose=pose, inliers=inliers, rms_reprojection_error=rms, base_pose=pose)
 
 
 def _local_optimisation(
-    pose: PoseSE3, mask: np.ndarray, scored: Correspondences2D3D, K: Intrinsics
-) -> tuple[PoseSE3, int]:
-    """A new best hypothesis polished on its consensus within the scored
-    pairs, and its inlier count there.
+    R: np.ndarray, t: np.ndarray, scored: Correspondences2D3D, K: Intrinsics, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """A new best hypothesis (R, t) polished on its consensus within the
+    scored pairs, and its inlier count there.
 
     The polish and the re-count repeat while the count strictly rises; a
     polished pose is kept when its count is at least the previous one. One
@@ -430,59 +424,63 @@ def _local_optimisation(
     count is bounded by the number of scored pairs, so the loop ends. A
     solver error in the polish keeps the raw hypothesis.
     """
-    raw, raw_count = pose, int(mask.sum())
-    count = raw_count
+    count = int(mask.sum())
+    raw = R, t, count
     try:
         while True:
-            polished = _polish(scored.subset(mask), K, pose)
-            polished_mask = _reproj_errors(polished, K, scored) < INLIER_THRESHOLD
+            R_p, t_p = _polish(R, t, scored, K, mask)
+            err = _reproj_errors_many(R_p[None], t_p[None], K, scored)[0]
+            polished_mask = err < INLIER_THRESHOLD
             polished_count = int(polished_mask.sum())
             if polished_count < count:
                 break
             rose = polished_count > count
-            pose, mask, count = polished, polished_mask, polished_count
+            R, t, mask, count = R_p, t_p, polished_mask, polished_count
             if not rose:
                 break
     except WorldTrackError:
-        return raw, raw_count
-    return pose, count
+        return raw
+    return R, t, count
 
 
-def _polish(sub: Correspondences2D3D, K: Intrinsics, pose: PoseSE3) -> PoseSE3:
-    """Gauss-Newton to convergence on a consensus set, from a hypothesis."""
+def _polish(
+    R: np.ndarray, t: np.ndarray, corr: Correspondences2D3D, K: Intrinsics, mask: np.ndarray
+):
+    """Gauss-Newton to convergence on the masked pairs, from a hypothesis (R, t)."""
     for _ in range(10):
-        delta = _gn_terms(pose, sub, K)[0]
-        pose = _apply_increment(delta, pose)
+        delta = _gn_terms(R, t, corr, K, mask)[0]
+        R, t = _apply_increment(delta, R, t)
         if np.linalg.norm(delta) < 1e-14:
             break
-    return pose
+    return R, t
 
 
 # ---------------------------------------------------------------------------
 # Gauss-Newton refinement and its point gradient
 
 
-def _apply_increment(delta: np.ndarray, base: PoseSE3) -> PoseSE3:
-    """Left-multiplicative update of the pose by a 6-twist."""
+def _apply_increment(delta: np.ndarray, R: np.ndarray, t: np.ndarray):
+    """Left-multiplicative update of a pose (R, t) by a 6-twist; ``so3_exp``
+    products keep the rotation orthonormal."""
     E = so3_exp(delta[:3])
-    return PoseSE3(E @ base.rotation, E @ base.translation + delta[3:])
+    return E @ R, E @ t + delta[3:]
 
 
-def _projection_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics):
-    """Pinhole terms of every pair at a pose, Jacobian in closed form.
+def _projection_terms(
+    R: np.ndarray, t: np.ndarray, corr: Correspondences2D3D, K: Intrinsics, mask: np.ndarray
+):
+    """Pinhole terms of every pair at a pose (R, t), Jacobian in closed form.
 
     Returns ``(xn, yn, w, inv_z, f_z, J, r)``: the normalized coordinates
-    x/z and y/z of the camera points, the visible mask w (positive depth),
-    1/z, focal/z, the (m, 2, 6) Jacobian of the residual with respect to a
-    left twist (rotation part first) and the (m, 2) residual pixel -
-    projection. ``J`` and ``r`` are views of (6, 2, m) and (2, m) arrays, so
-    each Jacobian entry is one contiguous row. Pairs with non-positive depth
-    get zero inverse depth and Jacobian rows and are masked out of the
-    normal equations without disturbing array shapes.
+    x/z and y/z of the camera points, the weight mask w (``mask`` and
+    positive depth), 1/z, focal/z, the (m, 2, 6) Jacobian of the residual
+    with respect to a left twist (rotation part first) and the (m, 2)
+    residual pixel - projection. ``J`` and ``r`` are views of (6, 2, m) and
+    (2, m) arrays, so each Jacobian entry is one contiguous row. Pairs
+    outside the mask or of non-positive depth get zero weight, inverse depth
+    and Jacobian rows, so they drop out without a copy of the pairs.
     """
-    (xn, yn), _, inv_z, w = (
-        a[0] for a in project_points(pose.rotation[None], pose.translation[None], corr.points.T)
-    )
+    (xn, yn), _, inv_z, w = (a[0] for a in project_points(R[None], t[None], corr.points.T, mask))
     if not w.any():
         raise DegenerateGeometry("all correspondences behind the camera")
     f = K.focal
@@ -507,9 +505,11 @@ def _projection_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics):
     return xn, yn, w, inv_z, f_z, Jt.transpose(2, 1, 0), r.T
 
 
-def _gn_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics):
-    """One damped Gauss-Newton increment and its normal-equation pieces."""
-    terms = _projection_terms(pose, corr, K)
+def _gn_terms(
+    R: np.ndarray, t: np.ndarray, corr: Correspondences2D3D, K: Intrinsics, mask: np.ndarray
+):
+    """One damped Gauss-Newton increment on the masked pairs and its normal-equation pieces."""
+    terms = _projection_terms(R, t, corr, K, mask)
     w, J, r = terms[2], terms[5], terms[6]
     # J^T with one row per twist entry and one column per residual row
     Jk = J.transpose(2, 1, 0).reshape(6, -1)
@@ -526,6 +526,27 @@ def _gn_terms(pose: PoseSE3, corr: Correspondences2D3D, K: Intrinsics):
     return delta, H, terms
 
 
+def _so3_exp_vjp(omega: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient with respect to omega of a scalar whose gradient with respect
+    to exp([omega]x) is ``grad``: J^T vee(A - A^T) with A = grad exp([omega]x)^T
+    and J = I + c1 [omega]x + c2 [omega]x^2 the SO(3) left Jacobian (Sola,
+    Deray & Atchuthan, "A micro Lie theory for state estimation in robotics",
+    arXiv 1812.01537)."""
+    theta2 = float(omega @ omega)
+    if theta2 < 1e-14:
+        c1, c2 = 0.5, 1.0 / 6.0
+    else:
+        theta = np.sqrt(theta2)
+        c1 = 2.0 * np.sin(0.5 * theta) ** 2 / theta2
+        c2 = (theta - np.sin(theta)) / (theta2 * theta)
+    A = grad @ so3_exp(omega).T
+    v = np.array([A[2, 1] - A[1, 2], A[0, 2] - A[2, 0], A[1, 0] - A[0, 1]])
+    W = skew(omega)
+    Wv = W @ v
+    # J^T = I - c1 [omega]x + c2 [omega]x^2
+    return v - c1 * Wv + c2 * (W @ Wv)
+
+
 def gauss_newton_refine(
     detached: PoseEstimate, corr: Correspondences2D3D, K: Intrinsics
 ) -> PoseEstimate:
@@ -540,11 +561,12 @@ def gauss_newton_refine(
         raise ValueError("inlier mask does not cover the correspondences")
     if int(mask.sum()) < 3:
         raise TooFewCorrespondences(f"{int(mask.sum())} inliers")
-    sub = corr.subset(mask)
     base = detached.pose
-    pose = _apply_increment(_gn_terms(base, sub, K)[0], base)
-    rms = float(np.sqrt(np.mean(_reproj_errors(pose, K, sub) ** 2)))
-    return PoseEstimate(pose=pose, inliers=mask, rms_reprojection_error=rms, base_pose=base)
+    delta = _gn_terms(base.rotation, base.translation, corr, K, mask)[0]
+    R, t = _apply_increment(delta, base.rotation, base.translation)
+    err = _reproj_errors_many(R[None], t[None], K, corr)[0]
+    rms = float(np.sqrt(np.mean(err[mask] ** 2)))
+    return PoseEstimate(PoseSE3(R, t), mask, rms, base)
 
 
 def pose_gradient_wrt_points(
@@ -571,14 +593,12 @@ def pose_gradient_wrt_points(
     grad_T = np.asarray(upstream[1], dtype=np.float64)
     if grad_R.shape != (3, 3) or grad_T.shape != (3,):
         raise ValueError("upstream must be (3,3) rotation and (3,) translation grads")
-    mask = detached.inliers
-    base = detached.base_pose
-    delta, H, (xn, yn, w, inv_z, f_z, J, r) = _gn_terms(base, corr.subset(mask), K)
+    R, t = detached.base_pose.rotation, detached.base_pose.translation
+    delta, H, (xn, yn, w, inv_z, f_z, J, r) = _gn_terms(R, t, corr, K, detached.inliers)
 
     # pose = exp(delta) o base: pull the pose gradient back to the twist
-    G_E = grad_R @ base.rotation.T + np.outer(grad_T, base.translation)
     grad_delta = np.empty(6)
-    grad_delta[:3] = (so3_exp_jac(delta[:3]) * G_E).sum(axis=(1, 2))
+    grad_delta[:3] = _so3_exp_vjp(delta[:3], grad_R @ R.T + np.outer(grad_T, t))
     grad_delta[3:] = grad_T
 
     # delta = -H^{-1} g
@@ -587,8 +607,8 @@ def pose_gradient_wrt_points(
     grad_H0 = grad_H + (GN_DAMPING / 6.0) * np.trace(grad_H) * np.eye(6)
     S = grad_H0 + grad_H0.T
 
-    # g = sum w J^T r and H0 = sum w J^T J; every term carries the visible
-    # mask w, so rows of non-positive depth get exactly zero gradient.
+    # g = sum w J^T r and H0 = sum w J^T J; every term carries the weight
+    # mask w, so rows outside it get exactly zero gradient.
     # G[k, i] is dL/dJ[:, i, k] and grad_r[i] is dL/dr[:, i]
     m = w.shape[0]
     Jk = J.transpose(2, 1, 0).reshape(6, -1)
@@ -606,9 +626,7 @@ def pose_gradient_wrt_points(
     grad_Y = np.stack(
         [g_xn * inv_z, g_yn * inv_z, -(g_xn * xn + g_yn * yn + g_fz * f_z) * inv_z], axis=1
     )
-    out = np.zeros((len(corr), 3))
-    out[mask] = grad_Y @ base.rotation
-    return out
+    return grad_Y @ R
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +681,8 @@ def solve_cameras_for_video(
             corr, _ = correspondences_from_pointmap(pm, grid)
             if j == 0:
                 pose = PoseSE3.identity()
-                rms = float(np.sqrt(np.mean(_reproj_errors(pose, K, corr) ** 2)))
+                err = _reproj_errors_many(pose.rotation[None], pose.translation[None], K, corr)
+                rms = float(np.sqrt(np.mean(err**2)))
                 return PoseEstimate(pose, np.ones(len(corr), dtype=bool), rms, pose)
             coarse = solve_pnp_ransac(corr, K, RansacConfig(ransac.seed + j))
             return gauss_newton_refine(coarse, corr, K)

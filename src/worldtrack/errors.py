@@ -73,10 +73,6 @@ class NonPositiveProjectedDepth(WorldTrackError):
     """All projected depths were non-positive in a depth comparison."""
 
 
-class EmptyMask(WorldTrackError):
-    """An evaluation mask selects zero pixels."""
-
-
 class DivergenceDetected(WorldTrackError):
     """Adaptation loss exceeded the divergence guard."""
 

@@ -58,31 +58,6 @@ def so3_exp(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * K + b * (K @ K)
 
 
-def so3_exp_jac(omega: np.ndarray) -> np.ndarray:
-    """Derivative of the Rodrigues map.
-
-    Returns a (3, 3, 3) tensor J with J[i] = d exp([omega]x) / d omega_i,
-    using the closed form of Gallego & Yezzi for theta > 0 and the
-    first-order limit at the origin.
-    """
-    omega = np.asarray(omega, dtype=np.float64)
-    R = so3_exp(omega)
-    theta2 = float(omega @ omega)
-    out = np.empty((3, 3, 3))
-    if theta2 < 1e-14:
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1.0
-            out[i] = skew(e)
-        return out
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        w = np.cross(omega, (np.eye(3) - R) @ e)
-        out[i] = (omega[i] * skew(omega) + skew(w)) @ R / theta2
-    return out
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import camera, losses
-from .geometry import Intrinsics, PixelGrid, Pointmap, PoseSE3, backproject, so3_exp
+from .geometry import Intrinsics, Pointmap, PoseSE3, backproject, so3_exp
 
 DEFAULT_STEP = 1e-6
 DEFAULT_TOL = 1e-4
@@ -104,30 +104,6 @@ def check_align_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     return CheckResult("align_loss", worst, tol)
 
 
-def check_supervised_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        pts = rng.normal(0, 1, (3, 4, 3)) + np.array([0, 0, 4.0])
-        gt_pts = pts + rng.normal(0, 0.2, pts.shape)
-        valid = np.ones((3, 4), bool)
-        pred = Pointmap(pts, valid, 0, 0, 0)
-        gt = Pointmap(gt_pts, valid, 0, 0, 0)
-        _, grad = losses.supervised_pointmap_loss(pred, gt, valid)
-        for r, c in [(0, 1), (2, 2)]:
-            for d in range(3):
-                delta = np.zeros_like(pts)
-                delta[r, c, d] = step
-                hi = losses.supervised_pointmap_loss(
-                    pred.with_points(pts + delta), gt, valid
-                )[0]
-                lo = losses.supervised_pointmap_loss(
-                    pred.with_points(pts - delta), gt, valid
-                )[0]
-                worst = max(worst, _rel((hi - lo) / (2 * step), grad[r, c, d]))
-    return CheckResult("supervised_pointmap_loss", worst, tol)
-
-
 def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4):
     """Exact 2D-3D correspondences for a random camera looking at a cloud.
 
@@ -186,7 +162,6 @@ ALL_CHECKS = (
     check_traj_gradient,
     check_depth_gradient,
     check_align_gradient,
-    check_supervised_gradient,
     check_pose_gradient,
 )
 

@@ -26,10 +26,8 @@ from .camera import (
 )
 from .errors import (
     AllOccluded,
-    DegenerateGeometry,
     DegenerateRadius,
     DivergenceDetected,
-    EmptyMask,
     NonPositiveProjectedDepth,
     NoOverlap,
     ShapeMismatch,
@@ -394,42 +392,6 @@ def align_loss(
     g_trk, g_rec = (_scatter(i, g, (3, H, W)).transpose(1, 2, 0)
                     for i, g in ((trk_idx, 2.0 * diff), (rec_idx, -2.0 * diff)))
     return float(np.sum(diff * diff)), g_trk, g_rec, diff.shape[1]
-
-
-def supervised_pointmap_loss(
-    pred: Pointmap, gt: Pointmap, mask: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Scale-normalized squared distance between two pointmaps.
-
-    Each cloud is divided by its own mean point norm over the compared
-    pixels before the mean squared distance is taken, so the loss is
-    invariant to a global rescaling of either input. The gradient (wrt the
-    prediction) includes the normalizer's dependence on the predicted
-    points.
-    """
-    if pred.points.shape != gt.points.shape:
-        raise ShapeMismatch("pointmaps must share a grid")
-    eff = np.asarray(mask, dtype=bool) & pred.valid & gt.valid
-    if not eff.any():
-        raise EmptyMask("no pixels selected for comparison")
-    p = pred.points[eff]
-    g = gt.points[eff]
-    n = p.shape[0]
-    p_norms = np.linalg.norm(p, axis=1)
-    np_mean = float(p_norms.mean())
-    ng_mean = float(np.linalg.norm(g, axis=1).mean())
-    if np_mean < 1e-12 or ng_mean < 1e-12:
-        raise DegenerateGeometry("zero-norm cloud cannot be scale-normalized")
-    a = 1.0 / np_mean
-    e = a * p - g / ng_mean
-    loss = float(np.mean(np.sum(e * e, axis=1)))
-    # d a / d p_k = -(1/np_mean^2) * (1/n) * p_k / |p_k|
-    coef = 2.0 / n * float(np.sum(e * p))
-    unit = p / np.maximum(p_norms, 1e-12)[:, None]
-    grad_eff = (2.0 * a / n) * e + coef * (-(1.0 / np_mean**2) / n) * unit
-    grad = np.zeros_like(pred.points)
-    grad[eff] = grad_eff
-    return loss, grad
 
 
 # ---------------------------------------------------------------------------

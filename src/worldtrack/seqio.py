@@ -93,15 +93,18 @@ def save_sequence(path, seq: RenderedSequence) -> None:
     _write_atomic(outdir / MANIFEST_NAME, payload.encode())
 
 
-def _get(indir: Path, arrays: dict, name: str, expect: tuple) -> np.ndarray:
+def _get(indir: Path, arrays: dict, name: str, expect: tuple, stored: str) -> np.ndarray:
     """The manifest's array ``name``, of shape ``expect`` (None matches any
-    length); its entry is checked before the read."""
+    length) and dtype ``stored``, the one ``save_sequence`` writes; its
+    entry is checked before the read."""
     try:
         entry = arrays[name]
         fname, dtype = entry["file"], np.dtype(entry["dtype"])
         shape = tuple(int(n) for n in entry["shape"])
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"{indir}: manifest entry {name!r} is missing or malformed") from None
+    if dtype.str != stored:
+        raise ValueError(f"{indir}: entry {name!r} has dtype {dtype.str}, not {stored}")
     if len(shape) != len(expect) or any(e not in (None, n) for e, n in zip(expect, shape)):
         want = ", ".join("N" if e is None else str(e) for e in expect)
         raise ValueError(f"{indir}: entry {name!r} has shape {list(shape)}, not [{want}]")
@@ -145,30 +148,39 @@ def load_sequence(path) -> RenderedSequence:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"{mpath}: {key} must be a positive integer, not {value!r}")
     spec = _scene_spec(mpath, manifest["spec"])
+    for key in ("width", "height", "num_frames"):
+        value = getattr(spec, key)
+        if value != manifest[key]:
+            raise ValueError(
+                f"{mpath}: spec {key} {value!r} is not the manifest's {manifest[key]}"
+            )
     arrays = manifest["arrays"]
     W, H, T = manifest["width"], manifest["height"], manifest["num_frames"]
 
-    tracking_raw = _get(indir, arrays, "tracking_pointmaps", (T, H, W, 3)).astype(np.float64)
-    recon_raw = _get(indir, arrays, "recon_pointmaps", (T, H, W, 3)).astype(np.float64)
-    depth = _get(indir, arrays, "depth", (T, H, W)).astype(np.float64)
-    tracks2d = _get(indir, arrays, "tracks2d", (None, T, 2)).astype(np.float64)
+    shape = (T, H, W, 3)
+    tracking_raw = _get(indir, arrays, "tracking_pointmaps", shape, "<f4").astype(np.float64)
+    recon_raw = _get(indir, arrays, "recon_pointmaps", shape, "<f4").astype(np.float64)
+    depth = _get(indir, arrays, "depth", (T, H, W), "<f4").astype(np.float64)
+    tracks2d = _get(indir, arrays, "tracks2d", (None, T, 2), "<f4").astype(np.float64)
     N = len(tracks2d)
-    tracks3d = _get(indir, arrays, "tracks3d", (N, T, 3)).astype(np.float64)
-    visibility = _get(indir, arrays, "visibility", (N, T)).astype(bool)
-    dynamic_mask = _get(indir, arrays, "dynamic_mask", (H, W)).astype(bool)
-    f, cx, cy = _get(indir, arrays, "intrinsics", (3,)).astype(np.float64)
-    cam_raw = _get(indir, arrays, "cameras", (T, 3, 4)).astype(np.float64)
+    tracks3d = _get(indir, arrays, "tracks3d", (N, T, 3), "<f4").astype(np.float64)
+    visibility = _get(indir, arrays, "visibility", (N, T), "|u1").astype(bool)
+    dynamic_mask = _get(indir, arrays, "dynamic_mask", (H, W), "|u1").astype(bool)
+    f, cx, cy = _get(indir, arrays, "intrinsics", (3,), "<f8")
+    cam_raw = _get(indir, arrays, "cameras", (T, 3, 4), "<f8")
 
-    def from_stack(stack, content_of, time_of):
+    def from_stack(name, stack, content_of):
         out = []
-        for j in range(T):
-            pts = stack[j]
+        for j, pts in enumerate(stack):
             valid = np.any(pts != 0.0, axis=-1)
-            out.append(Pointmap(pts, valid, 0, content_of(j), time_of(j)))
+            try:
+                out.append(Pointmap(pts, valid, 0, content_of(j), j))
+            except ValueError as exc:
+                raise ValueError(f"{indir / arrays[name]['file']}: frame {j}: {exc}") from None
         return out
 
-    tracking = from_stack(tracking_raw, lambda j: 0, lambda j: j)
-    recon = from_stack(recon_raw, lambda j: j, lambda j: j)
+    tracking = from_stack("tracking_pointmaps", tracking_raw, lambda j: 0)
+    recon = from_stack("recon_pointmaps", recon_raw, lambda j: j)
     try:
         intrinsics = Intrinsics(float(f), float(cx), float(cy))
         cameras = [PoseSE3(cam_raw[j, :, :3], cam_raw[j, :, 3]) for j in range(T)]

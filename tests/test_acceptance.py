@@ -36,7 +36,6 @@ from worldtrack.gradcheck import (
     check_align_gradient,
     check_depth_gradient,
     check_pose_gradient,
-    check_supervised_gradient,
     check_traj_gradient,
 )
 from worldtrack.losses import AdaptState, depth_loss, traj_loss, tta_optimize
@@ -82,7 +81,6 @@ def test_02_loss_stack_gradients_match_finite_differences():
         "traj": check_traj_gradient,
         "depth": check_depth_gradient,
         "align": check_align_gradient,
-        "supervised": check_supervised_gradient,
     }
     with reported("loss-stack-gradients-vs-central-differences"):
         for name, fn in checks.items():

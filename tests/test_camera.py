@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_pnp_instance, random_pose
+from conftest import make_pnp_instance, random_pose, so3_exp_jac
 
 from worldtrack import camera
 from worldtrack.camera import (
@@ -16,7 +16,8 @@ from worldtrack.camera import (
     _iterations_needed,
     _minimal_poses,
     _projection_terms,
-    _reproj_errors,
+    _reproj_errors_many,
+    _so3_exp_vjp,
     correspondences_from_pointmap,
     correspondences_from_points,
     estimate_focal_weiszfeld,
@@ -38,7 +39,6 @@ from worldtrack.geometry import (
     PoseSE3,
     backproject,
     so3_exp,
-    so3_exp_jac,
 )
 from worldtrack.oracle import SceneSpec, corrupt, generate_sequence
 
@@ -317,8 +317,12 @@ def test_pnp_on_noisy_plane():
 
 def perturbed_estimate(pose: PoseSE3, corr, rng, scale=0.03) -> PoseEstimate:
     twist = rng.normal(size=6) * scale
-    rough = _apply_increment(twist, pose)
+    rough = PoseSE3(*_apply_increment(twist, pose.rotation, pose.translation))
     return PoseEstimate(rough, np.ones(len(corr), dtype=bool), np.nan, rough)
+
+
+def reproj_errors(pose: PoseSE3, K, corr) -> np.ndarray:
+    return _reproj_errors_many(pose.rotation[None], pose.translation[None], K, corr)[0]
 
 
 def refine_steps(est: PoseEstimate, corr, K, steps: int) -> PoseEstimate:
@@ -337,10 +341,11 @@ def test_gn_converges_on_clean_data():
     assert ang < 1e-9 and dt < 1e-9
     assert est.rms_reprojection_error < 1e-10
     # the step from the stored base reproduces the pose
-    delta = _gn_terms(est.base_pose, corr.subset(est.inliers), K)[0]
-    again = _apply_increment(delta, est.base_pose)
-    assert np.allclose(again.rotation, est.pose.rotation, atol=1e-15)
-    assert np.allclose(again.translation, est.pose.translation, atol=1e-15)
+    base = est.base_pose
+    delta = _gn_terms(base.rotation, base.translation, corr, K, est.inliers)[0]
+    R, t = _apply_increment(delta, base.rotation, base.translation)
+    assert np.allclose(R, est.pose.rotation, atol=1e-15)
+    assert np.allclose(t, est.pose.translation, atol=1e-15)
 
 
 def test_gn_steps_do_not_increase_residuals():
@@ -348,10 +353,10 @@ def test_gn_steps_do_not_increase_residuals():
     for _ in range(10):
         K, pose, corr = make_pnp_instance(rng, n=30)
         est = perturbed_estimate(pose, corr, rng, scale=0.05)
-        prev = np.sum(_reproj_errors(est.pose, K, corr) ** 2)
+        prev = np.sum(reproj_errors(est.pose, K, corr) ** 2)
         for _ in range(4):
             est = gauss_newton_refine(est, corr, K)
-            cost = np.sum(_reproj_errors(est.pose, K, corr) ** 2)
+            cost = np.sum(reproj_errors(est.pose, K, corr) ** 2)
             assert cost <= prev * (1 + 1e-12)
             prev = cost
 
@@ -361,7 +366,7 @@ def test_gn_first_order_optimality():
     K, pose, corr = make_pnp_instance(rng, n=35)
     detached = perturbed_estimate(pose, corr, rng)
     est = refine_steps(detached, corr, K, 8)
-    _, _, (_, _, w, _, _, J, r) = _gn_terms(est.pose, corr, K)
+    _, _, (_, _, w, _, _, J, r) = _gn_terms(est.pose.rotation, est.pose.translation, corr, K, True)
     grad = np.einsum("n,nij,ni->j", w, J, r)
     assert np.abs(grad).max() < 1e-6
 
@@ -375,14 +380,15 @@ def test_projection_jacobian_matches_central_differences():
     cam[:3, 2] *= -1.0
     cam[3, 2] = 0.0
     corr = Correspondences2D3D(corr.pixels, pose.inverse().apply(cam))
-    _, _, wt, _, _, J, r = _projection_terms(pose, corr, K)
+    R, t = pose.rotation, pose.translation
+    _, _, wt, _, _, J, r = _projection_terms(R, t, corr, K, True)
     h = 1e-6
     fd = np.zeros_like(J)
     for k in range(6):
         step = np.zeros(6)
         step[k] = h
-        hi = _projection_terms(_apply_increment(step, pose), corr, K)[6]
-        lo = _projection_terms(_apply_increment(-step, pose), corr, K)[6]
+        hi = _projection_terms(*_apply_increment(step, R, t), corr, K, True)[6]
+        lo = _projection_terms(*_apply_increment(-step, R, t), corr, K, True)[6]
         fd[:, :, k] = (hi - lo) / (2 * h)
     front = np.arange(4, 30)
     scale = np.abs(J[front]).max()
@@ -460,21 +466,21 @@ def test_pose_gradient_behind_camera_and_non_inlier_rows():
 def pose_gradient_reference(est, corr, K, gR, gT):
     """The adjoint through the factored Jacobian J = -A B (A: d pixel / d Y,
     B: d Y / d twist), the form the closed-form adjoint must reproduce."""
-    sub = corr.subset(est.inliers)
+    pixels, points = corr.pixels[est.inliers], corr.points[est.inliers]
     base, damping = est.base_pose, GN_DAMPING
-    Y = sub.points @ base.rotation.T + base.translation
+    Y = points @ base.rotation.T + base.translation
     x, y, z = Y.T
     w = (z > 0).astype(float)
     f = K.focal
     zero = np.zeros_like(z)
     A = np.stack([np.stack([f / z, zero, -f * x / z**2], 1),
                   np.stack([zero, f / z, -f * y / z**2], 1)], 1)
-    B = np.zeros((len(sub), 3, 6))
+    B = np.zeros((len(points), 3, 6))
     B[:, :, :3] = -np.stack([np.stack([zero, -z, y], 1), np.stack([z, zero, -x], 1),
                              np.stack([-y, x, zero], 1)], 1)
     B[:, :, 3:] = np.eye(3)
     J = -np.einsum("nij,njk->nik", A, B)
-    r = sub.pixels - np.stack([f * x / z + K.cx, f * y / z + K.cy], 1)
+    r = pixels - np.stack([f * x / z + K.cx, f * y / z + K.cy], 1)
     H = np.einsum("n,nij,nik->jk", w, J, J)
     H += damping * np.trace(H) / 6.0 * np.eye(6)
     delta = -np.linalg.solve(H, np.einsum("n,nij,ni->j", w, J, r))
@@ -497,6 +503,51 @@ def pose_gradient_reference(est, corr, K, gR, gT):
     out = np.zeros((len(corr), 3))
     out[est.inliers] = grad_Y @ base.rotation
     return out
+
+
+def test_masked_refine_equals_the_step_on_the_subset():
+    rng = np.random.default_rng(15)
+    K, pose, corr = make_pnp_instance(rng, n=40)
+    corr = behind_camera(pose, corr, [4])
+    pixels = np.array(corr.pixels)
+    pixels[9, 0] += 1e3
+    corr = Correspondences2D3D(pixels, corr.points)
+    rough = perturbed_estimate(pose, corr, rng).pose
+    mask = rng.random(40) > 0.25
+    mask[[4, 9]] = False
+    masked = gauss_newton_refine(PoseEstimate(rough, mask, np.nan, rough), corr, K)
+    sub = Correspondences2D3D(corr.pixels[mask], corr.points[mask])
+    every = np.ones(len(sub), dtype=bool)
+    explicit = gauss_newton_refine(PoseEstimate(rough, every, np.nan, rough), sub, K)
+    assert np.abs(masked.pose.rotation - explicit.pose.rotation).max() < 1e-12
+    assert np.abs(masked.pose.translation - explicit.pose.translation).max() < 1e-12
+    assert abs(masked.rms_reprojection_error - explicit.rms_reprojection_error) < 1e-12
+    upstream = (rng.normal(size=(3, 3)), rng.normal(size=3))
+    got = pose_gradient_wrt_points(masked, corr, K, upstream)
+    ref = pose_gradient_wrt_points(explicit, sub, K, upstream)
+    assert np.abs(got[mask] - ref).max() < 1e-12 * np.abs(ref).max()
+    assert np.all(got[~mask] == 0.0)
+
+
+@pytest.mark.parametrize("size", [0.0, 1e-8, 2e-7, 1.0])
+def test_closed_form_rotation_pullback(size):
+    # 1e-8 uses the series limits, 2e-7 the closed form just past them
+    rng = np.random.default_rng(17)
+    h = 1e-6
+    for _ in range(5):
+        direction = rng.normal(size=3)
+        omega = direction * (size * rng.uniform(0.5, 1.5) / np.linalg.norm(direction))
+        G = rng.normal(size=(3, 3))
+        got = _so3_exp_vjp(omega, G)
+        fd = np.array([
+            np.sum(G * (so3_exp(omega + h * e) - so3_exp(omega - h * e))) / (2 * h)
+            for e in np.eye(3)
+        ])
+        assert np.abs(got - fd).max() < 1e-8, f"{got} vs {fd}"
+        # near the origin the per-axis reference keeps only its first-order
+        # term (1e-8) or loses digits to cancellation (2e-7)
+        ref = np.einsum("ijk,jk->i", so3_exp_jac(omega), G)
+        assert np.abs(got - ref).max() < (1e-7 if 0.0 < size < 1e-6 else 1e-12)
 
 
 def test_pose_gradient_matches_factored_reference():
@@ -572,9 +623,9 @@ def test_full_set_is_linearised_once_per_frame(monkeypatch):
     sizes = []
     gn_terms, ransac = camera._gn_terms, camera.solve_pnp_ransac
 
-    def counted_gn_terms(pose, corr, K):
+    def counted_gn_terms(R, t, corr, K, mask):
         sizes[-1].append(len(corr))
-        return gn_terms(pose, corr, K)
+        return gn_terms(R, t, corr, K, mask)
 
     def frame_ransac(*args):
         sizes.append([])
@@ -589,6 +640,22 @@ def test_full_set_is_linearised_once_per_frame(monkeypatch):
     for cam, est in zip(cams, ests):
         ang, dt = pose_errors(est.pose, cam)
         assert ang < 1e-6 and dt < 1e-6
+
+
+def test_solve_builds_a_validated_pose_per_returned_estimate(monkeypatch):
+    rng = np.random.default_rng(4)
+    _, _, pms, grid = build_recon_video(rng, width=48, height=32, focal=60.0)
+    built = []
+    validate = PoseSE3.__post_init__
+
+    def counted(pose):
+        built.append(1)
+        validate(pose)
+
+    monkeypatch.setattr(PoseSE3, "__post_init__", counted)
+    solve_cameras_for_video(pms, grid)
+    # the RANSAC winner and the refined pose, plus frame 0's identity
+    assert len(built) <= 3 * (len(pms) - 1), len(built)
 
 
 def test_solve_cameras_static_video_is_identity():
@@ -617,13 +684,18 @@ def test_internal_subsets_are_frozen_and_public_pairs_are_copied():
     corr = Correspondences2D3D(pix, pts)
     pix[0], pts[0] = -1.0, -1.0
     assert (corr.pixels[0] != -1.0).all() and (corr.points[0] != -1.0).all()
+    # a frame's valid pixels become pairs that are frozen, not copied again
     keep = np.array([True, False] * 4)
-    for sub in (corr.subset(keep), corr.subset(np.nonzero(keep)[0])):
-        assert np.array_equal(sub.pixels, corr.pixels[keep])
-        assert np.array_equal(sub.points, corr.points[keep])
-        assert not any(a.flags.writeable for a in (sub.pixels, sub.points))
+    sub, _ = correspondences_from_points(pts, keep, PixelGrid.create(4, 2))
+    assert np.array_equal(sub.points, pts[keep])
+    assert not any(a.flags.writeable for a in (sub.pixels, sub.points))
     with pytest.raises(ValueError):
         Correspondences2D3D(pix, pts[:5])
+    # pairs outside an inlier mask are weighted out, which needs finite values
+    for bad in (np.nan, np.inf):
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Correspondences2D3D(pix, pts)
 
 
 def test_correspondences_from_pointmap_indexing():

@@ -122,7 +122,7 @@ def test_eval_refuses_mismatched_sequences(workdir, tmp_path, capsys, size, shap
 def test_check_grads_pass_and_fail(capsys, monkeypatch):
     assert main(["check-grads", "--trials", "1"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5 and "FAIL" not in out
+    assert out.count("PASS") == 4 and "FAIL" not in out
 
     real = losses.traj_loss
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import so3_exp_jac
 from scipy.spatial.transform import Rotation
 
 from worldtrack.errors import (
@@ -19,7 +20,6 @@ from worldtrack.geometry import (
     project_points,
     skew,
     so3_exp,
-    so3_exp_jac,
 )
 
 

@@ -13,7 +13,6 @@ from worldtrack.errors import (
     AllOccluded,
     DegenerateRadius,
     DivergenceDetected,
-    EmptyMask,
     NonPositiveProjectedDepth,
     NoOverlap,
     ShapeMismatch,
@@ -35,7 +34,6 @@ from worldtrack.losses import (
     align_loss,
     depth_loss,
     reproject_tracks,
-    supervised_pointmap_loss,
     total_loss,
     tta_optimize,
     traj_loss,
@@ -174,22 +172,6 @@ def test_align_loss_frozen_example():
     assert np.all(g_rec[0, 1] == 0)
 
 
-def test_supervised_loss_scale_invariance_and_zero():
-    rng = np.random.default_rng(3)
-    pts = rng.normal(0, 1, (4, 5, 3)) + np.array([0, 0, 5.0])
-    valid = np.ones((4, 5), bool)
-    pred = Pointmap(pts, valid, 0, 0, 0)
-    for k in (0.1, 1.0, 7.3):
-        gt = Pointmap(k * pts, valid, 0, 0, 0)
-        loss, grad = supervised_pointmap_loss(pred, gt, valid)
-        assert loss < 1e-28
-    gt = Pointmap(pts + rng.normal(0, 0.1, pts.shape), valid, 0, 0, 0)
-    base, _ = supervised_pointmap_loss(pred, gt, valid)
-    for k in (0.25, 4.0):
-        scaled, _ = supervised_pointmap_loss(pred.with_points(k * pts), gt, valid)
-        assert rel_err(scaled, base) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # gradient checks against central differences
 
@@ -261,25 +243,6 @@ def test_align_loss_gradient_fd():
                 delta[r, c, d] = FD_STEP
                 fd = (rebuild(pts + delta) - rebuild(pts - delta)) / (2 * FD_STEP)
                 assert abs(fd - grad[r, c, d]) < FD_TOL * max(1.0, abs(grad[r, c, d]))
-
-
-def test_supervised_loss_gradient_fd():
-    rng = np.random.default_rng(14)
-    pts = rng.normal(0, 1, (3, 4, 3)) + np.array([0, 0, 4.0])
-    gt_pts = pts + rng.normal(0, 0.2, pts.shape)
-    valid = np.ones((3, 4), bool)
-    mask = rng.uniform(size=(3, 4)) > 0.3
-    mask[1, 1] = True
-    pred = Pointmap(pts, valid, 0, 0, 0)
-    gt = Pointmap(gt_pts, valid, 0, 0, 0)
-    _, grad = supervised_pointmap_loss(pred, gt, mask)
-    for r, c in zip(*np.nonzero(mask)):
-        for d in range(3):
-            delta = np.zeros_like(pts)
-            delta[r, c, d] = FD_STEP
-            hi = supervised_pointmap_loss(pred.with_points(pts + delta), gt, mask)[0]
-            lo = supervised_pointmap_loss(pred.with_points(pts - delta), gt, mask)[0]
-            assert rel_err((hi - lo) / (2 * FD_STEP), grad[r, c, d]) < FD_TOL
 
 
 def test_total_loss_gradient_fd_frozen_poses():
@@ -573,13 +536,6 @@ def test_align_loss_no_pairs_is_zero_with_flag():
     assert not g1.any() and not g2.any()
     with pytest.raises(ValueError):
         align_loss(trk, Pointmap(pts, valid, 0, 0, 0), sup)
-
-
-def test_supervised_loss_empty_mask():
-    pts = np.ones((2, 2, 3))
-    pm = Pointmap(pts, np.ones((2, 2), bool), 0, 0, 0)
-    with pytest.raises(EmptyMask):
-        supervised_pointmap_loss(pm, pm, np.zeros((2, 2), bool))
 
 
 def test_track_supervision_validation():

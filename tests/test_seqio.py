@@ -209,3 +209,57 @@ def test_manifest_spec_must_fit_scene_spec(tmp_path, seq, capsys, spec, message)
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize(
+    "name, dtype",
+    [("recon_pointmaps", "<i4"), ("depth", ">f4"), ("visibility", "|b1"), ("cameras", "<i8")],
+)
+def test_array_dtype_must_be_the_written_one(tmp_path, seq, capsys, name, dtype):
+    from worldtrack.cli import main
+
+    # the byte count still fits: only the dtype check stops the read
+    save_sequence(tmp_path / "s", seq)
+    _edit_manifest(tmp_path / "s", lambda arrays: arrays[name].update(dtype=dtype))
+    with pytest.raises(ValueError, match=f"'{name}' has dtype \\{dtype}, not ") as exc:
+        load_sequence(tmp_path / "s")
+    assert "\n" not in str(exc.value)
+    assert main(["solve-camera", "--seq", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{name}' has dtype" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [("width", 99), ("height", 17), ("num_frames", 4)])
+def test_manifest_spec_sizes_must_match_the_manifest(tmp_path, seq, capsys, key, value):
+    from worldtrack.cli import main
+
+    save_sequence(tmp_path / "s", seq)
+    mpath = tmp_path / "s" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["spec"][key] = value
+    mpath.write_text(json.dumps(manifest))
+    message = f"manifest.json: spec {key} {value} is not the manifest's {manifest[key]}"
+    with pytest.raises(ValueError, match=message) as exc:
+        load_sequence(tmp_path / "s")
+    assert "\n" not in str(exc.value)
+    assert main(["solve-camera", "--seq", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["tracking_pointmaps", "recon_pointmaps"])
+def test_non_finite_valid_point_names_file_and_frame(tmp_path, seq, capsys, name):
+    from worldtrack.cli import main
+
+    save_sequence(tmp_path / "s", seq)
+    path = tmp_path / "s" / f"{name}.raw"
+    values = np.frombuffer(path.read_bytes(), dtype="<f4").reshape(5, 18, 24, 3).copy()
+    r, c = np.argwhere(np.any(values[2] != 0.0, axis=-1))[0]
+    values[2, r, c, 1] = np.nan
+    path.write_bytes(values.tobytes())
+    message = f"{name}.raw: frame 2: valid pointmap entries must be finite"
+    with pytest.raises(ValueError, match=message):
+        load_sequence(tmp_path / "s")
+    assert main(["solve-camera", "--seq", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
