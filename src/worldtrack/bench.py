@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
     ZeroMedian,
 )
-from .geometry import Pointmap, TrackSet, _freeze
+from .geometry import TrackSet, _freeze, stack_pointmaps
 
 THRESHOLDS = (0.1, 0.3, 0.5, 1.0)
 ALIGNMENT_MODES = ("none", "median", "sim3")
@@ -248,30 +248,27 @@ def eval_recon(
 ) -> MetricReport:
     """Score reconstruction pointmaps pooled over the evaluation window.
 
-    Pixels must be valid on both sides; when ground-truth depth maps are
-    given, pixels whose depth falls outside ``depth_range`` are excluded.
+    Both are recon-branch videos on one grid. Pixels must be valid on both
+    sides; when ground-truth depth maps (T, H, W) are given, pixels whose
+    depth falls outside ``depth_range`` are excluded.
     """
-    if len(pred_pms) != len(gt_pms):
-        raise ShapeMismatch("frame counts differ")
+    pred, pred_valid = stack_pointmaps(pred_pms, "recon")
+    gt, gt_valid = stack_pointmaps(gt_pms, "recon")
+    if pred.shape != gt.shape:
+        raise ShapeMismatch(f"predicted video {pred.shape[:3]} vs ground truth {gt.shape[:3]}")
     if window < 1:
         raise ValueError("window must be positive")
-    end = min(len(gt_pms), window)
-    ps, gs = [], []
-    for j in range(end):
-        pm_p, pm_g = pred_pms[j], gt_pms[j]
-        if pm_p.points.shape != pm_g.points.shape:
-            raise ShapeMismatch(f"grid mismatch at frame {j}")
-        m = pm_p.valid & pm_g.valid
-        if depth_maps is not None:
-            d = depth_maps[j]
-            m = m & (d >= depth_range[0]) & (d <= depth_range[1])
-        if m.any():
-            ps.append(pm_p.points[m])
-            gs.append(pm_g.points[m])
-    if not ps:
+    end = min(len(gt), window)
+    m = pred_valid[:end] & gt_valid[:end]
+    if depth_maps is not None:
+        d = np.asarray(depth_maps)
+        if d.shape != gt_valid.shape:
+            raise ShapeMismatch(f"depth maps {d.shape} vs video {gt_valid.shape}")
+        m &= (d[:end] >= depth_range[0]) & (d[:end] <= depth_range[1])
+    if not m.any():
         raise NoOverlap("no comparable pixels in the evaluation window")
-    p = np.concatenate(ps, axis=0)
-    g = np.concatenate(gs, axis=0)
+    # one flat gather per side: compress beats a (T, H, W) boolean index
+    p, g = (x[:end].reshape(-1, 3).compress(m.reshape(-1), axis=0) for x in (pred, gt))
     aligned, scale = _align(p, g, alignment)
     return _report("all", alignment, (0, end), aligned, g, thresholds, scale)
 

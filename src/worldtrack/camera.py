@@ -59,6 +59,7 @@ from .geometry import (
     project_points,
     skew,
     so3_exp,
+    stack_pointmaps,
 )
 
 log = logging.getLogger(__name__)
@@ -665,14 +666,7 @@ def solve_cameras_for_video(
     reconstruction pointmap (RANSAC PnP then Gauss-Newton). Solver errors
     are re-raised with the frame index attached.
     """
-    if not recon_pointmaps:
-        raise InsufficientValidPoints("no pointmaps")
-    for t, pm in enumerate(recon_pointmaps):
-        pm.require_recon_branch()
-        if pm.time != t:
-            raise ValueError(f"pointmaps must be in time order, got time {pm.time} at {t}")
-        if pm.coord_frame != recon_pointmaps[0].coord_frame:
-            raise ValueError("pointmaps must share one coordinate frame")
+    stack_pointmaps(recon_pointmaps, "recon")  # the contract check alone
     K = estimate_focal_weiszfeld(recon_pointmaps[0], grid)
 
     def solve_frame(j: int) -> PoseEstimate:

@@ -9,6 +9,12 @@ Conventions used throughout the package:
 * Points are metric (meters), stored float64, row-major H x W grids.
 * Invalid pointmap pixels carry the zero triple (0, 0, 0) with valid=False;
   arrays never hold NaNs.
+
+A branch's video is a ``list[Pointmap]`` whose frame j carries the tags
+(0, 0, j) on the tracking branch and (0, j, j) on the recon branch (world
+frame 0, time j), all on one grid. ``stack_pointmaps`` is the only check
+of that contract; ``video_pointmaps`` builds a video as views of stacks
+whose arrays it checks once.
 """
 
 from dataclasses import dataclass, field
@@ -61,6 +67,24 @@ def so3_exp(omega: np.ndarray) -> np.ndarray:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _own_points(pts: np.ndarray, val: np.ndarray, axes: str):
+    """Check the caller's own float64 points (``axes``, 3) and bool mask
+    (``axes``), zero the invalid points and freeze both. ``axes`` is "H, W"
+    or "T, H, W"; for a video, a non-finite valid point names its frame."""
+    if pts.ndim != axes.count(",") + 2 or pts.shape[-1] != 3:
+        raise ShapeMismatch(f"points must be ({axes}, 3), got {pts.shape}")
+    if val.shape != pts.shape[:-1]:
+        raise ShapeMismatch(f"valid mask {val.shape} does not match grid {pts.shape[:-1]}")
+    pts[~val] = 0.0
+    finite = np.isfinite(pts)
+    if not finite.all():
+        where = ""
+        if pts.ndim == 4:
+            where = f"frame {int(np.argmin(finite.reshape(len(pts), -1).all(axis=1)))}: "
+        raise ValueError(f"{where}valid pointmap entries must be finite")
+    return _freeze(pts), _freeze(val)
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +175,14 @@ class Pointmap:
     time: int
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)
-        if pts.ndim != 3 or pts.shape[2] != 3:
-            raise ShapeMismatch(f"points must be (H, W, 3), got {pts.shape}")
-        val = np.array(self.valid, dtype=bool)
-        if val.shape != pts.shape[:2]:
-            raise ShapeMismatch(
-                f"valid mask {val.shape} does not match grid {pts.shape[:2]}"
-            )
-        if not np.isfinite(pts[val]).all():
-            raise ValueError("valid pointmap entries must be finite")
-        pts[~val] = 0.0
+        pts, val = _own_points(
+            np.array(self.points, dtype=np.float64), np.array(self.valid, dtype=bool), "H, W"
+        )
         for tag in (self.coord_frame, self.content_frame, self.time):
             if tag < 0:
                 raise ValueError(f"frame tags must be non-negative, got {tag}")
-        object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "valid", _freeze(val))
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "valid", val)
 
     @property
     def height(self) -> int:
@@ -341,37 +357,60 @@ def queries_to_indices(queries: np.ndarray, width: int, height: int) -> tuple[np
     return rows, cols
 
 
+def stack_pointmaps(pointmaps: list[Pointmap], branch: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, H, W, 3) points and (T, H, W) masks of a ``branch`` video
+    ("tracking" or "recon"), read-only to the caller: the stacks of one
+    ``video_pointmaps`` call, or new ones. Raises ``EmptyVideo`` on no
+    frames, ``ValueError`` on a frame out of time order and, with the frame
+    attached, ``BranchContractViolation`` on one off the branch or the world
+    frame and ``ShapeMismatch`` on one off the first frame's grid."""
+    if not pointmaps:
+        raise EmptyVideo(f"no {branch} pointmaps")
+    grid = pointmaps[0].points.shape
+    for j, pm in enumerate(pointmaps):
+        if (pm.coord_frame, pm.content_frame) != (0, pm.time if branch == "recon" else 0):
+            raise BranchContractViolation(
+                f"expected a {branch}-branch pointmap in world frame 0, got "
+                f"coord={pm.coord_frame} content={pm.content_frame} time={pm.time}"
+            ).with_frame(j)
+        if pm.time != j:
+            raise ValueError(f"pointmaps must be in time order, got time {pm.time} at {j}")
+        if pm.points.shape != grid:
+            raise ShapeMismatch(f"grid {pm.points.shape[:2]}, not {grid[:2]}").with_frame(j)
+    points, valid = pointmaps[0].points.base, pointmaps[0].valid.base
+    if points is not None and len(points) == len(pointmaps):
+        if all(pm.points.base is points for pm in pointmaps):
+            return points, valid
+    return np.stack([pm.points for pm in pointmaps]), np.stack([pm.valid for pm in pointmaps])
+
+
+def video_pointmaps(points: np.ndarray, valid: np.ndarray, branch: str) -> list[Pointmap]:
+    """The frames of a ``branch`` video, as views of its (T, H, W, 3) points
+    and (T, H, W) masks, taken over (copied only if read-only, views or of
+    another dtype), checked once as ``Pointmap`` checks a frame (the first
+    bad frame named), zeroed where invalid and frozen."""
+    pts, val = _own_points(
+        np.require(points, np.float64, "CWO"), np.require(valid, bool, "CWO"), "T, H, W"
+    )
+    frames = [object.__new__(Pointmap) for _ in pts]
+    for j, pm in enumerate(frames):
+        content = j if branch == "recon" else 0
+        vars(pm).update(points=pts[j], valid=val[j], coord_frame=0, content_frame=content, time=j)
+    return frames
+
+
 def assemble_trajectories(tracking_pointmaps: list[Pointmap], queries: np.ndarray) -> TrackSet:
     """Gather 3D world trajectories for anchor-frame query pixels.
 
     Args:
-        tracking_pointmaps: one tracking-branch pointmap per frame, in time
-            order, sharing the anchor coordinate frame.
+        tracking_pointmaps: one tracking-branch video (see
+            ``stack_pointmaps``).
         queries: (N, 2) pixel coordinates inside the anchor grid.
 
     Returns:
         TrackSet with (N, T, 3) positions; visibility is the pointmap valid
         bit at the query pixel.
     """
-    if not tracking_pointmaps:
-        raise EmptyVideo("no tracking pointmaps")
-    first = tracking_pointmaps[0]
-    for t, pm in enumerate(tracking_pointmaps):
-        pm.require_tracking_branch()
-        if pm.coord_frame != first.coord_frame:
-            raise BranchContractViolation(
-                f"pointmap {t} in frame {pm.coord_frame}, expected {first.coord_frame}"
-            )
-        if pm.points.shape != first.points.shape:
-            raise ShapeMismatch("tracking pointmaps must share one grid")
-        if pm.time != t:
-            raise ValueError(f"pointmaps must be in time order, got time {pm.time} at {t}")
-    rows, cols = queries_to_indices(queries, first.width, first.height)
-    T = len(tracking_pointmaps)
-    N = rows.shape[0]
-    positions = np.zeros((N, T, 3))
-    visibility = np.zeros((N, T), dtype=bool)
-    for t, pm in enumerate(tracking_pointmaps):
-        positions[:, t] = pm.points[rows, cols]
-        visibility[:, t] = pm.valid[rows, cols]
-    return TrackSet(positions, visibility)
+    points, valid = stack_pointmaps(tracking_pointmaps, "tracking")
+    rows, cols = queries_to_indices(queries, points.shape[2], points.shape[1])
+    return TrackSet(points[:, rows, cols].swapaxes(0, 1), valid[:, rows, cols].T)

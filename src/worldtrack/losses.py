@@ -31,7 +31,6 @@ from .errors import (
     NonPositiveProjectedDepth,
     NoOverlap,
     ShapeMismatch,
-    WorldTrackError,
 )
 from .geometry import (
     DEPTH_EPS,
@@ -43,6 +42,8 @@ from .geometry import (
     _pixels,
     project_points,
     queries_to_indices,
+    stack_pointmaps,
+    video_pointmaps,
 )
 
 log = logging.getLogger(__name__)
@@ -425,26 +426,17 @@ def _objective(tracking_pms, recon_pms, K, sup, mono, weights):
     Returns both branches' (T, 3, P) point stacks, the (T, P) recon mask
     and the ``_Layout`` that ``_evaluate`` takes.
     """
-    T = len(tracking_pms)
-    if not (T == len(recon_pms) == sup.num_frames == mono.depth.shape[0]):
+    trk, trk_valid = stack_pointmaps(tracking_pms, "tracking")
+    rec, rec_valid = stack_pointmaps(recon_pms, "recon")
+    T, H, W, _ = trk.shape
+    if not (T == len(rec) == sup.num_frames == mono.depth.shape[0]):
         raise ShapeMismatch("frame counts disagree across inputs")
-    H, W, _ = shape = tracking_pms[0].points.shape
-    for j, (trk_pm, rec_pm) in enumerate(zip(tracking_pms, recon_pms)):
-        if trk_pm.time != j or rec_pm.time != j:
-            raise ValueError(f"pointmap at index {j} carries the wrong frame time")
-        if trk_pm.points.shape != shape or rec_pm.points.shape != shape:
-            raise ShapeMismatch("all frames must share one pixel grid")
-        try:
-            trk_pm.require_tracking_branch()
-            rec_pm.require_recon_branch()
-        except WorldTrackError as exc:
-            raise exc.with_frame(j)
+    if rec.shape != trk.shape:
+        raise ShapeMismatch(f"recon grid {rec.shape[1:3]} vs tracking grid {(H, W)}")
     if mono.depth.shape[1:] != (H, W):
         raise ShapeMismatch(f"depth maps {mono.depth.shape[1:]} vs grid {(H, W)}").with_frame(0)
-    branches = (tracking_pms, recon_pms)
-    trk, rec = (_coordinates_first(np.stack([pm.points for pm in pms])) for pms in branches)
-    trk_valid, rec_valid = (np.stack([pm.valid for pm in pms]).reshape(T, -1)
-                            for pms in branches)
+    trk, rec = _coordinates_first(trk), _coordinates_first(rec)
+    trk_valid, rec_valid = trk_valid.reshape(T, -1), rec_valid.reshape(T, -1)
 
     rows, cols = queries_to_indices(sup.query_pixels, W, H)
     qflat = rows * W + cols
@@ -554,9 +546,9 @@ def _total_with_grads(tracking_pms, recon_pms, poses, K, sup, mono, weights):
     """The breakdown plus the gradients ``(g_trk, g_rec, g_R, g_T)`` of
     the frames' summed objective: (T, H, W, 3) for both branches, (T, 3, 3)
     and (T, 3) for the poses."""
-    if len(poses) != len(tracking_pms):
-        raise ShapeMismatch("frame counts disagree across inputs")
     trk, rec, _, layout = _objective(tracking_pms, recon_pms, K, sup, mono, weights)
+    if len(poses) != len(trk):
+        raise ShapeMismatch("frame counts disagree across inputs")
     per_term, (g_trk, g_rec, g_R, g_T) = _evaluate(layout, trk, rec, *_pose_stack(poses))
     shape = (len(poses),) + tracking_pms[0].points.shape
     g_trk, g_rec = (g.transpose(0, 2, 1).reshape(shape) for g in (g_trk, g_rec))
@@ -603,14 +595,14 @@ def tta_optimize(
     after the last update; zero steps returns the state unchanged with an
     empty trace.
     """
-    T = len(state.tracking_params)
     if state.steps < 0:
         raise ValueError(f"steps must be non-negative, got {state.steps}")
     if state.steps == 0:
         return state, []
 
-    first = state.tracking_params[0]
-    grid = PixelGrid.create(first.width, first.height)
+    _, trk_valid = stack_pointmaps(state.tracking_params, "tracking")
+    T, H, W = trk_valid.shape
+    grid = PixelGrid.create(W, H)
     K, estimates = solve_cameras_for_video(
         state.recon_pointmaps, grid, RansacConfig(seed=state.seed)
     )
@@ -666,13 +658,13 @@ def tta_optimize(
     estimates, _ = refresh_poses(state.steps)
     trace.append(evaluate(state.steps, False)[0])
 
-    shape = state.tracking_params[0].points.shape
-    tracking = [
-        pm.with_points(trk[j].T.reshape(shape)) for j, pm in enumerate(state.tracking_params)
-    ]
+    # points last again, each in a new array of its own for its video to take over
+    shape = (T, 3, H, W)
+    tracking = video_pointmaps(np.moveaxis(trk.reshape(shape), 1, -1).copy(), trk_valid, "tracking")
     recon = state.recon_pointmaps
     if live:
-        recon = [pm.with_points(rec[j].T.reshape(shape)) for j, pm in enumerate(recon)]
+        rec_valid = rec_valid.reshape(trk_valid.shape)
+        recon = video_pointmaps(np.moveaxis(rec.reshape(shape), 1, -1).copy(), rec_valid, "recon")
     return replace(state, tracking_params=tracking, recon_pointmaps=recon), trace
 
 

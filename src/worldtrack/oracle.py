@@ -23,12 +23,13 @@ from .geometry import (
     DEPTH_EPS,
     Intrinsics,
     PixelGrid,
-    Pointmap,
     PoseSE3,
     TrackSet,
     _pixels,
     backproject,
     so3_exp,
+    stack_pointmaps,
+    video_pointmaps,
 )
 from .losses import DepthSupervision, TrackSupervision
 
@@ -321,7 +322,9 @@ def render(scene: Scene) -> RenderedSequence:
     pts0 = backproject(K, centers, zbuf0)
     n_owners = pts0.shape[0]
 
-    pos = np.empty((T, n_owners, 3))
+    # the tracking video's stack, written through the (T, H*W, 3) view pos
+    tracking_points = np.empty((T, H, W, 3))
+    pos = tracking_points.reshape(T, n_owners, 3)
     static = owner_motion == STATIC_ID
     for j in range(T):
         pos[j, static] = pts0[static]
@@ -334,13 +337,11 @@ def render(scene: Scene) -> RenderedSequence:
             if sel.any():
                 pos[j, sel] = scene.beacon_tracks[k, j]
 
-    all_valid = np.ones((H, W), dtype=bool)
-    tracking = [
-        Pointmap(pos[j].reshape(H, W, 3), all_valid, 0, 0, j) for j in range(T)
-    ]
+    tracking = video_pointmaps(tracking_points, np.ones((T, H, W), dtype=bool), "tracking")
 
     is_beacon = owner_motion >= num_bodies
-    recon = []
+    recon_points = np.zeros((T, H, W, 3))
+    recon_valid = np.zeros((T, H, W), dtype=bool)
     depth = np.zeros((T, H, W))
     tracks2d = np.zeros((n_owners, T, 2))
     visibility = np.zeros((n_owners, T), dtype=bool)
@@ -355,12 +356,9 @@ def render(scene: Scene) -> RenderedSequence:
         has = winner >= 0
         if not has.any():
             raise EmptyRaster("no content visible").with_frame(j)
-        pts = np.zeros((H * W, 3))
         inv = scene.cameras[j].inverse()
-        pts[has] = inv.apply(backproject(K, centers[has], zbuf[has]))
-        recon.append(
-            Pointmap(pts.reshape(H, W, 3), has.reshape(H, W), 0, j, j)
-        )
+        recon_points[j].reshape(-1, 3)[has] = inv.apply(backproject(K, centers[has], zbuf[has]))
+        recon_valid[j] = has.reshape(H, W)
         depth[j] = zbuf.reshape(H, W)
 
         tracks2d[:, j] = pixj
@@ -384,7 +382,7 @@ def render(scene: Scene) -> RenderedSequence:
         intrinsics=K,
         cameras=list(scene.cameras),
         tracking_pointmaps=tracking,
-        recon_pointmaps=recon,
+        recon_pointmaps=video_pointmaps(recon_points, recon_valid, "recon"),
         depth=depth,
         tracks2d=TrackSet(tracks2d, visibility, dynamic),
         tracks3d=TrackSet(np.swapaxes(pos, 0, 1), visibility, dynamic),
@@ -422,23 +420,20 @@ def corrupt(
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
 
-        def perturb(pms):
-            out = []
-            for j, pm in enumerate(pms):
-                delta = np.zeros_like(pm.points)
-                if noise > 0:
-                    delta += rng.normal(0.0, noise, pm.points.shape)
-                if drift > 0:
-                    delta += drift * j * direction
-                pts = np.array(pm.points)
-                pts[pm.valid] += delta[pm.valid]
-                out.append(pm.with_points(pts))
-            return out
+        def perturb(pms, branch):
+            points, valid = stack_pointmaps(pms, branch)
+            # one draw for the video: the per-frame draws, frame after frame
+            delta = rng.normal(0.0, noise, points.shape) if noise > 0 else np.zeros(points.shape)
+            if drift > 0:
+                delta += (drift * np.arange(len(points)))[:, None, None, None] * direction
+            # invalid pixels moved too; video_pointmaps zeroes them again
+            delta += points
+            return video_pointmaps(delta, valid, branch)
 
         if "tracking" in targets:
-            out_tracking = perturb(seq.tracking_pointmaps)
+            out_tracking = perturb(seq.tracking_pointmaps, "tracking")
         if "recon" in targets:
-            out_recon = perturb(seq.recon_pointmaps)
+            out_recon = perturb(seq.recon_pointmaps, "recon")
     meta = dict(seq.meta)
     meta["corruption"] = {
         "noise": noise,
@@ -454,15 +449,14 @@ def corrupt(
 def _landing_cells(seq: RenderedSequence) -> np.ndarray:
     """(N, T) flat index of the reconstruction cell each visible track lands
     in, -1 where the track is invisible, off the grid or on an invalid cell."""
-    first = seq.tracking_pointmaps[0]
-    H, W = first.height, first.width
+    _, valid = stack_pointmaps(seq.recon_pointmaps, "recon")
+    T, H, W = valid.shape
     t2 = seq.tracks2d.positions
     cols = np.floor(t2[..., 0]).astype(np.int64)
     rows = np.floor(t2[..., 1]).astype(np.int64)
     ok = seq.tracks2d.visibility & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
     cell = np.where(ok, rows * W + cols, -1)
-    valid = np.stack([pm.valid.reshape(-1) for pm in seq.recon_pointmaps])
-    ok &= valid[np.arange(len(valid)), np.maximum(cell, 0)]
+    ok &= valid.reshape(T, -1)[np.arange(T), np.maximum(cell, 0)]
     return np.where(ok, cell, -1)
 
 
@@ -474,16 +468,15 @@ def make_track_supervision(seq: RenderedSequence) -> TrackSupervision:
     within 1e-9 m. Frame 0 always matches; mid-sequence matches come from
     beacons and, under a static camera, from unoccluded static content.
     """
-    first = seq.tracking_pointmaps[0]
-    T, P = len(seq.recon_pointmaps), first.height * first.width
+    points, _ = stack_pointmaps(seq.recon_pointmaps, "recon")
+    T, H, W, _ = points.shape
     cell = _landing_cells(seq)
     pair = np.flatnonzero(cell >= 0)  # query * T + frame
-    recon = np.concatenate([pm.points.reshape(-1, 3) for pm in seq.recon_pointmaps])
-    stored = recon[pair % T * P + cell.flat[pair]]
+    stored = points.reshape(-1, 3)[pair % T * H * W + cell.flat[pair]]
     d = np.abs(stored - seq.tracks3d.positions.reshape(-1, 3)[pair])
     match = np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2]) <= CLAIM_TOL
     cell.flat[pair[~match]] = -1
-    queries = PixelGrid.create(first.width, first.height).flat()
+    queries = PixelGrid.create(W, H).flat()
     return TrackSupervision(queries, seq.tracks2d.positions, seq.tracks2d.visibility, cell)
 
 

@@ -6,12 +6,15 @@ little-endian float32, row major; masks are single bytes; cameras and
 intrinsics are float64 so poses survive a round trip without losing the
 rotation orthonormality contract. Invalid pointmap pixels are stored as
 the exact zero triple, which never collides with valid content because
-valid points come from rays through half-integer pixel centers.
+valid points come from rays through half-integer pixel centers. Each
+pointmap file loads as one video (``geometry.video_pointmaps``): one
+float64 stack, checked once, whose frames are views of it.
 
-Every file is written to a temporary name and renamed into place, with
-the manifest last, so a crashed writer never leaves a directory that
-parses as complete. Writes are deterministic: the same sequence produces
-byte-identical files.
+A save checks both branches as videos and every array's shape against
+theirs before it writes anything. Every file is written to a temporary
+name and renamed into place, with the manifest last, so a crashed writer
+never leaves a directory that parses as complete. Writes are
+deterministic: the same sequence produces byte-identical files.
 """
 
 import json
@@ -20,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UnknownPreset
-from .geometry import Intrinsics, Pointmap, PoseSE3, TrackSet
+from .errors import ShapeMismatch, UnknownPreset
+from .geometry import Intrinsics, PoseSE3, TrackSet, stack_pointmaps, video_pointmaps
 from .oracle import RenderedSequence, SceneSpec
 
 FORMAT_TAG = "worldtrack-seq/1"
@@ -49,15 +52,28 @@ def _put(arrays: dict, outdir: Path, name: str, data: np.ndarray, dtype: str):
 
 
 def save_sequence(path, seq: RenderedSequence) -> None:
+    """Write ``seq`` to the directory ``path``. Both branches are checked as
+    videos, and every array's shape against theirs, before any file is
+    written: a sequence ``load_sequence`` would refuse leaves no file."""
+    tracking, _ = stack_pointmaps(seq.tracking_pointmaps, "tracking")
+    recon, _ = stack_pointmaps(seq.recon_pointmaps, "recon")
+    T, H, W, _ = tracking.shape
+    N = len(seq.tracks2d.positions)
+    for name, shape, expect in (
+        ("recon_pointmaps", recon.shape, tracking.shape),
+        ("depth", np.shape(seq.depth), (T, H, W)),
+        ("cameras", (len(seq.cameras),), (T,)),
+        ("tracks2d", seq.tracks2d.positions.shape, (N, T, 2)),
+        ("tracks3d", seq.tracks3d.positions.shape, (N, T, 3)),
+        ("dynamic_mask", np.shape(seq.dynamic_mask), (H, W)),
+        ("spec", (seq.spec.num_frames, seq.spec.height, seq.spec.width), (T, H, W)),
+    ):
+        if shape != expect:
+            raise ShapeMismatch(f"{name} has shape {list(shape)}, not {list(expect)}")
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
-    T = seq.num_frames
-    H = seq.tracking_pointmaps[0].height
-    W = seq.tracking_pointmaps[0].width
 
     arrays: dict = {}
-    tracking = np.stack([pm.points for pm in seq.tracking_pointmaps])
-    recon = np.stack([pm.points for pm in seq.recon_pointmaps])
     _put(arrays, outdir, "tracking_pointmaps", tracking, "<f4")
     _put(arrays, outdir, "recon_pointmaps", recon, "<f4")
     _put(arrays, outdir, "depth", seq.depth, "<f4")
@@ -157,9 +173,17 @@ def load_sequence(path) -> RenderedSequence:
     arrays = manifest["arrays"]
     W, H, T = manifest["width"], manifest["height"], manifest["num_frames"]
 
-    shape = (T, H, W, 3)
-    tracking_raw = _get(indir, arrays, "tracking_pointmaps", shape, "<f4").astype(np.float64)
-    recon_raw = _get(indir, arrays, "recon_pointmaps", shape, "<f4").astype(np.float64)
+    def video(name, branch):
+        points = _get(indir, arrays, name, (T, H, W, 3), "<f4").astype(np.float64)
+        # a pixel is valid unless it stores the exact zero triple
+        valid = (points[..., 0] != 0.0) | (points[..., 1] != 0.0) | (points[..., 2] != 0.0)
+        try:
+            return video_pointmaps(points, valid, branch)
+        except ValueError as exc:
+            raise ValueError(f"{indir / arrays[name]['file']}: {exc}") from None
+
+    tracking = video("tracking_pointmaps", "tracking")
+    recon = video("recon_pointmaps", "recon")
     depth = _get(indir, arrays, "depth", (T, H, W), "<f4").astype(np.float64)
     tracks2d = _get(indir, arrays, "tracks2d", (None, T, 2), "<f4").astype(np.float64)
     N = len(tracks2d)
@@ -168,19 +192,6 @@ def load_sequence(path) -> RenderedSequence:
     dynamic_mask = _get(indir, arrays, "dynamic_mask", (H, W), "|u1").astype(bool)
     f, cx, cy = _get(indir, arrays, "intrinsics", (3,), "<f8")
     cam_raw = _get(indir, arrays, "cameras", (T, 3, 4), "<f8")
-
-    def from_stack(name, stack, content_of):
-        out = []
-        for j, pts in enumerate(stack):
-            valid = np.any(pts != 0.0, axis=-1)
-            try:
-                out.append(Pointmap(pts, valid, 0, content_of(j), j))
-            except ValueError as exc:
-                raise ValueError(f"{indir / arrays[name]['file']}: frame {j}: {exc}") from None
-        return out
-
-    tracking = from_stack("tracking_pointmaps", tracking_raw, lambda j: 0)
-    recon = from_stack("recon_pointmaps", recon_raw, lambda j: j)
     try:
         intrinsics = Intrinsics(float(f), float(cx), float(cy))
         cameras = [PoseSE3(cam_raw[j, :, :3], cam_raw[j, :, 3]) for j in range(T)]

@@ -1,6 +1,7 @@
 """Metrics: brute-force bitwise equivalence, alignment math, filters."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,14 @@ def test_eval_recon_filters_and_matches_brute():
     assert rep2.apd == rep.apd
     with pytest.raises(NoOverlap):
         eval_recon(pred_pms, gt_pms, depth_maps=np.full((T, H, W), 99.0))
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 8), (4, 5, 8), (4, 6, 8, 1)])
+def test_eval_recon_checks_the_depth_map_shape(shape):
+    pms = [Pointmap(np.ones((6, 8, 3)), np.ones((6, 8), bool), 0, j, j) for j in range(4)]
+    message = rf"^depth maps {re.escape(str(shape))} vs video \(4, 6, 8\)$"
+    with pytest.raises(ShapeMismatch, match=message):
+        eval_recon(pms, pms, depth_maps=np.ones(shape))
 
 
 def test_fingerprint_distinguishes_runs():

@@ -13,6 +13,7 @@ import pytest
 import worldtrack
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
 from workloads import AdaptLiveS, ReconM  # noqa: E402
 
 
@@ -42,3 +43,23 @@ def test_every_benchmark_operation_runs_without_error(tmp_path, workload):
     if isinstance(workload, ReconM):
         # clean poses and focal against the oracle
         assert [(op.item, op.problems) for op in ops if op.problems] == []
+
+
+# spans whose calls the recon-M per-layer metrics are made of
+RECON_SPANS = (
+    "seqio.load", "camera.solve_video", "camera.corr_build", "geometry.assemble",
+    "bench.eval_recon",
+)
+
+
+def test_traced_recon_operation_records_every_layer(tmp_path):
+    # a refactor that routes around a traced public name would zero its
+    # per-layer metric without an error; this makes it fail here instead
+    workload = SmallReconM()
+    items, _ = workload.setup(worldtrack, 1, tmp_path)
+    workload.prepare(worldtrack, items)
+    (make,) = workload.operations(worldtrack, items, 0)
+    with spans.Tracer(worldtrack) as tracer:
+        op = make()
+    assert op.errors == []
+    assert {name: tracer.calls[name] for name in RECON_SPANS if not tracer.calls[name]} == {}

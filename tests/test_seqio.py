@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from worldtrack.errors import BranchContractViolation, ShapeMismatch
+from worldtrack.geometry import TrackSet
 from worldtrack.oracle import SceneSpec, generate_sequence
 from worldtrack.seqio import FORMAT_TAG, load_sequence, save_sequence
 
@@ -263,3 +266,51 @@ def test_non_finite_valid_point_names_file_and_frame(tmp_path, seq, capsys, name
     assert main(["solve-camera", "--seq", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "change, kind, message",
+    [
+        (
+            lambda s: replace(s, recon_pointmaps=s.recon_pointmaps[:4]),
+            ShapeMismatch,
+            r"^recon_pointmaps has shape \[4, 18, 24, 3\], not \[5, 18, 24, 3\]$",
+        ),
+        (
+            lambda s: replace(s, tracking_pointmaps=s.recon_pointmaps),
+            BranchContractViolation,
+            "^frame 1: expected a tracking-branch pointmap",
+        ),
+        (
+            lambda s: replace(s, depth=s.depth[:, 1:]),
+            ShapeMismatch,
+            r"^depth has shape \[5, 17, 24\], not \[5, 18, 24\]$",
+        ),
+        (
+            lambda s: replace(s, cameras=s.cameras[:4]),
+            ShapeMismatch,
+            r"^cameras has shape \[4\], not \[5\]$",
+        ),
+        (
+            lambda s: replace(
+                s, tracks3d=TrackSet(s.tracks3d.positions[:, 1:], s.tracks3d.visibility[:, 1:])
+            ),
+            ShapeMismatch,
+            r"^tracks3d has shape \[432, 4, 3\], not \[432, 5, 3\]$",
+        ),
+        (
+            lambda s: replace(s, dynamic_mask=s.dynamic_mask.T),
+            ShapeMismatch,
+            r"^dynamic_mask has shape \[24, 18\], not \[18, 24\]$",
+        ),
+        (
+            lambda s: replace(s, spec=replace(s.spec, num_frames=6)),
+            ShapeMismatch,
+            r"^spec has shape \[6, 18, 24\], not \[5, 18, 24\]$",
+        ),
+    ],
+)
+def test_save_refuses_what_load_would_refuse_before_writing(tmp_path, seq, change, kind, message):
+    with pytest.raises(kind, match=message):
+        save_sequence(tmp_path / "s", change(seq))
+    assert list(tmp_path.iterdir()) == []
