@@ -207,12 +207,11 @@ def eval_tracking(
     if window < 1:
         raise ValueError("window must be positive")
     end = min(gt.num_frames, window)
-    vis = gt.visibility[:, :end]
+    vis = gt.visibility & (np.arange(gt.num_frames) < end)
     if not vis.any():
         raise NoOverlap("no visible pairs in the evaluation window")
-    idx_n, _ = np.nonzero(vis)
-    p = pred.positions[:, :end][vis]
-    g = gt.positions[:, :end][vis]
+    # one flat gather per side: compress beats an (N, T) boolean index
+    p, g = (x.positions.reshape(-1, 3).compress(vis.reshape(-1), axis=0) for x in (pred, gt))
     aligned, scale = _align(p, g, alignment)
 
     has_dynamic = gt.dynamic is not None and bool(gt.dynamic.any())
@@ -226,7 +225,8 @@ def eval_tracking(
         elif name == "dynamic":
             if gt.dynamic is None or not has_dynamic:
                 raise EmptyDynamicSubset("no dynamic tracks to score")
-            sel = gt.dynamic[idx_n]
+            # each query's flag, once per visible pair of it
+            sel = np.repeat(gt.dynamic, vis.sum(axis=1))
             if not sel.any():
                 raise EmptyDynamicSubset("no dynamic pairs in the window")
         else:

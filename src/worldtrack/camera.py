@@ -4,9 +4,9 @@ The pipeline per frame is: robust focal estimation from the anchor
 pointmap (shared across the video), locally optimised RANSAC PnP with a
 6-point minimal solver and a non-differentiable Gauss-Newton polish, and
 one final damped Gauss-Newton step on the winner's inliers whose increment
-stays differentiable with respect to the 3D points.
-``pose_gradient_wrt_points`` backpropagates an upstream pose gradient
-through that last increment. The solver has one configuration: its
+stays differentiable with respect to the 3D points. The adjoint takes that
+step's base pose, increment and normal matrix instead of solving again;
+``pose_gradient_wrt_points`` wraps it. The solver has one configuration: its
 thresholds, iteration caps and damping are the module constants below, and
 only the RANSAC seed is chosen by the caller.
 
@@ -31,9 +31,9 @@ builds the closed-form 2x6 Jacobian rows of the pinhole projection and
 forms its normal equations as matrix products; the pose adjoint
 differentiates those closed-form rows directly, and its rotation term uses
 the closed-form SO(3) left Jacobian. An inlier mask is a weight, not a copy:
-pairs outside it get zero weight and zero Jacobian rows. The inner loops
-carry raw (R, t) arrays; only a returned estimate holds a validated
-``PoseSE3``.
+pairs outside it get zero weight and zero Jacobian rows. The kernels take
+raw points (3, N), pixels (N, 2) and (R, t), as live adaptation holds them;
+only a returned estimate holds a validated ``PoseSE3``.
 """
 
 import logging
@@ -449,7 +449,7 @@ def _polish(
 ):
     """Gauss-Newton to convergence on the masked pairs, from a hypothesis (R, t)."""
     for _ in range(10):
-        delta = _gn_terms(R, t, corr, K, mask)[0]
+        delta = _gn_terms(R, t, corr.points.T, corr.pixels, K, mask)[0]
         R, t = _apply_increment(delta, R, t)
         if np.linalg.norm(delta) < 1e-14:
             break
@@ -468,9 +468,9 @@ def _apply_increment(delta: np.ndarray, R: np.ndarray, t: np.ndarray):
 
 
 def _projection_terms(
-    R: np.ndarray, t: np.ndarray, corr: Correspondences2D3D, K: Intrinsics, mask: np.ndarray
+    R: np.ndarray, t: np.ndarray, X: np.ndarray, pixels: np.ndarray, K: Intrinsics, mask
 ):
-    """Pinhole terms of every pair at a pose (R, t), Jacobian in closed form.
+    """Pinhole terms of points X (3, m) and pixels (m, 2) at (R, t), Jacobian in closed form.
 
     Returns ``(xn, yn, w, inv_z, f_z, J, r)``: the normalized coordinates
     x/z and y/z of the camera points, the weight mask w (``mask`` and
@@ -481,16 +481,16 @@ def _projection_terms(
     outside the mask or of non-positive depth get zero weight, inverse depth
     and Jacobian rows, so they drop out without a copy of the pairs.
     """
-    (xn, yn), _, inv_z, w = (a[0] for a in project_points(R[None], t[None], corr.points.T, mask))
+    (xn, yn), _, inv_z, w = (a[0] for a in project_points(R[None], t[None], X, mask))
     if not w.any():
         raise DegenerateGeometry("all correspondences behind the camera")
     f = K.focal
     f_z = f * inv_z
-    r = np.stack([corr.pixels[:, 0] - (f * xn + K.cx), corr.pixels[:, 1] - (f * yn + K.cy)])
+    r = np.stack([pixels[:, 0] - (f * xn + K.cx), pixels[:, 1] - (f * yn + K.cy)])
     # d(f*x/z, f*y/z) / d(omega, v) for Y -> Y + omega x Y + v, negated
     fu = f * w
     fxy = fu * xn * yn
-    Jt = np.empty((6, 2, len(corr)))
+    Jt = np.empty((6, 2, len(pixels)))
     Jt[0, 0] = fxy
     Jt[1, 0] = -fu * (1.0 + xn * xn)
     Jt[2, 0] = fu * yn
@@ -507,10 +507,10 @@ def _projection_terms(
 
 
 def _gn_terms(
-    R: np.ndarray, t: np.ndarray, corr: Correspondences2D3D, K: Intrinsics, mask: np.ndarray
+    R: np.ndarray, t: np.ndarray, X: np.ndarray, pixels: np.ndarray, K: Intrinsics, mask
 ):
     """One damped Gauss-Newton increment on the masked pairs and its normal-equation pieces."""
-    terms = _projection_terms(R, t, corr, K, mask)
+    terms = _projection_terms(R, t, X, pixels, K, mask)
     w, J, r = terms[2], terms[5], terms[6]
     # J^T with one row per twist entry and one column per residual row
     Jk = J.transpose(2, 1, 0).reshape(6, -1)
@@ -563,7 +563,7 @@ def gauss_newton_refine(
     if int(mask.sum()) < 3:
         raise TooFewCorrespondences(f"{int(mask.sum())} inliers")
     base = detached.pose
-    delta = _gn_terms(base.rotation, base.translation, corr, K, mask)[0]
+    delta = _gn_terms(base.rotation, base.translation, corr.points.T, corr.pixels, K, mask)[0]
     R, t = _apply_increment(delta, base.rotation, base.translation)
     err = _reproj_errors_many(R[None], t[None], K, corr)[0]
     rms = float(np.sqrt(np.mean(err[mask] ** 2)))
@@ -595,7 +595,15 @@ def pose_gradient_wrt_points(
     if grad_R.shape != (3, 3) or grad_T.shape != (3,):
         raise ValueError("upstream must be (3,3) rotation and (3,) translation grads")
     R, t = detached.base_pose.rotation, detached.base_pose.translation
-    delta, H, (xn, yn, w, inv_z, f_z, J, r) = _gn_terms(R, t, corr, K, detached.inliers)
+    delta, H, terms = _gn_terms(R, t, corr.points.T, corr.pixels, K, detached.inliers)
+    return _pose_adjoint(R, t, delta, H, terms, K, grad_R, grad_T)
+
+
+def _pose_adjoint(R, t, delta, H, terms, K, grad_R, grad_T) -> np.ndarray:
+    """(m, 3) pull-back onto the points of ``terms`` (the projection terms at
+    (R, t)) of a gradient (grad_R, grad_T) on the pose exp(delta) o (R, t),
+    where delta and H are the step's increment and damped normal matrix."""
+    xn, yn, w, inv_z, f_z, J, r = terms
 
     # pose = exp(delta) o base: pull the pose gradient back to the twist
     grad_delta = np.empty(6)
@@ -640,16 +648,9 @@ def correspondences_from_pointmap(
     """Valid pixels of a pointmap as correspondences, plus flat indices."""
     if (pm.height, pm.width) != (grid.height, grid.width):
         raise ValueError("pointmap and grid sizes differ")
-    return correspondences_from_points(pm.points.reshape(-1, 3), pm.valid.reshape(-1), grid)
-
-
-def correspondences_from_points(
-    points: np.ndarray, valid: np.ndarray, grid: PixelGrid
-) -> tuple[Correspondences2D3D, np.ndarray]:
-    """Valid pixels of one frame's raw points as correspondences, plus flat
-    indices; points (H*W, 3) and valid (H*W,) are in raster order."""
+    valid = pm.valid.reshape(-1)
     corr = Correspondences2D3D._adopt(
-        grid.flat().compress(valid, axis=0), points.compress(valid, axis=0)
+        grid.flat().compress(valid, axis=0), pm.points.reshape(-1, 3).compress(valid, axis=0)
     )
     return corr, np.flatnonzero(valid)
 

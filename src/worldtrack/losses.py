@@ -18,10 +18,10 @@ import numpy as np
 from .camera import (
     PoseEstimate,
     RansacConfig,
-    correspondences_from_pointmap,  # noqa: F401  (perfbench traces this binding)
-    correspondences_from_points,
-    gauss_newton_refine,
-    pose_gradient_wrt_points,
+    _apply_increment,
+    _gn_terms,
+    _pose_adjoint,
+    _projection_terms,
     solve_cameras_for_video,
 )
 from .errors import (
@@ -581,14 +581,14 @@ def tta_optimize(
 
     With freeze_recon the cameras are solved once from the reconstruction
     pointmaps and held fixed, and the reconstruction side is returned
-    untouched. Otherwise the reconstruction pointmaps are optimized too:
-    poses are re-solved every step (full RANSAC once, seeded by
-    ``state.seed``, then one warm-started Gauss-Newton step) and the loss
-    gradient flows into the reconstruction points through that GN increment.
+    untouched. Otherwise the reconstruction pointmaps are optimized too: each
+    evaluation steps the cameras (solved once, seeded by ``state.seed``) by one
+    Gauss-Newton step on the recon stack, the solve's inliers as a weight, and
+    the loss gradient flows back through that step's increment and normal matrix.
 
     The points live in two (T, 3, H*W) arrays for the whole run (the valid
     masks are fixed); pointmaps are built once, from the final arrays.
-    Non-finite points or loss totals, or a total above
+    Non-finite points, poses or loss totals, or a total above
     ``DIVERGENCE_FACTOR`` times the first, raise ``DivergenceDetected``.
 
     The trace holds one entry per evaluated step plus a final evaluation
@@ -610,37 +610,38 @@ def tta_optimize(
         state.tracking_params, state.recon_pointmaps, K, sup, mono, weights
     )
     live = not state.freeze_recon
+    # live cameras step on from the solve's base poses; frozen ones are its poses
+    R, t = _pose_stack([e.base_pose for e in estimates] if live else estimates)
+    # the solve's inliers, one per valid recon pixel, as a weight on the stack
+    inliers = np.zeros_like(rec_valid)
+    inliers[rec_valid] = np.concatenate([e.inliers for e in estimates])
+    pixels = grid.flat()
 
-    def correspondences():
-        # live poses of frames 1..T-1 are refined on one pair per valid
-        # recon pixel; the pose gradient flows back through the same pairs
-        return [correspondences_from_points(rec[j].T, rec_valid[j], grid) for j in range(1, T)]
-
-    def refresh_poses(step):
-        # guard the updated points first: an overflowed step would otherwise
-        # surface as a misleading solver or occlusion error
+    trace: list[LossBreakdown] = []
+    for step in range(state.steps + 1):
+        # guard the updated points and poses first: an overflowed step would
+        # otherwise surface as a misleading solver or occlusion error
         if not (np.isfinite(trk).all() and (not live or np.isfinite(rec).all())):
             raise DivergenceDetected(f"step {step}: adapted points are not finite")
-        if not live:
-            return estimates, None
-        pairs = correspondences()
-        refined = [gauss_newton_refine(e, corr, K) for e, (corr, _) in zip(estimates[1:], pairs)]
-        return estimates[:1] + refined, pairs
-
-    def evaluate(step, recon_grad):
-        per_term, grads = _evaluate(layout, trk, rec, *_pose_stack(estimates), recon_grad)
+        if live:
+            # one Gauss-Newton step per camera from its last pose; the adjoint
+            # keeps only the base pose, the increment and the normal matrix
+            R_base, t_base, gn = R, t, []
+            R, t = R.copy(), t.copy()
+            for j in range(1, T):
+                delta, normal = _gn_terms(R_base[j], t_base[j], rec[j], pixels, K, inliers[j])[:2]
+                R[j], t[j] = _apply_increment(delta, R_base[j], t_base[j])
+                gn.append((delta, normal))
+            if not (np.isfinite(R).all() and np.isfinite(t).all()):
+                raise DivergenceDetected(f"step {step}: stepped poses are not finite")
+        last = step == state.steps
+        per_term, (g_trk, g_rec, g_R, g_T) = _evaluate(layout, trk, rec, R, t, live and not last)
         breakdown = LossBreakdown.combine(per_term, weights)
         if not np.isfinite(breakdown.total):
             raise DivergenceDetected(f"step {step}: total {breakdown.total} is not finite")
-        return breakdown, grads
-
-    pairs = correspondences() if live else None
-    trace: list[LossBreakdown] = []
-    for step in range(state.steps):
-        if step > 0:
-            estimates, pairs = refresh_poses(step)
-        breakdown, (g_trk, g_rec, g_R, g_T) = evaluate(step, live)
         trace.append(breakdown)
+        if last:
+            break
         initial_total = trace[0].total
         if breakdown.total > DIVERGENCE_FACTOR * max(initial_total, 1e-30):
             raise DivergenceDetected(
@@ -650,13 +651,11 @@ def tta_optimize(
         g_trk *= state.step_size / T
         trk -= g_trk
         if live:
-            g_rec = _recon_gradient(g_rec, g_R, g_T, estimates, pairs, K)
+            g_rec = _recon_gradient(g_rec, g_R, g_T, R_base, t_base, gn, rec, inliers, pixels, K)
             g_rec *= state.step_size
             rec -= g_rec
         # the next evaluation sets the peak memory: free the gradients first
         del g_trk, g_rec
-    estimates, _ = refresh_poses(state.steps)
-    trace.append(evaluate(state.steps, False)[0])
 
     # points last again, each in a new array of its own for its video to take over
     shape = (T, 3, H, W)
@@ -668,15 +667,15 @@ def tta_optimize(
     return replace(state, tracking_params=tracking, recon_pointmaps=recon), trace
 
 
-def _recon_gradient(g_rec, g_R, g_T, estimates, pairs, K):
+def _recon_gradient(g_rec, g_R, g_T, R, t, gn, rec, inliers, pixels, K):
     """The mean objective's gradient on the recon stack, in place of the
     summed objective's direct part g_rec (T, 3, P), with the pose gradients
-    of frames 1..T-1 routed through the (corr, flat_idx) pairs they were
-    refined on."""
+    of frames 1..T-1 routed through the Gauss-Newton steps, (increment,
+    normal matrix) in ``gn``, they took from the poses (R, t) on the
+    stack rec weighted by ``inliers``."""
     T = len(g_rec)
     g_rec /= T
-    for j, (corr, flat_idx) in enumerate(pairs, start=1):
-        # one correspondence per valid pixel: flat_idx has no repeats to sum
-        upstream = (g_R[j] / T, g_T[j] / T)
-        g_rec[j].T[flat_idx] += pose_gradient_wrt_points(estimates[j], corr, K, upstream)
+    for j, (delta, H) in enumerate(gn, start=1):
+        terms = _projection_terms(R[j], t[j], rec[j], pixels, K, inliers[j])
+        g_rec[j] += _pose_adjoint(R[j], t[j], delta, H, terms, K, g_R[j] / T, g_T[j] / T).T
     return g_rec

@@ -19,7 +19,6 @@ from worldtrack.camera import (
     _reproj_errors_many,
     _so3_exp_vjp,
     correspondences_from_pointmap,
-    correspondences_from_points,
     estimate_focal_weiszfeld,
     gauss_newton_refine,
     pose_gradient_wrt_points,
@@ -342,8 +341,9 @@ def test_gn_converges_on_clean_data():
     assert est.rms_reprojection_error < 1e-10
     # the step from the stored base reproduces the pose
     base = est.base_pose
-    delta = _gn_terms(base.rotation, base.translation, corr, K, est.inliers)[0]
-    R, t = _apply_increment(delta, base.rotation, base.translation)
+    R, t = base.rotation, base.translation
+    delta = _gn_terms(R, t, corr.points.T, corr.pixels, K, est.inliers)[0]
+    R, t = _apply_increment(delta, R, t)
     assert np.allclose(R, est.pose.rotation, atol=1e-15)
     assert np.allclose(t, est.pose.translation, atol=1e-15)
 
@@ -366,7 +366,8 @@ def test_gn_first_order_optimality():
     K, pose, corr = make_pnp_instance(rng, n=35)
     detached = perturbed_estimate(pose, corr, rng)
     est = refine_steps(detached, corr, K, 8)
-    _, _, (_, _, w, _, _, J, r) = _gn_terms(est.pose.rotation, est.pose.translation, corr, K, True)
+    R, t = est.pose.rotation, est.pose.translation
+    _, _, (_, _, w, _, _, J, r) = _gn_terms(R, t, corr.points.T, corr.pixels, K, True)
     grad = np.einsum("n,nij,ni->j", w, J, r)
     assert np.abs(grad).max() < 1e-6
 
@@ -381,14 +382,15 @@ def test_projection_jacobian_matches_central_differences():
     cam[3, 2] = 0.0
     corr = Correspondences2D3D(corr.pixels, pose.inverse().apply(cam))
     R, t = pose.rotation, pose.translation
-    _, _, wt, _, _, J, r = _projection_terms(R, t, corr, K, True)
+    X = corr.points.T
+    _, _, wt, _, _, J, r = _projection_terms(R, t, X, corr.pixels, K, True)
     h = 1e-6
     fd = np.zeros_like(J)
     for k in range(6):
         step = np.zeros(6)
         step[k] = h
-        hi = _projection_terms(*_apply_increment(step, R, t), corr, K, True)[6]
-        lo = _projection_terms(*_apply_increment(-step, R, t), corr, K, True)[6]
+        hi = _projection_terms(*_apply_increment(step, R, t), X, corr.pixels, K, True)[6]
+        lo = _projection_terms(*_apply_increment(-step, R, t), X, corr.pixels, K, True)[6]
         fd[:, :, k] = (hi - lo) / (2 * h)
     front = np.arange(4, 30)
     scale = np.abs(J[front]).max()
@@ -623,9 +625,9 @@ def test_full_set_is_linearised_once_per_frame(monkeypatch):
     sizes = []
     gn_terms, ransac = camera._gn_terms, camera.solve_pnp_ransac
 
-    def counted_gn_terms(R, t, corr, K, mask):
-        sizes[-1].append(len(corr))
-        return gn_terms(R, t, corr, K, mask)
+    def counted_gn_terms(R, t, X, pixels, K, mask):
+        sizes[-1].append(len(pixels))
+        return gn_terms(R, t, X, pixels, K, mask)
 
     def frame_ransac(*args):
         sizes.append([])
@@ -686,7 +688,8 @@ def test_internal_subsets_are_frozen_and_public_pairs_are_copied():
     assert (corr.pixels[0] != -1.0).all() and (corr.points[0] != -1.0).all()
     # a frame's valid pixels become pairs that are frozen, not copied again
     keep = np.array([True, False] * 4)
-    sub, _ = correspondences_from_points(pts, keep, PixelGrid.create(4, 2))
+    pm = Pointmap(pts.reshape(2, 4, 3), keep.reshape(2, 4), 0, 0, 0)
+    sub, _ = correspondences_from_pointmap(pm, PixelGrid.create(4, 2))
     assert np.array_equal(sub.points, pts[keep])
     assert not any(a.flags.writeable for a in (sub.pixels, sub.points))
     with pytest.raises(ValueError):
@@ -709,10 +712,3 @@ def test_correspondences_from_pointmap_indexing():
     assert idx.tolist() == [6, 8]
     assert np.allclose(corr.pixels[0], [2.5, 1.5])
     assert np.allclose(corr.points[1], pts[2, 0])
-    # the same pairs from a coordinates-first (3, H*W) stack, as adaptation
-    # keeps its points
-    stacked = np.ascontiguousarray(pts.reshape(-1, 3).T)
-    raw, raw_idx = correspondences_from_points(stacked.T, valid.reshape(-1), grid)
-    assert np.array_equal(raw_idx, idx)
-    assert np.array_equal(raw.pixels, corr.pixels) and np.array_equal(raw.points, corr.points)
-    assert not raw.points.flags.writeable and not np.shares_memory(raw.points, stacked)

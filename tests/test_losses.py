@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from worldtrack import camera, losses
 from worldtrack.camera import (
+    Correspondences2D3D,
+    PoseEstimate,
     RansacConfig,
-    correspondences_from_points,
-    gauss_newton_refine,
+    _apply_increment,
+    _gn_terms,
     solve_cameras_for_video,
 )
 from worldtrack.errors import (
@@ -287,14 +290,39 @@ def test_total_loss_gradient_fd_frozen_poses():
     fd_check(recon, 1, g_rec)
 
 
+def live_inliers(estimates, rec_valid):
+    """The solve's inliers as a (T, P) weight on the recon stack, as live
+    adaptation lays them out."""
+    inliers = np.zeros_like(rec_valid)
+    inliers[rec_valid] = np.concatenate([e.inliers for e in estimates])
+    return inliers
+
+
+def live_objective(layout, trk, weights, K, grid, R0, t0, inliers):
+    """The objective of live adaptation as a function of the recon stack:
+    frame 1's camera takes one Gauss-Newton step from the fixed pose
+    (R0[1], t0[1]) on rec[1], weighted by inliers[1]. Returns the total, the
+    gradients of ``_evaluate`` and the step's (increment, normal matrix)."""
+
+    def evaluate(rec):
+        delta, normal = _gn_terms(R0[1], t0[1], rec[1], grid.flat(), K, inliers[1])[:2]
+        R, t = R0.copy(), t0.copy()
+        R[1], t[1] = _apply_increment(delta, R0[1], t0[1])
+        per_term, grads = _evaluate(layout, trk, rec, R, t)
+        return LossBreakdown.combine(per_term, weights).total, grads, [(delta, normal)]
+
+    return evaluate
+
+
 def test_total_loss_gradient_fd_through_pose():
     """Recon gradient of live adaptation, pose path included, against
     finite differences.
 
-    The pose of frame 1 is re-refined from a fixed detached base each
-    evaluation, on the pairs built from the raw point stacks, exactly the
-    coupling and the code used by unfrozen adaptation; recon holes check
-    that the pose gradient lands on the pixels it came from.
+    The pose of frame 1 takes one step from a fixed detached base each
+    evaluation, on the raw point stack with the solve's inliers as a
+    weight, exactly the coupling and the code used by unfrozen adaptation;
+    recon holes check that the pose gradient lands on the pixels it came
+    from.
     """
     K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
         num_frames=2, track_noise=0.03, recon_noise=0.02, seed=22
@@ -304,18 +332,15 @@ def test_total_loss_gradient_fd_through_pose():
     valid[5, 7] = False
     recon[1] = Pointmap(recon[1].points, valid, 0, 1, 1)
     weights = LossWeights()
-    # the refine reads only the pose and inliers of the solved estimate
+    # the step reads only the pose and inliers of the solved estimate
     _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=5))
     trk, rec, rec_valid, layout = _objective(tracking, recon, K, sup, mono, weights)
+    R0, t0 = _pose_stack(estimates)
+    inliers = live_inliers(estimates, rec_valid)
+    evaluate = live_objective(layout, trk, weights, K, grid, R0, t0, inliers)
 
-    def evaluate(rec):
-        pairs = [correspondences_from_points(rec[1].T, rec_valid[1], grid)]
-        ests = [estimates[0], gauss_newton_refine(estimates[1], pairs[0][0], K)]
-        per_term, grads = _evaluate(layout, trk, rec, *_pose_stack(ests))
-        return LossBreakdown.combine(per_term, weights).total, grads, ests, pairs
-
-    _, (_, g_rec, g_R, g_T), ests, pairs = evaluate(rec)
-    full_grad = _recon_gradient(g_rec, g_R, g_T, ests, pairs, K)
+    _, (_, g_rec, g_R, g_T), gn = evaluate(rec)
+    full_grad = _recon_gradient(g_rec, g_R, g_T, R0, t0, gn, rec, inliers, grid.flat(), K)
     assert np.all(full_grad[1][:, ~valid.reshape(-1)] == 0.0)
 
     rng = np.random.default_rng(1)
@@ -326,6 +351,60 @@ def test_total_loss_gradient_fd_through_pose():
         delta[j, d, p] = FD_STEP
         fd = (evaluate(rec + delta)[0] - evaluate(rec - delta)[0]) / (2 * FD_STEP)
         assert rel_err(fd, full_grad[j, d, p]) < FD_TOL
+
+
+def test_live_recon_gradient_skips_ransac_outliers(monkeypatch):
+    """Valid recon pixels that the solve rejects carry no pose gradient:
+    the pixel weight of the live step is the solve's inlier mask, laid onto
+    the recon stack past its holes."""
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
+        num_frames=2, track_noise=0.03, recon_noise=0.02, seed=22
+    )
+    valid = np.ones((H, W), dtype=bool)
+    valid[2, 1:4] = False
+    points = recon[1].points.copy()
+    outliers = np.zeros((H, W), dtype=bool)
+    outliers[[1, 3, 4], [6, 0, 5]] = True
+    # 1 m along x and y at depth ~2 moves each by several pixels at focal 10,
+    # well past the 2 px inlier threshold
+    points[outliers, :2] += 1.0
+    recon[1] = Pointmap(points, valid, 0, 1, 1)
+    kept = (valid & ~outliers).reshape(-1)
+
+    # the weight live adaptation hands the step for frame 1
+    masks = []
+
+    def spy(R, t, X, pixels, K, mask):
+        masks.append(np.array(mask))
+        return _gn_terms(R, t, X, pixels, K, mask)
+
+    monkeypatch.setattr(losses, "_gn_terms", spy)
+    tta_optimize(AdaptState(tracking, recon, freeze_recon=False, steps=1, seed=5), sup, mono)
+    assert len(masks) == 2 and all(np.array_equal(m, kept) for m in masks)
+
+    weights = LossWeights()
+    _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=5))
+    trk, rec, rec_valid, layout = _objective(tracking, recon, K, sup, mono, weights)
+    R0, t0 = _pose_stack([e.base_pose for e in estimates])
+    inliers = live_inliers(estimates, rec_valid)
+    assert np.array_equal(inliers[1], kept)
+    evaluate = live_objective(layout, trk, weights, K, grid, R0, t0, inliers)
+
+    _, (_, g_rec, g_R, g_T), gn = evaluate(rec)
+    args = (g_R, g_T, R0, t0, gn, rec, inliers, grid.flat(), K)
+    pose_part = _recon_gradient(np.zeros_like(g_rec), *args)[1]
+    assert np.all(pose_part[:, ~kept] == 0.0) and np.any(pose_part[:, kept] != 0.0)
+    full_grad = _recon_gradient(g_rec, *args)
+
+    rng = np.random.default_rng(2)
+    for p in [*np.flatnonzero(outliers), *rng.choice(np.flatnonzero(kept), 5, replace=False)]:
+        # relative to the pixel's largest component: one can be near zero
+        scale = np.abs(full_grad[1, :, p]).max()
+        for d in range(3):
+            delta = np.zeros_like(rec)
+            delta[1, d, p] = FD_STEP
+            fd = (evaluate(rec + delta)[0] - evaluate(rec - delta)[0]) / (2 * FD_STEP)
+            assert abs(fd - full_grad[1, d, p]) < FD_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +753,63 @@ def test_tta_non_finite_step_is_divergence(freeze, step_size):
     state = AdaptState(tracking, recon, freeze_recon=freeze, step_size=step_size, steps=5)
     with pytest.raises(DivergenceDetected, match="step 1"):
         tta_optimize(state, sup, mono)
+
+
+def test_tta_non_finite_stepped_pose_is_divergence(monkeypatch):
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
+        num_frames=2, track_noise=0.05, recon_noise=0.02, seed=45
+    )
+
+    def overflowed(delta, R, t):
+        return R * np.nan, t
+
+    monkeypatch.setattr(losses, "_apply_increment", overflowed)
+    state = AdaptState(tracking, recon, freeze_recon=False, steps=3)
+    with pytest.raises(DivergenceDetected, match="step 0: stepped poses"):
+        tta_optimize(state, sup, mono)
+
+
+def test_live_step_solves_one_normal_equation_per_frame(monkeypatch):
+    """After the solve, each of the steps + 1 evaluations of live
+    adaptation linearises every camera but frame 0's once, on the recon
+    stack, and builds no pose, estimate or correspondence set."""
+    T, steps = 3, 2
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
+        num_frames=T, track_noise=0.04, recon_noise=0.02, seed=44
+    )
+    solved, calls, built = [], [], []
+    solve, gn_terms = losses.solve_cameras_for_video, camera._gn_terms
+
+    def counted_solve(*args):
+        out = solve(*args)
+        solved.append(True)
+        return out
+
+    def counted_gn_terms(*args):
+        if solved:
+            calls.append(len(args[3]))
+        return gn_terms(*args)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if solved:
+                built.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(losses, "solve_cameras_for_video", counted_solve)
+    for module in (camera, losses):
+        monkeypatch.setattr(module, "_gn_terms", counted_gn_terms)
+    for cls in (PoseSE3, PoseEstimate, Correspondences2D3D):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    adopt = counted("Correspondences2D3D._adopt", Correspondences2D3D._adopt.__func__)
+    monkeypatch.setattr(Correspondences2D3D, "_adopt", classmethod(adopt))
+
+    state = AdaptState(tracking, recon, freeze_recon=False, step_size=5e-3, steps=steps)
+    _, trace = tta_optimize(state, sup, mono)
+    assert len(trace) == steps + 1
+    assert calls == [H * W] * ((T - 1) * (steps + 1))
+    assert built == []
 
 
 def test_tta_unfrozen_updates_recon_and_decreases():

@@ -63,3 +63,23 @@ def test_traced_recon_operation_records_every_layer(tmp_path):
         op = make()
     assert op.errors == []
     assert {name: tracer.calls[name] for name in RECON_SPANS if not tracer.calls[name]} == {}
+
+
+# spans whose calls the adapt-live-S per-layer metrics are made of
+ADAPT_SPANS = (
+    "losses.tta", "camera.solve_video", "camera.ransac", "camera.gn", "geometry.assemble",
+    "bench.eval_tracking", "bench.eval_recon", "seqio.save",
+)
+
+
+def test_traced_adapt_operation_records_every_layer(tmp_path):
+    # the adapt-live-S counterpart of the recon guard above
+    workload = SmallAdaptLiveS()
+    items, _ = workload.setup(worldtrack, 1, tmp_path)
+    workload.prepare(worldtrack, items)
+    *_, make = workload.operations(worldtrack, items, 0)
+    with spans.Tracer(worldtrack) as tracer:
+        op = make()
+    assert op.item == "adapt" and op.errors == []
+    assert {name: tracer.calls[name] for name in ADAPT_SPANS if not tracer.calls[name]} == {}
+    assert tracer.step_ms
