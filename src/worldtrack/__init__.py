@@ -46,9 +46,7 @@ from .losses import (
     LossBreakdown,
     LossWeights,
     TrackSupervision,
-    align_loss,
     depth_loss,
-    reproject_tracks,
     total_loss,
     traj_loss,
     tta_optimize,
@@ -85,7 +83,6 @@ __all__ = [
     "TrackSet",
     "TrackSupervision",
     "WorldTrackError",
-    "align_loss",
     "apd_3d",
     "assemble_trajectories",
     "backproject",
@@ -105,7 +102,6 @@ __all__ = [
     "pose_gradient_wrt_points",
     "project_points",
     "projected_track_supervision",
-    "reproject_tracks",
     "save_sequence",
     "solve_cameras_for_video",
     "solve_pnp_ransac",

@@ -55,6 +55,7 @@ from .geometry import (
     PixelGrid,
     Pointmap,
     PoseSE3,
+    _check_branch,
     _freeze,
     project_points,
     skew,
@@ -148,11 +149,9 @@ def estimate_focal_weiszfeld(pm: Pointmap, grid: PixelGrid) -> Intrinsics:
     started from the closed-form L2 solution. The principal point is fixed
     at the image center.
     """
-    pm.require_tracking_branch()
-    if pm.time != pm.content_frame:
-        raise DegenerateGeometry(
-            "focal estimation needs the first-frame self-view pointmap"
-        )
+    _check_branch(pm, "tracking", pm.time)
+    if pm.time:
+        raise DegenerateGeometry("focal estimation needs the first-frame self-view pointmap")
     if (pm.height, pm.width) != (grid.height, grid.width):
         raise ValueError("pointmap and grid sizes differ")
     mask = pm.valid & (pm.points[..., 2] > DEPTH_EPS)
@@ -199,6 +198,14 @@ def _reproj_errors_many(
     return err
 
 
+def _nearest_rotations(M: np.ndarray):
+    """The rotations nearest to a stack of 3x3 matrices (their SVDs with
+    the determinant fixed to +1), and the matrices' singular values."""
+    U, sing, Vt = np.linalg.svd(M)
+    U[:, :, 2] *= np.linalg.det(U @ Vt)[:, None]
+    return U @ Vt, sing
+
+
 def _dlt_poses(points: np.ndarray, norm_pix: np.ndarray):
     """DLT solver over a stack of samples on intrinsics-normalized pixels.
 
@@ -225,33 +232,27 @@ def _dlt_poses(points: np.ndarray, norm_pix: np.ndarray):
     ok &= np.isfinite(half).all(axis=(1, 2, 3))
     half[~ok] = 0.0
     half = half.transpose(0, 1, 3, 2)
-    try:
-        A = np.zeros((k, 2 * n, 12))
-        A[:, :n, 0:4] = half[:, 0, :, :4]
-        A[:, n:, 4:8] = half[:, 1, :, :4]
-        A[:, :n, 8:] = half[:, 0, :, 4:]
-        A[:, n:, 8:] = half[:, 1, :, 4:]
-        _, sv, Vt = np.linalg.svd(A, full_matrices=False)
-        # near-rank-deficient systems have no unique solution worth decoding
-        ok &= sv[:, -2] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
-        M = Vt[:, -1].reshape(k, 3, 4)
-        # undo the 3D normalization: M acts on s*(X - centroid)
-        M3 = M[:, :, :3] * s[:, None, None]
-        m4 = M[:, :, 3] - (M3 @ centroid[:, :, None])[:, :, 0]
-        det = np.linalg.det(M3)
-        ok &= np.abs(det) >= 1e-12
-        sign = np.where(det < 0, -1.0, 1.0)
-        M3 *= sign[:, None, None]
-        m4 *= sign[:, None]
-        M3[~ok] = np.eye(3)
-        U, sing, Vt3 = np.linalg.svd(M3)
-    except np.linalg.LinAlgError:
-        # LAPACK gave up on a matrix of the stack; no sample of it is used
-        return np.broadcast_to(np.eye(3), (k, 3, 3)), np.zeros((k, 3)), np.zeros(k, bool)
+    A = np.zeros((k, 2 * n, 12))
+    A[:, :n, 0:4] = half[:, 0, :, :4]
+    A[:, n:, 4:8] = half[:, 1, :, :4]
+    A[:, :n, 8:] = half[:, 0, :, 4:]
+    A[:, n:, 8:] = half[:, 1, :, 4:]
+    _, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    # near-rank-deficient systems have no unique solution worth decoding
+    ok &= sv[:, -2] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
+    M = Vt[:, -1].reshape(k, 3, 4)
+    # undo the 3D normalization: M acts on s*(X - centroid)
+    M3 = M[:, :, :3] * s[:, None, None]
+    m4 = M[:, :, 3] - (M3 @ centroid[:, :, None])[:, :, 0]
+    det = np.linalg.det(M3)
+    ok &= np.abs(det) >= 1e-12
+    sign = np.where(det < 0, -1.0, 1.0)
+    M3 *= sign[:, None, None]
+    m4 *= sign[:, None]
+    M3[~ok] = np.eye(3)
+    R, sing = _nearest_rotations(M3)
     lam = sing.mean(axis=1)
     ok &= lam >= 1e-12
-    U[:, :, 2] *= np.linalg.det(U @ Vt3)[:, None]
-    R = U @ Vt3
     t = m4 / np.where(ok, lam, 1.0)[:, None]
     ok &= np.isfinite(R).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
     return R, t, ok
@@ -269,10 +270,7 @@ def _plane_poses(points: np.ndarray, norm_pix: np.ndarray):
     k, n, _ = points.shape
     centroid = points.mean(axis=1)
     D = points - centroid[:, None]
-    try:
-        _, axes = np.linalg.eigh(D.transpose(0, 2, 1) @ D)
-    except np.linalg.LinAlgError:
-        return np.broadcast_to(np.eye(3), (k, 3, 3)), np.zeros((k, 3)), np.zeros(k, bool)
+    _, axes = np.linalg.eigh(D.transpose(0, 2, 1) @ D)
     # columns: the two in-plane axes, then the normal, as a right-handed frame
     B = axes[:, :, ::-1].copy()
     B[:, :, 2] *= np.sign(np.linalg.det(B))[:, None]
@@ -293,31 +291,26 @@ def _plane_poses(points: np.ndarray, norm_pix: np.ndarray):
     A[:, n:, 6:] = -x[:, :, 1:] * P
     ok &= np.isfinite(A).all(axis=(1, 2))
     A[~ok] = 0.0
-    try:
-        _, sv, Vt = np.linalg.svd(A, full_matrices=False)
-        ok &= sv[:, -2] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
-        Hn = Vt[:, -1].reshape(k, 3, 3)
-        # undo both normalizations: H = T_x^-1 Hn T_p
-        Hm = Hn * np.where(ok, s_p, 1.0)[:, None, None]
-        Hm[:, :, 2] = Hn[:, :, 2]
-        inv_s_x = 1.0 / np.where(ok, s_x, 1.0)
-        H = Hm.copy()
-        H[:, :2] = Hm[:, :2] * inv_s_x[:, None, None] + mean_x[:, :, None] * Hm[:, 2:3]
-        # scale and sign: unit rotation columns, centroid in front
-        norms = np.linalg.norm(H[:, :, 0], axis=1) + np.linalg.norm(H[:, :, 1], axis=1)
-        ok &= norms > 1e-12
-        lam = np.where(H[:, 2, 2] < 0, -2.0, 2.0) / np.where(ok, norms, 1.0)
-        H *= lam[:, None, None]
-        M = np.empty((k, 3, 3))
-        M[:, :, :2] = H[:, :, :2]
-        M[:, :, 2] = np.cross(H[:, :, 0], H[:, :, 1])
-        M[~ok] = np.eye(3)
-        U, _, Vt3 = np.linalg.svd(M)
-    except np.linalg.LinAlgError:
-        return np.broadcast_to(np.eye(3), (k, 3, 3)), np.zeros((k, 3)), np.zeros(k, bool)
-    U[:, :, 2] *= np.linalg.det(U @ Vt3)[:, None]
+    _, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    ok &= sv[:, -2] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
+    Hn = Vt[:, -1].reshape(k, 3, 3)
+    # undo both normalizations: H = T_x^-1 Hn T_p
+    Hm = Hn * np.where(ok, s_p, 1.0)[:, None, None]
+    Hm[:, :, 2] = Hn[:, :, 2]
+    inv_s_x = 1.0 / np.where(ok, s_x, 1.0)
+    H = Hm.copy()
+    H[:, :2] = Hm[:, :2] * inv_s_x[:, None, None] + mean_x[:, :, None] * Hm[:, 2:3]
+    # scale and sign: unit rotation columns, centroid in front
+    norms = np.linalg.norm(H[:, :, 0], axis=1) + np.linalg.norm(H[:, :, 1], axis=1)
+    ok &= norms > 1e-12
+    lam = np.where(H[:, 2, 2] < 0, -2.0, 2.0) / np.where(ok, norms, 1.0)
+    H *= lam[:, None, None]
+    M = np.empty((k, 3, 3))
+    M[:, :, :2] = H[:, :, :2]
+    M[:, :, 2] = np.cross(H[:, :, 0], H[:, :, 1])
+    M[~ok] = np.eye(3)
     # the pose acts on B^T (X - centroid); fold that frame back in
-    R = U @ Vt3 @ B.transpose(0, 2, 1)
+    R = _nearest_rotations(M)[0] @ B.transpose(0, 2, 1)
     t = H[:, :, 2] - (R @ centroid[:, :, None])[:, :, 0]
     ok &= np.isfinite(R).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
     return R, t, ok
@@ -325,7 +318,8 @@ def _plane_poses(points: np.ndarray, norm_pix: np.ndarray):
 
 def _minimal_poses(points: np.ndarray, norm_pix: np.ndarray):
     """Poses from a stack of minimal samples: near-planar samples by their
-    plane homography, the others by DLT. Returns as ``_dlt_poses``."""
+    plane homography, the others by DLT. Returns as ``_dlt_poses``; a
+    stack LAPACK gives up on gives no pose."""
     D = points - points.mean(axis=1, keepdims=True)
     ev = np.linalg.eigvalsh(D.transpose(0, 2, 1) @ D)
     planar = ev[:, 0] < PLANAR_RATIO * ev[:, 1]
@@ -334,7 +328,10 @@ def _minimal_poses(points: np.ndarray, norm_pix: np.ndarray):
     ok = np.empty(points.shape[0], dtype=bool)
     for solver, pick in ((_dlt_poses, ~planar), (_plane_poses, planar)):
         if pick.any():
-            R[pick], t[pick], ok[pick] = solver(points[pick], norm_pix[pick])
+            try:
+                R[pick], t[pick], ok[pick] = solver(points[pick], norm_pix[pick])
+            except np.linalg.LinAlgError:
+                R[pick], t[pick], ok[pick] = np.eye(3), 0.0, False
     return R, t, ok
 
 

@@ -37,7 +37,7 @@ from .seqio import load_sequence, save_sequence
 
 
 def _write_json(path, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:

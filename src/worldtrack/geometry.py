@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * Pixel (row r, col c) has image coordinate (c + 0.5, r + 0.5): coordinates
-  address pixel centers, the upper-left corner of the image is (0, 0).
+  address pixel centers, the upper-left corner of the image is (0, 0). An
+  image coordinate falls in the cell [c, c+1) x [r, r+1) (``_pixel_cells``).
 * Frame indices are zero-based; frame 0 is the anchor and the world frame
   coincides with the anchor camera frame.
 * Points are metric (meters), stored float64, row-major H x W grids.
@@ -13,8 +14,10 @@ Conventions used throughout the package:
 A branch's video is a ``list[Pointmap]`` whose frame j carries the tags
 (0, 0, j) on the tracking branch and (0, j, j) on the recon branch (world
 frame 0, time j), all on one grid. ``stack_pointmaps`` is the only check
-of that contract; ``video_pointmaps`` builds a video as views of stacks
-whose arrays it checks once.
+of that contract, and its per-frame test ``_check_branch`` the only branch
+rule, which single-frame consumers apply to their one frame.
+``video_pointmaps`` builds a video as views of stacks whose arrays it
+checks once.
 """
 
 from dataclasses import dataclass, field
@@ -192,28 +195,6 @@ class Pointmap:
     def width(self) -> int:
         return self.points.shape[1]
 
-    def is_tracking_branch(self) -> bool:
-        """Anchor content carried through time in anchor coordinates."""
-        return self.content_frame == self.coord_frame
-
-    def is_recon_branch(self) -> bool:
-        """Per-frame content expressed in the shared coordinate frame."""
-        return self.content_frame == self.time
-
-    def require_tracking_branch(self):
-        if not self.is_tracking_branch():
-            raise BranchContractViolation(
-                f"expected tracking-branch pointmap, got coord={self.coord_frame} "
-                f"content={self.content_frame} time={self.time}"
-            )
-
-    def require_recon_branch(self):
-        if not self.is_recon_branch():
-            raise BranchContractViolation(
-                f"expected recon-branch pointmap, got coord={self.coord_frame} "
-                f"content={self.content_frame} time={self.time}"
-            )
-
     def with_points(self, points: np.ndarray, valid: np.ndarray | None = None) -> "Pointmap":
         """Copy with replaced coordinates (tags preserved)."""
         return Pointmap(
@@ -338,23 +319,38 @@ def backproject(intrinsics: Intrinsics, pixels: np.ndarray, depth: np.ndarray) -
     return np.stack([x, y, depth], axis=-1)
 
 
-def queries_to_indices(queries: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map (N, 2) query pixel coordinates to integer (rows, cols).
+def _pixel_cells(pixels: np.ndarray, width: int, height: int):
+    """The pixel cell [c, c+1) x [r, r+1) of each (..., 2) image coordinate:
+    its int64 rows and cols, and whether it lies on the width x height grid."""
+    cols = np.floor(pixels[..., 0]).astype(np.int64)
+    rows = np.floor(pixels[..., 1]).astype(np.int64)
+    return rows, cols, (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
 
-    A query belongs to the pixel whose cell [c, c+1) x [r, r+1) contains it.
-    """
+
+def queries_to_indices(queries: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map (N, 2) query pixel coordinates to the integer (rows, cols) of
+    their cells; a query off the grid raises ``QueryOutOfBounds``."""
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != 2:
         raise ShapeMismatch(f"queries must be (N, 2), got {q.shape}")
-    cols = np.floor(q[:, 0]).astype(np.int64)
-    rows = np.floor(q[:, 1]).astype(np.int64)
-    bad = (cols < 0) | (cols >= width) | (rows < 0) | (rows >= height)
-    if bad.any():
-        i = int(np.argmax(bad))
+    rows, cols, inside = _pixel_cells(q, width, height)
+    if not inside.all():
+        i = int(np.argmin(inside))
         raise QueryOutOfBounds(
             f"query {i} at {tuple(q[i].tolist())} outside {width}x{height} grid"
         )
     return rows, cols
+
+
+def _check_branch(pm: Pointmap, branch: str, frame: int):
+    """The branch rule: a ``branch`` ("tracking" or "recon") pointmap lives
+    in world frame 0 and depicts content 0, or its own time's on the recon
+    branch; else ``BranchContractViolation`` is raised for ``frame``."""
+    if (pm.coord_frame, pm.content_frame) != (0, pm.time if branch == "recon" else 0):
+        raise BranchContractViolation(
+            f"expected a {branch}-branch pointmap in world frame 0, got "
+            f"coord={pm.coord_frame} content={pm.content_frame} time={pm.time}"
+        ).with_frame(frame)
 
 
 def stack_pointmaps(pointmaps: list[Pointmap], branch: str) -> tuple[np.ndarray, np.ndarray]:
@@ -368,11 +364,7 @@ def stack_pointmaps(pointmaps: list[Pointmap], branch: str) -> tuple[np.ndarray,
         raise EmptyVideo(f"no {branch} pointmaps")
     grid = pointmaps[0].points.shape
     for j, pm in enumerate(pointmaps):
-        if (pm.coord_frame, pm.content_frame) != (0, pm.time if branch == "recon" else 0):
-            raise BranchContractViolation(
-                f"expected a {branch}-branch pointmap in world frame 0, got "
-                f"coord={pm.coord_frame} content={pm.content_frame} time={pm.time}"
-            ).with_frame(j)
+        _check_branch(pm, branch, j)
         if pm.time != j:
             raise ValueError(f"pointmaps must be in time order, got time {pm.time} at {j}")
         if pm.points.shape != grid:

@@ -1,17 +1,22 @@
-"""Finite-difference spot checks for every analytic gradient.
+"""Finite-difference spot checks of the analytic gradients adaptation uses.
 
-Each check builds small random instances, compares the implemented
-gradient against central differences and reports the worst relative
-error. The functions under test are resolved through their modules at
-call time, so swapping one out (say, to flip a sign) is caught.
+The three loss checks audit ``losses._evaluate``, the objective every
+adaptation step runs, on tiny corrupted oracle videos: for one term at a
+time (a one-hot ``LossWeights``), all four gradients it returns, on both
+point stacks and on the raw pose arrays, against central differences of
+the weighted per-frame sum. The pose check audits the adjoint of the
+final Gauss-Newton step under a random inlier mask, the weight live
+adaptation passes. Each check reports the worst relative error. The
+functions under test are resolved through their modules at call time, so
+swapping one out (say, to flip a sign) is caught.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import camera, losses
-from .geometry import Intrinsics, Pointmap, PoseSE3, backproject, so3_exp
+from . import camera, losses, oracle
+from .geometry import Intrinsics, PoseSE3, backproject, so3_exp
 
 DEFAULT_STEP = 1e-6
 DEFAULT_TOL = 1e-4
@@ -28,80 +33,64 @@ class CheckResult:
         return self.max_rel_err < self.tolerance
 
 
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-12)
+def _worst_fd_error(value, args, grads, picks, step):
+    """Worst relative error between the gradients ``grads`` of the scalar
+    ``value(*args)`` and its central differences at the flat entries
+    ``picks[i]`` of ``args[i]``. An entry far below its array's largest is
+    measured against 1e-4 of that largest: the differences' rounding error
+    scales with the values, not with the entry (an exact zero included)."""
+    worst = 0.0
+    for i, (grad, pick) in enumerate(zip(grads, picks)):
+        floor = max(1e-4 * np.abs(grad).max(), 1e-12)
+        for k in pick:
+            ends = []
+            for sign in (1.0, -1.0):
+                moved = args[i].copy()
+                moved.flat[k] += sign * step
+                ends.append(value(*args[:i], moved, *args[i + 1:]))
+            fd, exact = (ends[0] - ends[1]) / (2 * step), grad.flat[k]
+            worst = max(worst, abs(fd - exact) / max(abs(fd), abs(exact), floor))
+    return worst
+
+
+def _check_term(column, seed, trials, step, tol):
+    """``_evaluate``'s gradients for the term in ``column`` of its (T, 3)
+    per-frame terms (traj, depth, align) alone."""
+    rng = np.random.default_rng(seed)
+    weights = losses.LossWeights(*(float(c == column) for c in range(3)))
+    worst = 0.0
+    for _ in range(trials):
+        # orbit-dynamic at 8x8x3, focal 10, both branches corrupted: every
+        # term has residuals at the true poses
+        spec = oracle.SceneSpec("orbit-dynamic", width=8, height=8, num_frames=3,
+                                focal=10.0, seed=int(rng.integers(1 << 30)))
+        seq = oracle.corrupt(oracle.generate_sequence(spec), noise=0.05, drift=0.01,
+                             targets=("tracking", "recon"), seed=int(rng.integers(1 << 30)))
+        trk, rec, _, _, layout = losses._objective(
+            losses._stacks(seq.tracking_pointmaps, seq.recon_pointmaps), seq.intrinsics,
+            oracle.projected_track_supervision(seq), oracle.make_depth_supervision(seq), weights,
+        )
+        args = (trk, rec, *losses._pose_stack(seq.cameras))
+
+        def value(*arrays):
+            return float(np.sum(losses._evaluate(layout, *arrays)[0][:, column]))
+
+        grads = losses._evaluate(layout, *args)[1]
+        picks = [rng.choice(a.size, 3, replace=False) for a in args]
+        worst = max(worst, _worst_fd_error(value, args, grads, picks, step))
+    return CheckResult(("traj_loss", "depth_loss", "align_loss")[column], worst, tol)
 
 
 def check_traj_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        pred = rng.normal(0, 3, (10, 2))
-        gt = pred + rng.normal(0, 0.5, (10, 2))
-        c = rng.normal(0, 1, 2)
-        _, grad, _ = losses.traj_loss(pred, gt, c)
-        for n in range(3):
-            for d in range(2):
-                hi, lo = pred.copy(), pred.copy()
-                hi[n, d] += step
-                lo[n, d] -= step
-                fd = (
-                    losses.traj_loss(hi, gt, c)[0] - losses.traj_loss(lo, gt, c)[0]
-                ) / (2 * step)
-                worst = max(worst, _rel(fd, grad[n, d]))
-    return CheckResult("traj_loss", worst, tol)
+    return _check_term(0, seed, trials, step, tol)
 
 
 def check_depth_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        pts = rng.normal(0, 0.5, (3, 4, 3)) + np.array([0, 0, 3.0])
-        pm = Pointmap(pts, np.ones((3, 4), bool), 0, 1, 1)
-        pose = PoseSE3(so3_exp(rng.normal(0, 0.1, 3)), rng.normal(0, 0.2, 3))
-        mono = rng.uniform(2.0, 4.0, (3, 4))
-        _, grad = losses.depth_loss(pm, pose, mono)
-        for r, c in [(0, 0), (1, 2), (2, 3)]:
-            for d in range(3):
-                delta = np.zeros_like(pts)
-                delta[r, c, d] = step
-                hi = losses.depth_loss(pm.with_points(pts + delta), pose, mono)[0]
-                lo = losses.depth_loss(pm.with_points(pts - delta), pose, mono)[0]
-                worst = max(worst, _rel((hi - lo) / (2 * step), grad[r, c, d]))
-    return CheckResult("depth_loss", worst, tol)
+    return _check_term(1, seed, trials, step, tol)
 
 
 def check_align_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        pts_t = rng.normal(0, 1, (3, 4, 3))
-        pts_r = rng.normal(0, 1, (3, 4, 3))
-        valid = np.ones((3, 4), bool)
-        trk = Pointmap(pts_t, valid, 0, 0, 1)
-        rec = Pointmap(pts_r, valid, 0, 1, 1)
-        n = 4
-        queries = np.column_stack(
-            [rng.integers(0, 4, n) + 0.5, rng.integers(0, 3, n) + 0.5]
-        ).astype(float)
-        corr = np.full((n, 2), -1, dtype=np.int64)
-        corr[:, 1] = rng.integers(0, 12, n)
-        sup = losses.TrackSupervision(
-            queries, np.zeros((n, 2, 2)) + 0.5, np.ones((n, 2), bool), corr
-        )
-        _, g_trk, g_rec, _ = losses.align_loss(trk, rec, sup)
-        for pts, grad, run in (
-            (pts_t, g_trk, lambda p: losses.align_loss(trk.with_points(p), rec, sup)[0]),
-            (pts_r, g_rec, lambda p: losses.align_loss(trk, rec.with_points(p), sup)[0]),
-        ):
-            for r, c in [(0, 0), (2, 3)]:
-                for d in range(3):
-                    delta = np.zeros_like(pts)
-                    delta[r, c, d] = step
-                    fd = (run(pts + delta) - run(pts - delta)) / (2 * step)
-                    if abs(fd) > 1e-10 or abs(grad[r, c, d]) > 1e-10:
-                        worst = max(worst, _rel(fd, grad[r, c, d]))
-    return CheckResult("align_loss", worst, tol)
+    return _check_term(2, seed, trials, step, tol)
 
 
 def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4):
@@ -125,7 +114,8 @@ def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4)
 
 
 def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
-    """Adjoint of the final Gauss-Newton pose step versus differences."""
+    """Adjoint of the final Gauss-Newton pose step, under a random inlier
+    mask, versus differences."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -134,10 +124,11 @@ def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
             so3_exp(rng.normal(0, 0.01, 3)) @ true_pose.rotation,
             true_pose.translation + rng.normal(0, 0.01, 3),
         )
-        detached = camera.PoseEstimate(base, np.ones(corr.pixels.shape[0], bool), 0.0, base)
+        inliers = rng.random(len(corr)) < 0.8
+        detached = camera.PoseEstimate(base, inliers, 0.0, base)
         upstream = (rng.normal(0, 1, (3, 3)), rng.normal(0, 1, 3))
 
-        def scalar(points):
+        def value(points):
             est = camera.gauss_newton_refine(
                 detached, camera.Correspondences2D3D(corr.pixels, points), K
             )
@@ -148,13 +139,9 @@ def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
 
         est = camera.gauss_newton_refine(detached, corr, K)
         grad = camera.pose_gradient_wrt_points(est, corr, K, upstream)
-        for n in rng.choice(corr.pixels.shape[0], 3, replace=False):
-            for d in range(3):
-                hi, lo = corr.points.copy(), corr.points.copy()
-                hi[n, d] += step
-                lo[n, d] -= step
-                fd = (scalar(hi) - scalar(lo)) / (2 * step)
-                worst = max(worst, _rel(fd, grad[n, d]))
+        rows = rng.choice(np.flatnonzero(inliers), 3, replace=False)
+        picks = [(3 * rows[:, None] + np.arange(3)).ravel()]
+        worst = max(worst, _worst_fd_error(value, (corr.points,), (grad,), picks, step))
     return CheckResult("pose_gradient_wrt_points", worst, tol)
 
 

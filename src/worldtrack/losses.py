@@ -38,8 +38,8 @@ from .geometry import (
     PixelGrid,
     Pointmap,
     PoseSE3,
+    _check_branch,
     _freeze,
-    _pixels,
     project_points,
     queries_to_indices,
     stack_pointmaps,
@@ -198,7 +198,8 @@ def _frame_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
     """Zeros of ``shape`` plus values summed at their flat indices."""
     out = np.bincount(index.reshape(-1), weights=values.reshape(-1), minlength=np.prod(shape))
-    return out.reshape(shape)
+    # with no indices at all, bincount returns integers despite the weights
+    return out.reshape(shape).astype(np.float64, copy=False)
 
 
 def _traj_terms(dp, gt_c, gt_r, visible):
@@ -286,23 +287,6 @@ def _coordinates_first(points: np.ndarray) -> np.ndarray:
 # individual losses
 
 
-def reproject_tracks(
-    tracking_pm: Pointmap, pose_est, K: Intrinsics, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project tracked anchor content into a frame's image plane.
-
-    Returns (pixels (N, 2), visible (N,)); a query is not visible when its
-    pixel is invalid in the pointmap or its transformed depth is
-    non-positive. Pixels of invisible entries are zeroed.
-    """
-    tracking_pm.require_tracking_branch()
-    pose = _as_pose(pose_est)
-    rows, cols = queries_to_indices(queries, tracking_pm.width, tracking_pm.height)
-    valid = tracking_pm.valid[rows, cols]
-    pix, _, visible = _pixels(K, pose, tracking_pm.points[rows, cols], valid)
-    return pix, visible
-
-
 def traj_loss(
     pred: np.ndarray,
     gt: np.ndarray,
@@ -348,7 +332,7 @@ def depth_loss(
     of the returned gradient. Gradients are with respect to the pointmap
     coordinates, shape (H, W, 3), zero outside the compared pixels.
     """
-    recon_pm.require_recon_branch()
+    _check_branch(recon_pm, "recon", recon_pm.time)
     pose = _as_pose(pose_est)
     mono_depth = np.asarray(mono_depth, dtype=np.float64)
     if mono_depth.shape != (recon_pm.height, recon_pm.width):
@@ -363,36 +347,6 @@ def depth_loss(
     )
     _raise_first(checks, attach_frame=False)
     return float(loss[0]), grad_z.reshape(z.shape)[..., None] * r3
-
-
-def align_loss(
-    tracking_pm: Pointmap, recon_pm: Pointmap, sup: TrackSupervision
-) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """3D agreement between branches at corresponding pixels.
-
-    Sums squared distances over the frame's correspondence pairs; the
-    gradient is +/- twice the difference on either side. Returns
-    (loss, grad_tracking, grad_recon, num_pairs); no pairs is not an
-    error, just a zero loss with num_pairs == 0.
-    """
-    tracking_pm.require_tracking_branch()
-    recon_pm.require_recon_branch()
-    if tracking_pm.time != recon_pm.time:
-        raise ValueError(
-            f"branch times differ: {tracking_pm.time} vs {recon_pm.time}"
-        )
-    H, W = tracking_pm.height, tracking_pm.width
-    rows, cols = queries_to_indices(sup.query_pixels, W, H)
-    j = tracking_pm.time
-    _, trk_idx, rec_idx = _align_pairs(
-        sup.correspondence[:, j : j + 1], rows * W + cols,
-        tracking_pm.valid.reshape(1, -1), recon_pm.valid.reshape(1, -1),
-    )
-    trk = _coordinates_first(tracking_pm.points[None]).reshape(-1)
-    diff = trk[trk_idx] - _coordinates_first(recon_pm.points[None]).reshape(-1)[rec_idx]
-    g_trk, g_rec = (_scatter(i, g, (3, H, W)).transpose(1, 2, 0)
-                    for i, g in ((trk_idx, 2.0 * diff), (rec_idx, -2.0 * diff)))
-    return float(np.sum(diff * diff)), g_trk, g_rec, diff.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +374,20 @@ class _Layout:
     align_rec: np.ndarray  # (3, m): flat indices into the recon stack
 
 
-def _objective(tracking_pms, recon_pms, K, sup, mono, weights):
-    """Validate T frames of P pixels and lay their objective out once.
+def _stacks(tracking_pms, recon_pms):
+    """Both branches' videos checked and stacked once: the tracking
+    (T, H, W, 3) points and (T, H, W) mask, then the recon ones."""
+    return stack_pointmaps(tracking_pms, "tracking") + stack_pointmaps(recon_pms, "recon")
 
-    Returns both branches' (T, 3, P) point stacks, the (T, P) recon mask
-    and the ``_Layout`` that ``_evaluate`` takes.
+
+def _objective(stacks, K, sup, mono, weights):
+    """Validate the ``_stacks`` of T frames of P pixels and lay their
+    objective out once.
+
+    Returns both branches' (T, 3, P) point stacks, their (T, P) masks and
+    the ``_Layout`` that ``_evaluate`` takes.
     """
-    trk, trk_valid = stack_pointmaps(tracking_pms, "tracking")
-    rec, rec_valid = stack_pointmaps(recon_pms, "recon")
+    trk, trk_valid, rec, rec_valid = stacks
     T, H, W, _ = trk.shape
     if not (T == len(rec) == sup.num_frames == mono.depth.shape[0]):
         raise ShapeMismatch("frame counts disagree across inputs")
@@ -459,7 +419,7 @@ def _objective(tracking_pms, recon_pms, K, sup, mono, weights):
         depth_mask=depth_mask, mono_z=np.where(depth_mask, mono.depth.reshape(T, -1), 0.0),
         align_frame=align_frame, align_trk=align_trk, align_rec=align_rec,
     )
-    return trk, rec, rec_valid, layout
+    return trk, rec, trk_valid, rec_valid, layout
 
 
 def _trajectory(lay: _Layout, Xq, R, t, depth_checks):
@@ -546,7 +506,7 @@ def _total_with_grads(tracking_pms, recon_pms, poses, K, sup, mono, weights):
     """The breakdown plus the gradients ``(g_trk, g_rec, g_R, g_T)`` of
     the frames' summed objective: (T, H, W, 3) for both branches, (T, 3, 3)
     and (T, 3) for the poses."""
-    trk, rec, _, layout = _objective(tracking_pms, recon_pms, K, sup, mono, weights)
+    trk, rec, _, _, layout = _objective(_stacks(tracking_pms, recon_pms), K, sup, mono, weights)
     if len(poses) != len(trk):
         raise ShapeMismatch("frame counts disagree across inputs")
     per_term, (g_trk, g_rec, g_R, g_T) = _evaluate(layout, trk, rec, *_pose_stack(poses))
@@ -600,15 +560,14 @@ def tta_optimize(
     if state.steps == 0:
         return state, []
 
-    _, trk_valid = stack_pointmaps(state.tracking_params, "tracking")
-    T, H, W = trk_valid.shape
+    stacks = _stacks(state.tracking_params, state.recon_pointmaps)
+    T, H, W = stacks[1].shape  # the tracking mask
     grid = PixelGrid.create(W, H)
     K, estimates = solve_cameras_for_video(
         state.recon_pointmaps, grid, RansacConfig(seed=state.seed)
     )
-    trk, rec, rec_valid, layout = _objective(
-        state.tracking_params, state.recon_pointmaps, K, sup, mono, weights
-    )
+    trk, rec, trk_valid, rec_valid, layout = _objective(stacks, K, sup, mono, weights)
+    del stacks  # stacks np.stack built from loose frames need not live through the run
     live = not state.freeze_recon
     # live cameras step on from the solve's base poses; frozen ones are its poses
     R, t = _pose_stack([e.base_pose for e in estimates] if live else estimates)
@@ -659,10 +618,12 @@ def tta_optimize(
 
     # points last again, each in a new array of its own for its video to take over
     shape = (T, 3, H, W)
-    tracking = video_pointmaps(np.moveaxis(trk.reshape(shape), 1, -1).copy(), trk_valid, "tracking")
+    tracking = video_pointmaps(
+        np.moveaxis(trk.reshape(shape), 1, -1).copy(), trk_valid.reshape(T, H, W), "tracking"
+    )
     recon = state.recon_pointmaps
     if live:
-        rec_valid = rec_valid.reshape(trk_valid.shape)
+        rec_valid = rec_valid.reshape(T, H, W)
         recon = video_pointmaps(np.moveaxis(rec.reshape(shape), 1, -1).copy(), rec_valid, "recon")
     return replace(state, tracking_params=tracking, recon_pointmaps=recon), trace
 

@@ -25,6 +25,7 @@ from .geometry import (
     PixelGrid,
     PoseSE3,
     TrackSet,
+    _pixel_cells,
     _pixels,
     backproject,
     so3_exp,
@@ -262,15 +263,8 @@ def _zbuffer(pixels, depths, width, height):
     Returns (winner, zbuf): per-cell candidate index (-1 where empty) and
     winning depth (0 where empty), both flat length width*height.
     """
-    cols = np.floor(pixels[:, 0]).astype(np.int64)
-    rows = np.floor(pixels[:, 1]).astype(np.int64)
-    ok = (
-        (depths > DEPTH_EPS)
-        & (cols >= 0)
-        & (cols < width)
-        & (rows >= 0)
-        & (rows < height)
-    )
+    rows, cols, ok = _pixel_cells(pixels, width, height)
+    ok &= depths > DEPTH_EPS
     winner = np.full(width * height, -1, dtype=np.int64)
     zbuf = np.zeros(width * height)
     if not ok.any():
@@ -362,9 +356,8 @@ def render(scene: Scene) -> RenderedSequence:
         depth[j] = zbuf.reshape(H, W)
 
         tracks2d[:, j] = pixj
-        cols = np.floor(pixj[:, 0]).astype(np.int64)
-        rows = np.floor(pixj[:, 1]).astype(np.int64)
-        inb = (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H) & (zj > DEPTH_EPS)
+        rows, cols, inb = _pixel_cells(pixj, W, H)
+        inb &= zj > DEPTH_EPS
         cell = np.where(inb, rows * W + cols, 0)
         visibility[:, j] = inb & (zj <= zbuf[cell] + 1e-12)
 
@@ -452,9 +445,8 @@ def _landing_cells(seq: RenderedSequence) -> np.ndarray:
     _, valid = stack_pointmaps(seq.recon_pointmaps, "recon")
     T, H, W = valid.shape
     t2 = seq.tracks2d.positions
-    cols = np.floor(t2[..., 0]).astype(np.int64)
-    rows = np.floor(t2[..., 1]).astype(np.int64)
-    ok = seq.tracks2d.visibility & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
+    rows, cols, ok = _pixel_cells(t2, W, H)
+    ok &= seq.tracks2d.visibility
     cell = np.where(ok, rows * W + cols, -1)
     ok &= valid.reshape(T, -1)[np.arange(T), np.maximum(cell, 0)]
     return np.where(ok, cell, -1)

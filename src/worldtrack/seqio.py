@@ -10,8 +10,9 @@ valid points come from rays through half-integer pixel centers. Each
 pointmap file loads as one video (``geometry.video_pointmaps``): one
 float64 stack, checked once, whose frames are views of it.
 
-A save checks both branches as videos and every array's shape against
-theirs before it writes anything. Every file is written to a temporary
+A save checks both branches as videos, every array's shape against theirs
+and the depth and track entries for finiteness before it writes anything;
+a load checks the same. Every file is written to a temporary
 name and renamed into place, with the manifest last, so a crashed writer
 never leaves a directory that parses as complete. Writes are
 deterministic: the same sequence produces byte-identical files.
@@ -24,7 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeMismatch, UnknownPreset
-from .geometry import Intrinsics, PoseSE3, TrackSet, stack_pointmaps, video_pointmaps
+from .geometry import (
+    Intrinsics, PoseSE3, TrackSet, _pixel_cells, stack_pointmaps, video_pointmaps,
+)
 from .oracle import RenderedSequence, SceneSpec
 
 FORMAT_TAG = "worldtrack-seq/1"
@@ -70,6 +73,10 @@ def save_sequence(path, seq: RenderedSequence) -> None:
     ):
         if shape != expect:
             raise ShapeMismatch(f"{name} has shape {list(shape)}, not {list(expect)}")
+    for name, data in (("depth", seq.depth), ("tracks2d", seq.tracks2d.positions),
+                       ("tracks3d", seq.tracks3d.positions)):
+        if not np.isfinite(data).all():
+            raise ValueError(f"{name} entries must be finite")
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -182,12 +189,18 @@ def load_sequence(path) -> RenderedSequence:
         except ValueError as exc:
             raise ValueError(f"{indir / arrays[name]['file']}: {exc}") from None
 
+    def finite(name, expect):
+        data = _get(indir, arrays, name, expect, "<f4")
+        if not np.isfinite(data).all():
+            raise ValueError(f"{indir / arrays[name]['file']}: entries must be finite")
+        return data.astype(np.float64)
+
     tracking = video("tracking_pointmaps", "tracking")
     recon = video("recon_pointmaps", "recon")
-    depth = _get(indir, arrays, "depth", (T, H, W), "<f4").astype(np.float64)
-    tracks2d = _get(indir, arrays, "tracks2d", (None, T, 2), "<f4").astype(np.float64)
+    depth = finite("depth", (T, H, W))
+    tracks2d = finite("tracks2d", (None, T, 2))
     N = len(tracks2d)
-    tracks3d = _get(indir, arrays, "tracks3d", (N, T, 3), "<f4").astype(np.float64)
+    tracks3d = finite("tracks3d", (N, T, 3))
     visibility = _get(indir, arrays, "visibility", (N, T), "|u1").astype(bool)
     dynamic_mask = _get(indir, arrays, "dynamic_mask", (H, W), "|u1").astype(bool)
     f, cx, cy = _get(indir, arrays, "intrinsics", (3,), "<f8")
@@ -199,10 +212,8 @@ def load_sequence(path) -> RenderedSequence:
         raise ValueError(f"{indir}: {exc}") from None
 
     # per-track dynamic flags come from the anchor-grid mask at each query
-    q = tracks2d[:, 0]
-    cols = np.clip(np.floor(q[:, 0]).astype(np.int64), 0, W - 1)
-    rows = np.clip(np.floor(q[:, 1]).astype(np.int64), 0, H - 1)
-    dynamic = dynamic_mask[rows, cols]
+    rows, cols, _ = _pixel_cells(tracks2d[:, 0], W, H)
+    dynamic = dynamic_mask[np.clip(rows, 0, H - 1), np.clip(cols, 0, W - 1)]
 
     return RenderedSequence(
         spec=spec,

@@ -26,6 +26,7 @@ from worldtrack.camera import (
     solve_pnp_ransac,
 )
 from worldtrack.errors import (
+    BranchContractViolation,
     DegenerateGeometry,
     InsufficientValidPoints,
     NoConsensus,
@@ -102,6 +103,10 @@ def test_weiszfeld_rejects_later_frame_content():
     later = Pointmap(pm.points, pm.valid, coord_frame=0, content_frame=0, time=3)
     with pytest.raises(DegenerateGeometry):
         estimate_focal_weiszfeld(later, grid)
+    # a later recon frame is off the tracking branch the anchor belongs to
+    recon = Pointmap(pm.points, pm.valid, coord_frame=0, content_frame=3, time=3)
+    with pytest.raises(BranchContractViolation):
+        estimate_focal_weiszfeld(recon, grid)
 
 
 # ---- RANSAC PnP ----

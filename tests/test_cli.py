@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from worldtrack import losses
-from worldtrack.cli import main
+from worldtrack.cli import _write_json, main
 
 SYNTH = [
     "synth", "--preset", "orbit-dynamic", "--width", "24", "--height", "18",
@@ -124,15 +124,35 @@ def test_check_grads_pass_and_fail(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4 and "FAIL" not in out
 
-    real = losses.traj_loss
+    real = losses._traj_terms
 
     def flipped(*args, **kwargs):
-        loss, grad, dropped = real(*args, **kwargs)
-        return loss, -grad, dropped
+        loss, grad, dropped, checks = real(*args, **kwargs)
+        return loss, -grad, dropped, checks
 
-    monkeypatch.setattr(losses, "traj_loss", flipped)
+    monkeypatch.setattr(losses, "_traj_terms", flipped)
     assert main(["check-grads", "--trials", "1"]) == 1
     assert "FAIL traj_loss" in capsys.readouterr().out
+
+
+def test_check_grads_catches_a_halved_camera_point_gradient(capsys, monkeypatch):
+    """The projection chain of the adaptation objective is audited too."""
+    real = losses._trajectory
+
+    def halved(*args, **kwargs):
+        loss, g_Y = real(*args, **kwargs)
+        return loss, 0.5 * g_Y
+
+    monkeypatch.setattr(losses, "_trajectory", halved)
+    assert main(["check-grads", "--trials", "1"]) == 1
+    assert "FAIL traj_loss" in capsys.readouterr().out
+
+
+def test_reports_refuse_non_finite_values_and_write_nothing(tmp_path):
+    report = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(report, {"epe": float("nan")})
+    assert not report.exists()
 
 
 def test_missing_input_exits_one(tmp_path, capsys):

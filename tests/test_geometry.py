@@ -14,6 +14,8 @@ from worldtrack.geometry import (
     Pointmap,
     PoseSE3,
     TrackSet,
+    _check_branch,
+    _pixel_cells,
     _pixels,
     assemble_trajectories,
     backproject,
@@ -167,21 +169,34 @@ def test_pointmap_zeroes_invalid_and_rejects_nan():
         Pointmap(pts, valid, 0, 0, 0)
 
 
-def test_pointmap_branch_predicates():
+def test_one_branch_rule_per_frame():
     pts = np.ones((2, 2, 3))
     valid = np.ones((2, 2), dtype=bool)
     tracking = Pointmap(pts, valid, coord_frame=0, content_frame=0, time=5)
     recon = Pointmap(pts, valid, coord_frame=0, content_frame=5, time=5)
-    assert tracking.is_tracking_branch() and not tracking.is_recon_branch()
-    assert recon.is_recon_branch() and not recon.is_tracking_branch()
+    _check_branch(tracking, "tracking", 5)
+    _check_branch(recon, "recon", 5)
+    with pytest.raises(BranchContractViolation, match="^frame 5: expected a tracking"):
+        _check_branch(recon, "tracking", 5)
     with pytest.raises(BranchContractViolation):
-        recon.require_tracking_branch()
-    with pytest.raises(BranchContractViolation):
-        tracking.require_recon_branch()
+        _check_branch(tracking, "recon", 5)
     # frame zero belongs to both branches
     anchor = Pointmap(pts, valid, 0, 0, 0)
-    anchor.require_tracking_branch()
-    anchor.require_recon_branch()
+    _check_branch(anchor, "tracking", 0)
+    _check_branch(anchor, "recon", 0)
+    # a self-view outside world frame 0 belongs to neither
+    elsewhere = Pointmap(pts, valid, 3, 3, 3)
+    for branch in ("tracking", "recon"):
+        with pytest.raises(BranchContractViolation):
+            _check_branch(elsewhere, branch, 3)
+
+
+def test_pixel_cells_floor_and_bounds():
+    pix = np.array([[0.0, 0.0], [3.999, 2.5], [4.0, 0.5], [-1e-9, 0.5], [0.5, 3.0]])
+    rows, cols, inside = _pixel_cells(pix, 4, 3)
+    assert rows.dtype == cols.dtype == np.int64
+    assert cols.tolist() == [0, 3, 4, -1, 0] and rows.tolist() == [0, 2, 0, 0, 3]
+    assert inside.tolist() == [True, True, False, False, False]
 
 
 def test_pointmap_arrays_immutable():

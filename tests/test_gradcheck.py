@@ -33,25 +33,20 @@ def test_passed_property():
 
 def test_sabotaged_gradient_is_caught(monkeypatch):
     """The checker must exercise the live loss module, not a stale copy."""
-    real = losses.traj_loss
+    real = losses._traj_terms
 
     def flipped(*args, **kwargs):
-        loss, grad, dropped = real(*args, **kwargs)
-        return loss, -grad, dropped
+        loss, grad, dropped, checks = real(*args, **kwargs)
+        return loss, -grad, dropped, checks
 
-    monkeypatch.setattr(losses, "traj_loss", flipped)
+    monkeypatch.setattr(losses, "_traj_terms", flipped)
     res = check_traj_gradient(np.random.default_rng(0))
     assert not res.passed
 
 
 def test_sabotaged_align_scatter_is_caught(monkeypatch):
-    real = losses.align_loss
-
-    def scaled(*args, **kwargs):
-        loss, gt_, gr_, n = real(*args, **kwargs)
-        return loss, 0.5 * gt_, gr_, n
-
-    monkeypatch.setattr(losses, "align_loss", scaled)
+    real = losses._scatter
+    monkeypatch.setattr(losses, "_scatter", lambda *args: 0.5 * real(*args))
     res = check_align_gradient(np.random.default_rng(0))
     assert not res.passed
 

@@ -14,6 +14,7 @@ from worldtrack.camera import (
 )
 from worldtrack.errors import (
     AllOccluded,
+    BranchContractViolation,
     DegenerateRadius,
     DivergenceDetected,
     NonPositiveProjectedDepth,
@@ -34,9 +35,7 @@ from worldtrack.losses import (
     LossBreakdown,
     LossWeights,
     TrackSupervision,
-    align_loss,
     depth_loss,
-    reproject_tracks,
     total_loss,
     tta_optimize,
     traj_loss,
@@ -44,6 +43,7 @@ from worldtrack.losses import (
     _objective,
     _pose_stack,
     _recon_gradient,
+    _stacks,
     _total_with_grads,
 )
 
@@ -152,27 +152,41 @@ def test_depth_loss_frozen_example():
     assert np.all(grad[..., :2] == 0)
 
 
+def align_only(tracking, recon, poses, K, sup, mono):
+    """The breakdown and gradients of the objective with the align term
+    alone, and the number of alignment pairs it found."""
+    weights = LossWeights(0.0, 0.0, 1.0)
+    layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)[-1]
+    b, grads = _total_with_grads(tracking, recon, poses, K, sup, mono, weights)
+    return b, grads, layout.align_frame.size
+
+
+def with_pairs(sup, pairs):
+    """``sup`` with only the alignment pairs {(query, frame): partner pixel}."""
+    corr = np.full(sup.correspondence.shape, -1, dtype=np.int64)
+    for (q, j), pixel in pairs.items():
+        corr[q, j] = pixel
+    return TrackSupervision(sup.query_pixels, sup.tracks2d, sup.visibility, corr)
+
+
 def test_align_loss_frozen_example():
-    pts_t = np.zeros((1, 2, 3))
-    pts_t[0, 0] = [0.0, 0.0, 0.1]
-    pts_r = np.zeros((1, 2, 3))
-    pts_r[0, 1] = [1.0, 1.0, 1.0]  # unpaired pixel, must not matter
-    valid = np.ones((1, 2), bool)
-    trk = Pointmap(pts_t, valid, 0, 0, 1)
-    rec = Pointmap(pts_r, valid, 0, 1, 1)
-    # pair: query at pixel (0, 0) of the anchor, partner pixel 0 of frame 1
-    sup = TrackSupervision(
-        np.array([[0.5, 0.5]]),
-        np.zeros((1, 2, 2)) + 0.5,
-        np.ones((1, 2), bool),
-        np.array([[-1, 0]], dtype=np.int64),
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(num_frames=2)
+    # one pair: the query at anchor pixel 0 and recon pixel 5 of frame 1,
+    # the tracked point 0.1 m behind the recon point
+    pts = np.array(tracking[1].points)
+    pts[0, 0] = recon[1].points[0, 5] + [0.0, 0.0, 0.1]
+    tracking[1] = tracking[1].with_points(pts)
+    b, (g_trk, g_rec, g_R, g_T), pairs = align_only(
+        tracking, recon, poses, K, with_pairs(sup, {(0, 1): 5}), mono
     )
-    loss, g_trk, g_rec, pairs = align_loss(trk, rec, sup)
     assert pairs == 1
-    assert loss == pytest.approx(0.01, abs=1e-15)
-    np.testing.assert_allclose(g_trk[0, 0], [0, 0, 0.2], atol=1e-15)
-    np.testing.assert_allclose(g_rec[0, 0], [0, 0, -0.2], atol=1e-15)
-    assert np.all(g_rec[0, 1] == 0)
+    assert b.per_frame[0, 2] == 0.0
+    assert b.per_frame[1, 2] == pytest.approx(0.01, abs=1e-15)
+    np.testing.assert_allclose(g_trk[1, 0, 0], [0, 0, 0.2], atol=1e-15)
+    np.testing.assert_allclose(g_rec[1, 0, 5], [0, 0, -0.2], atol=1e-15)
+    # unpaired points and the poses carry nothing
+    g_trk[1, 0, 0] = g_rec[1, 0, 5] = 0.0
+    assert not (g_trk.any() or g_rec.any() or g_R.any() or g_T.any())
 
 
 # ---------------------------------------------------------------------------
@@ -219,33 +233,35 @@ def test_depth_loss_gradient_fd():
 
 
 def test_align_loss_gradient_fd():
-    rng = np.random.default_rng(13)
-    pts_t = rng.normal(0, 1, (3, 4, 3))
-    pts_r = rng.normal(0, 1, (3, 4, 3))
-    valid = np.ones((3, 4), bool)
-    n = 5
-    queries = np.column_stack(
-        [rng.integers(0, 4, n) + 0.5, rng.integers(0, 3, n) + 0.5]
-    ).astype(float)
-    corr = np.full((n, 2), -1, dtype=np.int64)
-    corr[:, 1] = rng.integers(0, 12, n)
-    sup = TrackSupervision(
-        queries, np.zeros((n, 2, 2)) + 0.5, np.ones((n, 2), bool), corr
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
+        num_frames=2, track_noise=0.05, recon_noise=0.05, seed=13
     )
-    trk = Pointmap(pts_t, valid, 0, 0, 1)
-    rec = Pointmap(pts_r, valid, 0, 1, 1)
-    _, g_trk, g_rec, pairs = align_loss(trk, rec, sup)
-    assert pairs == n
-    for pts, grad, rebuild in (
-        (pts_t, g_trk, lambda p: align_loss(trk.with_points(p), rec, sup)[0]),
-        (pts_r, g_rec, lambda p: align_loss(trk, rec.with_points(p), sup)[0]),
-    ):
-        for r, c in [(0, 0), (1, 2), (2, 3)]:
+    rng = np.random.default_rng(13)
+    queries = rng.choice(H * W, 5, replace=False)
+    partners = rng.integers(0, H * W, 5)
+    sup = with_pairs(sup, {(q, 1): p for q, p in zip(queries, partners)})
+    _, (g_trk, g_rec, _, _), pairs = align_only(tracking, recon, poses, K, sup, mono)
+    assert pairs == 5
+
+    def summed(trk, rec):
+        return align_only(trk, rec, poses, K, sup, mono)[0].per_frame[:, 3].sum()
+
+    # the paired points of frame 1, and one unpaired
+    unpaired = np.setdiff1d(np.arange(H * W), np.concatenate([queries, partners]))[0]
+    for branch, grad, pixels in ((0, g_trk, queries), (1, g_rec, partners)):
+        for pixel in [*pixels[:3], unpaired]:
+            r, c = divmod(int(pixel), W)
             for d in range(3):
-                delta = np.zeros_like(pts)
-                delta[r, c, d] = FD_STEP
-                fd = (rebuild(pts + delta) - rebuild(pts - delta)) / (2 * FD_STEP)
-                assert abs(fd - grad[r, c, d]) < FD_TOL * max(1.0, abs(grad[r, c, d]))
+                ends = []
+                for sign in (1.0, -1.0):
+                    videos = [list(tracking), list(recon)]
+                    pm = videos[branch][1]
+                    pts = np.array(pm.points)
+                    pts[r, c, d] += sign * FD_STEP
+                    videos[branch][1] = pm.with_points(pts)
+                    ends.append(summed(*videos))
+                fd = (ends[0] - ends[1]) / (2 * FD_STEP)
+                assert abs(fd - grad[1, r, c, d]) < FD_TOL * max(1.0, abs(grad[1, r, c, d]))
 
 
 def test_total_loss_gradient_fd_frozen_poses():
@@ -334,7 +350,7 @@ def test_total_loss_gradient_fd_through_pose():
     weights = LossWeights()
     # the step reads only the pose and inliers of the solved estimate
     _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=5))
-    trk, rec, rec_valid, layout = _objective(tracking, recon, K, sup, mono, weights)
+    trk, rec, _, rec_valid, layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)
     R0, t0 = _pose_stack(estimates)
     inliers = live_inliers(estimates, rec_valid)
     evaluate = live_objective(layout, trk, weights, K, grid, R0, t0, inliers)
@@ -384,7 +400,7 @@ def test_live_recon_gradient_skips_ransac_outliers(monkeypatch):
 
     weights = LossWeights()
     _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=5))
-    trk, rec, rec_valid, layout = _objective(tracking, recon, K, sup, mono, weights)
+    trk, rec, _, rec_valid, layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)
     R0, t0 = _pose_stack([e.base_pose for e in estimates])
     inliers = live_inliers(estimates, rec_valid)
     assert np.array_equal(inliers[1], kept)
@@ -597,24 +613,20 @@ def test_depth_loss_error_paths():
     behind = PoseSE3(np.eye(3), np.array([0.0, 0.0, -10.0]))
     with pytest.raises(NonPositiveProjectedDepth):
         depth_loss(pm, behind, np.ones((1, 2)))
+    tracking = Pointmap(pts, np.ones((1, 2), bool), 0, 0, 2)
+    with pytest.raises(BranchContractViolation, match="^frame 2: expected a recon"):
+        depth_loss(tracking, PoseSE3.identity(), np.ones((1, 2)))
 
 
 def test_align_loss_no_pairs_is_zero_with_flag():
-    pts = np.random.default_rng(0).normal(0, 1, (2, 2, 3))
-    valid = np.ones((2, 2), bool)
-    trk = Pointmap(pts, valid, 0, 0, 1)
-    rec = Pointmap(pts, valid, 0, 1, 1)
-    sup = TrackSupervision(
-        np.array([[0.5, 0.5]]),
-        np.zeros((1, 2, 2)) + 0.5,
-        np.ones((1, 2), bool),
-        np.full((1, 2), -1, dtype=np.int64),
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
+        num_frames=2, track_noise=0.05, recon_noise=0.05, seed=0
     )
-    loss, g1, g2, pairs = align_loss(trk, rec, sup)
-    assert loss == 0.0 and pairs == 0
-    assert not g1.any() and not g2.any()
-    with pytest.raises(ValueError):
-        align_loss(trk, Pointmap(pts, valid, 0, 0, 0), sup)
+    b, (g_trk, g_rec, _, _), pairs = align_only(
+        tracking, recon, poses, K, with_pairs(sup, {}), mono
+    )
+    assert b.align == 0.0 and pairs == 0
+    assert not g_trk.any() and not g_rec.any()
 
 
 def test_track_supervision_validation():
@@ -671,14 +683,6 @@ def test_total_loss_attaches_frame_index():
     with pytest.raises(ShapeMismatch) as info:
         total_loss(tracking, recon, poses, K, sup, small)
     assert info.value.frame == 0
-
-
-def test_reproject_tracks_matches_supervision():
-    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(num_frames=3)
-    for j, pose in enumerate(poses):
-        pix, vis = reproject_tracks(tracking[j], pose, K, sup.query_pixels)
-        assert vis.all()
-        np.testing.assert_allclose(pix, sup.tracks2d[:, j], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -269,8 +269,45 @@ def test_non_finite_valid_point_names_file_and_frame(tmp_path, seq, capsys, name
 
 
 @pytest.mark.parametrize(
+    "name, shape",
+    [("depth", (5, 18, 24)), ("tracks2d", (432, 5, 2)), ("tracks3d", (432, 5, 3))],
+    ids=["depth", "tracks2d", "tracks3d"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_depth_or_track_entry_names_file(tmp_path, seq, capsys, name, shape, bad):
+    from worldtrack.cli import main
+
+    save_sequence(tmp_path / "s", seq)
+    path = tmp_path / "s" / f"{name}.raw"
+    values = np.frombuffer(path.read_bytes(), dtype="<f4").reshape(shape).copy()
+    values[0, 0, 0] = bad  # track 0 at its anchor frame, where it is visible
+    path.write_bytes(values.tobytes())
+    message = f"{path}: entries must be finite"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_sequence(tmp_path / "s")
+    report = tmp_path / "eval.json"
+    args = ["eval", "--pred", str(tmp_path / "s"), "--gt", str(tmp_path / "s")]
+    assert main(args + ["--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not report.exists()
+
+
+def _with_entry(tracks: TrackSet, value) -> TrackSet:
+    positions = np.array(tracks.positions)
+    positions[0, 0, 0] = value
+    return TrackSet(positions, tracks.visibility, tracks.dynamic)
+
+
+@pytest.mark.parametrize(
     "change, kind, message",
     [
+        (lambda s: replace(s, depth=np.where(s.depth > 0, np.nan, 0.0)), ValueError,
+         r"^depth entries must be finite$"),
+        (lambda s: replace(s, tracks2d=_with_entry(s.tracks2d, np.inf)), ValueError,
+         r"^tracks2d entries must be finite$"),
+        (lambda s: replace(s, tracks3d=_with_entry(s.tracks3d, -np.inf)), ValueError,
+         r"^tracks3d entries must be finite$"),
         (
             lambda s: replace(s, recon_pointmaps=s.recon_pointmaps[:4]),
             ShapeMismatch,
