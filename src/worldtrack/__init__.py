@@ -25,7 +25,6 @@ from .camera import (
     correspondences_from_pointmap,
     estimate_focal_weiszfeld,
     gauss_newton_refine,
-    pose_gradient_wrt_points,
     solve_cameras_for_video,
     solve_pnp_ransac,
 )
@@ -47,7 +46,6 @@ from .losses import (
     LossWeights,
     TrackSupervision,
     depth_loss,
-    total_loss,
     traj_loss,
     tta_optimize,
 )
@@ -58,7 +56,6 @@ from .oracle import (
     corrupt,
     generate_sequence,
     make_depth_supervision,
-    make_track_supervision,
     projected_track_supervision,
 )
 from .seqio import load_sequence, save_sequence
@@ -97,16 +94,13 @@ __all__ = [
     "generate_sequence",
     "load_sequence",
     "make_depth_supervision",
-    "make_track_supervision",
     "median_scale_align",
-    "pose_gradient_wrt_points",
     "project_points",
     "projected_track_supervision",
     "save_sequence",
     "solve_cameras_for_video",
     "solve_pnp_ransac",
     "subsample_queries",
-    "total_loss",
     "traj_loss",
     "tta_optimize",
     "umeyama_sim3_align",

@@ -4,11 +4,12 @@ The pipeline per frame is: robust focal estimation from the anchor
 pointmap (shared across the video), locally optimised RANSAC PnP with a
 6-point minimal solver and a non-differentiable Gauss-Newton polish, and
 one final damped Gauss-Newton step on the winner's inliers whose increment
-stays differentiable with respect to the 3D points. The adjoint takes that
-step's base pose, increment and normal matrix instead of solving again;
-``pose_gradient_wrt_points`` wraps it. The solver has one configuration: its
-thresholds, iteration caps and damping are the module constants below, and
-only the RANSAC seed is chosen by the caller.
+stays differentiable with respect to the 3D points. The adjoint,
+``_pose_adjoint``, takes that step's base pose, increment and normal matrix
+instead of solving again; live adaptation (``losses._recon_gradient``) runs
+it on its recon stack. The solver has one configuration: its thresholds,
+iteration caps and damping are the module constants below, and only the
+RANSAC seed is chosen by the caller.
 
 RANSAC draws its minimal samples one at a time from a seeded generator and
 solves each batch of draws together, as stacked SVDs. A sample whose centred
@@ -565,35 +566,6 @@ def gauss_newton_refine(
     err = _reproj_errors_many(R[None], t[None], K, corr)[0]
     rms = float(np.sqrt(np.mean(err[mask] ** 2)))
     return PoseEstimate(PoseSE3(R, t), mask, rms, base)
-
-
-def pose_gradient_wrt_points(
-    detached: PoseEstimate,
-    corr: Correspondences2D3D,
-    K: Intrinsics,
-    upstream: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Backpropagate a pose gradient onto the 3D correspondence points.
-
-    Args:
-        detached: estimate from ``gauss_newton_refine``; its base pose is
-            treated as a constant, only the Gauss-Newton increment is live.
-        corr: the same correspondences the estimate was refined on.
-        K: intrinsics.
-        upstream: (dL/dR, dL/dT) of a scalar loss with respect to the
-            refined pose entries, shapes (3, 3) and (3,).
-
-    Returns:
-        (N, 3) array dL/dX; rows outside the inlier set (or with
-        non-positive depth at the base pose) are zero.
-    """
-    grad_R = np.asarray(upstream[0], dtype=np.float64)
-    grad_T = np.asarray(upstream[1], dtype=np.float64)
-    if grad_R.shape != (3, 3) or grad_T.shape != (3,):
-        raise ValueError("upstream must be (3,3) rotation and (3,) translation grads")
-    R, t = detached.base_pose.rotation, detached.base_pose.translation
-    delta, H, terms = _gn_terms(R, t, corr.points.T, corr.pixels, K, detached.inliers)
-    return _pose_adjoint(R, t, delta, H, terms, K, grad_R, grad_T)
 
 
 def _pose_adjoint(R, t, delta, H, terms, K, grad_R, grad_T) -> np.ndarray:

@@ -4,9 +4,11 @@ The three loss checks audit ``losses._evaluate``, the objective every
 adaptation step runs, on tiny corrupted oracle videos: for one term at a
 time (a one-hot ``LossWeights``), all four gradients it returns, on both
 point stacks and on the raw pose arrays, against central differences of
-the weighted per-frame sum. The pose check audits the adjoint of the
-final Gauss-Newton step under a random inlier mask, the weight live
-adaptation passes. Each check reports the worst relative error. The
+the weighted per-frame sum. The pose check audits
+``losses._recon_gradient``, the function every live step routes its pose
+gradients through: the adjoint of one Gauss-Newton camera step under a
+random inlier mask, the weight live adaptation passes, including its 1/T
+scaling. Each check reports the worst relative error. The
 functions under test are resolved through their modules at call time, so
 swapping one out (say, to flip a sign) is caught.
 """
@@ -114,35 +116,42 @@ def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4)
 
 
 def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
-    """Adjoint of the final Gauss-Newton pose step, under a random inlier
-    mask, versus differences."""
+    """``losses._recon_gradient``, the pull-back of live adaptation's camera
+    step onto the recon stack, versus differences.
+
+    Each instance is a 2-frame video: frame 0 at the identity, frame 1 at a
+    perturbed base pose with the cloud as its recon points (3, N) and a
+    random inlier mask. Frame 1's camera takes one Gauss-Newton step from
+    its base, as each live evaluation does, and the scalar is that pose's
+    share of the mean objective under a random upstream gradient:
+    (<g_R, R_1> + <g_T, t_1>) / T.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         K, true_pose, corr = make_pnp_instance(rng)
-        base = PoseSE3(
-            so3_exp(rng.normal(0, 0.01, 3)) @ true_pose.rotation,
-            true_pose.translation + rng.normal(0, 0.01, 3),
-        )
-        inliers = rng.random(len(corr)) < 0.8
-        detached = camera.PoseEstimate(base, inliers, 0.0, base)
-        upstream = (rng.normal(0, 1, (3, 3)), rng.normal(0, 1, 3))
+        R = np.stack([np.eye(3), so3_exp(rng.normal(0, 0.01, 3)) @ true_pose.rotation])
+        t = np.stack([np.zeros(3), true_pose.translation + rng.normal(0, 0.01, 3)])
+        rec = np.zeros((2, 3, len(corr)))
+        rec[1] = corr.points.T
+        inliers = rng.random((2, len(corr))) < 0.8
+        g_R, g_T = rng.normal(0, 1, (2, 3, 3)), rng.normal(0, 1, (2, 3))
+
+        def step_terms(points):
+            return losses._gn_terms(R[1], t[1], points, corr.pixels, K, inliers[1])[:2]
 
         def value(points):
-            est = camera.gauss_newton_refine(
-                detached, camera.Correspondences2D3D(corr.pixels, points), K
-            )
-            return float(
-                np.sum(upstream[0] * est.pose.rotation)
-                + upstream[1] @ est.pose.translation
-            )
+            R_1, t_1 = losses._apply_increment(step_terms(points[1])[0], R[1], t[1])
+            return float(np.sum(g_R[1] * R_1) + g_T[1] @ t_1) / len(rec)
 
-        est = camera.gauss_newton_refine(detached, corr, K)
-        grad = camera.pose_gradient_wrt_points(est, corr, K, upstream)
-        rows = rng.choice(np.flatnonzero(inliers), 3, replace=False)
-        picks = [(3 * rows[:, None] + np.arange(3)).ravel()]
-        worst = max(worst, _worst_fd_error(value, (corr.points,), (grad,), picks, step))
-    return CheckResult("pose_gradient_wrt_points", worst, tol)
+        grad = losses._recon_gradient(
+            np.zeros_like(rec), g_R, g_T, R, t, [step_terms(rec[1])], rec, inliers,
+            corr.pixels, K,
+        )
+        rows = rng.choice(np.flatnonzero(inliers[1]), 3, replace=False)
+        picks = [(rec[0].size + np.arange(3)[:, None] * len(corr) + rows).ravel()]
+        worst = max(worst, _worst_fd_error(value, (rec,), (grad,), picks, step))
+    return CheckResult("live_pose_step", worst, tol)
 
 
 ALL_CHECKS = (

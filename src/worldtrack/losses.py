@@ -34,7 +34,6 @@ from .errors import (
 )
 from .geometry import (
     DEPTH_EPS,
-    Intrinsics,
     PixelGrid,
     Pointmap,
     PoseSE3,
@@ -364,7 +363,7 @@ class _Layout:
     offset: np.ndarray  # (2, 1): the principal point minus the scale center
     query_ok: np.ndarray  # (T, N): visible queries on valid tracking pixels
     query_sel: slice | np.ndarray  # the query pixels, a slice for all in order
-    repeats: np.ndarray | None  # flat (T, 3, N) stack indices if pixels repeat
+    query_flat: np.ndarray | None  # flat (T, 3, N) stack indices, None for the slice
     gt_c: np.ndarray  # (T, 2, N): tracks minus the center, zero if unused
     gt_r: np.ndarray  # (T, N): their radii
     depth_mask: np.ndarray  # (T, P)
@@ -404,18 +403,19 @@ def _objective(stacks, K, sup, mono, weights):
     center = np.array([[W / 2.0], [H / 2.0]])
     gt_c = np.where(query_ok[:, None], sup.tracks2d.transpose(1, 2, 0) - center, 0.0)
     depth_mask = rec_valid & mono.valid.reshape(T, -1)
-    repeats = None
-    if np.unique(qflat).size < qflat.size:
-        repeats = (np.arange(T)[:, None, None] * 3 + np.arange(3)[:, None]) * H * W + qflat
+    # queries on every pixel in raster order select by a slice (a view);
+    # any other set, repeats included, scatters through its stack indices
+    raster = np.array_equal(qflat, np.arange(H * W))
+    query_flat = None
+    if not raster:
+        query_flat = (np.arange(T)[:, None, None] * 3 + np.arange(3)[:, None]) * H * W + qflat
     align_frame, align_trk, align_rec = _align_pairs(
         sup.correspondence, qflat, trk_valid, rec_valid
     )
     layout = _Layout(
         weights=weights, focal=K.focal, offset=np.array([[K.cx], [K.cy]]) - center,
-        query_ok=query_ok,
-        # queries on every pixel in raster order select by a slice (a view)
-        query_sel=slice(None) if np.array_equal(qflat, np.arange(H * W)) else qflat,
-        repeats=repeats, gt_c=gt_c, gt_r=np.hypot(gt_c[:, 0], gt_c[:, 1]),
+        query_ok=query_ok, query_sel=slice(None) if raster else qflat,
+        query_flat=query_flat, gt_c=gt_c, gt_r=np.hypot(gt_c[:, 0], gt_c[:, 1]),
         depth_mask=depth_mask, mono_z=np.where(depth_mask, mono.depth.reshape(T, -1), 0.0),
         align_frame=align_frame, align_trk=align_trk, align_rec=align_rec,
     )
@@ -471,10 +471,10 @@ def _evaluate(lay: _Layout, trk, rec, R, t, recon_grad=True):
                           minlength=len(trk))
     g_align *= 2.0 * w.align
     g_trk = _scatter(lay.align_trk, g_align, trk.shape)
-    if lay.repeats is None:
+    if lay.query_flat is None:
         g_trk[:, :, lay.query_sel] += g_q
     else:
-        g_trk += _scatter(lay.repeats, g_q, trk.shape)
+        g_trk += _scatter(lay.query_flat, g_q, trk.shape)
     del g_q
     if recon_grad:
         g_align *= -1.0
@@ -487,32 +487,6 @@ def _evaluate(lay: _Layout, trk, rec, R, t, recon_grad=True):
 def _pose_stack(poses):
     poses = [_as_pose(p) for p in poses]
     return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
-
-
-def total_loss(
-    tracking_pms: list[Pointmap],
-    recon_pms: list[Pointmap],
-    poses: list,
-    K: Intrinsics,
-    sup: TrackSupervision,
-    mono: DepthSupervision,
-    weights: LossWeights = LossWeights(),
-) -> LossBreakdown:
-    """Weighted multi-frame objective, averaged over frames."""
-    return _total_with_grads(tracking_pms, recon_pms, poses, K, sup, mono, weights)[0]
-
-
-def _total_with_grads(tracking_pms, recon_pms, poses, K, sup, mono, weights):
-    """The breakdown plus the gradients ``(g_trk, g_rec, g_R, g_T)`` of
-    the frames' summed objective: (T, H, W, 3) for both branches, (T, 3, 3)
-    and (T, 3) for the poses."""
-    trk, rec, _, _, layout = _objective(_stacks(tracking_pms, recon_pms), K, sup, mono, weights)
-    if len(poses) != len(trk):
-        raise ShapeMismatch("frame counts disagree across inputs")
-    per_term, (g_trk, g_rec, g_R, g_T) = _evaluate(layout, trk, rec, *_pose_stack(poses))
-    shape = (len(poses),) + tracking_pms[0].points.shape
-    g_trk, g_rec = (g.transpose(0, 2, 1).reshape(shape) for g in (g_trk, g_rec))
-    return LossBreakdown.combine(per_term, weights), (g_trk, g_rec, g_R, g_T)
 
 
 # ---------------------------------------------------------------------------

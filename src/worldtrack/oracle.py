@@ -44,7 +44,6 @@ PRESETS = (
 # the smallest image side a scene can be rendered at, in pixels
 MIN_GRID = 8
 STATIC_ID = -1
-CLAIM_TOL = 1e-9
 BEACON_CLEARANCE = 0.1
 BEACON_DEPTH_RANGE = (0.55, 0.75)
 
@@ -452,33 +451,14 @@ def _landing_cells(seq: RenderedSequence) -> np.ndarray:
     return np.where(ok, cell, -1)
 
 
-def make_track_supervision(seq: RenderedSequence) -> TrackSupervision:
-    """Extract 2D tracks plus cross-branch pairs found by exact 3D match.
-
-    A pair (query n, frame j) is claimed when the reconstruction map, at
-    the cell the track lands in, stores the tracked point's 3D position to
-    within 1e-9 m. Frame 0 always matches; mid-sequence matches come from
-    beacons and, under a static camera, from unoccluded static content.
-    """
-    points, _ = stack_pointmaps(seq.recon_pointmaps, "recon")
-    T, H, W, _ = points.shape
-    cell = _landing_cells(seq)
-    pair = np.flatnonzero(cell >= 0)  # query * T + frame
-    stored = points.reshape(-1, 3)[pair % T * H * W + cell.flat[pair]]
-    d = np.abs(stored - seq.tracks3d.positions.reshape(-1, 3)[pair])
-    match = np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2]) <= CLAIM_TOL
-    cell.flat[pair[~match]] = -1
-    queries = PixelGrid.create(W, H).flat()
-    return TrackSupervision(queries, seq.tracks2d.positions, seq.tracks2d.visibility, cell)
-
-
 def projected_track_supervision(seq: RenderedSequence) -> TrackSupervision:
     """Pair every visible track with the reconstruction pixel it lands in.
 
-    Unlike the exact-match claims of make_track_supervision, these pairs
-    assert correspondence by projection alone. That is the right
-    supervision for adapting data whose branches currently disagree; the
-    alignment term then pulls them together instead of starting at zero.
+    The pairs assert correspondence by projection alone, not by an exact 3D
+    match. That is the right supervision for adapting data whose branches
+    currently disagree; the alignment term then pulls them together instead
+    of starting at zero. The queries are the tracks' frame-0 positions; a
+    rendered sequence has one per anchor pixel, in raster order.
     """
     t2 = seq.tracks2d.positions
     return TrackSupervision(t2[:, 0], t2, seq.tracks2d.visibility, _landing_cells(seq))

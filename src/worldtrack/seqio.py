@@ -11,8 +11,9 @@ pointmap file loads as one video (``geometry.video_pointmaps``): one
 float64 stack, checked once, whose frames are views of it.
 
 A save checks both branches as videos, every array's shape against theirs
-and the depth and track entries for finiteness before it writes anything;
-a load checks the same. Every file is written to a temporary
+and the float32 values it will write of the pointmaps, depth and tracks
+for finiteness before it writes anything; a load checks the same, and
+refuses a mask byte other than 0 or 1. Every file is written to a temporary
 name and renamed into place, with the manifest last, so a crashed writer
 never leaves a directory that parses as complete. Writes are
 deterministic: the same sequence produces byte-identical files.
@@ -44,7 +45,7 @@ def _write_atomic(path: Path, data: bytes):
 
 
 def _put(arrays: dict, outdir: Path, name: str, data: np.ndarray, dtype: str):
-    cast = np.ascontiguousarray(data.astype(dtype))
+    cast = np.ascontiguousarray(data, dtype=dtype)
     fname = f"{name}.raw"
     _write_atomic(outdir / fname, cast.tobytes())
     arrays[name] = {
@@ -56,8 +57,9 @@ def _put(arrays: dict, outdir: Path, name: str, data: np.ndarray, dtype: str):
 
 def save_sequence(path, seq: RenderedSequence) -> None:
     """Write ``seq`` to the directory ``path``. Both branches are checked as
-    videos, and every array's shape against theirs, before any file is
-    written: a sequence ``load_sequence`` would refuse leaves no file."""
+    videos, every array's shape against theirs and the float32 values of
+    the bulk arrays for finiteness, before any file is written: a sequence
+    ``load_sequence`` would refuse leaves no file."""
     tracking, _ = stack_pointmaps(seq.tracking_pointmaps, "tracking")
     recon, _ = stack_pointmaps(seq.recon_pointmaps, "recon")
     T, H, W, _ = tracking.shape
@@ -73,19 +75,26 @@ def save_sequence(path, seq: RenderedSequence) -> None:
     ):
         if shape != expect:
             raise ShapeMismatch(f"{name} has shape {list(shape)}, not {list(expect)}")
-    for name, data in (("depth", seq.depth), ("tracks2d", seq.tracks2d.positions),
-                       ("tracks3d", seq.tracks3d.positions)):
-        if not np.isfinite(data).all():
+    # the float32 values that will be written are checked, not the float64
+    # ones: a finite entry beyond float32's range would be stored as inf
+    with np.errstate(over="ignore"):
+        bulk = {
+            name: np.ascontiguousarray(data, dtype="<f4")
+            for name, data in (
+                ("tracking_pointmaps", tracking), ("recon_pointmaps", recon),
+                ("depth", seq.depth), ("tracks2d", seq.tracks2d.positions),
+                ("tracks3d", seq.tracks3d.positions),
+            )
+        }
+    for name, cast in bulk.items():
+        if not np.isfinite(cast).all():
             raise ValueError(f"{name} entries must be finite")
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
 
     arrays: dict = {}
-    _put(arrays, outdir, "tracking_pointmaps", tracking, "<f4")
-    _put(arrays, outdir, "recon_pointmaps", recon, "<f4")
-    _put(arrays, outdir, "depth", seq.depth, "<f4")
-    _put(arrays, outdir, "tracks2d", seq.tracks2d.positions, "<f4")
-    _put(arrays, outdir, "tracks3d", seq.tracks3d.positions, "<f4")
+    for name, cast in bulk.items():
+        _put(arrays, outdir, name, cast, "<f4")
     _put(arrays, outdir, "visibility", seq.tracks2d.visibility, "|u1")
     _put(arrays, outdir, "dynamic_mask", seq.dynamic_mask, "|u1")
     K = seq.intrinsics
@@ -195,14 +204,20 @@ def load_sequence(path) -> RenderedSequence:
             raise ValueError(f"{indir / arrays[name]['file']}: entries must be finite")
         return data.astype(np.float64)
 
+    def mask(name, expect):
+        data = _get(indir, arrays, name, expect, "|u1")
+        if (data > 1).any():
+            raise ValueError(f"{indir / arrays[name]['file']}: bytes must be 0 or 1")
+        return data.astype(bool)
+
     tracking = video("tracking_pointmaps", "tracking")
     recon = video("recon_pointmaps", "recon")
     depth = finite("depth", (T, H, W))
     tracks2d = finite("tracks2d", (None, T, 2))
     N = len(tracks2d)
     tracks3d = finite("tracks3d", (N, T, 3))
-    visibility = _get(indir, arrays, "visibility", (N, T), "|u1").astype(bool)
-    dynamic_mask = _get(indir, arrays, "dynamic_mask", (H, W), "|u1").astype(bool)
+    visibility = mask("visibility", (N, T))
+    dynamic_mask = mask("dynamic_mask", (H, W))
     f, cx, cy = _get(indir, arrays, "intrinsics", (3,), "<f8")
     cam_raw = _get(indir, arrays, "cameras", (T, 3, 4), "<f8")
     try:

@@ -5,6 +5,19 @@ from scipy.spatial.transform import Rotation
 
 from worldtrack.geometry import PoseSE3, skew, so3_exp
 from worldtrack.gradcheck import make_pnp_instance  # noqa: F401  (shared with the tests)
+from worldtrack.losses import (
+    LossBreakdown, LossWeights, _evaluate, _objective, _pose_stack, _stacks,
+)
+
+
+def objective(tracking, recon, poses, K, sup, mono, weights=LossWeights()):
+    """The objective adaptation evaluates, at fixed poses, as gradcheck lays
+    it out: the breakdown, the gradients (g_trk, g_rec, g_R, g_T) of the
+    frames' summed objective, point gradients as (T, 3, P) stacks, and the
+    layout."""
+    trk, rec, _, _, layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)
+    per_term, grads = _evaluate(layout, trk, rec, *_pose_stack(poses))
+    return LossBreakdown.combine(per_term, weights), grads, layout
 
 
 def random_pose(rng, max_angle=None) -> PoseSE3:

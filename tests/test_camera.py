@@ -15,13 +15,13 @@ from worldtrack.camera import (
     _gn_terms,
     _iterations_needed,
     _minimal_poses,
+    _pose_adjoint,
     _projection_terms,
     _reproj_errors_many,
     _so3_exp_vjp,
     correspondences_from_pointmap,
     estimate_focal_weiszfeld,
     gauss_newton_refine,
-    pose_gradient_wrt_points,
     solve_cameras_for_video,
     solve_pnp_ransac,
 )
@@ -412,6 +412,15 @@ def linear_pose_loss(gR, gT):
     return value
 
 
+def pose_adjoint(base: PoseSE3, corr, K, mask, gR, gT) -> np.ndarray:
+    """(N, 3) pull-back onto the points of a gradient (gR, gT) on the pose
+    one Gauss-Newton step from ``base`` on the masked pairs reaches: the
+    step and adjoint live adaptation runs."""
+    R, t = base.rotation, base.translation
+    delta, H, terms = _gn_terms(R, t, corr.points.T, corr.pixels, K, mask)
+    return _pose_adjoint(R, t, delta, H, terms, K, gR, gT)
+
+
 def fd_point_gradient(detached, corr, K, loss, idx, h=1e-5):
     """Central differences through the full refine call, base pose fixed."""
     grads = np.zeros((len(idx), 3))
@@ -436,9 +445,8 @@ def test_pose_gradient_matches_finite_differences():
     for trial in range(12):
         K, pose, corr = make_pnp_instance(rng, n=24)
         detached = perturbed_estimate(pose, corr, rng, scale=0.04)
-        est = gauss_newton_refine(detached, corr, K)
         gR, gT = rng.normal(size=(3, 3)), rng.normal(size=3)
-        analytic = pose_gradient_wrt_points(est, corr, K, (gR, gT))
+        analytic = pose_adjoint(detached.pose, corr, K, detached.inliers, gR, gT)
         pick = rng.choice(len(corr), 5, replace=False)
         fd = fd_point_gradient(detached, corr, K, linear_pose_loss(gR, gT), pick)
         for row, n in enumerate(pick):
@@ -462,19 +470,17 @@ def test_pose_gradient_behind_camera_and_non_inlier_rows():
     detached = perturbed_estimate(pose, corr, rng)
     mask = np.ones(20, dtype=bool)
     mask[7] = False
-    detached = PoseEstimate(detached.pose, mask, np.nan, detached.pose)
-    est = gauss_newton_refine(detached, corr, K)
-    grads = pose_gradient_wrt_points(est, corr, K, (rng.normal(size=(3, 3)), rng.normal(size=3)))
+    grads = pose_adjoint(detached.pose, corr, K, mask, rng.normal(size=(3, 3)), rng.normal(size=3))
     assert np.all(grads[3] == 0.0), "a row behind the camera must carry no gradient"
     assert np.all(grads[7] == 0.0), "non-inlier row must carry no gradient"
     assert np.any(grads[0] != 0.0)
 
 
-def pose_gradient_reference(est, corr, K, gR, gT):
-    """The adjoint through the factored Jacobian J = -A B (A: d pixel / d Y,
-    B: d Y / d twist), the form the closed-form adjoint must reproduce."""
-    pixels, points = corr.pixels[est.inliers], corr.points[est.inliers]
-    base, damping = est.base_pose, GN_DAMPING
+def pose_gradient_reference(base, corr, K, mask, gR, gT):
+    """``pose_adjoint`` through the factored Jacobian J = -A B (A: d pixel /
+    d Y, B: d Y / d twist), the form the closed-form adjoint must reproduce."""
+    pixels, points = corr.pixels[mask], corr.points[mask]
+    damping = GN_DAMPING
     Y = points @ base.rotation.T + base.translation
     x, y, z = Y.T
     w = (z > 0).astype(float)
@@ -508,7 +514,7 @@ def pose_gradient_reference(est, corr, K, gR, gT):
     grad_Y[:, 2] -= (grad_A[:, 0, 0] + grad_A[:, 1, 1]) * f / z**2
     grad_Y -= np.einsum("nij,ni->nj", A, w[:, None] * np.einsum("nij,j->ni", J, q))
     out = np.zeros((len(corr), 3))
-    out[est.inliers] = grad_Y @ base.rotation
+    out[mask] = grad_Y @ base.rotation
     return out
 
 
@@ -530,8 +536,8 @@ def test_masked_refine_equals_the_step_on_the_subset():
     assert np.abs(masked.pose.translation - explicit.pose.translation).max() < 1e-12
     assert abs(masked.rms_reprojection_error - explicit.rms_reprojection_error) < 1e-12
     upstream = (rng.normal(size=(3, 3)), rng.normal(size=3))
-    got = pose_gradient_wrt_points(masked, corr, K, upstream)
-    ref = pose_gradient_wrt_points(explicit, sub, K, upstream)
+    got = pose_adjoint(rough, corr, K, mask, *upstream)
+    ref = pose_adjoint(rough, sub, K, every, *upstream)
     assert np.abs(got[mask] - ref).max() < 1e-12 * np.abs(ref).max()
     assert np.all(got[~mask] == 0.0)
 
@@ -564,11 +570,9 @@ def test_pose_gradient_matches_factored_reference():
         corr = behind_camera(pose, corr, [5])
         detached = perturbed_estimate(pose, corr, rng, scale=0.05)
         mask = rng.random(40) > 0.2
-        detached = PoseEstimate(detached.pose, mask, np.nan, detached.pose)
-        est = gauss_newton_refine(detached, corr, K)
         gR, gT = rng.normal(size=(3, 3)), rng.normal(size=3)
-        got = pose_gradient_wrt_points(est, corr, K, (gR, gT))
-        ref = pose_gradient_reference(est, corr, K, gR, gT)
+        got = pose_adjoint(detached.pose, corr, K, mask, gR, gT)
+        ref = pose_gradient_reference(detached.pose, corr, K, mask, gR, gT)
         assert np.abs(got - ref).max() < 1e-9 * np.abs(ref).max()
 
 

@@ -148,6 +148,19 @@ def test_check_grads_catches_a_halved_camera_point_gradient(capsys, monkeypatch)
     assert "FAIL traj_loss" in capsys.readouterr().out
 
 
+def test_check_grads_audits_the_live_pose_routing(capsys, monkeypatch):
+    """The pose check runs the live step's pull-back, 1/T scaling included."""
+    real = losses._recon_gradient
+
+    def unscaled(g_rec, g_R, *args):
+        return real(g_rec, len(g_rec) * g_R, *args)
+
+    monkeypatch.setattr(losses, "_recon_gradient", unscaled)
+    assert main(["check-grads", "--trials", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL live_pose_step" in out and out.count("PASS") == 3
+
+
 def test_reports_refuse_non_finite_values_and_write_nothing(tmp_path):
     report = tmp_path / "report.json"
     with pytest.raises(ValueError, match="not JSON compliant"):

@@ -6,6 +6,7 @@ from worldtrack.gradcheck import (
     ALL_CHECKS,
     CheckResult,
     check_align_gradient,
+    check_pose_gradient,
     check_traj_gradient,
     run_all,
 )
@@ -49,6 +50,18 @@ def test_sabotaged_align_scatter_is_caught(monkeypatch):
     monkeypatch.setattr(losses, "_scatter", lambda *args: 0.5 * real(*args))
     res = check_align_gradient(np.random.default_rng(0))
     assert not res.passed
+
+
+def test_sabotaged_live_pose_routing_is_caught(monkeypatch):
+    """The pose check audits the pull-back live adaptation runs: dropping
+    its 1/T on the rotation gradient must fail it."""
+    real = losses._recon_gradient
+
+    def unscaled(g_rec, g_R, *args):
+        return real(g_rec, len(g_rec) * g_R, *args)
+
+    monkeypatch.setattr(losses, "_recon_gradient", unscaled)
+    assert not check_pose_gradient(np.random.default_rng(0)).passed
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.__name__)

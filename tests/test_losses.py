@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import objective
 
 from worldtrack import camera, losses
 from worldtrack.camera import (
@@ -36,7 +37,6 @@ from worldtrack.losses import (
     LossWeights,
     TrackSupervision,
     depth_loss,
-    total_loss,
     tta_optimize,
     traj_loss,
     _evaluate,
@@ -44,7 +44,6 @@ from worldtrack.losses import (
     _pose_stack,
     _recon_gradient,
     _stacks,
-    _total_with_grads,
 )
 
 FD_STEP = 1e-6
@@ -155,9 +154,7 @@ def test_depth_loss_frozen_example():
 def align_only(tracking, recon, poses, K, sup, mono):
     """The breakdown and gradients of the objective with the align term
     alone, and the number of alignment pairs it found."""
-    weights = LossWeights(0.0, 0.0, 1.0)
-    layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)[-1]
-    b, grads = _total_with_grads(tracking, recon, poses, K, sup, mono, weights)
+    b, grads, layout = objective(tracking, recon, poses, K, sup, mono, LossWeights(0.0, 0.0, 1.0))
     return b, grads, layout.align_frame.size
 
 
@@ -182,10 +179,10 @@ def test_align_loss_frozen_example():
     assert pairs == 1
     assert b.per_frame[0, 2] == 0.0
     assert b.per_frame[1, 2] == pytest.approx(0.01, abs=1e-15)
-    np.testing.assert_allclose(g_trk[1, 0, 0], [0, 0, 0.2], atol=1e-15)
-    np.testing.assert_allclose(g_rec[1, 0, 5], [0, 0, -0.2], atol=1e-15)
+    np.testing.assert_allclose(g_trk[1, :, 0], [0, 0, 0.2], atol=1e-15)
+    np.testing.assert_allclose(g_rec[1, :, 5], [0, 0, -0.2], atol=1e-15)
     # unpaired points and the poses carry nothing
-    g_trk[1, 0, 0] = g_rec[1, 0, 5] = 0.0
+    g_trk[1, :, 0] = g_rec[1, :, 5] = 0.0
     assert not (g_trk.any() or g_rec.any() or g_R.any() or g_T.any())
 
 
@@ -261,7 +258,7 @@ def test_align_loss_gradient_fd():
                     videos[branch][1] = pm.with_points(pts)
                     ends.append(summed(*videos))
                 fd = (ends[0] - ends[1]) / (2 * FD_STEP)
-                assert abs(fd - grad[1, r, c, d]) < FD_TOL * max(1.0, abs(grad[1, r, c, d]))
+                assert abs(fd - grad[1, d, pixel]) < FD_TOL * max(1.0, abs(grad[1, d, pixel]))
 
 
 def test_total_loss_gradient_fd_frozen_poses():
@@ -270,9 +267,7 @@ def test_total_loss_gradient_fd_frozen_poses():
     )
     weights = LossWeights()
     T = len(tracking)
-    breakdown, grads = _total_with_grads(
-        tracking, recon, poses, K, sup, mono, weights
-    )
+    breakdown, grads, _ = objective(tracking, recon, poses, K, sup, mono, weights)
     rng = np.random.default_rng(0)
 
     def fd_check(pms, idx, grad_field):
@@ -284,19 +279,19 @@ def test_total_loss_gradient_fd_frozen_poses():
             delta[r, c, d] = FD_STEP
             alt = list(pms)
             alt[idx] = pms[idx].with_points(pts + delta)
-            hi = _total_with_grads(
+            hi = objective(
                 alt if pms is tracking else tracking,
                 alt if pms is recon else recon,
                 poses, K, sup, mono, weights,
             )[0].total
             alt[idx] = pms[idx].with_points(pts - delta)
-            lo = _total_with_grads(
+            lo = objective(
                 alt if pms is tracking else tracking,
                 alt if pms is recon else recon,
                 poses, K, sup, mono, weights,
             )[0].total
             fd = (hi - lo) / (2 * FD_STEP)
-            analytic = grad_field[idx][r, c, d] / T
+            analytic = grad_field[idx, d, r * W + c] / T
             assert rel_err(fd, analytic) < FD_TOL
 
     g_trk, g_rec, _, _ = grads
@@ -429,8 +424,9 @@ def test_live_recon_gradient_skips_ransac_outliers(monkeypatch):
 
 def reference_objective(tracking, recon, poses, K, sup, mono, weights):
     """Frame-by-frame form of the objective, the loop the batched kernels
-    replace: (T, 3) terms, point gradients (T, H, W, 3) of both branches and
-    pose gradients (T, 3, 3), (T, 3) of the frames' summed objective."""
+    replace: (T, 3) terms, point gradients of both branches as (T, 3, P)
+    stacks and pose gradients (T, 3, 3), (T, 3) of the frames' summed
+    objective."""
     T = len(tracking)
     Hh, Ww = tracking[0].height, tracking[0].width
     center = np.array([Ww / 2.0, Hh / 2.0])
@@ -504,6 +500,7 @@ def reference_objective(tracking, recon, poses, K, sup, mono, weights):
         np.add.at(a_rec, (r2, c2), -2.0 * diff)
         g_trk[j] += weights.align * a_trk
         g_rec[j] += weights.align * a_rec
+    g_trk, g_rec = (g.reshape(T, -1, 3).transpose(0, 2, 1) for g in (g_trk, g_rec))
     return per_term, g_trk, g_rec, g_R, g_T
 
 
@@ -513,16 +510,19 @@ def assert_close(got, want, tol=1e-12):
 
 
 def scene_with_repeats(seed, repeats=True):
-    """The mini scene with repeated query pixels (or, without ``repeats``,
-    a shuffled subset of distinct ones), many queries paired with one recon
-    pixel, invalid pixels on both branches, occluded pairs and noisy
-    points; a fixed mini-scene pose per frame."""
+    """The mini scene with repeated query pixels (``repeats`` True), a
+    shuffled subset of distinct ones (False) or every pixel in raster order
+    (None); many queries paired with one recon pixel, invalid pixels on both
+    branches, occluded pairs and noisy points; a fixed mini-scene pose per
+    frame."""
     K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
         num_frames=3, track_noise=0.04, recon_noise=0.02, seed=seed
     )
     rng = np.random.default_rng(seed)
     n = sup.num_queries
-    if repeats:
+    if repeats is None:
+        pick = np.arange(n)
+    elif repeats:
         pick = np.concatenate([np.arange(n), rng.choice(n, 12, replace=False)])
     else:
         pick = rng.permutation(n)[: n - 7]
@@ -542,15 +542,18 @@ def scene_with_repeats(seed, repeats=True):
     return K, poses, tracking, recon, sup, mono
 
 
-@pytest.mark.parametrize("seed, repeats", [(51, True), (52, True), (53, False)])
+@pytest.mark.parametrize("seed, repeats", [(51, True), (52, True), (53, False), (54, None)])
 def test_batched_objective_matches_per_frame_reference(seed, repeats):
+    """Both query paths: any query set but all pixels in raster order
+    scatters (repeats True or False), the raster set takes a slice (None)."""
     K, poses, tracking, recon, sup, mono = scene_with_repeats(seed, repeats)
     cols, rows = np.floor(sup.query_pixels).astype(int).T
-    assert (np.unique(rows * W + cols).size < sup.num_queries) == repeats
+    assert (np.unique(rows * W + cols).size < sup.num_queries) == bool(repeats)
     weights = LossWeights(1.3, 7.0, 2.5)
-    breakdown, (g_trk, g_rec, g_R, g_T) = _total_with_grads(
+    breakdown, (g_trk, g_rec, g_R, g_T), layout = objective(
         tracking, recon, poses, K, sup, mono, weights
     )
+    assert (layout.query_flat is None) == (repeats is None)
     per_term, r_trk, r_rec, r_R, r_T = reference_objective(
         tracking, recon, poses, K, sup, mono, weights
     )
@@ -571,16 +574,16 @@ def test_total_loss_raises_for_earliest_failing_frame():
     valid[1] = False  # frame 1: depth term has no pixels
     no_depth = DepthSupervision(mono.depth, valid)
     with pytest.raises(AllOccluded) as info:
-        total_loss(tracking, recon, poses, K, occluded, mono)
+        objective(tracking, recon, poses, K, occluded, mono)
     assert info.value.frame == 2
     with pytest.raises(NoOverlap) as info:
-        total_loss(tracking, recon, poses, K, occluded, no_depth)
+        objective(tracking, recon, poses, K, occluded, no_depth)
     assert info.value.frame == 1
     # within one frame the trajectory term is checked first
     vis[:, 1] = False
     both = TrackSupervision(sup.query_pixels, sup.tracks2d, vis, sup.correspondence)
     with pytest.raises(AllOccluded) as info:
-        total_loss(tracking, recon, poses, K, both, no_depth)
+        objective(tracking, recon, poses, K, both, no_depth)
     assert info.value.frame == 1
 
 
@@ -650,7 +653,7 @@ def test_breakdown_weighting_invariant():
         num_frames=3, track_noise=0.04, seed=31
     )
     weights = LossWeights(1.0, 10.0, 5.0)
-    b = total_loss(tracking, recon, poses, K, sup, mono, weights)
+    b = objective(tracking, recon, poses, K, sup, mono, weights)[0]
     assert abs(b.total - (b.traj + 10.0 * b.depth + 5.0 * b.align)) < 1e-12
     assert b.per_frame.shape == (3, 4)
     recombined = (
@@ -664,7 +667,7 @@ def test_breakdown_weighting_invariant():
 
 def test_total_loss_zero_at_truth():
     K, grid, poses, tracking, recon, sup, mono = make_mini_scene(num_frames=3)
-    b = total_loss(tracking, recon, poses, K, sup, mono)
+    b = objective(tracking, recon, poses, K, sup, mono)[0]
     assert b.total < 1e-20
 
 
@@ -675,13 +678,13 @@ def test_total_loss_attaches_frame_index():
     vis[:, 0] = True
     bad = TrackSupervision(sup.query_pixels, sup.tracks2d, vis, sup.correspondence)
     with pytest.raises(AllOccluded) as info:
-        total_loss(tracking, recon, poses, K, bad, mono)
+        objective(tracking, recon, poses, K, bad, mono)
     assert info.value.frame == 1
     # a depth map off the grid fails at the first frame, as per-frame
     # evaluation found it
     small = DepthSupervision(mono.depth[:, :-1], mono.valid[:, :-1])
     with pytest.raises(ShapeMismatch) as info:
-        total_loss(tracking, recon, poses, K, sup, small)
+        objective(tracking, recon, poses, K, sup, small)
     assert info.value.frame == 0
 
 

@@ -4,13 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import objective
 
 from worldtrack.camera import RansacConfig, solve_cameras_for_video
 from worldtrack.errors import EmptyRaster, UnknownPreset
 from worldtrack.geometry import PixelGrid, PoseSE3, TrackSet, _pixels
-from worldtrack.losses import total_loss
+from worldtrack.losses import TrackSupervision
 from worldtrack.oracle import (
-    CLAIM_TOL,
     PRESETS,
     Scene,
     SceneSpec,
@@ -18,12 +18,13 @@ from worldtrack.oracle import (
     generate_scene,
     generate_sequence,
     make_depth_supervision,
-    make_track_supervision,
     projected_track_supervision,
     render,
 )
 
 SMALL = dict(width=32, height=24, num_frames=6, focal=40.0, seed=7)
+# a cross-branch pair is exact when the stored and tracked points agree to this
+EXACT_TOL = 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -93,16 +94,10 @@ def test_recon_points_sit_on_camera_rays(sequences, preset):
 @pytest.mark.parametrize("preset", PRESETS)
 def test_objective_is_null_on_clean_data(sequences, preset):
     seq = sequences[preset]
-    sup = make_track_supervision(seq)
-    mono = make_depth_supervision(seq)
-    b = total_loss(
-        seq.tracking_pointmaps,
-        seq.recon_pointmaps,
-        seq.cameras,
-        seq.intrinsics,
-        sup,
-        mono,
-    )
+    b = objective(
+        seq.tracking_pointmaps, seq.recon_pointmaps, seq.cameras, seq.intrinsics,
+        exact_supervision(seq), make_depth_supervision(seq),
+    )[0]
     assert b.traj < 1e-18
     assert b.depth < 1e-18
     assert b.align < 1e-16
@@ -112,32 +107,31 @@ def test_objective_is_null_on_clean_data(sequences, preset):
 @pytest.mark.parametrize("preset", PRESETS)
 def test_cross_branch_claims(sequences, preset):
     seq = sequences[preset]
-    sup = make_track_supervision(seq)
-    n = sup.num_queries
-    assert np.array_equal(sup.correspondence[:, 0], np.arange(n))
+    corr = reference_correspondence(seq, exact=True)
+    n = len(corr)
+    assert np.array_equal(corr[:, 0], np.arange(n))
     beacon_idx = seq.meta["beacon_track_indices"]
     if preset == "dynamic-camera-static-scene":
         assert beacon_idx == []
     else:
         assert len(beacon_idx) == seq.meta["num_beacons"] > 0
         # beacons provide exact pairs and full visibility at every frame
-        sub = sup.correspondence[beacon_idx]
+        sub = corr[beacon_idx]
         assert (sub >= 0).all()
         assert seq.tracks2d.visibility[beacon_idx].all()
     # every claim is an exact 3D match between the branches
-    W = SMALL["width"]
     for j in range(seq.num_frames):
-        rowsel = sup.correspondence[:, j] >= 0
+        rowsel = corr[:, j] >= 0
         if not rowsel.any():
             continue
-        flat = sup.correspondence[rowsel, j]
+        flat = corr[rowsel, j]
         stored = seq.recon_pointmaps[j].points.reshape(-1, 3)[flat]
         tracked = seq.tracks3d.positions[rowsel, j]
-        assert np.abs(stored - tracked).max() <= 1e-9
+        assert np.abs(stored - tracked).max() <= EXACT_TOL
 
 
 def reference_correspondence(seq, exact: bool) -> np.ndarray:
-    """The per-frame loops the supervision builders replaced: the landing
+    """The per-frame loop the supervision builder replaced: the landing
     cell of each visible in-grid track on a valid recon pixel, and with
     ``exact`` only where the stored point matches the tracked one."""
     first = seq.tracking_pointmaps[0]
@@ -155,9 +149,16 @@ def reference_correspondence(seq, exact: bool) -> np.ndarray:
         if exact and ok.any():
             stored = pm.points[rows[ok], cols[ok]]
             tracked = seq.tracks3d.positions[ok, j]
-            ok[ok] = np.abs(stored - tracked).max(axis=1) <= CLAIM_TOL
+            ok[ok] = np.abs(stored - tracked).max(axis=1) <= EXACT_TOL
         corr[ok, j] = rows[ok] * W + cols[ok]
     return corr
+
+
+def exact_supervision(seq) -> TrackSupervision:
+    """Every anchor pixel as a query, with its exact cross-branch pairs."""
+    queries = PixelGrid.create(seq.spec.width, seq.spec.height).flat()
+    corr = reference_correspondence(seq, exact=True)
+    return TrackSupervision(queries, seq.tracks2d.positions, seq.tracks2d.visibility, corr)
 
 
 def stressed(seq):
@@ -184,19 +185,15 @@ def test_supervision_builders_match_per_frame_reference(sequences, preset, varia
         seq = corrupt(seq, noise=1e-3, drift=1e-3, targets=("tracking", "recon"), seed=2)
     elif variant == "stressed":
         seq = stressed(seq)
-    exact, projected = make_track_supervision(seq), projected_track_supervision(seq)
+    projected = projected_track_supervision(seq)
     want_exact = reference_correspondence(seq, exact=True)
     want_projected = reference_correspondence(seq, exact=False)
-    assert exact.correspondence.dtype == projected.correspondence.dtype == np.int64
-    assert np.array_equal(exact.correspondence, want_exact)
+    assert projected.correspondence.dtype == np.int64
     assert np.array_equal(projected.correspondence, want_projected)
-    for sup in (exact, projected):
-        assert np.array_equal(sup.tracks2d, seq.tracks2d.positions)
-        assert np.array_equal(sup.visibility, seq.tracks2d.visibility)
-    grid = PixelGrid.create(seq.spec.width, seq.spec.height)
-    assert np.array_equal(exact.query_pixels, grid.flat())
+    assert np.array_equal(projected.tracks2d, seq.tracks2d.positions)
+    assert np.array_equal(projected.visibility, seq.tracks2d.visibility)
     assert np.array_equal(projected.query_pixels, seq.tracks2d.positions[:, 0])
-    # the exact claims are a subset of the projected pairs, and both drop
+    # the exact pairs are a subset of the projected ones, and both drop
     # some pairs: the cases the reference distinguishes all occur
     claimed = want_exact >= 0
     assert np.array_equal(want_projected[claimed], want_exact[claimed])
@@ -207,9 +204,8 @@ def test_supervision_builders_match_per_frame_reference(sequences, preset, varia
 
 def test_static_camera_keeps_static_claims(sequences):
     seq = sequences["static-camera"]
-    sup = make_track_supervision(seq)
     static = ~seq.tracks2d.dynamic
-    last = sup.correspondence[static, seq.num_frames - 1]
+    last = reference_correspondence(seq, exact=True)[static, seq.num_frames - 1]
     assert (last >= 0).mean() > 0.5
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -351,3 +352,54 @@ def test_save_refuses_what_load_would_refuse_before_writing(tmp_path, seq, chang
     with pytest.raises(kind, match=message):
         save_sequence(tmp_path / "s", change(seq))
     assert list(tmp_path.iterdir()) == []
+
+
+def _with_point(pointmaps, value):
+    """The video with the first valid point of frame 1 moved to x = value."""
+    pointmaps = list(pointmaps)
+    points = np.array(pointmaps[1].points)
+    r, c = np.argwhere(pointmaps[1].valid)[0]
+    points[r, c, 0] = value
+    pointmaps[1] = pointmaps[1].with_points(points)
+    return pointmaps
+
+
+@pytest.mark.parametrize(
+    "name", ["tracking_pointmaps", "recon_pointmaps", "depth", "tracks2d", "tracks3d"]
+)
+def test_save_refuses_a_finite_entry_float32_cannot_hold(tmp_path, seq, name):
+    # 1e39 is finite in float64 but would be written as inf, which a load
+    # refuses; no overflow warning may escape either
+    if name == "depth":
+        depth = np.array(seq.depth)
+        depth[0, 0, 0] = 1e39
+        bad = replace(seq, depth=depth)
+    elif name.endswith("pointmaps"):
+        bad = replace(seq, **{name: _with_point(getattr(seq, name), 1e39)})
+    else:
+        bad = replace(seq, **{name: _with_entry(getattr(seq, name), 1e39)})
+    with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+        save_sequence(tmp_path / "s", bad)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, shape", [("visibility", (432, 5)), ("dynamic_mask", (18, 24))],
+    ids=["visibility", "dynamic_mask"],
+)
+def test_mask_byte_other_than_0_or_1_names_file(tmp_path, seq, capsys, name, shape):
+    from worldtrack.cli import main
+
+    save_sequence(tmp_path / "s", seq)
+    path = tmp_path / "s" / f"{name}.raw"
+    values = np.frombuffer(path.read_bytes(), dtype="|u1").reshape(shape).copy()
+    values[0, 0] = 7
+    path.write_bytes(values.tobytes())
+    message = f"{path}: bytes must be 0 or 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_sequence(tmp_path / "s")
+    report = tmp_path / "eval.json"
+    args = ["eval", "--pred", str(tmp_path / "s"), "--gt", str(tmp_path / "s")]
+    assert main(args + ["--out", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()

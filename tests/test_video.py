@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import objective
 
 from worldtrack.bench import eval_recon
 from worldtrack.camera import solve_cameras_for_video
@@ -16,13 +17,12 @@ from worldtrack.geometry import (
     stack_pointmaps,
     video_pointmaps,
 )
-from worldtrack.losses import AdaptState, total_loss, tta_optimize
+from worldtrack.losses import AdaptState, tta_optimize
 from worldtrack.oracle import (
     SceneSpec,
     corrupt,
     generate_sequence,
     make_depth_supervision,
-    make_track_supervision,
     projected_track_supervision,
 )
 from worldtrack.seqio import load_sequence, save_sequence
@@ -83,8 +83,8 @@ def _save(tmp_path, seq, **videos):
 
 
 def _loss(seq, tracking, recon):
-    sup, mono = make_track_supervision(seq), make_depth_supervision(seq)
-    return total_loss(tracking, recon, seq.cameras, seq.intrinsics, sup, mono)
+    sup, mono = projected_track_supervision(seq), make_depth_supervision(seq)
+    return objective(tracking, recon, seq.cameras, seq.intrinsics, sup, mono)
 
 
 def _adapt(seq, tracking, recon):
