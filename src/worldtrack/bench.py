@@ -1,10 +1,12 @@
 """Evaluation metrics for world-frame tracks and reconstructions.
 
 Deterministic by construction: reductions use compensated summation
-(math.fsum), the median is the lower-middle element of the sorted norms,
-and similarity transforms are applied with explicit elementwise
-arithmetic, so an independent scalar reimplementation reproduces every
-reported number bit for bit.
+(math.fsum), the median is the lower-middle element of the norms (a
+partition, the same element as sorting), and similarity transforms are
+applied with explicit elementwise arithmetic, so an independent scalar
+reimplementation reproduces every reported number bit for bit. A report
+forms the differences and their norms once and takes the APD counts, the
+EPE and the fingerprint from them.
 """
 
 import math
@@ -27,13 +29,38 @@ ALIGNMENT_MODES = ("none", "median", "sim3")
 DEFAULT_WINDOW = 64
 
 
+def _sq_norms(p: np.ndarray) -> np.ndarray:
+    """(x x + y y) + z z per row of an (N, 3) array."""
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    sq, tmp = x * x, y * y
+    sq += tmp
+    sq += np.multiply(z, z, out=tmp)
+    return sq
+
+
 def _point_norms(p: np.ndarray) -> np.ndarray:
-    return np.sqrt((p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1]) + p[:, 2] * p[:, 2])
+    sq = _sq_norms(p)
+    return np.sqrt(sq, out=sq)
 
 
-def _pair_errors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a - b
-    return np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
+def _errors(pred: np.ndarray, gt: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The differences pred - gt as one C-ordered (N, 3) array, and their
+    norms. ``out`` may be ``pred`` itself when the caller owns it."""
+    d = np.subtract(pred, gt, out=out, order="C")
+    if d.shape[0] == 0:
+        raise NoOverlap("no pairs to score")
+    return d, _point_norms(d)
+
+
+def _apd(errs: np.ndarray, thresholds: tuple) -> tuple[float, tuple]:
+    n = errs.shape[0]
+    fracs = tuple(int(np.count_nonzero(errs < t)) / n for t in thresholds)
+    return 100.0 * math.fsum(fracs) / len(thresholds), fracs
+
+
+def _epe(errs: np.ndarray) -> float:
+    # the memoryview yields plain floats: no numpy scalar per element
+    return math.fsum(memoryview(errs)) / errs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -45,10 +72,17 @@ class Sim3:
     def apply(self, pts: np.ndarray) -> np.ndarray:
         R, s, t = self.rotation, self.scale, self.translation
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        ax = s * ((R[0, 0] * x + R[0, 1] * y) + R[0, 2] * z) + t[0]
-        ay = s * ((R[1, 0] * x + R[1, 1] * y) + R[1, 2] * z) + t[1]
-        az = s * ((R[2, 0] * x + R[2, 1] * y) + R[2, 2] * z) + t[2]
-        return np.stack([ax, ay, az], axis=1)
+        out = np.empty((len(pts), 3))
+        acc, tmp = np.empty(len(pts)), np.empty(len(pts))
+        for i in range(3):
+            # s * ((R[i, 0] x + R[i, 1] y) + R[i, 2] z) + t[i], in that order
+            np.multiply(x, R[i, 0], out=acc)
+            acc += np.multiply(y, R[i, 1], out=tmp)
+            acc += np.multiply(z, R[i, 2], out=tmp)
+            acc *= s
+            acc += t[i]
+            out[:, i] = acc
+        return out
 
 
 @dataclass(frozen=True)
@@ -80,8 +114,9 @@ class MetricReport:
 def median_scale_align(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, float]:
     """Rescale predictions by the ratio of median point norms.
 
-    The median of n values is the sorted element at index (n-1)//2, the
-    lower middle for even n, so no averaging enters the arithmetic.
+    The median of n values is the lower-middle element, at index (n-1)//2
+    of a partition (the same element as sorting), so no averaging enters
+    the arithmetic.
     """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
@@ -91,8 +126,8 @@ def median_scale_align(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, fl
     if n == 0:
         raise NoOverlap("no points to align")
     k = (n - 1) // 2
-    pm = float(np.sort(_point_norms(pred))[k])
-    gm = float(np.sort(_point_norms(gt))[k])
+    pm = float(np.partition(_point_norms(pred), k)[k])
+    gm = float(np.partition(_point_norms(gt), k)[k])
     if pm < 1e-12:
         raise ZeroMedian("prediction median norm is zero")
     if gm < 1e-12:
@@ -113,11 +148,11 @@ def umeyama_sim3_align(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, Si
     mu_p = pred.mean(axis=0)
     mu_g = gt.mean(axis=0)
     X = pred - mu_p
-    Y = gt - mu_g
-    var_p = float(np.mean(np.sum(X * X, axis=1)))
+    var_p = float(np.mean(_sq_norms(X)))
     if var_p < 1e-12:
         raise DegenerateCovariance("prediction cloud has no spread")
-    cov = (Y.T @ X) / n
+    cov = ((gt - mu_g).T @ X) / n
+    del X  # no centred copy stays alive beside the aligned output
     U, D, Vt = np.linalg.svd(cov)
     s = np.ones(3)
     if np.linalg.det(U) * np.linalg.det(Vt) < 0:
@@ -137,20 +172,14 @@ def apd_3d(
     Each threshold contributes the fraction of pairs with error strictly
     below it; the score is 100 times the mean fraction.
     """
-    errs = _pair_errors(np.asarray(pred, float), np.asarray(gt, float))
-    n = errs.shape[0]
-    if n == 0:
-        raise NoOverlap("no pairs to score")
-    fracs = tuple(int((errs < t).sum()) / n for t in thresholds)
-    return 100.0 * math.fsum(fracs) / len(thresholds), fracs
+    _, errs = _errors(np.asarray(pred, float), np.asarray(gt, float))
+    return _apd(errs, thresholds)
 
 
 def epe(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean euclidean error over pairs."""
-    errs = _pair_errors(np.asarray(pred, float), np.asarray(gt, float))
-    if errs.shape[0] == 0:
-        raise NoOverlap("no pairs to score")
-    return math.fsum(errs) / errs.shape[0]
+    _, errs = _errors(np.asarray(pred, float), np.asarray(gt, float))
+    return _epe(errs)
 
 
 def _align(pred: np.ndarray, gt: np.ndarray, mode: str):
@@ -165,20 +194,20 @@ def _align(pred: np.ndarray, gt: np.ndarray, mode: str):
     raise ValueError(f"alignment must be one of {ALIGNMENT_MODES}, got {mode!r}")
 
 
-def _report(subset, alignment, window, aligned, gt, thresholds, scale):
-    apd, fracs = apd_3d(aligned, gt, thresholds)
-    err_mean = epe(aligned, gt)
-    fp = f"{zlib.crc32(np.ascontiguousarray(aligned - gt).tobytes()):08x}"
+def _report(subset, alignment, window, d, errs, thresholds, scale):
+    """Score the differences ``d`` and their norms ``errs`` from ``_errors``;
+    the fingerprint is the CRC of d's (N, 3) float64 bytes."""
+    apd, fracs = _apd(errs, thresholds)
     return MetricReport(
         subset=subset,
         alignment=alignment,
         window=window,
-        num_pairs=aligned.shape[0],
+        num_pairs=errs.shape[0],
         apd=apd,
         per_threshold=fracs,
-        epe=err_mean,
+        epe=_epe(errs),
         scale=scale,
-        fingerprint=fp,
+        fingerprint=f"{zlib.crc32(d):08x}",
     )
 
 
@@ -213,6 +242,8 @@ def eval_tracking(
     # one flat gather per side: compress beats an (N, T) boolean index
     p, g = (x.positions.reshape(-1, 3).compress(vis.reshape(-1), axis=0) for x in (pred, gt))
     aligned, scale = _align(p, g, alignment)
+    # aligned is a new array in every mode: the differences overwrite it
+    d, errs = _errors(aligned, g, out=aligned)
 
     has_dynamic = gt.dynamic is not None and bool(gt.dynamic.any())
     if subsets is None:
@@ -221,7 +252,7 @@ def eval_tracking(
     out = {}
     for name in subsets:
         if name == "all":
-            sel = slice(None)
+            out[name] = _report(name, alignment, win, d, errs, thresholds, scale)
         elif name == "dynamic":
             if gt.dynamic is None or not has_dynamic:
                 raise EmptyDynamicSubset("no dynamic tracks to score")
@@ -229,11 +260,13 @@ def eval_tracking(
             sel = np.repeat(gt.dynamic, vis.sum(axis=1))
             if not sel.any():
                 raise EmptyDynamicSubset("no dynamic pairs in the window")
+            # a subset's differences are the rows of the all-pairs ones
+            out[name] = _report(
+                name, alignment, win, d.compress(sel, axis=0), errs.compress(sel),
+                thresholds, scale,
+            )
         else:
             raise ValueError(f"unknown subset {name!r}")
-        out[name] = _report(
-            name, alignment, win, aligned[sel], g[sel], thresholds, scale
-        )
     return out
 
 
@@ -270,7 +303,9 @@ def eval_recon(
     # one flat gather per side: compress beats a (T, H, W) boolean index
     p, g = (x[:end].reshape(-1, 3).compress(m.reshape(-1), axis=0) for x in (pred, gt))
     aligned, scale = _align(p, g, alignment)
-    return _report("all", alignment, (0, end), aligned, g, thresholds, scale)
+    return _report(
+        "all", alignment, (0, end), *_errors(aligned, g, out=aligned), thresholds, scale
+    )
 
 
 def subsample_queries(num_queries: int, max_queries: int, seed: int = 0) -> np.ndarray:

@@ -240,7 +240,7 @@ class TrackSet:
     dynamic: np.ndarray | None = None
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=np.float64)
+        pos = np.array(self.positions, dtype=np.float64, order="C")
         vis = np.array(self.visibility, dtype=bool)
         if pos.ndim != 3 or pos.shape[2] not in (2, 3):
             raise ShapeMismatch(f"positions must be (N, T, 2|3), got {pos.shape}")

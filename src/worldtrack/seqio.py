@@ -5,18 +5,20 @@ Layout: one directory per sequence holding ``manifest.json`` and one
 little-endian float32, row major; masks are single bytes; cameras and
 intrinsics are float64 so poses survive a round trip without losing the
 rotation orthonormality contract. Invalid pointmap pixels are stored as
-the exact zero triple, which never collides with valid content because
-valid points come from rays through half-integer pixel centers. Each
-pointmap file loads as one video (``geometry.video_pointmaps``): one
-float64 stack, checked once, whose frames are views of it.
+the exact zero triple. Rendered points never collide with it, because
+they come from rays through half-integer pixel centers; a save refuses
+any valid point that would. Each pointmap file loads as one video
+(``geometry.video_pointmaps``): one float64 stack, checked once, whose
+frames are views of it.
 
 A save checks both branches as videos, every array's shape against theirs
 and the float32 values it will write of the pointmaps, depth and tracks
-for finiteness before it writes anything; a load checks the same, and
-refuses a mask byte other than 0 or 1. Every file is written to a temporary
-name and renamed into place, with the manifest last, so a crashed writer
-never leaves a directory that parses as complete. Writes are
-deterministic: the same sequence produces byte-identical files.
+for finiteness, and valid points against the zero triple, before it
+writes anything; a load checks the same, and refuses a mask byte other
+than 0 or 1. Every file is written to a temporary name and renamed into
+place, with the manifest last, so a crashed writer never leaves a
+directory that parses as complete. Writes are deterministic: the same
+sequence produces byte-identical files.
 """
 
 import json
@@ -58,10 +60,11 @@ def _put(arrays: dict, outdir: Path, name: str, data: np.ndarray, dtype: str):
 def save_sequence(path, seq: RenderedSequence) -> None:
     """Write ``seq`` to the directory ``path``. Both branches are checked as
     videos, every array's shape against theirs and the float32 values of
-    the bulk arrays for finiteness, before any file is written: a sequence
-    ``load_sequence`` would refuse leaves no file."""
-    tracking, _ = stack_pointmaps(seq.tracking_pointmaps, "tracking")
-    recon, _ = stack_pointmaps(seq.recon_pointmaps, "recon")
+    the bulk arrays for finiteness and valid points against the zero
+    triple, before any file is written: a sequence ``load_sequence`` would
+    refuse or read back with fewer valid pixels leaves no file."""
+    tracking, tracking_valid = stack_pointmaps(seq.tracking_pointmaps, "tracking")
+    recon, recon_valid = stack_pointmaps(seq.recon_pointmaps, "recon")
     T, H, W, _ = tracking.shape
     N = len(seq.tracks2d.positions)
     for name, shape, expect in (
@@ -89,6 +92,11 @@ def save_sequence(path, seq: RenderedSequence) -> None:
     for name, cast in bulk.items():
         if not np.isfinite(cast).all():
             raise ValueError(f"{name} entries must be finite")
+    # a load reads the zero triple as an invalid pixel
+    for name, valid in (("tracking_pointmaps", tracking_valid), ("recon_pointmaps", recon_valid)):
+        nonzero = bulk[name] != 0
+        if (valid & ~(nonzero[..., 0] | nonzero[..., 1] | nonzero[..., 2])).any():
+            raise ValueError(f"{name} has a valid point that float32 stores as (0, 0, 0)")
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -164,6 +165,25 @@ def test_median_is_lower_middle():
     with pytest.raises(ZeroMedian):
         median_scale_align(pred, np.zeros((4, 3)))
 
+    def lower_middle(points):
+        norms = sorted(math.sqrt((x * x + y * y) + z * z) for x, y, z in points.tolist())
+        return norms[(len(norms) - 1) // 2]
+
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4, 7, 10, 51, 64):
+        for trial in range(4):
+            if trial % 2:
+                # small integer coordinates: many tied norms, in any direction
+                pred = rng.integers(-2, 3, (n, 3)).astype(float)
+                pred[np.abs(pred).sum(axis=1) == 0] = 1.0
+                gt = rng.permuted(pred, axis=1) * 1.5
+            else:
+                pred = rng.normal(0, 1, (n, 3))
+                gt = rng.normal(0, 2, (n, 3))
+            aligned, scale = median_scale_align(pred, gt)
+            assert scale == lower_middle(gt) / lower_middle(pred)
+            np.testing.assert_array_equal(aligned, pred * scale)
+
 
 def test_median_alignment_scale_invariant():
     rng = np.random.default_rng(2)
@@ -287,6 +307,105 @@ def test_eval_recon_checks_the_depth_map_shape(shape):
     message = rf"^depth maps {re.escape(str(shape))} vs video \(4, 6, 8\)$"
     with pytest.raises(ShapeMismatch, match=message):
         eval_recon(pms, pms, depth_maps=np.ones(shape))
+
+
+def aligned_pairs(pp, gg, alignment):
+    """The all-pairs fit of ``alignment``, from the public align functions."""
+    if alignment == "median":
+        return median_scale_align(pp, gg)[0]
+    if alignment == "sim3":
+        return umeyama_sim3_align(pp, gg)[0]
+    return pp
+
+
+def assert_report_definitions(rep, aligned, gt):
+    """The fingerprint is the CRC of the (N, 3) float64 differences, and
+    apd and epe are those of the public functions on the same pairs."""
+    fingerprint = zlib.crc32(np.ascontiguousarray(aligned - gt).tobytes())
+    assert rep.fingerprint == f"{fingerprint:08x}"
+    assert (rep.apd, rep.per_threshold) == apd_3d(aligned, gt)
+    assert rep.epe == epe(aligned, gt)
+    assert rep.num_pairs == len(gt)
+
+
+@pytest.mark.parametrize("alignment", ["none", "median", "sim3"])
+def test_tracking_report_keeps_its_definitions(alignment):
+    pred, gt = random_tracks(np.random.default_rng(12), n=60, T=7)
+    reports = eval_tracking(pred, gt, alignment=alignment, window=6, subsets=("all", "dynamic"))
+    pp, gg = (np.array(x) for x in visible_pairs(pred, gt, 6))
+    dynamic = np.array(
+        [gt.dynamic[i] for i in range(gt.num_points) for t in range(6) if gt.visibility[i, t]]
+    )
+    aligned = aligned_pairs(pp, gg, alignment)
+    assert_report_definitions(reports["all"], aligned, gg)
+    assert_report_definitions(reports["dynamic"], aligned[dynamic], gg[dynamic])
+
+
+@pytest.mark.parametrize("alignment", ["none", "median", "sim3"])
+def test_recon_report_keeps_its_definitions(alignment):
+    pred_pms, gt_pms, depth = recon_video(np.random.default_rng(14))
+    rep = eval_recon(pred_pms, gt_pms, alignment=alignment, depth_maps=depth, window=2)
+    keep = [
+        (pm.points[r, c], g.points[r, c])
+        for pm, g, d in zip(pred_pms[:2], gt_pms[:2], depth[:2])
+        for r in range(pm.height)
+        for c in range(pm.width)
+        if pm.valid[r, c] and g.valid[r, c] and 0.1 <= d[r, c] <= 5.0
+    ]
+    pp, gg = (np.array(x) for x in zip(*keep))
+    assert_report_definitions(rep, aligned_pairs(pp, gg, alignment), gg)
+
+
+def recon_video(rng, T=3, H=6, W=8):
+    gt_pts = rng.normal(0, 1, (T, H, W, 3)) + np.array([0, 0, 2.0])
+    pred_pts = gt_pts * 1.3 + rng.normal(0, 0.15, gt_pts.shape)
+    valid = rng.uniform(size=(T, H, W)) > 0.2
+    depth = rng.uniform(0.05, 5.5, (T, H, W))
+    gt_pms = [Pointmap(gt_pts[j], valid[j], 0, j, j) for j in range(T)]
+    pred_valid = valid | (rng.uniform(size=(T, H, W)) > 0.8)
+    pred_pms = [Pointmap(pred_pts[j], pred_valid[j], 0, j, j) for j in range(T)]
+    return pred_pms, gt_pms, depth
+
+
+def frozen(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("alignment", ["none", "median", "sim3"])
+def test_evaluation_leaves_frozen_inputs_untouched(alignment):
+    rng = np.random.default_rng(15)
+    pred, gt = random_tracks(rng)
+    pred_pms, gt_pms, depth = recon_video(rng)
+    depth = frozen(depth)
+    pp, gg = (frozen(x) for x in visible_pairs(pred, gt, 6))
+    arrays = [pred.positions, gt.positions, gt.visibility, gt.dynamic, depth, pp, gg]
+    arrays += [a for pm in pred_pms + gt_pms for a in (pm.points, pm.valid)]
+    assert not any(a.flags.writeable for a in arrays)
+    before = [a.tobytes() for a in arrays]
+    tracks = [eval_tracking(pred, gt, alignment=alignment, window=6) for _ in range(2)]
+    recon = [
+        eval_recon(pred_pms, gt_pms, alignment=alignment, depth_maps=depth) for _ in range(2)
+    ]
+    assert tracks[0] == tracks[1] and set(tracks[0]) == {"all", "dynamic"}
+    assert recon[0] == recon[1]
+    # the public metric functions on frozen pairs
+    scores = [
+        (aligned_pairs(pp, gg, alignment).tobytes(), apd_3d(pp, gg), epe(pp, gg))
+        for _ in range(2)
+    ]
+    assert scores[0] == scores[1]
+    assert [a.tobytes() for a in arrays] == before
+
+
+def test_track_positions_are_stored_c_contiguous():
+    rng = np.random.default_rng(16)
+    stacked = rng.normal(size=(5, 7, 3))  # (T, N, 3), as frames are stacked
+    ts = TrackSet(stacked.swapaxes(0, 1), np.ones((7, 5), bool))
+    assert ts.positions.flags.c_contiguous
+    np.testing.assert_array_equal(ts.positions, stacked.swapaxes(0, 1))
+    assert ts.positions.reshape(-1, 3).base is ts.positions
 
 
 def test_fingerprint_distinguishes_runs():

@@ -383,6 +383,23 @@ def test_save_refuses_a_finite_entry_float32_cannot_hold(tmp_path, seq, name):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["tracking_pointmaps", "recon_pointmaps"])
+@pytest.mark.parametrize("point", [(1e-46, 0.0, 0.0), (1e-46, -1e-46, 0.0)])
+def test_save_refuses_a_valid_point_float32_stores_as_zero(tmp_path, seq, name, point):
+    # the zero triple marks an invalid pixel, so this point would load as
+    # invalid; -1e-46 casts to -0.0, which a load reads as zero too
+    pointmaps = list(getattr(seq, name))
+    points = np.array(pointmaps[1].points)
+    points[0, 0] = point
+    valid = np.array(pointmaps[1].valid)
+    valid[0, 0] = True
+    pointmaps[1] = pointmaps[1].with_points(points, valid)
+    message = f"^{name} has a valid point that float32 stores as \\(0, 0, 0\\)$"
+    with pytest.raises(ValueError, match=message):
+        save_sequence(tmp_path / "s", replace(seq, **{name: pointmaps}))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "name, shape", [("visibility", (432, 5)), ("dynamic_mask", (18, 24))],
     ids=["visibility", "dynamic_mask"],
