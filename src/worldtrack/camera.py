@@ -159,18 +159,21 @@ def estimate_focal_weiszfeld(pm: Pointmap, grid: PixelGrid) -> Intrinsics:
     if mask.sum() < MIN_FOCAL_PIXELS:
         raise InsufficientValidPoints(f"{int(mask.sum())} usable pixels")
     cx, cy = grid.width / 2.0, grid.height / 2.0
-    u = grid.coords[mask] - np.array([cx, cy])
-    pts = pm.points[mask]
-    q = pts[:, :2] / pts[:, 2:3]
-    qq = np.einsum("ni,ni->n", q, q)
-    uq = np.einsum("ni,ni->n", u, q)
+    # one flat gather per array, then contiguous x and y vectors
+    flat = mask.ravel()
+    coords = grid.flat().compress(flat, axis=0)
+    pts = pm.points.reshape(-1, 3).compress(flat, axis=0)
+    ux, uy = coords[:, 0] - cx, coords[:, 1] - cy
+    qx, qy = pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2]
+    qq = qx * qx + qy * qy
+    uq = ux * qx + uy * qy
     denom = qq.sum()
     if denom < 1e-12:
         raise DegenerateGeometry("all rays are axial; focal unobservable")
     f = uq.sum() / denom
     for _ in range(WEISZFELD_ITERATIONS):
-        res = np.linalg.norm(u - f * q, axis=1)
-        w = 1.0 / np.maximum(res, WEISZFELD_FLOOR)
+        dx, dy = ux - f * qx, uy - f * qy
+        w = 1.0 / np.maximum(np.sqrt(dx * dx + dy * dy), WEISZFELD_FLOOR)
         f = (w * uq).sum() / (w * qq).sum()
     if not np.isfinite(f) or f <= 0:
         raise DegenerateGeometry(f"focal estimate unusable: {f}")

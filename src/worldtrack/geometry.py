@@ -231,7 +231,9 @@ class PixelGrid:
 class TrackSet:
     """N query points over T frames, 2D or 3D.
 
-    positions: (N, T, D) with D in {2, 3}; visibility: (N, T) bool;
+    positions: (N, T, D) with D in {2, 3}, taken over as
+    ``video_pointmaps`` takes its stacks (copied only if read-only, a view,
+    not C-ordered or not float64) and frozen; visibility: (N, T) bool;
     dynamic: optional (N,) bool marking moving points.
     """
 
@@ -240,7 +242,7 @@ class TrackSet:
     dynamic: np.ndarray | None = None
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=np.float64, order="C")
+        pos = np.require(self.positions, np.float64, "CWO")
         vis = np.array(self.visibility, dtype=bool)
         if pos.ndim != 3 or pos.shape[2] not in (2, 3):
             raise ShapeMismatch(f"positions must be (N, T, 2|3), got {pos.shape}")
@@ -405,4 +407,5 @@ def assemble_trajectories(tracking_pointmaps: list[Pointmap], queries: np.ndarra
     """
     points, valid = stack_pointmaps(tracking_pointmaps, "tracking")
     rows, cols = queries_to_indices(queries, points.shape[2], points.shape[1])
-    return TrackSet(points[:, rows, cols].swapaxes(0, 1), valid[:, rows, cols].T)
+    # gathered straight into a C-ordered (N, T, 3) array, which TrackSet takes over
+    return TrackSet(points.transpose(1, 2, 0, 3)[rows, cols], valid[:, rows, cols].T)

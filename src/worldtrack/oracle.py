@@ -9,6 +9,13 @@ solver project with, and a set of beacon points is steered to land exactly
 on pixel centers of every frame so the cross-branch alignment term has
 exact pairs mid-sequence.
 
+Every frame is rasterized by a nearest-wins z-buffer over integer pixel
+cells (``_zbuffer``, O(n) per frame): in each cell the least depth wins,
+and on an exact depth tie the candidate with the lowest index. Candidates
+are the backdrop pixels in raster order, then the bodies' points, the
+static scatter and the beacons; in later frames they are the anchor
+pixels' owners in raster order.
+
 Corruption (noise and drift) is applied separately so the clean sequence
 stays available as ground truth.
 """
@@ -199,19 +206,21 @@ def _make_beacons(rng, K, spec, cameras) -> np.ndarray:
     if strip < 3:
         nb = W // 3
         strip = W // nb
+    to_world = [cam.inverse() for cam in cameras]
     tracks = np.zeros((nb, T, 3))
+    centers, depths = np.zeros((T, 2)), np.zeros(T)
     for k in range(nb):
         lo_c, hi_c = k * strip + 1, k * strip + strip - 2
-        col = rng.integers(lo_c, hi_c + 1)
-        row = rng.integers(1, H - 1)
+        col = int(rng.integers(lo_c, hi_c + 1))
+        row = int(rng.integers(1, H - 1))
         for j in range(T):
             if j:
-                col = int(np.clip(col + rng.integers(-2, 3), lo_c, hi_c))
-                row = int(np.clip(row + rng.integers(-2, 3), 1, H - 2))
-            center = np.array([col + 0.5, row + 0.5])
-            z = rng.uniform(*BEACON_DEPTH_RANGE)
-            cam_pt = backproject(K, center, np.array(z))
-            tracks[k, j] = cameras[j].inverse().apply(cam_pt)
+                col = min(max(col + int(rng.integers(-2, 3)), lo_c), hi_c)
+                row = min(max(row + int(rng.integers(-2, 3)), 1), H - 2)
+            centers[j] = col + 0.5, row + 0.5
+            depths[j] = rng.uniform(*BEACON_DEPTH_RANGE)
+        for j, cam_pt in enumerate(backproject(K, centers, depths)):
+            tracks[k, j] = to_world[j].apply(cam_pt)
     return tracks
 
 
@@ -257,26 +266,32 @@ def generate_scene(spec: SceneSpec) -> Scene:
 
 
 def _zbuffer(pixels, depths, width, height):
-    """Nearest-wins rasterization into integer pixel cells.
+    """Nearest-wins rasterization into integer pixel cells, in O(n).
 
-    Returns (winner, zbuf): per-cell candidate index (-1 where empty) and
-    winning depth (0 where empty), both flat length width*height.
+    A candidate lands in its ``_pixel_cells`` cell when that cell is on the
+    grid and its depth exceeds ``DEPTH_EPS``. In each cell the least depth
+    wins, and on an exact depth tie the lowest candidate index: one
+    scatter-min of the depths, then one of the indices of the candidates at
+    their cell's minimum.
+
+    Returns (winner, zbuf, cell): per-cell candidate index (-1 where empty)
+    and winning depth (0 where empty), both flat length width*height, and
+    each candidate's flat cell (-1 where it does not land).
     """
     rows, cols, ok = _pixel_cells(pixels, width, height)
     ok &= depths > DEPTH_EPS
-    winner = np.full(width * height, -1, dtype=np.int64)
-    zbuf = np.zeros(width * height)
-    if not ok.any():
-        return winner, zbuf
-    idx = np.nonzero(ok)[0]
-    flat = rows[idx] * width + cols[idx]
-    order = np.lexsort((depths[idx], flat))
-    flat_sorted = flat[order]
-    first = np.ones(flat_sorted.shape[0], dtype=bool)
-    first[1:] = flat_sorted[1:] != flat_sorted[:-1]
-    winner[flat_sorted[first]] = idx[order[first]]
-    zbuf[flat_sorted[first]] = depths[idx[order[first]]]
-    return winner, zbuf
+    cell = np.where(ok, rows * width + cols, -1)
+    # cell -1 indexes a spare last entry, dropped at the end
+    n, size = len(depths), width * height
+    zbuf = np.full(size + 1, np.inf)
+    np.minimum.at(zbuf, cell, depths)
+    winner = np.full(size + 1, n, dtype=np.int64)
+    np.minimum.at(winner, cell, np.where(depths == zbuf[cell], np.arange(n), n))
+    winner, zbuf = winner[:size], zbuf[:size]
+    empty = winner == n
+    winner[empty] = -1
+    zbuf[empty] = 0.0
+    return winner, zbuf, cell
 
 
 def render(scene: Scene) -> RenderedSequence:
@@ -305,7 +320,7 @@ def render(scene: Scene) -> RenderedSequence:
     motion = np.concatenate(motion)
 
     pix0, z0, _ = _pixels(K, scene.cameras[0], cand)
-    winner0, zbuf0 = _zbuffer(pix0, z0, W, H)
+    winner0, zbuf0, _ = _zbuffer(pix0, z0, W, H)
     if (winner0 < 0).any():
         holes = int((winner0 < 0).sum())
         raise EmptyRaster(f"{holes} anchor pixels have no content")
@@ -315,50 +330,61 @@ def render(scene: Scene) -> RenderedSequence:
     pts0 = backproject(K, centers, zbuf0)
     n_owners = pts0.shape[0]
 
-    # the tracking video's stack, written through the (T, H*W, 3) view pos
+    is_beacon = owner_motion >= num_bodies
+    beacons = np.flatnonzero(is_beacon)
+
+    # each owner's world track, track-major for tracks3d and frame-major in
+    # the tracking video's stack, through its (T, H*W, 3) view pos: every
+    # owner at its frame-0 point, then each body's owners moved frame by
+    # frame and the beacons' owners at their prescribed positions
+    tracks3d = np.repeat(pts0[:, None], T, axis=1)
     tracking_points = np.empty((T, H, W, 3))
     pos = tracking_points.reshape(T, n_owners, 3)
-    static = owner_motion == STATIC_ID
-    for j in range(T):
-        pos[j, static] = pts0[static]
-        for b in range(num_bodies):
-            sel = owner_motion == b
-            if sel.any():
-                pos[j, sel] = scene.bodies[b].motions[j].apply(pts0[sel])
-        for k in range(nb):
-            sel = owner_motion == num_bodies + k
-            if sel.any():
-                pos[j, sel] = scene.beacon_tracks[k, j]
+    pos[:] = pts0
+    for b, body in enumerate(scene.bodies):
+        sel = np.flatnonzero(owner_motion == b)
+        if sel.size:
+            moving = pts0[sel]
+            # one matmul per frame on these rows: a batched one may round
+            # differently
+            for j in range(T):
+                pos[j, sel] = body.motions[j].apply(moving)
+            tracks3d[sel] = pos[:, sel].swapaxes(0, 1)
+    tracks3d[beacons] = scene.beacon_tracks[owner_motion[beacons] - num_bodies]
+    pos[:, beacons] = tracks3d[beacons].swapaxes(0, 1)
 
     tracking = video_pointmaps(tracking_points, np.ones((T, H, W), dtype=bool), "tracking")
 
-    is_beacon = owner_motion >= num_bodies
+    check_margin = 0 < beacons.size < n_owners
     recon_points = np.zeros((T, H, W, 3))
+    recon_rows = recon_points.reshape(T, n_owners, 3)
     recon_valid = np.zeros((T, H, W), dtype=bool)
     depth = np.zeros((T, H, W))
-    tracks2d = np.zeros((n_owners, T, 2))
+    pixels = np.empty((T, n_owners, 2))
     visibility = np.zeros((n_owners, T), dtype=bool)
-    for j in range(T):
-        pixj, zj, _ = _pixels(K, scene.cameras[j], pos[j])
-        if is_beacon.any() and zj[~is_beacon].size:
-            margin = zj[~is_beacon].min() - zj[is_beacon].max()
+    for j, cam in enumerate(scene.cameras):
+        pixels[j], zj, _ = _pixels(K, cam, pos[j])
+        if check_margin:
+            margin = zj.min(where=~is_beacon, initial=np.inf) - zj[beacons].max()
             assert margin > BEACON_CLEARANCE, (
                 f"frame {j}: content approaches beacon depth band ({margin:.3f})"
             )
-        winner, zbuf = _zbuffer(pixj, zj, W, H)
-        has = winner >= 0
-        if not has.any():
+        # one landing-cell pass feeds the depth test and visibility
+        winner, zbuf, cell = _zbuffer(pixels[j], zj, W, H)
+        hit = winner >= 0
+        has = np.flatnonzero(hit)
+        if not has.size:
             raise EmptyRaster("no content visible").with_frame(j)
-        inv = scene.cameras[j].inverse()
-        recon_points[j].reshape(-1, 3)[has] = inv.apply(backproject(K, centers[has], zbuf[has]))
-        recon_valid[j] = has.reshape(H, W)
+        cam_pts = backproject(K, np.take(centers, has, axis=0), zbuf[has])
+        recon_rows[j, has] = cam.inverse().apply(cam_pts)
+        recon_valid[j] = hit.reshape(H, W)
         depth[j] = zbuf.reshape(H, W)
+        visibility[:, j] = (cell >= 0) & (zj <= zbuf[cell] + 1e-12)
 
-        tracks2d[:, j] = pixj
-        rows, cols, inb = _pixel_cells(pixj, W, H)
-        inb &= zj > DEPTH_EPS
-        cell = np.where(inb, rows * W + cols, 0)
-        visibility[:, j] = inb & (zj <= zbuf[cell] + 1e-12)
+    # the (T, N, 2) pixels transposed to C-ordered (N, T, 2) tracks, each
+    # pixel pair moved as one complex128
+    tracks2d = np.empty((n_owners, T, 2))
+    tracks2d.view(np.complex128)[..., 0] = pixels.view(np.complex128)[..., 0].T
 
     dynamic = owner_motion != STATIC_ID
     meta = {
@@ -366,7 +392,7 @@ def render(scene: Scene) -> RenderedSequence:
         "seed": spec.seed,
         "num_bodies": num_bodies,
         "num_beacons": nb,
-        "beacon_track_indices": np.nonzero(is_beacon)[0].tolist(),
+        "beacon_track_indices": beacons.tolist(),
         "corruption": None,
     }
     return RenderedSequence(
@@ -377,7 +403,7 @@ def render(scene: Scene) -> RenderedSequence:
         recon_pointmaps=video_pointmaps(recon_points, recon_valid, "recon"),
         depth=depth,
         tracks2d=TrackSet(tracks2d, visibility, dynamic),
-        tracks3d=TrackSet(np.swapaxes(pos, 0, 1), visibility, dynamic),
+        tracks3d=TrackSet(tracks3d, visibility, dynamic),
         dynamic_mask=dynamic.reshape(H, W),
         meta=meta,
     )

@@ -15,10 +15,12 @@ A save checks both branches as videos, every array's shape against theirs
 and the float32 values it will write of the pointmaps, depth and tracks
 for finiteness, and valid points against the zero triple, before it
 writes anything; a load checks the same, and refuses a mask byte other
-than 0 or 1. Every file is written to a temporary name and renamed into
-place, with the manifest last, so a crashed writer never leaves a
-directory that parses as complete. Writes are deterministic: the same
-sequence produces byte-identical files.
+than 0 or 1. Every file is written to a temporary name, synced and
+renamed into place, with the manifest last, so a crashed writer never
+leaves a directory that parses as complete. Each array file is written
+from the buffer of its cast array, the one the checks read, without a
+bytes copy. Writes are deterministic: the same sequence produces
+byte-identical files.
 """
 
 import json
@@ -37,7 +39,9 @@ FORMAT_TAG = "worldtrack-seq/1"
 MANIFEST_NAME = "manifest.json"
 
 
-def _write_atomic(path: Path, data: bytes):
+def _write_atomic(path: Path, data):
+    """Write the bytes-like ``data`` to ``path`` through a synced temporary
+    file renamed into place."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(data)
@@ -49,7 +53,8 @@ def _write_atomic(path: Path, data: bytes):
 def _put(arrays: dict, outdir: Path, name: str, data: np.ndarray, dtype: str):
     cast = np.ascontiguousarray(data, dtype=dtype)
     fname = f"{name}.raw"
-    _write_atomic(outdir / fname, cast.tobytes())
+    # the cast array's own buffer, written without a bytes copy
+    _write_atomic(outdir / fname, cast)
     arrays[name] = {
         "file": fname,
         "shape": list(cast.shape),
@@ -94,8 +99,9 @@ def save_sequence(path, seq: RenderedSequence) -> None:
             raise ValueError(f"{name} entries must be finite")
     # a load reads the zero triple as an invalid pixel
     for name, valid in (("tracking_pointmaps", tracking_valid), ("recon_pointmaps", recon_valid)):
-        nonzero = bulk[name] != 0
-        if (valid & ~(nonzero[..., 0] | nonzero[..., 1] | nonzero[..., 2])).any():
+        cast = bulk[name]
+        zero = valid & (cast[..., 0] == 0)
+        if zero.any() and (zero & (cast[..., 1] == 0) & (cast[..., 2] == 0)).any():
             raise ValueError(f"{name} has a valid point that float32 stores as (0, 0, 0)")
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -33,6 +33,7 @@ from worldtrack.errors import (
     TooFewCorrespondences,
 )
 from worldtrack.geometry import (
+    DEPTH_EPS,
     Intrinsics,
     PixelGrid,
     Pointmap,
@@ -40,7 +41,7 @@ from worldtrack.geometry import (
     backproject,
     so3_exp,
 )
-from worldtrack.oracle import SceneSpec, corrupt, generate_sequence
+from worldtrack.oracle import PRESETS, SceneSpec, corrupt, generate_sequence
 
 
 def plane_pointmap(focal, width=32, height=24, z=2.0, tilt=(0.0, 0.0)):
@@ -107,6 +108,33 @@ def test_weiszfeld_rejects_later_frame_content():
     recon = Pointmap(pm.points, pm.valid, coord_frame=0, content_frame=3, time=3)
     with pytest.raises(BranchContractViolation):
         estimate_focal_weiszfeld(recon, grid)
+
+
+
+def row_weiszfeld(pm, grid):
+    """The focal IRLS on (N, 2) rows: einsum moments and row norms."""
+    mask = pm.valid & (pm.points[..., 2] > DEPTH_EPS)
+    u = grid.coords[mask] - np.array([grid.width / 2.0, grid.height / 2.0])
+    pts = pm.points[mask]
+    q = pts[:, :2] / pts[:, 2:3]
+    qq = np.einsum("ni,ni->n", q, q)
+    uq = np.einsum("ni,ni->n", u, q)
+    f = uq.sum() / qq.sum()
+    for _ in range(camera.WEISZFELD_ITERATIONS):
+        res = np.linalg.norm(u - f * q, axis=1)
+        w = 1.0 / np.maximum(res, camera.WEISZFELD_FLOOR)
+        f = (w * uq).sum() / (w * qq).sum()
+    return f
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_weiszfeld_matches_row_formulation(preset):
+    grid = PixelGrid.create(64, 48)
+    seq = generate_sequence(SceneSpec(preset, seed=3))
+    noisy = corrupt(seq, noise=0.003, targets=("tracking", "recon"), seed=4)
+    for pm in (seq.recon_pointmaps[0], noisy.recon_pointmaps[0], noisy.tracking_pointmaps[0]):
+        ref = row_weiszfeld(pm, grid)
+        assert abs(estimate_focal_weiszfeld(pm, grid).focal - ref) <= 2 * np.spacing(ref)
 
 
 # ---- RANSAC PnP ----

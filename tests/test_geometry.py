@@ -273,3 +273,31 @@ def test_trackset_shape_checks():
         TrackSet(np.zeros((2, 3, 4)), np.ones((2, 3), dtype=bool))
     ts = TrackSet(np.zeros((2, 3, 3)), np.ones((2, 3), dtype=bool), np.array([True, False]))
     assert ts.num_points == 2 and ts.num_frames == 3
+
+
+def test_trackset_takes_over_owned_positions():
+    vis = np.ones((4, 3), dtype=bool)
+    owned = np.zeros((4, 3, 3))
+    ts = TrackSet(owned, vis)
+    assert ts.positions is owned and not owned.flags.writeable
+    # a view, a read-only array or another dtype is copied, and left as it was
+    view = np.zeros((3, 4, 3)).swapaxes(0, 1)
+    assert TrackSet(view, vis).positions.flags.c_contiguous and view.flags.writeable
+    assert TrackSet(ts.positions, vis).positions is not owned
+    single = np.zeros((4, 3, 3), dtype=np.float32)
+    assert TrackSet(single, vis).positions.dtype == np.float64 and single.flags.writeable
+
+
+def test_assemble_trajectories_matches_per_query_gather():
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(4, 6, 7, 3))
+    valid = rng.random((4, 6, 7)) > 0.3
+    pms = [Pointmap(points[j], valid[j], 0, 0, j) for j in range(4)]
+    queries = rng.uniform(0, [7, 6], size=(9, 2))
+    tracks = assemble_trajectories(pms, queries)
+    assert tracks.positions.flags.c_contiguous
+    for n, (x, y) in enumerate(queries):
+        r, c = int(y), int(x)
+        np.testing.assert_array_equal(tracks.positions[n], np.stack([pm.points[r, c] for pm in pms]))
+        np.testing.assert_array_equal(tracks.visibility[n], valid[:, r, c])
+

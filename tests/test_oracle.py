@@ -1,14 +1,24 @@
 """Synthetic sequence generator: structure, exactness, and corruption."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import objective
 
+from worldtrack import oracle
 from worldtrack.camera import RansacConfig, solve_cameras_for_video
 from worldtrack.errors import EmptyRaster, UnknownPreset
-from worldtrack.geometry import PixelGrid, PoseSE3, TrackSet, _pixels
+from worldtrack.geometry import (
+    DEPTH_EPS,
+    PixelGrid,
+    PoseSE3,
+    TrackSet,
+    _pixel_cells,
+    _pixels,
+    stack_pointmaps,
+)
 from worldtrack.losses import TrackSupervision
 from worldtrack.oracle import (
     PRESETS,
@@ -270,3 +280,108 @@ def test_render_reports_empty_frame():
     with pytest.raises(EmptyRaster) as info:
         render(broken)
     assert info.value.frame == 1
+
+
+def brute_zbuffer(pixels, depths, width, height):
+    """Per candidate, in index order: a landing candidate takes its cell
+    when the cell is empty or holds a strictly greater depth."""
+    winner = np.full(width * height, -1)
+    zbuf = np.zeros(width * height)
+    for i, ((x, y), d) in enumerate(zip(pixels.tolist(), depths.tolist())):
+        col, row = math.floor(x), math.floor(y)
+        if 0 <= col < width and 0 <= row < height and d > DEPTH_EPS:
+            k = row * width + col
+            if winner[k] < 0 or d < zbuf[k]:
+                winner[k], zbuf[k] = i, d
+    return winner, zbuf
+
+
+def sorted_zbuffer(pixels, depths, width, height):
+    """The z-buffer as a stable lexsort by cell, then depth: the first
+    candidate of each cell wins."""
+    rows, cols, ok = _pixel_cells(pixels, width, height)
+    ok &= depths > DEPTH_EPS
+    winner = np.full(width * height, -1, dtype=np.int64)
+    zbuf = np.zeros(width * height)
+    if not ok.any():
+        return winner, zbuf
+    idx = np.nonzero(ok)[0]
+    flat = rows[idx] * width + cols[idx]
+    order = np.lexsort((depths[idx], flat))
+    flat_sorted = flat[order]
+    first = np.ones(flat_sorted.shape[0], dtype=bool)
+    first[1:] = flat_sorted[1:] != flat_sorted[:-1]
+    winner[flat_sorted[first]] = idx[order[first]]
+    zbuf[flat_sorted[first]] = depths[idx[order[first]]]
+    return winner, zbuf
+
+
+def tied_candidates(rng, width=8, height=6):
+    """Candidates crowded into few cells, some off the grid, with depths
+    from a small set so exact ties are common; some depths are at or
+    below DEPTH_EPS."""
+    n = int(rng.integers(1, 60))
+    cells = rng.integers([-2, -2], [width + 2, height + 2], size=(n, 2))
+    pixels = cells + rng.choice([0.0, 0.25, 0.5, 0.999], size=(n, 2))
+    depths = rng.choice([-1.0, 0.0, DEPTH_EPS, 2 * DEPTH_EPS, 0.5, 1.0, 1.5, 2.0], size=n)
+    return pixels, depths
+
+
+def test_zbuffer_nearest_wins_lowest_index_on_ties():
+    # three candidates in cell 0: the two nearest tie, the first of them wins
+    pixels = np.array([[0.5, 0.5], [0.2, 0.7], [0.9, 0.1]])
+    winner, zbuf = oracle._zbuffer(pixels, np.array([1.0, 0.5, 0.5]), 8, 6)[:2]
+    assert (winner[0], zbuf[0]) == (1, 0.5)
+    assert (winner[1:] == -1).all() and (zbuf[1:] == 0).all()
+    rng = np.random.default_rng(11)
+    empty_seen = False
+    for _ in range(200):
+        pixels, depths = tied_candidates(rng)
+        winner, zbuf = oracle._zbuffer(pixels, depths, 8, 6)[:2]
+        ref_winner, ref_zbuf = brute_zbuffer(pixels, depths, 8, 6)
+        np.testing.assert_array_equal(winner, ref_winner)
+        np.testing.assert_array_equal(zbuf, ref_zbuf)
+        assert winner.dtype == np.int64
+        empty_seen |= bool((winner < 0).any())
+    assert empty_seen
+
+
+def test_zbuffer_landing_cells():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        pixels, depths = tied_candidates(rng)
+        cell = oracle._zbuffer(pixels, depths, 8, 6)[2]
+        for (x, y), d, k in zip(pixels.tolist(), depths.tolist(), cell.tolist()):
+            col, row = math.floor(x), math.floor(y)
+            lands = 0 <= col < 8 and 0 <= row < 6 and d > DEPTH_EPS
+            assert k == (row * 8 + col if lands else -1)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_render_matches_sort_based_zbuffer(preset, monkeypatch):
+    scene = generate_scene(SceneSpec(preset, **SMALL))
+    fast = render(scene)
+    scatter_min = oracle._zbuffer
+
+    def by_sort(pixels, depths, width, height):
+        # the sort's winners and depths; any further outputs as rendered
+        return sorted_zbuffer(pixels, depths, width, height) + tuple(
+            scatter_min(pixels, depths, width, height)[2:]
+        )
+
+    monkeypatch.setattr(oracle, "_zbuffer", by_sort)
+    slow = render(scene)
+    for branch in ("tracking", "recon"):
+        for a, b in zip(
+            stack_pointmaps(getattr(fast, f"{branch}_pointmaps"), branch),
+            stack_pointmaps(getattr(slow, f"{branch}_pointmaps"), branch),
+        ):
+            np.testing.assert_array_equal(a, b)
+    for name in ("tracks2d", "tracks3d"):
+        for field in ("positions", "visibility", "dynamic"):
+            np.testing.assert_array_equal(
+                getattr(getattr(fast, name), field), getattr(getattr(slow, name), field)
+            )
+    np.testing.assert_array_equal(fast.depth, slow.depth)
+    np.testing.assert_array_equal(fast.dynamic_mask, slow.dynamic_mask)
+    assert fast.meta == slow.meta
