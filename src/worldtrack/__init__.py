@@ -19,14 +19,10 @@ from .bench import (
     umeyama_sim3_align,
 )
 from .camera import (
-    Correspondences2D3D,
     PoseEstimate,
     RansacConfig,
-    correspondences_from_pointmap,
     estimate_focal_weiszfeld,
-    gauss_newton_refine,
     solve_cameras_for_video,
-    solve_pnp_ransac,
 )
 from .errors import WorldTrackError
 from .geometry import (
@@ -62,7 +58,6 @@ from .seqio import load_sequence, save_sequence
 
 __all__ = [
     "AdaptState",
-    "Correspondences2D3D",
     "DepthSupervision",
     "Intrinsics",
     "LossBreakdown",
@@ -83,14 +78,12 @@ __all__ = [
     "apd_3d",
     "assemble_trajectories",
     "backproject",
-    "correspondences_from_pointmap",
     "corrupt",
     "depth_loss",
     "epe",
     "estimate_focal_weiszfeld",
     "eval_recon",
     "eval_tracking",
-    "gauss_newton_refine",
     "generate_sequence",
     "load_sequence",
     "make_depth_supervision",
@@ -99,7 +92,6 @@ __all__ = [
     "projected_track_supervision",
     "save_sequence",
     "solve_cameras_for_video",
-    "solve_pnp_ransac",
     "subsample_queries",
     "traj_loss",
     "tta_optimize",

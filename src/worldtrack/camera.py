@@ -4,12 +4,14 @@ The pipeline per frame is: robust focal estimation from the anchor
 pointmap (shared across the video), locally optimised RANSAC PnP with a
 6-point minimal solver and a non-differentiable Gauss-Newton polish, and
 one final damped Gauss-Newton step on the winner's inliers whose increment
-stays differentiable with respect to the 3D points. The adjoint,
-``_pose_adjoint``, takes that step's base pose, increment and normal matrix
-instead of solving again; live adaptation (``losses._recon_gradient``) runs
-it on its recon stack. The solver has one configuration: its thresholds,
-iteration caps and damping are the module constants below, and only the
-RANSAC seed is chosen by the caller.
+stays differentiable with respect to the 3D points. That step,
+``gauss_newton_refine``, is the one camera step: the solve takes it on a
+frame's valid pairs, and live adaptation on its recon stack at every
+evaluation. The adjoint, ``_pose_adjoint``, takes the step's base pose,
+increment and normal matrix instead of solving again; live adaptation
+(``losses._recon_gradient``) runs it. The solver has one configuration: its
+thresholds, iteration caps and damping are the module constants below, and
+only the RANSAC seed is chosen by the caller.
 
 RANSAC draws its minimal samples one at a time from a seeded generator and
 solves each batch of draws together, as stacked SVDs. A sample whose centred
@@ -32,9 +34,9 @@ builds the closed-form 2x6 Jacobian rows of the pinhole projection and
 forms its normal equations as matrix products; the pose adjoint
 differentiates those closed-form rows directly, and its rotation term uses
 the closed-form SO(3) left Jacobian. An inlier mask is a weight, not a copy:
-pairs outside it get zero weight and zero Jacobian rows. The kernels take
-raw points (3, N), pixels (N, 2) and (R, t), as live adaptation holds them;
-only a returned estimate holds a validated ``PoseSE3``.
+pairs outside it get zero weight and zero Jacobian rows. Every function
+here takes raw pixels (N, 2), points (3, N) and (R, t), as live adaptation
+holds them; only a returned estimate holds a validated ``PoseSE3``.
 """
 
 import logging
@@ -81,37 +83,6 @@ GN_DAMPING = 1e-9
 
 
 @dataclass(frozen=True)
-class Correspondences2D3D:
-    """Paired pixels (N, 2) and world points (N, 3)."""
-
-    pixels: np.ndarray
-    points: np.ndarray
-
-    def __post_init__(self):
-        pix = np.array(self.pixels, dtype=np.float64)
-        pts = np.array(self.points, dtype=np.float64)
-        if pix.ndim != 2 or pix.shape[1] != 2 or pts.shape != (pix.shape[0], 3):
-            raise ValueError(f"bad correspondence shapes {pix.shape}, {pts.shape}")
-        # pairs outside an inlier mask get weight zero, which needs finite values
-        if not (np.isfinite(pix).all() and np.isfinite(pts).all()):
-            raise ValueError("correspondences must be finite")
-        object.__setattr__(self, "pixels", _freeze(pix))
-        object.__setattr__(self, "points", _freeze(pts))
-
-    def __len__(self) -> int:
-        return self.pixels.shape[0]
-
-    @classmethod
-    def _adopt(cls, pixels, points) -> "Correspondences2D3D":
-        """Wrap float64 arrays of valid shapes that the caller has just built
-        and holds no other reference to: they are frozen, not copied."""
-        corr = object.__new__(cls)
-        object.__setattr__(corr, "pixels", _freeze(pixels))
-        object.__setattr__(corr, "points", _freeze(points))
-        return corr
-
-
-@dataclass(frozen=True)
 class RansacConfig:
     """The seed of RANSAC's sample draws (frame j of a video draws with
     ``seed + j``)."""
@@ -124,8 +95,10 @@ class PoseEstimate:
     """Solver output for one frame.
 
     ``pose`` is one Gauss-Newton step on the ``inliers`` taken from
-    ``base_pose`` (the two are equal for an estimate that took no step);
-    ``inliers`` indexes the correspondences the estimate was solved from.
+    ``base_pose`` (the two are equal for an estimate that took no step).
+    ``inliers`` masks what the estimate was solved from: the pairs given to
+    ``solve_pnp_ransac``, or, from ``solve_cameras_for_video``, the frame's
+    (H*W,) pixels in raster order, False where the recon map is invalid.
     """
 
     pose: PoseSE3
@@ -190,13 +163,14 @@ PLANAR_RATIO = 1e-3
 
 
 def _reproj_errors_many(
-    rotations: np.ndarray, translations: np.ndarray, K: Intrinsics, corr: Correspondences2D3D
+    rotations: np.ndarray, translations: np.ndarray, K: Intrinsics, pixels: np.ndarray,
+    points: np.ndarray,
 ) -> np.ndarray:
-    """(k, N) reprojection distances of N pairs under k poses; +inf where
-    the depth is non-positive."""
-    xy, _, _, visible = project_points(rotations, translations, corr.points.T)
-    du = K.focal * xy[:, 0] + K.cx - corr.pixels[:, 0]
-    dv = K.focal * xy[:, 1] + K.cy - corr.pixels[:, 1]
+    """(k, N) reprojection distances of N pairs, pixels (N, 2) and points
+    (3, N), under k poses; +inf where the depth is non-positive."""
+    xy, _, _, visible = project_points(rotations, translations, points)
+    du = K.focal * xy[:, 0] + K.cx - pixels[:, 0]
+    dv = K.focal * xy[:, 1] + K.cy - pixels[:, 1]
     err = np.sqrt(du * du + dv * dv)
     err[~visible] = np.inf
     return err
@@ -354,9 +328,10 @@ def _iterations_needed(ratio: float) -> int:
 
 
 def solve_pnp_ransac(
-    corr: Correspondences2D3D, K: Intrinsics, cfg: RansacConfig = RansacConfig()
+    pixels: np.ndarray, points: np.ndarray, K: Intrinsics, cfg: RansacConfig = RansacConfig()
 ) -> PoseEstimate:
-    """Robust world-to-camera pose from 2D-3D correspondences.
+    """Robust world-to-camera pose from finite pixels (N, 2) paired with
+    world points (3, N).
 
     Seeded 6-point hypotheses (DLT, or a plane homography for near-planar
     samples) are ranked by their inlier count on a fixed, evenly spaced
@@ -368,15 +343,15 @@ def solve_pnp_ransac(
     a fixed floor so that near-degenerate scenes still get a fair number of
     draws. The winner's inliers and RMS come from one pass over all pairs.
     """
-    n = len(corr)
+    n = len(pixels)
     if n < MIN_SAMPLE:
         raise TooFewCorrespondences(f"{n} < minimal sample {MIN_SAMPLE}")
     rng = np.random.default_rng(cfg.seed)
-    norm_pix = (corr.pixels - np.array([K.cx, K.cy])) / K.focal
-    scored = corr
+    norm_pix = (pixels - np.array([K.cx, K.cy])) / K.focal
+    scored = pixels, points
     if n > PREEMPTIVE_SUBSET:
         pick = np.arange(PREEMPTIVE_SUBSET) * n // PREEMPTIVE_SUBSET
-        scored = Correspondences2D3D._adopt(corr.pixels[pick], corr.points[pick])
+        scored = pixels[pick], points[:, pick]
     best_R = best_t = None
     best_count = 0
     min_iters = 32
@@ -390,10 +365,10 @@ def solve_pnp_ransac(
         idx = np.stack(
             [rng.choice(n, size=MIN_SAMPLE, replace=False) for _ in range(batch)]
         )
-        R, t, ok = _minimal_poses(corr.points[idx], norm_pix[idx])
-        inl = np.zeros((batch, len(scored)), dtype=bool)
+        R, t, ok = _minimal_poses(points.T[idx], norm_pix[idx])
+        inl = np.zeros((batch, len(scored[0])), dtype=bool)
         if ok.any():
-            inl[ok] = _reproj_errors_many(R[ok], t[ok], K, scored) < INLIER_THRESHOLD
+            inl[ok] = _reproj_errors_many(R[ok], t[ok], K, *scored) < INLIER_THRESHOLD
         counts = inl.sum(axis=1)
         for j in range(batch):
             if it >= max(min_iters, needed):
@@ -401,10 +376,10 @@ def solve_pnp_ransac(
             it += 1
             if counts[j] > best_count:
                 best_R, best_t, best_count = _local_optimisation(R[j], t[j], scored, K, inl[j])
-                needed = _iterations_needed(best_count / len(scored))
+                needed = _iterations_needed(best_count / len(scored[0]))
     if best_R is None:
         raise NoConsensus(f"best consensus 0 of {n}")
-    err = _reproj_errors_many(best_R[None], best_t[None], K, corr)[0]
+    err = _reproj_errors_many(best_R[None], best_t[None], K, pixels, points)[0]
     inliers = err < INLIER_THRESHOLD
     if int(inliers.sum()) < MIN_SAMPLE:
         raise NoConsensus(f"best consensus {int(inliers.sum())} of {n}")
@@ -414,10 +389,10 @@ def solve_pnp_ransac(
 
 
 def _local_optimisation(
-    R: np.ndarray, t: np.ndarray, scored: Correspondences2D3D, K: Intrinsics, mask: np.ndarray
+    R: np.ndarray, t: np.ndarray, scored: tuple, K: Intrinsics, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """A new best hypothesis (R, t) polished on its consensus within the
-    scored pairs, and its inlier count there.
+    scored pairs, (pixels, points), and its inlier count there.
 
     The polish and the re-count repeat while the count strictly rises; a
     polished pose is kept when its count is at least the previous one. One
@@ -430,8 +405,8 @@ def _local_optimisation(
     raw = R, t, count
     try:
         while True:
-            R_p, t_p = _polish(R, t, scored, K, mask)
-            err = _reproj_errors_many(R_p[None], t_p[None], K, scored)[0]
+            R_p, t_p = _polish(R, t, *scored, K, mask)
+            err = _reproj_errors_many(R_p[None], t_p[None], K, *scored)[0]
             polished_mask = err < INLIER_THRESHOLD
             polished_count = int(polished_mask.sum())
             if polished_count < count:
@@ -446,11 +421,12 @@ def _local_optimisation(
 
 
 def _polish(
-    R: np.ndarray, t: np.ndarray, corr: Correspondences2D3D, K: Intrinsics, mask: np.ndarray
+    R: np.ndarray, t: np.ndarray, pixels: np.ndarray, points: np.ndarray, K: Intrinsics,
+    mask: np.ndarray,
 ):
     """Gauss-Newton to convergence on the masked pairs, from a hypothesis (R, t)."""
     for _ in range(10):
-        delta = _gn_terms(R, t, corr.points.T, corr.pixels, K, mask)[0]
+        delta = _gn_terms(R, t, points, pixels, K, mask)[0]
         R, t = _apply_increment(delta, R, t)
         if np.linalg.norm(delta) < 1e-14:
             break
@@ -550,25 +526,18 @@ def _so3_exp_vjp(omega: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def gauss_newton_refine(
-    detached: PoseEstimate, corr: Correspondences2D3D, K: Intrinsics
-) -> PoseEstimate:
-    """Refine a detached pose by one damped Gauss-Newton step on its inliers.
+    R: np.ndarray, t: np.ndarray, X: np.ndarray, pixels: np.ndarray, K: Intrinsics, inliers
+):
+    """One damped Gauss-Newton step of the pose (R, t) on points X (3, m)
+    and pixels (m, 2), with the inlier mask (m,) as a weight.
 
-    Only ``detached.pose`` and ``detached.inliers`` are read. The returned
-    estimate records the step's base pose; the step is the differentiable
-    part of the solve.
+    Returns the stepped pose (R', t'), the increment and the damped normal
+    matrix: the step is the differentiable part of the solve, and
+    ``_pose_adjoint`` takes the increment and normal matrix to pull a
+    gradient on (R', t') back onto X.
     """
-    mask = detached.inliers
-    if mask.shape[0] != len(corr):
-        raise ValueError("inlier mask does not cover the correspondences")
-    if int(mask.sum()) < 3:
-        raise TooFewCorrespondences(f"{int(mask.sum())} inliers")
-    base = detached.pose
-    delta = _gn_terms(base.rotation, base.translation, corr.points.T, corr.pixels, K, mask)[0]
-    R, t = _apply_increment(delta, base.rotation, base.translation)
-    err = _reproj_errors_many(R[None], t[None], K, corr)[0]
-    rms = float(np.sqrt(np.mean(err[mask] ** 2)))
-    return PoseEstimate(PoseSE3(R, t), mask, rms, base)
+    delta, H = _gn_terms(R, t, X, pixels, K, inliers)[:2]
+    return (*_apply_increment(delta, R, t), delta, H)
 
 
 def _pose_adjoint(R, t, delta, H, terms, K, grad_R, grad_T) -> np.ndarray:
@@ -614,17 +583,15 @@ def _pose_adjoint(R, t, delta, H, terms, K, grad_R, grad_T) -> np.ndarray:
 # whole-video solving
 
 
-def correspondences_from_pointmap(
-    pm: Pointmap, grid: PixelGrid
-) -> tuple[Correspondences2D3D, np.ndarray]:
-    """Valid pixels of a pointmap as correspondences, plus flat indices."""
+def correspondences_from_pointmap(pm: Pointmap, grid: PixelGrid):
+    """The valid pixels (N, 2) of a pointmap, their points (3, N) and their
+    flat indices (N,)."""
     if (pm.height, pm.width) != (grid.height, grid.width):
         raise ValueError("pointmap and grid sizes differ")
     valid = pm.valid.reshape(-1)
-    corr = Correspondences2D3D._adopt(
-        grid.flat().compress(valid, axis=0), pm.points.reshape(-1, 3).compress(valid, axis=0)
-    )
-    return corr, np.flatnonzero(valid)
+    pixels = grid.flat().compress(valid, axis=0)
+    points = pm.points.reshape(-1, 3).compress(valid, axis=0).T
+    return pixels, points, np.flatnonzero(valid)
 
 
 def solve_cameras_for_video(
@@ -635,25 +602,36 @@ def solve_cameras_for_video(
     """Shared intrinsics and per-frame world-to-camera poses for a video.
 
     Frame 0 defines the world frame, so its pose is the identity by
-    construction; every other frame is solved independently from its
-    reconstruction pointmap (RANSAC PnP then Gauss-Newton). Solver errors
-    are re-raised with the frame index attached.
+    construction and its inliers are its valid pixels in front of the
+    camera; every other frame is solved independently from its
+    reconstruction pointmap (RANSAC PnP then one Gauss-Newton step). Solver
+    errors are re-raised with the frame index attached.
     """
     stack_pointmaps(recon_pointmaps, "recon")  # the contract check alone
     K = estimate_focal_weiszfeld(recon_pointmaps[0], grid)
 
     def solve_frame(j: int) -> PoseEstimate:
-        pm = recon_pointmaps[j]
         try:
-            corr, _ = correspondences_from_pointmap(pm, grid)
+            pixels, points, flat = correspondences_from_pointmap(recon_pointmaps[j], grid)
             if j == 0:
-                pose = PoseSE3.identity()
-                err = _reproj_errors_many(pose.rotation[None], pose.translation[None], K, corr)
-                rms = float(np.sqrt(np.mean(err**2)))
-                return PoseEstimate(pose, np.ones(len(corr), dtype=bool), rms, pose)
-            coarse = solve_pnp_ransac(corr, K, RansacConfig(ransac.seed + j))
-            return gauss_newton_refine(coarse, corr, K)
+                pose = base = PoseSE3.identity()
+            else:
+                coarse = solve_pnp_ransac(pixels, points, K, RansacConfig(ransac.seed + j))
+                base, mask = coarse.pose, coarse.inliers
+                R, t = gauss_newton_refine(
+                    base.rotation, base.translation, points, pixels, K, mask
+                )[:2]
+                pose = PoseSE3(R, t)
         except WorldTrackError as exc:
             raise exc.with_frame(j)
+        err = _reproj_errors_many(pose.rotation[None], pose.translation[None], K, pixels, points)[0]
+        if j == 0:
+            # RANSAC's rule: a pair behind the camera is no inlier. The focal
+            # estimate has required points in front, so some remain.
+            mask = np.isfinite(err)
+        inliers = np.zeros(grid.height * grid.width, dtype=bool)
+        inliers[flat] = mask
+        rms = float(np.sqrt(np.mean(err[mask] ** 2)))
+        return PoseEstimate(pose, inliers, rms, base)
 
     return K, [solve_frame(j) for j in range(len(recon_pointmaps))]

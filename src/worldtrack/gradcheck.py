@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import camera, losses, oracle
+from . import losses, oracle
 from .geometry import Intrinsics, PoseSE3, backproject, so3_exp
 
 DEFAULT_STEP = 1e-6
@@ -101,7 +101,8 @@ def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4)
     The camera turns by up to ``max_angle`` about a random axis. The cloud
     is built by backprojecting random in-image pixels at random depths in
     that camera, then mapping to world coordinates, so the ground-truth
-    reprojection error is zero. Returns (intrinsics, pose, correspondences).
+    reprojection error is zero. Returns (intrinsics, pose, pixels (n, 2),
+    world points (3, n)).
     """
     K = Intrinsics(focal, width / 2.0, height / 2.0)
     axis = rng.normal(size=3)
@@ -112,7 +113,7 @@ def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4)
     )
     depth = rng.uniform(1.5, 6.0, n)
     world = pose.inverse().apply(backproject(K, pix, depth))
-    return K, pose, camera.Correspondences2D3D(pix, world)
+    return K, pose, pix, world.T
 
 
 def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
@@ -129,27 +130,25 @@ def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        K, true_pose, corr = make_pnp_instance(rng)
+        K, true_pose, pixels, points = make_pnp_instance(rng)
+        n = len(pixels)
         R = np.stack([np.eye(3), so3_exp(rng.normal(0, 0.01, 3)) @ true_pose.rotation])
         t = np.stack([np.zeros(3), true_pose.translation + rng.normal(0, 0.01, 3)])
-        rec = np.zeros((2, 3, len(corr)))
-        rec[1] = corr.points.T
-        inliers = rng.random((2, len(corr))) < 0.8
+        rec = np.zeros((2, 3, n))
+        rec[1] = points
+        inliers = rng.random((2, n)) < 0.8
         g_R, g_T = rng.normal(0, 1, (2, 3, 3)), rng.normal(0, 1, (2, 3))
 
-        def step_terms(points):
-            return losses._gn_terms(R[1], t[1], points, corr.pixels, K, inliers[1])[:2]
-
-        def value(points):
-            R_1, t_1 = losses._apply_increment(step_terms(points[1])[0], R[1], t[1])
+        def value(stack):
+            R_1, t_1 = losses.gauss_newton_refine(R[1], t[1], stack[1], pixels, K, inliers[1])[:2]
             return float(np.sum(g_R[1] * R_1) + g_T[1] @ t_1) / len(rec)
 
+        gn = losses.gauss_newton_refine(R[1], t[1], rec[1], pixels, K, inliers[1])[2:]
         grad = losses._recon_gradient(
-            np.zeros_like(rec), g_R, g_T, R, t, [step_terms(rec[1])], rec, inliers,
-            corr.pixels, K,
+            np.zeros_like(rec), g_R, g_T, R, t, [gn], rec, inliers, pixels, K
         )
         rows = rng.choice(np.flatnonzero(inliers[1]), 3, replace=False)
-        picks = [(rec[0].size + np.arange(3)[:, None] * len(corr) + rows).ravel()]
+        picks = [(rec[0].size + np.arange(3)[:, None] * n + rows).ravel()]
         worst = max(worst, _worst_fd_error(value, (rec,), (grad,), picks, step))
     return CheckResult("live_pose_step", worst, tol)
 

@@ -16,12 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .camera import (
-    PoseEstimate,
     RansacConfig,
-    _apply_increment,
-    _gn_terms,
     _pose_adjoint,
     _projection_terms,
+    gauss_newton_refine,
     solve_cameras_for_video,
 )
 from .errors import (
@@ -50,12 +48,6 @@ log = logging.getLogger(__name__)
 RADIUS_FLOOR = 1e-8
 # adaptation stops once a step's total exceeds this multiple of the first
 DIVERGENCE_FACTOR = 10.0
-
-
-def _as_pose(pose_like) -> PoseSE3:
-    if isinstance(pose_like, PoseEstimate):
-        return pose_like.pose
-    return pose_like
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +312,7 @@ def traj_loss(
 
 def depth_loss(
     recon_pm: Pointmap,
-    pose_est,
+    pose: PoseSE3,
     mono_depth: np.ndarray,
     mono_valid: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
@@ -332,7 +324,6 @@ def depth_loss(
     coordinates, shape (H, W, 3), zero outside the compared pixels.
     """
     _check_branch(recon_pm, "recon", recon_pm.time)
-    pose = _as_pose(pose_est)
     mono_depth = np.asarray(mono_depth, dtype=np.float64)
     if mono_depth.shape != (recon_pm.height, recon_pm.width):
         raise ShapeMismatch(f"depth map {mono_depth.shape} vs grid")
@@ -484,8 +475,7 @@ def _evaluate(lay: _Layout, trk, rec, R, t, recon_grad=True):
     return np.column_stack([l_traj, l_depth, l_align]), (g_trk, g_rec, g_R, g_T)
 
 
-def _pose_stack(poses):
-    poses = [_as_pose(p) for p in poses]
+def _pose_stack(poses: list[PoseSE3]):
     return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
 
 
@@ -544,10 +534,9 @@ def tta_optimize(
     del stacks  # stacks np.stack built from loose frames need not live through the run
     live = not state.freeze_recon
     # live cameras step on from the solve's base poses; frozen ones are its poses
-    R, t = _pose_stack([e.base_pose for e in estimates] if live else estimates)
-    # the solve's inliers, one per valid recon pixel, as a weight on the stack
-    inliers = np.zeros_like(rec_valid)
-    inliers[rec_valid] = np.concatenate([e.inliers for e in estimates])
+    R, t = _pose_stack([e.base_pose if live else e.pose for e in estimates])
+    # the solve's per-pixel inliers, a weight on the recon stack
+    inliers = np.stack([e.inliers for e in estimates])
     pixels = grid.flat()
 
     trace: list[LossBreakdown] = []
@@ -562,8 +551,9 @@ def tta_optimize(
             R_base, t_base, gn = R, t, []
             R, t = R.copy(), t.copy()
             for j in range(1, T):
-                delta, normal = _gn_terms(R_base[j], t_base[j], rec[j], pixels, K, inliers[j])[:2]
-                R[j], t[j] = _apply_increment(delta, R_base[j], t_base[j])
+                R[j], t[j], delta, normal = gauss_newton_refine(
+                    R_base[j], t_base[j], rec[j], pixels, K, inliers[j]
+                )
                 gn.append((delta, normal))
             if not (np.isfinite(R).all() and np.isfinite(t).all()):
                 raise DivergenceDetected(f"step {step}: stepped poses are not finite")

@@ -7,8 +7,6 @@ from worldtrack.camera import (
     GN_DAMPING,
     PREEMPTIVE_SUBSET,
     RANSAC_MAX_ITERATIONS,
-    Correspondences2D3D,
-    PoseEstimate,
     RansacConfig,
     _apply_increment,
     _dlt_poses,
@@ -149,30 +147,30 @@ def pose_errors(a: PoseSE3, b: PoseSE3):
 def test_pnp_exact_on_clean_data():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        K, pose, corr = make_pnp_instance(rng, n=60)
-        est = solve_pnp_ransac(corr, K, RansacConfig(seed=1))
+        K, pose, pix, pts = make_pnp_instance(rng, n=60)
+        est = solve_pnp_ransac(pix, pts, K, RansacConfig(seed=1))
         ang, dt = pose_errors(est.pose, pose)
         assert ang < 1e-8 and dt < 1e-8
         assert est.inliers.all()
         assert est.rms_reprojection_error < 1e-9
 
 
-def with_outliers(rng, corr, fraction):
-    """Shift a fraction of the pixels by 5-25 px; returns pairs and outlier ids."""
-    n = len(corr)
-    pix = np.array(corr.pixels)
+def with_outliers(rng, pixels, fraction):
+    """Shift a fraction of the pixels by 5-25 px; returns new pixels and outlier ids."""
+    n = len(pixels)
+    pix = np.array(pixels)
     out_idx = rng.choice(n, int(fraction * n), replace=False)
     shift = rng.uniform(5.0, 25.0, size=(out_idx.size, 2))
     pix[out_idx] += shift * rng.choice([-1, 1], (out_idx.size, 2))
-    return Correspondences2D3D(pix, corr.points), out_idx
+    return pix, out_idx
 
 
 def test_pnp_with_outliers():
     rng = np.random.default_rng(8)
     for trial in range(5):
-        K, pose, corr = make_pnp_instance(rng, n=80)
-        bad, out_idx = with_outliers(rng, corr, 0.3)
-        est = solve_pnp_ransac(bad, K, RansacConfig(seed=trial))
+        K, pose, pix, pts = make_pnp_instance(rng, n=80)
+        bad, out_idx = with_outliers(rng, pix, 0.3)
+        est = solve_pnp_ransac(bad, pts, K, RansacConfig(seed=trial))
         ang, dt = pose_errors(est.pose, pose)
         assert ang < 1e-6 and dt < 1e-6, f"trial {trial}: {ang}, {dt}"
         inlier_set = set(np.nonzero(est.inliers)[0])
@@ -181,9 +179,9 @@ def test_pnp_with_outliers():
 
 def test_pnp_deterministic_for_fixed_seed():
     rng = np.random.default_rng(10)
-    K, _, corr = make_pnp_instance(rng, n=50)
-    a = solve_pnp_ransac(corr, K, RansacConfig(seed=7))
-    b = solve_pnp_ransac(corr, K, RansacConfig(seed=7))
+    K, _, pix, pts = make_pnp_instance(rng, n=50)
+    a = solve_pnp_ransac(pix, pts, K, RansacConfig(seed=7))
+    b = solve_pnp_ransac(pix, pts, K, RansacConfig(seed=7))
     assert np.array_equal(a.pose.rotation, b.pose.rotation)
     assert np.array_equal(a.pose.translation, b.pose.translation)
     assert np.array_equal(a.inliers, b.inliers)
@@ -191,16 +189,16 @@ def test_pnp_deterministic_for_fixed_seed():
 
 def test_pnp_error_cases():
     rng = np.random.default_rng(2)
-    K, _, corr = make_pnp_instance(rng, n=5)
+    K, _, pix, pts = make_pnp_instance(rng, n=5)
     with pytest.raises(TooFewCorrespondences):
-        solve_pnp_ransac(corr, K)
+        solve_pnp_ransac(pix, pts, K)
     # all points behind every hypothesis: no consensus possible
-    K2, pose2, corr2 = make_pnp_instance(rng, n=12)
-    behind = Correspondences2D3D(corr2.pixels, pose2.inverse().apply(
-        backproject(K2, corr2.pixels, -np.abs(np.random.default_rng(0).uniform(1, 3, 12)))
-    ))
+    K2, pose2, pix2, _ = make_pnp_instance(rng, n=12)
+    behind = pose2.inverse().apply(
+        backproject(K2, pix2, -np.abs(np.random.default_rng(0).uniform(1, 3, 12)))
+    )
     with pytest.raises(NoConsensus):
-        solve_pnp_ransac(behind, K2)
+        solve_pnp_ransac(pix2, behind.T, K2)
 
 
 def test_ransac_bound_survives_tiny_inlier_ratio():
@@ -213,16 +211,16 @@ def test_ransac_bound_survives_tiny_inlier_ratio():
 
 def test_pnp_preemptive_scoring_on_large_instance():
     rng = np.random.default_rng(21)
-    K, pose, corr = make_pnp_instance(rng, n=5000)
-    assert len(corr) > PREEMPTIVE_SUBSET
-    bad, out_idx = with_outliers(rng, corr, 0.3)
-    est = solve_pnp_ransac(bad, K, RansacConfig(seed=3))
+    K, pose, pix, pts = make_pnp_instance(rng, n=5000)
+    assert len(pix) > PREEMPTIVE_SUBSET
+    bad, out_idx = with_outliers(rng, pix, 0.3)
+    est = solve_pnp_ransac(bad, pts, K, RansacConfig(seed=3))
     ang, dt = pose_errors(est.pose, pose)
     assert ang < 1e-6 and dt < 1e-6
-    expected = np.ones(len(corr), dtype=bool)
+    expected = np.ones(len(pix), dtype=bool)
     expected[out_idx] = False
     assert np.array_equal(est.inliers, expected)
-    again = solve_pnp_ransac(bad, K, RansacConfig(seed=3))
+    again = solve_pnp_ransac(bad, pts, K, RansacConfig(seed=3))
     assert np.array_equal(again.pose.rotation, est.pose.rotation)
     assert np.array_equal(again.pose.translation, est.pose.translation)
     assert np.array_equal(again.inliers, est.inliers)
@@ -271,10 +269,10 @@ def dlt_pose_reference(points, norm_pix):
 
 def test_batched_dlt_matches_scalar_solver():
     rng = np.random.default_rng(30)
-    K, pose, corr = make_pnp_instance(rng, n=60)
-    norm_pix = (corr.pixels - np.array([K.cx, K.cy])) / K.focal
+    K, pose, pixels, points = make_pnp_instance(rng, n=60)
+    norm_pix = (pixels - np.array([K.cx, K.cy])) / K.focal
     samples = [rng.choice(60, 6, replace=False) for _ in range(40)]
-    pts = [corr.points[i] for i in samples]
+    pts = [points.T[i] for i in samples]
     pix = [norm_pix[i] for i in samples]
     # coplanar samples: six world points on one plane, seen exactly
     for _ in range(8):
@@ -282,7 +280,7 @@ def test_batched_dlt_matches_scalar_solver():
         cam = pose.apply(plane)
         pts.append(plane)
         pix.append(cam[:, :2] / cam[:, 2:3])
-    pts.append(np.repeat(corr.points[:1], 6, axis=0))  # no spread at all
+    pts.append(np.repeat(points.T[:1], 6, axis=0))  # no spread at all
     pix.append(norm_pix[:6])
     R, t, ok = _dlt_poses(np.stack(pts), np.stack(pix))
     accepted = 0
@@ -298,9 +296,8 @@ def test_batched_dlt_matches_scalar_solver():
 
 def test_minimal_poses_solve_planar_samples_by_homography():
     rng = np.random.default_rng(31)
-    K, pose, corr = make_pnp_instance(rng, n=60)
-    norm_pix = (corr.pixels - np.array([K.cx, K.cy])) / K.focal
-    pts = [corr.points[rng.choice(60, 6, replace=False)] for _ in range(6)]
+    K, pose, _, points = make_pnp_instance(rng, n=60)
+    pts = [points.T[rng.choice(60, 6, replace=False)] for _ in range(6)]
     for off_plane in (0.0, 1e-5, 1e-4):
         for _ in range(4):
             # six pixels on a tilted plane 2-4 m ahead, pushed off it a little
@@ -338,8 +335,7 @@ def test_pnp_on_noisy_plane():
     # a tilted plane 3 m ahead, points pushed 2 mm off it at random
     depth = 3.0 / (rays @ normal)
     cam = rays * depth[:, None] + rng.normal(0.0, 2e-3, (n, 1)) * normal
-    corr = Correspondences2D3D(pix, pose.inverse().apply(cam))
-    est = solve_pnp_ransac(corr, K, RansacConfig(seed=4))
+    est = solve_pnp_ransac(pix, pose.inverse().apply(cam).T, K, RansacConfig(seed=4))
     ang, dt = pose_errors(est.pose, pose)
     assert ang < 1e-2 and dt < 1e-2, f"{ang:.2e} rad, {dt:.2e} m"
     assert est.inliers.mean() > 0.9
@@ -347,83 +343,78 @@ def test_pnp_on_noisy_plane():
 
 # ---- Gauss-Newton refinement ----
 
-def perturbed_estimate(pose: PoseSE3, corr, rng, scale=0.03) -> PoseEstimate:
-    twist = rng.normal(size=6) * scale
-    rough = PoseSE3(*_apply_increment(twist, pose.rotation, pose.translation))
-    return PoseEstimate(rough, np.ones(len(corr), dtype=bool), np.nan, rough)
+def perturbed_pose(pose: PoseSE3, rng, scale=0.03):
+    """(R, t) of ``pose`` moved by a random twist."""
+    return _apply_increment(rng.normal(size=6) * scale, pose.rotation, pose.translation)
 
 
-def reproj_errors(pose: PoseSE3, K, corr) -> np.ndarray:
-    return _reproj_errors_many(pose.rotation[None], pose.translation[None], K, corr)[0]
+def reproj_errors(R, t, K, pixels, points) -> np.ndarray:
+    return _reproj_errors_many(R[None], t[None], K, pixels, points)[0]
 
 
-def refine_steps(est: PoseEstimate, corr, K, steps: int) -> PoseEstimate:
-    """Chain single Gauss-Newton steps, each from the previous pose."""
+def refine_steps(R, t, pixels, points, K, steps: int):
+    """Chain single Gauss-Newton steps on every pair, each from the previous pose."""
+    every = np.ones(len(pixels), dtype=bool)
     for _ in range(steps):
-        est = gauss_newton_refine(est, corr, K)
-    return est
+        R, t = gauss_newton_refine(R, t, points, pixels, K, every)[:2]
+    return R, t
 
 
 def test_gn_converges_on_clean_data():
     rng = np.random.default_rng(3)
-    K, pose, corr = make_pnp_instance(rng, n=40)
-    detached = perturbed_estimate(pose, corr, rng)
-    est = refine_steps(detached, corr, K, 6)
-    ang, dt = pose_errors(est.pose, pose)
+    K, pose, pix, pts = make_pnp_instance(rng, n=40)
+    R, t = refine_steps(*perturbed_pose(pose, rng), pix, pts, K, 5)
+    every = np.ones(40, dtype=bool)
+    R_1, t_1, delta, H = gauss_newton_refine(R, t, pts, pix, K, every)
+    ang, dt = pose_errors(PoseSE3(R_1, t_1), pose)
     assert ang < 1e-9 and dt < 1e-9
-    assert est.rms_reprojection_error < 1e-10
-    # the step from the stored base reproduces the pose
-    base = est.base_pose
-    R, t = base.rotation, base.translation
-    delta = _gn_terms(R, t, corr.points.T, corr.pixels, K, est.inliers)[0]
-    R, t = _apply_increment(delta, R, t)
-    assert np.allclose(R, est.pose.rotation, atol=1e-15)
-    assert np.allclose(t, est.pose.translation, atol=1e-15)
+    assert np.sqrt(np.mean(reproj_errors(R_1, t_1, K, pix, pts) ** 2)) < 1e-10
+    # the returned increment and normal matrix are those of the step taken
+    ref_delta, ref_H = _gn_terms(R, t, pts, pix, K, every)[:2]
+    assert np.array_equal(delta, ref_delta) and np.array_equal(H, ref_H)
+    R_ref, t_ref = _apply_increment(delta, R, t)
+    assert np.array_equal(R_1, R_ref) and np.array_equal(t_1, t_ref)
 
 
 def test_gn_steps_do_not_increase_residuals():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        K, pose, corr = make_pnp_instance(rng, n=30)
-        est = perturbed_estimate(pose, corr, rng, scale=0.05)
-        prev = np.sum(reproj_errors(est.pose, K, corr) ** 2)
+        K, pose, pix, pts = make_pnp_instance(rng, n=30)
+        R, t = perturbed_pose(pose, rng, scale=0.05)
+        prev = np.sum(reproj_errors(R, t, K, pix, pts) ** 2)
         for _ in range(4):
-            est = gauss_newton_refine(est, corr, K)
-            cost = np.sum(reproj_errors(est.pose, K, corr) ** 2)
+            R, t = refine_steps(R, t, pix, pts, K, 1)
+            cost = np.sum(reproj_errors(R, t, K, pix, pts) ** 2)
             assert cost <= prev * (1 + 1e-12)
             prev = cost
 
 
 def test_gn_first_order_optimality():
     rng = np.random.default_rng(6)
-    K, pose, corr = make_pnp_instance(rng, n=35)
-    detached = perturbed_estimate(pose, corr, rng)
-    est = refine_steps(detached, corr, K, 8)
-    R, t = est.pose.rotation, est.pose.translation
-    _, _, (_, _, w, _, _, J, r) = _gn_terms(R, t, corr.points.T, corr.pixels, K, True)
+    K, pose, pix, pts = make_pnp_instance(rng, n=35)
+    R, t = refine_steps(*perturbed_pose(pose, rng), pix, pts, K, 8)
+    _, _, (_, _, w, _, _, J, r) = _gn_terms(R, t, pts, pix, K, True)
     grad = np.einsum("n,nij,ni->j", w, J, r)
     assert np.abs(grad).max() < 1e-6
 
 
 def test_projection_jacobian_matches_central_differences():
     rng = np.random.default_rng(9)
-    K, pose, corr = make_pnp_instance(rng, n=30)
-    pts = np.array(corr.points)
+    K, pose, pix, pts = make_pnp_instance(rng, n=30)
     # rows 0-2 behind the camera, row 3 on its plane
-    cam = pose.apply(pts)
+    cam = pose.apply(pts.T)
     cam[:3, 2] *= -1.0
     cam[3, 2] = 0.0
-    corr = Correspondences2D3D(corr.pixels, pose.inverse().apply(cam))
+    X = pose.inverse().apply(cam).T
     R, t = pose.rotation, pose.translation
-    X = corr.points.T
-    _, _, wt, _, _, J, r = _projection_terms(R, t, X, corr.pixels, K, True)
+    _, _, wt, _, _, J, r = _projection_terms(R, t, X, pix, K, True)
     h = 1e-6
     fd = np.zeros_like(J)
     for k in range(6):
         step = np.zeros(6)
         step[k] = h
-        hi = _projection_terms(*_apply_increment(step, R, t), X, corr.pixels, K, True)[6]
-        lo = _projection_terms(*_apply_increment(-step, R, t), X, corr.pixels, K, True)[6]
+        hi = _projection_terms(*_apply_increment(step, R, t), X, pix, K, True)[6]
+        lo = _projection_terms(*_apply_increment(-step, R, t), X, pix, K, True)[6]
         fd[:, :, k] = (hi - lo) / (2 * h)
     front = np.arange(4, 30)
     scale = np.abs(J[front]).max()
@@ -435,34 +426,31 @@ def test_projection_jacobian_matches_central_differences():
 # ---- differentiable increment ----
 
 def linear_pose_loss(gR, gT):
-    def value(p: PoseSE3) -> float:
-        return float(np.sum(gR * p.rotation) + gT @ p.translation)
+    def value(R, t) -> float:
+        return float(np.sum(gR * R) + gT @ t)
     return value
 
 
-def pose_adjoint(base: PoseSE3, corr, K, mask, gR, gT) -> np.ndarray:
+def pose_adjoint(R, t, pixels, points, K, mask, gR, gT) -> np.ndarray:
     """(N, 3) pull-back onto the points of a gradient (gR, gT) on the pose
-    one Gauss-Newton step from ``base`` on the masked pairs reaches: the
+    one Gauss-Newton step from (R, t) on the masked pairs reaches: the
     step and adjoint live adaptation runs."""
-    R, t = base.rotation, base.translation
-    delta, H, terms = _gn_terms(R, t, corr.points.T, corr.pixels, K, mask)
+    delta, H = gauss_newton_refine(R, t, points, pixels, K, mask)[2:]
+    terms = _projection_terms(R, t, points, pixels, K, mask)
     return _pose_adjoint(R, t, delta, H, terms, K, gR, gT)
 
 
-def fd_point_gradient(detached, corr, K, loss, idx, h=1e-5):
-    """Central differences through the full refine call, base pose fixed."""
+def fd_point_gradient(R, t, pixels, points, K, loss, idx, h=1e-5):
+    """Central differences through the step, base pose fixed."""
+    every = np.ones(len(pixels), dtype=bool)
     grads = np.zeros((len(idx), 3))
     for row, n in enumerate(idx):
         for k in range(3):
-            shifted = np.array(corr.points)
-            shifted[n, k] += h
-            hi = loss(gauss_newton_refine(
-                detached, Correspondences2D3D(corr.pixels, shifted), K
-            ).pose)
-            shifted[n, k] -= 2 * h
-            lo = loss(gauss_newton_refine(
-                detached, Correspondences2D3D(corr.pixels, shifted), K
-            ).pose)
+            shifted = np.array(points)
+            shifted[k, n] += h
+            hi = loss(*gauss_newton_refine(R, t, shifted, pixels, K, every)[:2])
+            shifted[k, n] -= 2 * h
+            lo = loss(*gauss_newton_refine(R, t, shifted, pixels, K, every)[:2])
             grads[row, k] = (hi - lo) / (2 * h)
     return grads
 
@@ -471,12 +459,12 @@ def test_pose_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     worst = 0.0
     for trial in range(12):
-        K, pose, corr = make_pnp_instance(rng, n=24)
-        detached = perturbed_estimate(pose, corr, rng, scale=0.04)
+        K, pose, pix, pts = make_pnp_instance(rng, n=24)
+        R, t = perturbed_pose(pose, rng, scale=0.04)
         gR, gT = rng.normal(size=(3, 3)), rng.normal(size=3)
-        analytic = pose_adjoint(detached.pose, corr, K, detached.inliers, gR, gT)
-        pick = rng.choice(len(corr), 5, replace=False)
-        fd = fd_point_gradient(detached, corr, K, linear_pose_loss(gR, gT), pick)
+        analytic = pose_adjoint(R, t, pix, pts, K, np.ones(24, dtype=bool), gR, gT)
+        pick = rng.choice(24, 5, replace=False)
+        fd = fd_point_gradient(R, t, pix, pts, K, linear_pose_loss(gR, gT), pick)
         for row, n in enumerate(pick):
             denom = max(np.linalg.norm(fd[row]), 1e-8)
             rel = np.linalg.norm(analytic[n] - fd[row]) / denom
@@ -484,48 +472,48 @@ def test_pose_gradient_matches_finite_differences():
     assert worst < 1e-4, f"max relative error {worst:.3e}"
 
 
-def behind_camera(pose: PoseSE3, corr, rows) -> Correspondences2D3D:
-    """The pairs with the given rows mirrored to negative depth under pose."""
-    cam = pose.apply(np.array(corr.points))
+def behind_camera(pose: PoseSE3, points, rows) -> np.ndarray:
+    """The points (3, N) with the given rows mirrored to negative depth under pose."""
+    cam = pose.apply(points.T)
     cam[rows, 2] *= -1.0
-    return Correspondences2D3D(corr.pixels, pose.inverse().apply(cam))
+    return pose.inverse().apply(cam).T
 
 
 def test_pose_gradient_behind_camera_and_non_inlier_rows():
     rng = np.random.default_rng(13)
-    K, pose, corr = make_pnp_instance(rng, n=20)
-    corr = behind_camera(pose, corr, [3])
-    detached = perturbed_estimate(pose, corr, rng)
+    K, pose, pix, pts = make_pnp_instance(rng, n=20)
+    pts = behind_camera(pose, pts, [3])
+    R, t = perturbed_pose(pose, rng)
     mask = np.ones(20, dtype=bool)
     mask[7] = False
-    grads = pose_adjoint(detached.pose, corr, K, mask, rng.normal(size=(3, 3)), rng.normal(size=3))
+    grads = pose_adjoint(R, t, pix, pts, K, mask, rng.normal(size=(3, 3)), rng.normal(size=3))
     assert np.all(grads[3] == 0.0), "a row behind the camera must carry no gradient"
     assert np.all(grads[7] == 0.0), "non-inlier row must carry no gradient"
     assert np.any(grads[0] != 0.0)
 
 
-def pose_gradient_reference(base, corr, K, mask, gR, gT):
+def pose_gradient_reference(R0, t0, pixels, points, K, mask, gR, gT):
     """``pose_adjoint`` through the factored Jacobian J = -A B (A: d pixel /
     d Y, B: d Y / d twist), the form the closed-form adjoint must reproduce."""
-    pixels, points = corr.pixels[mask], corr.points[mask]
+    pix_m, pts_m = pixels[mask], points.T[mask]
     damping = GN_DAMPING
-    Y = points @ base.rotation.T + base.translation
+    Y = pts_m @ R0.T + t0
     x, y, z = Y.T
     w = (z > 0).astype(float)
     f = K.focal
     zero = np.zeros_like(z)
     A = np.stack([np.stack([f / z, zero, -f * x / z**2], 1),
                   np.stack([zero, f / z, -f * y / z**2], 1)], 1)
-    B = np.zeros((len(points), 3, 6))
+    B = np.zeros((len(pts_m), 3, 6))
     B[:, :, :3] = -np.stack([np.stack([zero, -z, y], 1), np.stack([z, zero, -x], 1),
                              np.stack([-y, x, zero], 1)], 1)
     B[:, :, 3:] = np.eye(3)
     J = -np.einsum("nij,njk->nik", A, B)
-    r = pixels - np.stack([f * x / z + K.cx, f * y / z + K.cy], 1)
+    r = pix_m - np.stack([f * x / z + K.cx, f * y / z + K.cy], 1)
     H = np.einsum("n,nij,nik->jk", w, J, J)
     H += damping * np.trace(H) / 6.0 * np.eye(6)
     delta = -np.linalg.solve(H, np.einsum("n,nij,ni->j", w, J, r))
-    G_E = gR @ base.rotation.T + np.outer(gT, base.translation)
+    G_E = gR @ R0.T + np.outer(gT, t0)
     grad_delta = np.concatenate([np.einsum("ijk,jk->i", so3_exp_jac(delta[:3]), G_E), gT])
     q = -np.linalg.solve(H, grad_delta)
     grad_H = np.outer(q, delta)
@@ -541,31 +529,29 @@ def pose_gradient_reference(base, corr, K, mask, gR, gT):
     grad_Y[:, 2] += (2 * f / z**3) * (grad_A[:, 0, 2] * x + grad_A[:, 1, 2] * y)
     grad_Y[:, 2] -= (grad_A[:, 0, 0] + grad_A[:, 1, 1]) * f / z**2
     grad_Y -= np.einsum("nij,ni->nj", A, w[:, None] * np.einsum("nij,j->ni", J, q))
-    out = np.zeros((len(corr), 3))
-    out[mask] = grad_Y @ base.rotation
+    out = np.zeros((len(pixels), 3))
+    out[mask] = grad_Y @ R0
     return out
 
 
 def test_masked_refine_equals_the_step_on_the_subset():
     rng = np.random.default_rng(15)
-    K, pose, corr = make_pnp_instance(rng, n=40)
-    corr = behind_camera(pose, corr, [4])
-    pixels = np.array(corr.pixels)
-    pixels[9, 0] += 1e3
-    corr = Correspondences2D3D(pixels, corr.points)
-    rough = perturbed_estimate(pose, corr, rng).pose
+    K, pose, pix, pts = make_pnp_instance(rng, n=40)
+    pts = behind_camera(pose, pts, [4])
+    pix = np.array(pix)
+    pix[9, 0] += 1e3
+    R, t = perturbed_pose(pose, rng)
     mask = rng.random(40) > 0.25
     mask[[4, 9]] = False
-    masked = gauss_newton_refine(PoseEstimate(rough, mask, np.nan, rough), corr, K)
-    sub = Correspondences2D3D(corr.pixels[mask], corr.points[mask])
-    every = np.ones(len(sub), dtype=bool)
-    explicit = gauss_newton_refine(PoseEstimate(rough, every, np.nan, rough), sub, K)
-    assert np.abs(masked.pose.rotation - explicit.pose.rotation).max() < 1e-12
-    assert np.abs(masked.pose.translation - explicit.pose.translation).max() < 1e-12
-    assert abs(masked.rms_reprojection_error - explicit.rms_reprojection_error) < 1e-12
+    every = np.ones(int(mask.sum()), dtype=bool)
+    masked = gauss_newton_refine(R, t, pts, pix, K, mask)
+    explicit = gauss_newton_refine(R, t, pts[:, mask], pix[mask], K, every)
+    # the stepped pose, the increment and the normal matrix
+    for got, want in zip(masked, explicit):
+        assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
     upstream = (rng.normal(size=(3, 3)), rng.normal(size=3))
-    got = pose_adjoint(rough, corr, K, mask, *upstream)
-    ref = pose_adjoint(rough, sub, K, every, *upstream)
+    got = pose_adjoint(R, t, pix, pts, K, mask, *upstream)
+    ref = pose_adjoint(R, t, pix[mask], pts[:, mask], K, every, *upstream)
     assert np.abs(got[mask] - ref).max() < 1e-12 * np.abs(ref).max()
     assert np.all(got[~mask] == 0.0)
 
@@ -594,13 +580,13 @@ def test_closed_form_rotation_pullback(size):
 def test_pose_gradient_matches_factored_reference():
     rng = np.random.default_rng(14)
     for _ in range(4):
-        K, pose, corr = make_pnp_instance(rng, n=40)
-        corr = behind_camera(pose, corr, [5])
-        detached = perturbed_estimate(pose, corr, rng, scale=0.05)
+        K, pose, pix, pts = make_pnp_instance(rng, n=40)
+        pts = behind_camera(pose, pts, [5])
+        R, t = perturbed_pose(pose, rng, scale=0.05)
         mask = rng.random(40) > 0.2
         gR, gT = rng.normal(size=(3, 3)), rng.normal(size=3)
-        got = pose_adjoint(detached.pose, corr, K, mask, gR, gT)
-        ref = pose_gradient_reference(detached.pose, corr, K, mask, gR, gT)
+        got = pose_adjoint(R, t, pix, pts, K, mask, gR, gT)
+        ref = pose_gradient_reference(R, t, pix, pts, K, mask, gR, gT)
         assert np.abs(got - ref).max() < 1e-9 * np.abs(ref).max()
 
 
@@ -648,9 +634,11 @@ def test_solve_cameras_on_noisy_recon_maps(preset, seed):
     seq = generate_sequence(spec)
     noisy = corrupt(seq, noise=0.003, targets=("recon",), seed=seed + 1)
     _, ests = solve_cameras_for_video(noisy.recon_pointmaps, PixelGrid.create(256, 192))
-    for t, (cam, est) in enumerate(zip(seq.cameras, ests)):
-        assert est.inliers.size > PREEMPTIVE_SUBSET
-        assert est.inliers.mean() >= 0.99, f"frame {t}: inlier ratio {est.inliers.mean():.4f}"
+    for t, (cam, est, pm) in enumerate(zip(seq.cameras, ests, noisy.recon_pointmaps)):
+        valid = pm.valid.reshape(-1)
+        assert valid.sum() > PREEMPTIVE_SUBSET and not est.inliers[~valid].any()
+        ratio = est.inliers[valid].mean()
+        assert ratio >= 0.99, f"frame {t}: inlier ratio {ratio:.4f}"
         ang, dt = pose_errors(est.pose, cam)
         assert ang < 1e-3 and dt < 3e-3, f"frame {t}: {ang:.2e} rad, {dt:.2e} m"
 
@@ -717,25 +705,18 @@ def test_solve_cameras_attaches_frame_index():
     assert info.value.frame == 2
 
 
-def test_internal_subsets_are_frozen_and_public_pairs_are_copied():
-    rng = np.random.default_rng(33)
-    pix, pts = rng.uniform(0, 10, (8, 2)), rng.normal(size=(8, 3))
-    corr = Correspondences2D3D(pix, pts)
-    pix[0], pts[0] = -1.0, -1.0
-    assert (corr.pixels[0] != -1.0).all() and (corr.points[0] != -1.0).all()
-    # a frame's valid pixels become pairs that are frozen, not copied again
-    keep = np.array([True, False] * 4)
-    pm = Pointmap(pts.reshape(2, 4, 3), keep.reshape(2, 4), 0, 0, 0)
-    sub, _ = correspondences_from_pointmap(pm, PixelGrid.create(4, 2))
-    assert np.array_equal(sub.points, pts[keep])
-    assert not any(a.flags.writeable for a in (sub.pixels, sub.points))
-    with pytest.raises(ValueError):
-        Correspondences2D3D(pix, pts[:5])
-    # pairs outside an inlier mask are weighted out, which needs finite values
-    for bad in (np.nan, np.inf):
-        pts[3, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            Correspondences2D3D(pix, pts)
+def test_frame_zero_point_behind_the_camera_is_no_inlier():
+    # one valid frame-0 recon point at z = -1 once made the frame's RMS inf
+    rng = np.random.default_rng(5)
+    _, _, pms, grid = build_recon_video(rng, T=3)
+    points = np.array(pms[0].points)
+    points[4, 7] = [0.1, -0.2, -1.0]
+    pms[0] = Pointmap(points, pms[0].valid, 0, 0, 0)
+    _, ests = solve_cameras_for_video(pms, grid)
+    inliers = ests[0].inliers.reshape(grid.height, grid.width)
+    assert not inliers[4, 7] and inliers.sum() == grid.height * grid.width - 1
+    assert np.isfinite(ests[0].rms_reprojection_error)
+    assert ests[0].rms_reprojection_error < 1e-9
 
 
 def test_correspondences_from_pointmap_indexing():
@@ -745,7 +726,8 @@ def test_correspondences_from_pointmap_indexing():
     valid[1, 2] = True
     valid[2, 0] = True
     pm = Pointmap(pts, valid, 0, 0, 0)
-    corr, idx = correspondences_from_pointmap(pm, grid)
+    pixels, points, idx = correspondences_from_pointmap(pm, grid)
     assert idx.tolist() == [6, 8]
-    assert np.allclose(corr.pixels[0], [2.5, 1.5])
-    assert np.allclose(corr.points[1], pts[2, 0])
+    assert pixels.shape == (2, 2) and points.shape == (3, 2)
+    assert np.allclose(pixels[0], [2.5, 1.5])
+    assert np.allclose(points[:, 1], pts[2, 0])

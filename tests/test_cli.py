@@ -52,6 +52,28 @@ def test_solve_camera_report(workdir):
         assert fr["rms_px"] < 1e-4
 
 
+def test_solve_camera_with_a_frame_zero_point_behind_the_camera(tmp_path):
+    # that point once made frame 0's RMS inf, which the JSON report refused
+    import dataclasses
+
+    from worldtrack.seqio import load_sequence, save_sequence
+
+    clean, bad = tmp_path / "clean.seq", tmp_path / "bad.seq"
+    assert main(["synth", "--preset", "orbit-dynamic", "--width", "32", "--height", "24",
+                 "--frames", "4", "--out", str(clean)]) == 0
+    seq = load_sequence(clean)
+    first = seq.recon_pointmaps[0]
+    points = np.array(first.points)
+    points[5, 9, 2] = -1.0
+    assert first.valid[5, 9]
+    recon = [first.with_points(points), *seq.recon_pointmaps[1:]]
+    save_sequence(bad, dataclasses.replace(seq, recon_pointmaps=recon))
+    out = tmp_path / "cameras.json"
+    assert main(["solve-camera", "--seq", str(bad), "--out", str(out)]) == 0
+    frame = json.loads(out.read_text())["frames"][0]
+    assert frame["rms_px"] < 1e-4 and frame["num_inliers"] == first.valid.sum() - 1
+
+
 def test_adapt_trace_and_meta(workdir):
     from worldtrack.seqio import load_sequence
 

@@ -6,11 +6,9 @@ from conftest import objective
 
 from worldtrack import camera, losses
 from worldtrack.camera import (
-    Correspondences2D3D,
     PoseEstimate,
     RansacConfig,
-    _apply_increment,
-    _gn_terms,
+    gauss_newton_refine,
     solve_cameras_for_video,
 )
 from worldtrack.errors import (
@@ -44,6 +42,13 @@ from worldtrack.losses import (
     _pose_stack,
     _recon_gradient,
     _stacks,
+)
+from worldtrack.oracle import (
+    SceneSpec,
+    corrupt,
+    generate_sequence,
+    make_depth_supervision,
+    projected_track_supervision,
 )
 
 FD_STEP = 1e-6
@@ -301,14 +306,6 @@ def test_total_loss_gradient_fd_frozen_poses():
     fd_check(recon, 1, g_rec)
 
 
-def live_inliers(estimates, rec_valid):
-    """The solve's inliers as a (T, P) weight on the recon stack, as live
-    adaptation lays them out."""
-    inliers = np.zeros_like(rec_valid)
-    inliers[rec_valid] = np.concatenate([e.inliers for e in estimates])
-    return inliers
-
-
 def live_objective(layout, trk, weights, K, grid, R0, t0, inliers):
     """The objective of live adaptation as a function of the recon stack:
     frame 1's camera takes one Gauss-Newton step from the fixed pose
@@ -316,9 +313,10 @@ def live_objective(layout, trk, weights, K, grid, R0, t0, inliers):
     gradients of ``_evaluate`` and the step's (increment, normal matrix)."""
 
     def evaluate(rec):
-        delta, normal = _gn_terms(R0[1], t0[1], rec[1], grid.flat(), K, inliers[1])[:2]
         R, t = R0.copy(), t0.copy()
-        R[1], t[1] = _apply_increment(delta, R0[1], t0[1])
+        R[1], t[1], delta, normal = gauss_newton_refine(
+            R0[1], t0[1], rec[1], grid.flat(), K, inliers[1]
+        )
         per_term, grads = _evaluate(layout, trk, rec, R, t)
         return LossBreakdown.combine(per_term, weights).total, grads, [(delta, normal)]
 
@@ -345,9 +343,9 @@ def test_total_loss_gradient_fd_through_pose():
     weights = LossWeights()
     # the step reads only the pose and inliers of the solved estimate
     _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=5))
-    trk, rec, _, rec_valid, layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)
-    R0, t0 = _pose_stack(estimates)
-    inliers = live_inliers(estimates, rec_valid)
+    trk, rec, _, _, layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)
+    R0, t0 = _pose_stack([e.pose for e in estimates])
+    inliers = np.stack([e.inliers for e in estimates])
     evaluate = live_objective(layout, trk, weights, K, grid, R0, t0, inliers)
 
     _, (_, g_rec, g_R, g_T), gn = evaluate(rec)
@@ -385,19 +383,19 @@ def test_live_recon_gradient_skips_ransac_outliers(monkeypatch):
     # the weight live adaptation hands the step for frame 1
     masks = []
 
-    def spy(R, t, X, pixels, K, mask):
-        masks.append(np.array(mask))
-        return _gn_terms(R, t, X, pixels, K, mask)
+    def spy(R, t, X, pixels, K, inliers):
+        masks.append(np.array(inliers))
+        return gauss_newton_refine(R, t, X, pixels, K, inliers)
 
-    monkeypatch.setattr(losses, "_gn_terms", spy)
+    monkeypatch.setattr(losses, "gauss_newton_refine", spy)
     tta_optimize(AdaptState(tracking, recon, freeze_recon=False, steps=1, seed=5), sup, mono)
     assert len(masks) == 2 and all(np.array_equal(m, kept) for m in masks)
 
     weights = LossWeights()
     _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=5))
-    trk, rec, _, rec_valid, layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)
+    trk, rec, _, _, layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)
     R0, t0 = _pose_stack([e.base_pose for e in estimates])
-    inliers = live_inliers(estimates, rec_valid)
+    inliers = np.stack([e.inliers for e in estimates])
     assert np.array_equal(inliers[1], kept)
     evaluate = live_objective(layout, trk, weights, K, grid, R0, t0, inliers)
 
@@ -730,6 +728,52 @@ def test_tta_frozen_reduces_loss_and_preserves_recon():
     assert after_err < before_err
 
 
+def test_tta_returns_the_points_of_its_last_evaluation():
+    """``steps`` updates, each followed by an evaluation: the last entry of
+    the trace is the objective of the returned tracking pointmaps under the
+    solve's poses, bit for bit."""
+    K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
+        num_frames=3, track_noise=0.05, seed=41
+    )
+    state = AdaptState(tracking, recon, freeze_recon=True, steps=7, seed=3)
+    out, trace = tta_optimize(state, sup, mono)
+    K_s, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=3))
+    final = objective(out.tracking_params, recon, [e.pose for e in estimates], K_s, sup, mono)[0]
+    assert len(trace) == 8 and trace[-1].total == final.total
+    assert np.array_equal(trace[-1].per_frame, final.per_frame)
+
+
+def test_live_step_zero_is_the_solved_step(monkeypatch):
+    """Live adaptation's first camera step, from the solve's base poses on
+    the recon stack weighted by the solve's per-pixel inliers, lands on the
+    solve's poses: an inlier mask misaligned with the stack would not."""
+    spec = SceneSpec("orbit-dynamic", width=64, height=48, num_frames=4, focal=80.0, seed=2)
+    seq = corrupt(generate_sequence(spec), noise=0.003, targets=("recon",), seed=3)
+    recon = list(seq.recon_pointmaps)
+    # valid pixels the solve rejects, beside the holes it never sees
+    points = np.array(recon[2].points)
+    rows, cols = np.nonzero(recon[2].valid)
+    points[rows[::40], cols[::40], :2] += 0.5
+    recon[2] = recon[2].with_points(points)
+    stepped = []
+
+    def recording(R, t, *args):
+        out = gauss_newton_refine(R, t, *args)
+        stepped.append(out[:2])
+        return out
+
+    monkeypatch.setattr(losses, "gauss_newton_refine", recording)
+    state = AdaptState(seq.tracking_pointmaps, recon, freeze_recon=False, steps=1, seed=4)
+    tta_optimize(state, projected_track_supervision(seq), make_depth_supervision(seq))
+    _, estimates = solve_cameras_for_video(recon, PixelGrid.create(64, 48), RansacConfig(seed=4))
+    valid = recon[2].valid.reshape(-1)
+    assert 0 < estimates[2].inliers.sum() < valid.sum() < valid.size
+    assert len(stepped) == 2 * (len(recon) - 1)
+    for (R, t), est in zip(stepped, estimates[1:]):
+        assert np.abs(R - est.pose.rotation).max() <= 1e-12
+        assert np.abs(t - est.pose.translation).max() <= 1e-12
+
+
 def test_tta_is_deterministic():
     K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
         num_frames=2, track_noise=0.05, seed=42
@@ -767,10 +811,15 @@ def test_tta_non_finite_stepped_pose_is_divergence(monkeypatch):
         num_frames=2, track_noise=0.05, recon_noise=0.02, seed=45
     )
 
-    def overflowed(delta, R, t):
-        return R * np.nan, t
+    solve = losses.solve_cameras_for_video
 
-    monkeypatch.setattr(losses, "_apply_increment", overflowed)
+    def solve_then_overflow(*args):
+        out = solve(*args)
+        # the live step overflows, not the solve's own
+        monkeypatch.setattr(camera, "_apply_increment", lambda delta, R, t: (R * np.nan, t))
+        return out
+
+    monkeypatch.setattr(losses, "solve_cameras_for_video", solve_then_overflow)
     state = AdaptState(tracking, recon, freeze_recon=False, steps=3)
     with pytest.raises(DivergenceDetected, match="step 0: stepped poses"):
         tta_optimize(state, sup, mono)
@@ -779,7 +828,7 @@ def test_tta_non_finite_stepped_pose_is_divergence(monkeypatch):
 def test_live_step_solves_one_normal_equation_per_frame(monkeypatch):
     """After the solve, each of the steps + 1 evaluations of live
     adaptation linearises every camera but frame 0's once, on the recon
-    stack, and builds no pose, estimate or correspondence set."""
+    stack, and builds no pose or estimate."""
     T, steps = 3, 2
     K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
         num_frames=T, track_noise=0.04, recon_noise=0.02, seed=44
@@ -805,12 +854,9 @@ def test_live_step_solves_one_normal_equation_per_frame(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(losses, "solve_cameras_for_video", counted_solve)
-    for module in (camera, losses):
-        monkeypatch.setattr(module, "_gn_terms", counted_gn_terms)
-    for cls in (PoseSE3, PoseEstimate, Correspondences2D3D):
+    monkeypatch.setattr(camera, "_gn_terms", counted_gn_terms)
+    for cls in (PoseSE3, PoseEstimate):
         monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
-    adopt = counted("Correspondences2D3D._adopt", Correspondences2D3D._adopt.__func__)
-    monkeypatch.setattr(Correspondences2D3D, "_adopt", classmethod(adopt))
 
     state = AdaptState(tracking, recon, freeze_recon=False, step_size=5e-3, steps=steps)
     _, trace = tta_optimize(state, sup, mono)

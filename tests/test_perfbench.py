@@ -82,4 +82,7 @@ def test_traced_adapt_operation_records_every_layer(tmp_path):
         op = make()
     assert op.item == "adapt" and op.errors == []
     assert {name: tracer.calls[name] for name in ADAPT_SPANS if not tracer.calls[name]} == {}
+    # one traced camera step per frame but the first: the solve's, then
+    # the live step of each of the steps + 1 evaluations
+    assert tracer.calls["camera.gn"] == (workload.frames - 1) * (workload.steps_per_op + 2)
     assert tracer.step_ms
