@@ -25,6 +25,8 @@ from .errors import (
 from .geometry import TrackSet, _freeze, stack_pointmaps
 
 THRESHOLDS = (0.1, 0.3, 0.5, 1.0)
+# ground-truth depths (m) a reconstruction pixel must lie within to be scored
+DEPTH_RANGE = (0.1, 5.0)
 ALIGNMENT_MODES = ("none", "median", "sim3")
 DEFAULT_WINDOW = 64
 
@@ -52,10 +54,10 @@ def _errors(pred: np.ndarray, gt: np.ndarray, out=None) -> tuple[np.ndarray, np.
     return d, _point_norms(d)
 
 
-def _apd(errs: np.ndarray, thresholds: tuple) -> tuple[float, tuple]:
+def _apd(errs: np.ndarray) -> tuple[float, tuple]:
     n = errs.shape[0]
-    fracs = tuple(int(np.count_nonzero(errs < t)) / n for t in thresholds)
-    return 100.0 * math.fsum(fracs) / len(thresholds), fracs
+    fracs = tuple(int(np.count_nonzero(errs < t)) / n for t in THRESHOLDS)
+    return 100.0 * math.fsum(fracs) / len(THRESHOLDS), fracs
 
 
 def _epe(errs: np.ndarray) -> float:
@@ -97,18 +99,14 @@ class MetricReport:
     scale: float | None
     fingerprint: str
 
-    def to_dict(self) -> dict:
-        return {
-            "subset": self.subset,
-            "alignment": self.alignment,
-            "window": list(self.window),
-            "num_pairs": self.num_pairs,
-            "apd": self.apd,
-            "per_threshold": list(self.per_threshold),
-            "epe": self.epe,
-            "scale": self.scale,
-            "fingerprint": self.fingerprint,
-        }
+
+def _pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    """``pred`` and ``gt`` as float64 arrays of one (N, 3) shape."""
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 3:
+        raise ShapeMismatch(f"point arrays must match as (N, 3), got {pred.shape}")
+    return pred, gt
 
 
 def median_scale_align(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, float]:
@@ -118,10 +116,7 @@ def median_scale_align(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, fl
     of a partition (the same element as sorting), so no averaging enters
     the arithmetic.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 3:
-        raise ShapeMismatch(f"point arrays must match as (N, 3), got {pred.shape}")
+    pred, gt = _pair(pred, gt)
     n = pred.shape[0]
     if n == 0:
         raise NoOverlap("no points to align")
@@ -138,10 +133,7 @@ def median_scale_align(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, fl
 
 def umeyama_sim3_align(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, Sim3]:
     """Least-squares similarity transform from predictions onto ground truth."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 3:
-        raise ShapeMismatch(f"point arrays must match as (N, 3), got {pred.shape}")
+    pred, gt = _pair(pred, gt)
     n = pred.shape[0]
     if n < 3:
         raise DegenerateCovariance(f"need at least 3 points, got {n}")
@@ -164,22 +156,18 @@ def umeyama_sim3_align(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, Si
     return sim.apply(pred), sim
 
 
-def apd_3d(
-    pred: np.ndarray, gt: np.ndarray, thresholds: tuple = THRESHOLDS
-) -> tuple[float, tuple]:
-    """Average percentage of points within distance thresholds.
+def apd_3d(pred: np.ndarray, gt: np.ndarray) -> tuple[float, tuple]:
+    """Average percentage of points within the distance ``THRESHOLDS``.
 
     Each threshold contributes the fraction of pairs with error strictly
     below it; the score is 100 times the mean fraction.
     """
-    _, errs = _errors(np.asarray(pred, float), np.asarray(gt, float))
-    return _apd(errs, thresholds)
+    return _apd(_errors(*_pair(pred, gt))[1])
 
 
 def epe(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean euclidean error over pairs."""
-    _, errs = _errors(np.asarray(pred, float), np.asarray(gt, float))
-    return _epe(errs)
+    return _epe(_errors(*_pair(pred, gt))[1])
 
 
 def _align(pred: np.ndarray, gt: np.ndarray, mode: str):
@@ -194,10 +182,10 @@ def _align(pred: np.ndarray, gt: np.ndarray, mode: str):
     raise ValueError(f"alignment must be one of {ALIGNMENT_MODES}, got {mode!r}")
 
 
-def _report(subset, alignment, window, d, errs, thresholds, scale):
+def _report(subset, alignment, window, d, errs, scale):
     """Score the differences ``d`` and their norms ``errs`` from ``_errors``;
     the fingerprint is the CRC of d's (N, 3) float64 bytes."""
-    apd, fracs = _apd(errs, thresholds)
+    apd, fracs = _apd(errs)
     return MetricReport(
         subset=subset,
         alignment=alignment,
@@ -215,7 +203,6 @@ def eval_tracking(
     pred: TrackSet,
     gt: TrackSet,
     alignment: str = "median",
-    thresholds: tuple = THRESHOLDS,
     window: int = DEFAULT_WINDOW,
     subsets: tuple | None = None,
 ) -> dict:
@@ -252,7 +239,7 @@ def eval_tracking(
     out = {}
     for name in subsets:
         if name == "all":
-            out[name] = _report(name, alignment, win, d, errs, thresholds, scale)
+            out[name] = _report(name, alignment, win, d, errs, scale)
         elif name == "dynamic":
             if gt.dynamic is None or not has_dynamic:
                 raise EmptyDynamicSubset("no dynamic tracks to score")
@@ -262,8 +249,7 @@ def eval_tracking(
                 raise EmptyDynamicSubset("no dynamic pairs in the window")
             # a subset's differences are the rows of the all-pairs ones
             out[name] = _report(
-                name, alignment, win, d.compress(sel, axis=0), errs.compress(sel),
-                thresholds, scale,
+                name, alignment, win, d.compress(sel, axis=0), errs.compress(sel), scale
             )
         else:
             raise ValueError(f"unknown subset {name!r}")
@@ -274,16 +260,14 @@ def eval_recon(
     pred_pms: list,
     gt_pms: list,
     alignment: str = "median",
-    thresholds: tuple = THRESHOLDS,
     window: int = DEFAULT_WINDOW,
     depth_maps: np.ndarray | None = None,
-    depth_range: tuple = (0.1, 5.0),
 ) -> MetricReport:
     """Score reconstruction pointmaps pooled over the evaluation window.
 
     Both are recon-branch videos on one grid. Pixels must be valid on both
     sides; when ground-truth depth maps (T, H, W) are given, pixels whose
-    depth falls outside ``depth_range`` are excluded.
+    depth falls outside ``DEPTH_RANGE`` are excluded.
     """
     pred, pred_valid = stack_pointmaps(pred_pms, "recon")
     gt, gt_valid = stack_pointmaps(gt_pms, "recon")
@@ -297,15 +281,13 @@ def eval_recon(
         d = np.asarray(depth_maps)
         if d.shape != gt_valid.shape:
             raise ShapeMismatch(f"depth maps {d.shape} vs video {gt_valid.shape}")
-        m &= (d[:end] >= depth_range[0]) & (d[:end] <= depth_range[1])
+        m &= (d[:end] >= DEPTH_RANGE[0]) & (d[:end] <= DEPTH_RANGE[1])
     if not m.any():
         raise NoOverlap("no comparable pixels in the evaluation window")
     # one flat gather per side: compress beats a (T, H, W) boolean index
     p, g = (x[:end].reshape(-1, 3).compress(m.reshape(-1), axis=0) for x in (pred, gt))
     aligned, scale = _align(p, g, alignment)
-    return _report(
-        "all", alignment, (0, end), *_errors(aligned, g, out=aligned), thresholds, scale
-    )
+    return _report("all", alignment, (0, end), *_errors(aligned, g, out=aligned), scale)
 
 
 def subsample_queries(num_queries: int, max_queries: int, seed: int = 0) -> np.ndarray:

@@ -39,7 +39,6 @@ here takes raw pixels (N, 2), points (3, N) and (R, t), as live adaptation
 holds them; only a returned estimate holds a validated ``PoseSE3``.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +64,6 @@ from .geometry import (
     so3_exp,
     stack_pointmaps,
 )
-
-log = logging.getLogger(__name__)
 
 WEISZFELD_FLOOR = 1e-8
 WEISZFELD_ITERATIONS = 10
@@ -184,6 +181,26 @@ def _nearest_rotations(M: np.ndarray):
     return U @ Vt, sing
 
 
+def _null_vectors(P: np.ndarray, norm_pix: np.ndarray, ok: np.ndarray):
+    """Unit solutions m (k, 3 q) of the stacked systems A m = 0 in which
+    each pair gives the rows [P, 0, -u P] and [0, P, -v P], for rows P
+    (k, n, q) and normalized pixels (u, v) (k, n, 2). A sample not in
+    ``ok`` or with a non-finite entry is solved as all zeros; the returned
+    mask also drops near-rank-deficient systems, which have no unique
+    solution worth decoding."""
+    k, n, q = P.shape
+    A = np.zeros((k, 2 * n, 3 * q))
+    A[:, :n, :q] = P
+    A[:, n:, q:2 * q] = P
+    A[:, :n, 2 * q:] = -norm_pix[:, :, :1] * P
+    A[:, n:, 2 * q:] = -norm_pix[:, :, 1:] * P
+    ok = ok & np.isfinite(A).all(axis=(1, 2))
+    A[~ok] = 0.0
+    _, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    ok &= sv[:, -2] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
+    return Vt[:, -1], ok
+
+
 def _dlt_poses(points: np.ndarray, norm_pix: np.ndarray):
     """DLT solver over a stack of samples on intrinsics-normalized pixels.
 
@@ -199,26 +216,11 @@ def _dlt_poses(points: np.ndarray, norm_pix: np.ndarray):
     spread = np.sqrt((D * D).sum(axis=1)).mean(axis=1)
     ok = spread >= 1e-9
     s = np.sqrt(3.0) / np.where(ok, spread, 1.0)
-    # with P = (s (X - centroid), 1), each pair gives the rows [P, 0, -u P]
-    # and [0, P, -v P] of the system A m = 0. The two halves of A are built
-    # without their zero columns, transposed so that each column is one
-    # contiguous row.
-    half = np.empty((k, 2, 8, n))
-    half[:, :, :3] = (D * s[:, None, None])[:, None]
-    half[:, :, 3] = 1.0
-    half[:, :, 4:] = -norm_pix.transpose(0, 2, 1)[:, :, None] * half[:, :, :4]
-    ok &= np.isfinite(half).all(axis=(1, 2, 3))
-    half[~ok] = 0.0
-    half = half.transpose(0, 1, 3, 2)
-    A = np.zeros((k, 2 * n, 12))
-    A[:, :n, 0:4] = half[:, 0, :, :4]
-    A[:, n:, 4:8] = half[:, 1, :, :4]
-    A[:, :n, 8:] = half[:, 0, :, 4:]
-    A[:, n:, 8:] = half[:, 1, :, 4:]
-    _, sv, Vt = np.linalg.svd(A, full_matrices=False)
-    # near-rank-deficient systems have no unique solution worth decoding
-    ok &= sv[:, -2] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
-    M = Vt[:, -1].reshape(k, 3, 4)
+    # rows P = (s (X - centroid), 1)
+    P = np.ones((k, n, 4))
+    P[:, :, :3] = (D * s[:, None, None]).transpose(0, 2, 1)
+    m, ok = _null_vectors(P, norm_pix, ok)
+    M = m.reshape(k, 3, 4)
     # undo the 3D normalization: M acts on s*(X - centroid)
     M3 = M[:, :, :3] * s[:, None, None]
     m4 = M[:, :, 3] - (M3 @ centroid[:, :, None])[:, :, 0]
@@ -261,17 +263,8 @@ def _plane_poses(points: np.ndarray, norm_pix: np.ndarray):
     P = np.ones((k, n, 3))
     P[:, :, :2] = plane * np.where(ok, s_p, 1.0)[:, None, None]
     x = dx * np.where(ok, s_x, 1.0)[:, None, None]
-    # each pair gives the rows [P, 0, -u P] and [0, P, -v P] of A h = 0
-    A = np.zeros((k, 2 * n, 9))
-    A[:, :n, 0:3] = P
-    A[:, n:, 3:6] = P
-    A[:, :n, 6:] = -x[:, :, :1] * P
-    A[:, n:, 6:] = -x[:, :, 1:] * P
-    ok &= np.isfinite(A).all(axis=(1, 2))
-    A[~ok] = 0.0
-    _, sv, Vt = np.linalg.svd(A, full_matrices=False)
-    ok &= sv[:, -2] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
-    Hn = Vt[:, -1].reshape(k, 3, 3)
+    h, ok = _null_vectors(P, x, ok)
+    Hn = h.reshape(k, 3, 3)
     # undo both normalizations: H = T_x^-1 Hn T_p
     Hm = Hn * np.where(ok, s_p, 1.0)[:, None, None]
     Hm[:, :, 2] = Hn[:, :, 2]

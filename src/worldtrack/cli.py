@@ -12,13 +12,15 @@ Exit codes: 0 success, 1 operation failure, 2 bad usage.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, camera
-from .bench import DEFAULT_WINDOW, eval_recon, eval_tracking, subsample_queries
+from .bench import (
+    ALIGNMENT_MODES, DEFAULT_WINDOW, eval_recon, eval_tracking, subsample_queries,
+)
 from .camera import RansacConfig, solve_cameras_for_video
 from .errors import WorldTrackError
 from .geometry import PixelGrid, TrackSet, assemble_trajectories
@@ -181,7 +183,7 @@ def cmd_eval(args) -> int:
         reports = eval_tracking(
             pred_tracks, gt_tracks, alignment=args.alignment, window=args.window
         )
-        payload["tracks"] = {k: v.to_dict() for k, v in reports.items()}
+        payload["tracks"] = {k: asdict(v) for k, v in reports.items()}
     if args.mode in ("recon", "both"):
         report = eval_recon(
             pred.recon_pointmaps,
@@ -190,7 +192,7 @@ def cmd_eval(args) -> int:
             window=args.window,
             depth_maps=gt.depth,
         )
-        payload["recon"] = report.to_dict()
+        payload["recon"] = asdict(report)
     _write_json(args.out, payload)
     if args.out != "-":
         print(f"wrote {args.out}")
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pred", required=True)
     s.add_argument("--gt", required=True)
     s.add_argument("--mode", choices=["tracks", "recon", "both"], default="both")
-    s.add_argument("--alignment", choices=["none", "median", "sim3"], default="median")
+    s.add_argument("--alignment", choices=ALIGNMENT_MODES, default="median")
     s.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
     s.add_argument("--max-queries", type=_count, default=0)
     s.add_argument("--seed", type=int, default=0)

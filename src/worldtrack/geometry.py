@@ -106,15 +106,6 @@ class Intrinsics:
         if not (self.focal > 0.0 and np.isfinite((self.focal, self.cx, self.cy)).all()):
             raise ValueError(f"intrinsics must be finite with a positive focal, got {self}")
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.focal, 0.0, self.cx],
-                [0.0, self.focal, self.cy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class PoseSE3:
@@ -297,11 +288,11 @@ def project_points(R: np.ndarray, t: np.ndarray, X: np.ndarray, valid=True):
     return xy, z, inv_z, visible
 
 
-def _pixels(K: Intrinsics, pose: PoseSE3, points: np.ndarray, valid=True):
+def _pixels(K: Intrinsics, pose: PoseSE3, points: np.ndarray):
     """Pixels (N, 2), depths (N,) and visible mask (N,) of world points
     (N, 3) in one camera; pixels are zero where not visible."""
     R, t = pose.rotation[None], pose.translation[None]
-    xy, z, _, visible = project_points(R, t, points.T, valid)
+    xy, z, _, visible = project_points(R, t, points.T)
     pix = K.focal * xy[0].T + [K.cx, K.cy]
     pix[~visible[0]] = 0.0
     return pix, z[0], visible[0]

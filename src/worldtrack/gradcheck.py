@@ -35,12 +35,13 @@ class CheckResult:
         return self.max_rel_err < self.tolerance
 
 
-def _worst_fd_error(value, args, grads, picks, step):
+def _worst_fd_error(value, args, grads, picks):
     """Worst relative error between the gradients ``grads`` of the scalar
-    ``value(*args)`` and its central differences at the flat entries
-    ``picks[i]`` of ``args[i]``. An entry far below its array's largest is
-    measured against 1e-4 of that largest: the differences' rounding error
-    scales with the values, not with the entry (an exact zero included)."""
+    ``value(*args)`` and its central differences, of step ``DEFAULT_STEP``,
+    at the flat entries ``picks[i]`` of ``args[i]``. An entry far below its
+    array's largest is measured against 1e-4 of that largest: the
+    differences' rounding error scales with the values, not with the entry
+    (an exact zero included)."""
     worst = 0.0
     for i, (grad, pick) in enumerate(zip(grads, picks)):
         floor = max(1e-4 * np.abs(grad).max(), 1e-12)
@@ -48,14 +49,14 @@ def _worst_fd_error(value, args, grads, picks, step):
             ends = []
             for sign in (1.0, -1.0):
                 moved = args[i].copy()
-                moved.flat[k] += sign * step
+                moved.flat[k] += sign * DEFAULT_STEP
                 ends.append(value(*args[:i], moved, *args[i + 1:]))
-            fd, exact = (ends[0] - ends[1]) / (2 * step), grad.flat[k]
+            fd, exact = (ends[0] - ends[1]) / (2 * DEFAULT_STEP), grad.flat[k]
             worst = max(worst, abs(fd - exact) / max(abs(fd), abs(exact), floor))
     return worst
 
 
-def _check_term(column, seed, trials, step, tol):
+def _check_term(column, seed, trials):
     """``_evaluate``'s gradients for the term in ``column`` of its (T, 3)
     per-frame terms (traj, depth, align) alone."""
     rng = np.random.default_rng(seed)
@@ -79,20 +80,20 @@ def _check_term(column, seed, trials, step, tol):
 
         grads = losses._evaluate(layout, *args)[1]
         picks = [rng.choice(a.size, 3, replace=False) for a in args]
-        worst = max(worst, _worst_fd_error(value, args, grads, picks, step))
-    return CheckResult(("traj_loss", "depth_loss", "align_loss")[column], worst, tol)
+        worst = max(worst, _worst_fd_error(value, args, grads, picks))
+    return CheckResult(("traj_loss", "depth_loss", "align_loss")[column], worst, DEFAULT_TOL)
 
 
-def check_traj_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
-    return _check_term(0, seed, trials, step, tol)
+def check_traj_gradient(seed=0, trials=4):
+    return _check_term(0, seed, trials)
 
 
-def check_depth_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
-    return _check_term(1, seed, trials, step, tol)
+def check_depth_gradient(seed=0, trials=4):
+    return _check_term(1, seed, trials)
 
 
-def check_align_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
-    return _check_term(2, seed, trials, step, tol)
+def check_align_gradient(seed=0, trials=4):
+    return _check_term(2, seed, trials)
 
 
 def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4):
@@ -116,7 +117,7 @@ def make_pnp_instance(rng, n=40, width=64, height=48, focal=80.0, max_angle=0.4)
     return K, pose, pix, world.T
 
 
-def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
+def check_pose_gradient(seed=0, trials=4):
     """``losses._recon_gradient``, the pull-back of live adaptation's camera
     step onto the recon stack, versus differences.
 
@@ -149,8 +150,8 @@ def check_pose_gradient(seed=0, trials=4, step=DEFAULT_STEP, tol=DEFAULT_TOL):
         )
         rows = rng.choice(np.flatnonzero(inliers[1]), 3, replace=False)
         picks = [(rec[0].size + np.arange(3)[:, None] * n + rows).ravel()]
-        worst = max(worst, _worst_fd_error(value, (rec,), (grad,), picks, step))
-    return CheckResult("live_pose_step", worst, tol)
+        worst = max(worst, _worst_fd_error(value, (rec,), (grad,), picks))
+    return CheckResult("live_pose_step", worst, DEFAULT_TOL)
 
 
 ALL_CHECKS = (

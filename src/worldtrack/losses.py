@@ -142,7 +142,6 @@ class LossBreakdown:
     align: float
     total: float
     per_frame: np.ndarray
-    weights: LossWeights
 
     @classmethod
     def combine(cls, per_term: np.ndarray, weights: LossWeights) -> "LossBreakdown":
@@ -158,7 +157,7 @@ class LossBreakdown:
                 + weights.align * per_term[:, 2],
             ]
         )
-        return cls(traj, depth, align, total, _freeze(rows), weights)
+        return cls(traj, depth, align, total, _freeze(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +304,6 @@ def traj_loss(
     gt_c = np.where(visible, (gt - c).T, 0.0)[None]
     loss, grad, dropped, checks = _traj_terms(dp, gt_c, np.hypot(*gt_c[0])[None], visible)
     _raise_first(checks, attach_frame=False)
-    if dropped[0]:
-        log.debug("traj_loss dropped %d near-center pairs", dropped[0])
     return float(loss[0]), grad[0].T, int(dropped[0])
 
 

@@ -20,6 +20,8 @@ Corruption (noise and drift) is applied separately so the clean sequence
 stays available as ground truth.
 """
 
+import math
+import numbers
 import zlib
 from dataclasses import dataclass, replace
 
@@ -68,12 +70,21 @@ class SceneSpec:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise UnknownPreset(f"{self.preset!r}; choose from {PRESETS}")
+        for name in ("width", "height", "num_frames", "seed", "num_beacons"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.width < MIN_GRID or self.height < MIN_GRID:
             raise ValueError(f"grid must be at least {MIN_GRID}x{MIN_GRID}")
         if self.num_frames < 1:
             raise ValueError("need at least one frame")
-        if self.focal <= 0:
-            raise ValueError("focal length must be positive")
+        try:
+            # NaN fails the comparison; an integer past the float range overflows
+            focal_ok = isinstance(self.focal, numbers.Real) and 0 < float(self.focal) < math.inf
+        except OverflowError:
+            focal_ok = False
+        if isinstance(self.focal, bool) or not focal_ok:
+            raise ValueError(f"focal length must be finite and positive, not {self.focal!r}")
         if self.num_beacons < 0:
             raise ValueError("beacon count must be non-negative")
 
@@ -163,13 +174,13 @@ def _planar_depth(spec: SceneSpec, grid: PixelGrid) -> np.ndarray:
     return d / denom
 
 
-def _make_body(rng, K, spec, depth_range=(1.8, 2.6), num_points=None):
+def _make_body(rng, K, spec, num_points=None):
     H, W = spec.height, spec.width
     if num_points is None:
         num_points = max(24, (H * W) // 30)
     cx = rng.uniform(0.25 * W, 0.75 * W)
     cy = rng.uniform(0.25 * H, 0.75 * H)
-    depth = rng.uniform(*depth_range)
+    depth = rng.uniform(1.8, 2.6)
     center = backproject(K, np.array([cx, cy]), np.array(depth))
     pts = center + rng.normal(0.0, 0.08, (num_points, 3))
     axis = rng.normal(size=3)

@@ -13,17 +13,22 @@ frames are views of it.
 
 A save checks both branches as videos, every array's shape against theirs
 and the float32 values it will write of the pointmaps, depth and tracks
-for finiteness, and valid points against the zero triple, before it
-writes anything; a load checks the same, and refuses a mask byte other
-than 0 or 1. Every file is written to a temporary name, synced and
-renamed into place, with the manifest last, so a crashed writer never
-leaves a directory that parses as complete. Each array file is written
+for finiteness, and valid points against the zero triple, and forms a
+manifest with no NaN or infinity, before it writes anything. A load checks
+the same, and refuses a mask byte other than 0 or 1, a ``meta`` that is
+not a JSON object, an array shape entry that is not a non-negative JSON
+integer, and a spec that ``SceneSpec`` refuses (such as a focal that is
+not finite and positive, or sizes, seed or beacon count that are not
+integers). Every file is written to a temporary name, synced and renamed
+into place, with the manifest last, so a crashed writer never leaves a
+directory that parses as complete. Each array file is written
 from the buffer of its cast array, the one the checks read, without a
 bytes copy. Writes are deterministic: the same sequence produces
 byte-identical files.
 """
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -50,24 +55,13 @@ def _write_atomic(path: Path, data):
     os.replace(tmp, path)
 
 
-def _put(arrays: dict, outdir: Path, name: str, data: np.ndarray, dtype: str):
-    cast = np.ascontiguousarray(data, dtype=dtype)
-    fname = f"{name}.raw"
-    # the cast array's own buffer, written without a bytes copy
-    _write_atomic(outdir / fname, cast)
-    arrays[name] = {
-        "file": fname,
-        "shape": list(cast.shape),
-        "dtype": dtype,
-    }
-
-
 def save_sequence(path, seq: RenderedSequence) -> None:
     """Write ``seq`` to the directory ``path``. Both branches are checked as
     videos, every array's shape against theirs and the float32 values of
     the bulk arrays for finiteness and valid points against the zero
-    triple, before any file is written: a sequence ``load_sequence`` would
-    refuse or read back with fewer valid pixels leaves no file."""
+    triple, and the manifest is formed, with no NaN or infinity in it,
+    before any file is written: a sequence ``load_sequence`` would refuse
+    or read back with fewer valid pixels leaves no file."""
     tracking, tracking_valid = stack_pointmaps(seq.tracking_pointmaps, "tracking")
     recon, recon_valid = stack_pointmaps(seq.recon_pointmaps, "recon")
     T, H, W, _ = tracking.shape
@@ -103,21 +97,21 @@ def save_sequence(path, seq: RenderedSequence) -> None:
         zero = valid & (cast[..., 0] == 0)
         if zero.any() and (zero & (cast[..., 1] == 0) & (cast[..., 2] == 0)).any():
             raise ValueError(f"{name} has a valid point that float32 stores as (0, 0, 0)")
-    outdir = Path(path)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    arrays: dict = {}
-    for name, cast in bulk.items():
-        _put(arrays, outdir, name, cast, "<f4")
-    _put(arrays, outdir, "visibility", seq.tracks2d.visibility, "|u1")
-    _put(arrays, outdir, "dynamic_mask", seq.dynamic_mask, "|u1")
     K = seq.intrinsics
-    _put(arrays, outdir, "intrinsics", np.array([K.focal, K.cx, K.cy]), "<f8")
     cams = np.stack(
         [np.concatenate([c.rotation, c.translation[:, None]], axis=1) for c in seq.cameras]
     )
-    _put(arrays, outdir, "cameras", cams, "<f8")
-
+    casts = {
+        **bulk,
+        "visibility": np.ascontiguousarray(seq.tracks2d.visibility, dtype="|u1"),
+        "dynamic_mask": np.ascontiguousarray(seq.dynamic_mask, dtype="|u1"),
+        "intrinsics": np.array([K.focal, K.cx, K.cy], dtype="<f8"),
+        "cameras": np.ascontiguousarray(cams, dtype="<f8"),
+    }
+    arrays = {
+        name: {"file": f"{name}.raw", "shape": list(cast.shape), "dtype": cast.dtype.str}
+        for name, cast in casts.items()
+    }
     manifest = {
         "format": FORMAT_TAG,
         "width": W,
@@ -135,29 +129,39 @@ def save_sequence(path, seq: RenderedSequence) -> None:
         "meta": seq.meta,
         "arrays": arrays,
     }
-    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    outdir = Path(path)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, cast in casts.items():
+        # the cast array's own buffer, written without a bytes copy
+        _write_atomic(outdir / arrays[name]["file"], cast)
     _write_atomic(outdir / MANIFEST_NAME, payload.encode())
 
 
 def _get(indir: Path, arrays: dict, name: str, expect: tuple, stored: str) -> np.ndarray:
     """The manifest's array ``name``, of shape ``expect`` (None matches any
     length) and dtype ``stored``, the one ``save_sequence`` writes; its
-    entry is checked before the read."""
+    entry is checked before the read. Entries are taken as written, not
+    converted: the dtype is the string ``stored`` and the shape a list of
+    non-negative JSON integers (no bool, float or string)."""
     try:
         entry = arrays[name]
-        fname, dtype = entry["file"], np.dtype(entry["dtype"])
-        shape = tuple(int(n) for n in entry["shape"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{indir}: manifest entry {name!r} is missing or malformed") from None
-    if dtype.str != stored:
-        raise ValueError(f"{indir}: entry {name!r} has dtype {dtype.str}, not {stored}")
+        fname, dtype, shape = entry["file"], entry["dtype"], entry["shape"]
+    except (KeyError, TypeError):
+        shape = None
+    if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+        raise ValueError(f"{indir}: manifest entry {name!r} is missing or malformed")
+    shape = tuple(shape)
+    if dtype != stored:
+        raise ValueError(f"{indir}: entry {name!r} has dtype {dtype}, not {stored}")
+    dtype = np.dtype(stored)
     if len(shape) != len(expect) or any(e not in (None, n) for e, n in zip(expect, shape)):
         want = ", ".join("N" if e is None else str(e) for e in expect)
         raise ValueError(f"{indir}: entry {name!r} has shape {list(shape)}, not [{want}]")
     if not isinstance(fname, str) or fname in ("", ".", "..") or Path(fname).name != fname:
         raise ValueError(f"{indir}: entry {name!r} names {fname!r}, not a file in the directory")
     raw = (indir / fname).read_bytes()
-    size = dtype.itemsize * int(np.prod(shape))
+    size = dtype.itemsize * math.prod(shape)
     if len(raw) != size:
         raise ValueError(
             f"{indir / fname}: {len(raw)} bytes, {dtype.str} {list(shape)} needs {size}"
@@ -194,6 +198,9 @@ def load_sequence(path) -> RenderedSequence:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"{mpath}: {key} must be a positive integer, not {value!r}")
     spec = _scene_spec(mpath, manifest["spec"])
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{mpath}: meta must be an object, not {meta!r}")
     for key in ("width", "height", "num_frames"):
         value = getattr(spec, key)
         if value != manifest[key]:
@@ -254,5 +261,5 @@ def load_sequence(path) -> RenderedSequence:
         tracks2d=TrackSet(tracks2d, visibility, dynamic),
         tracks3d=TrackSet(tracks3d, visibility, dynamic),
         dynamic_mask=dynamic_mask,
-        meta=manifest.get("meta", {}),
+        meta=meta,
     )

@@ -1,6 +1,10 @@
 """Shared builders for synthetic test instances."""
 
+import tempfile
+
 import numpy as np
+import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.spatial.transform import Rotation
 
 from worldtrack.geometry import PoseSE3, skew, so3_exp
@@ -8,6 +12,22 @@ from worldtrack.gradcheck import make_pnp_instance  # noqa: F401  (shared with t
 from worldtrack.losses import (
     LossBreakdown, LossWeights, _evaluate, _objective, _pose_stack, _stacks,
 )
+
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    """Hypothesis writes caches (the properties keep no example database)
+    under its home directory, ``.hypothesis/`` in the working directory
+    unless set; it fills them while collecting, so the home is set here, to
+    a temporary directory removed when the session ends."""
+    home = config.stash[_HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 def objective(tracking, recon, poses, K, sup, mono, weights=LossWeights()):

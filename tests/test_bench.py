@@ -440,3 +440,14 @@ def test_shape_checks():
     p2d = TrackSet(rng.normal(size=(4, 3, 2)), np.ones((4, 3), bool))
     with pytest.raises(ShapeMismatch):
         eval_tracking(p2d, p2d)
+
+
+@pytest.mark.parametrize("fn", [apd_3d, epe, median_scale_align, umeyama_sim3_align])
+@pytest.mark.parametrize(
+    "pred, gt",
+    [(np.zeros((5, 3)), np.zeros((1, 3))), (np.ones((4, 2)), np.ones((4, 2)))],
+    ids=["broadcastable", "2d"],
+)
+def test_every_pair_function_checks_its_pair(fn, pred, gt):
+    with pytest.raises(ShapeMismatch, match=re.escape("point arrays must match as (N, 3)")):
+        fn(pred, gt)

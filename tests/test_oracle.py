@@ -385,3 +385,29 @@ def test_render_matches_sort_based_zbuffer(preset, monkeypatch):
     np.testing.assert_array_equal(fast.depth, slow.depth)
     np.testing.assert_array_equal(fast.dynamic_mask, slow.dynamic_mask)
     assert fast.meta == slow.meta
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("focal", float("nan"), "focal length must be finite and positive"),
+        ("focal", float("inf"), "focal length must be finite and positive"),
+        ("focal", 10**400, "focal length must be finite and positive"),
+        ("focal", True, "focal length must be finite and positive"),
+        ("focal", "80", "focal length must be finite and positive"),
+        ("width", 64.0, "width must be an integer, not 64.0"),
+        ("num_frames", True, "num_frames must be an integer, not True"),
+        ("seed", "x", "seed must be an integer, not 'x'"),
+        ("num_beacons", 2.5, "num_beacons must be an integer, not 2.5"),
+    ],
+    ids=["focal-nan", "focal-inf", "focal-huge-int", "focal-bool", "focal-string",
+         "width-float", "frames-bool", "seed-string", "beacons-float"],
+)
+def test_scene_spec_refuses_non_finite_focal_and_non_integer_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SceneSpec("orbit-dynamic", **{field: value})
+
+
+def test_scene_spec_takes_numpy_scalars():
+    spec = SceneSpec("orbit-dynamic", width=np.int64(16), seed=np.int32(3), focal=np.float32(20))
+    assert spec.width == 16 and spec.seed == 3 and spec.focal == 20

@@ -420,3 +420,77 @@ def test_mask_byte_other_than_0_or_1_names_file(tmp_path, seq, capsys, name, sha
     assert main(args + ["--out", str(report)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not report.exists()
+
+
+def _cli_refuses(tmp_path, capsys, seq_dir, message):
+    """``adapt``, ``eval`` and ``solve-camera`` on ``seq_dir`` each exit 1
+    with one ``error:`` line holding ``message`` and write nothing."""
+    from worldtrack.cli import main
+
+    for argv in (
+        ["adapt", "--seq", str(seq_dir), "--out", str(tmp_path / "adapted"), "--steps", "1"],
+        ["eval", "--pred", str(seq_dir), "--gt", str(seq_dir), "--out", str(tmp_path / "e")],
+        ["solve-camera", "--seq", str(seq_dir), "--out", str(tmp_path / "c")],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), argv
+        assert message in captured.err and captured.err.count("\n") == 1, argv
+    assert not any((tmp_path / name).exists() for name in ("adapted", "e", "c"))
+
+
+@pytest.mark.parametrize("meta", [5, [1, 2], None], ids=["number", "list", "null"])
+def test_meta_must_be_an_object(tmp_path, seq, capsys, meta):
+    save_sequence(tmp_path / "s", seq)
+    _edit_top(tmp_path / "s", "meta", meta)
+    message = f"manifest.json: meta must be an object, not {meta!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_sequence(tmp_path / "s")
+    _cli_refuses(tmp_path, capsys, tmp_path / "s", message)
+
+
+@pytest.mark.parametrize(
+    "literal", ["1e400", "5.0", '"5"', "true", "-5"],
+    ids=["json-inf", "float", "string", "bool", "negative"],
+)
+def test_array_shape_entries_must_be_json_integers(tmp_path, seq, capsys, literal):
+    save_sequence(tmp_path / "s", seq)
+    mpath = tmp_path / "s" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["arrays"]["depth"]["shape"][0] = "@"
+    # the literal as written: JSON reads 1e400 as inf
+    mpath.write_text(json.dumps(manifest).replace('"@"', literal))
+    message = "manifest entry 'depth' is missing or malformed"
+    with pytest.raises(ValueError, match=message):
+        load_sequence(tmp_path / "s")
+    _cli_refuses(tmp_path, capsys, tmp_path / "s", message)
+
+
+@pytest.mark.parametrize(
+    "key, literal, message",
+    [
+        ("focal", "NaN", "focal length must be finite and positive, not nan"),
+        ("focal", "Infinity", "focal length must be finite and positive, not inf"),
+        ("seed", '"x"', "seed must be an integer, not 'x'"),
+        ("num_beacons", "2.5", "num_beacons must be an integer, not 2.5"),
+    ],
+    ids=["focal-nan", "focal-inf", "seed-string", "beacons-float"],
+)
+def test_manifest_spec_fields_must_be_finite_and_integral(
+    tmp_path, seq, capsys, key, literal, message
+):
+    save_sequence(tmp_path / "s", seq)
+    mpath = tmp_path / "s" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["spec"][key] = "@"
+    mpath.write_text(json.dumps(manifest).replace('"@"', literal))
+    with pytest.raises(ValueError, match=re.escape(f"manifest.json: bad spec: {message}")):
+        load_sequence(tmp_path / "s")
+    _cli_refuses(tmp_path, capsys, tmp_path / "s", f"bad spec: {message}")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_save_refuses_a_manifest_json_cannot_hold_before_writing(tmp_path, seq, value):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        save_sequence(tmp_path / "s", replace(seq, meta={**seq.meta, "x": value}))
+    assert list(tmp_path.iterdir()) == []
