@@ -24,6 +24,13 @@ from .camera import (
     estimate_focal_weiszfeld,
     solve_cameras_for_video,
 )
+from .data import (
+    PRESETS,
+    DepthSupervision,
+    RenderedSequence,
+    SceneSpec,
+    TrackSupervision,
+)
 from .errors import WorldTrackError
 from .geometry import (
     Intrinsics,
@@ -37,18 +44,13 @@ from .geometry import (
 )
 from .losses import (
     AdaptState,
-    DepthSupervision,
     LossBreakdown,
     LossWeights,
-    TrackSupervision,
     depth_loss,
     traj_loss,
     tta_optimize,
 )
 from .oracle import (
-    PRESETS,
-    RenderedSequence,
-    SceneSpec,
     corrupt,
     generate_sequence,
     make_depth_supervision,

@@ -22,14 +22,12 @@ from .bench import (
     ALIGNMENT_MODES, DEFAULT_WINDOW, eval_recon, eval_tracking, subsample_queries,
 )
 from .camera import RansacConfig, solve_cameras_for_video
+from .data import MIN_GRID, PRESETS, SceneSpec
 from .errors import WorldTrackError
 from .geometry import PixelGrid, TrackSet, assemble_trajectories
 from .gradcheck import run_all
 from .losses import AdaptState, LossWeights, tta_optimize
 from .oracle import (
-    MIN_GRID,
-    PRESETS,
-    SceneSpec,
     corrupt,
     generate_sequence,
     make_depth_supervision,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, oracle
+from .data import SceneSpec
 from .geometry import Intrinsics, PoseSE3, backproject, so3_exp
 
 DEFAULT_STEP = 1e-6
@@ -65,8 +66,8 @@ def _check_term(column, seed, trials):
     for _ in range(trials):
         # orbit-dynamic at 8x8x3, focal 10, both branches corrupted: every
         # term has residuals at the true poses
-        spec = oracle.SceneSpec("orbit-dynamic", width=8, height=8, num_frames=3,
-                                focal=10.0, seed=int(rng.integers(1 << 30)))
+        spec = SceneSpec("orbit-dynamic", width=8, height=8, num_frames=3,
+                         focal=10.0, seed=int(rng.integers(1 << 30)))
         seq = oracle.corrupt(oracle.generate_sequence(spec), noise=0.05, drift=0.01,
                              targets=("tracking", "recon"), seed=int(rng.integers(1 << 30)))
         trk, rec, _, _, layout = losses._objective(

@@ -7,7 +7,9 @@ closed-form scale), and 3D agreement between the tracking and
 reconstruction branches at corresponding pixels. All losses return their
 analytic gradients; nothing here relies on autodiff. The multi-frame
 objective evaluates every frame in one pass over stacked point arrays, and
-the single-frame losses call the same kernels with one frame.
+the single-frame losses call the same kernels with one frame. The
+supervision it reads, ``TrackSupervision`` and ``DepthSupervision``, is
+defined in ``data``.
 """
 
 import logging
@@ -22,12 +24,14 @@ from .camera import (
     gauss_newton_refine,
     solve_cameras_for_video,
 )
+from .data import DepthSupervision, TrackSupervision
 from .errors import (
     AllOccluded,
     DegenerateRadius,
     DivergenceDetected,
     NonPositiveProjectedDepth,
     NoOverlap,
+    QueryOutOfBounds,
     ShapeMismatch,
 )
 from .geometry import (
@@ -48,74 +52,6 @@ log = logging.getLogger(__name__)
 RADIUS_FLOOR = 1e-8
 # adaptation stops once a step's total exceeds this multiple of the first
 DIVERGENCE_FACTOR = 10.0
-
-
-# ---------------------------------------------------------------------------
-# supervision containers
-
-
-@dataclass(frozen=True)
-class TrackSupervision:
-    """Pseudo ground-truth 2D tracks for a set of anchor-frame queries.
-
-    query_pixels: (N, 2) anchor pixel coordinates.
-    tracks2d: (N, T, 2) tracked pixel positions.
-    visibility: (N, T) bool; every query is visible at t=0.
-    correspondence: (N, T) int64 flat pixel index into frame t's grid for
-        pairs usable by the 3D alignment term, -1 where no pair exists.
-    """
-
-    query_pixels: np.ndarray
-    tracks2d: np.ndarray
-    visibility: np.ndarray
-    correspondence: np.ndarray
-
-    def __post_init__(self):
-        q = np.array(self.query_pixels, dtype=np.float64)
-        t2 = np.array(self.tracks2d, dtype=np.float64)
-        vis = np.array(self.visibility, dtype=bool)
-        corr = np.array(self.correspondence, dtype=np.int64)
-        n = q.shape[0]
-        if q.ndim != 2 or q.shape[1] != 2:
-            raise ShapeMismatch(f"query_pixels must be (N, 2), got {q.shape}")
-        if t2.ndim != 3 or t2.shape[0] != n or t2.shape[2] != 2:
-            raise ShapeMismatch(f"tracks2d must be (N, T, 2), got {t2.shape}")
-        if vis.shape != t2.shape[:2] or corr.shape != t2.shape[:2]:
-            raise ShapeMismatch("visibility/correspondence must be (N, T)")
-        if n and not vis[:, 0].all():
-            raise ValueError("every query must be visible at t=0")
-        if (corr < -1).any():
-            raise ValueError("correspondence entries must be >= -1")
-        object.__setattr__(self, "query_pixels", _freeze(q))
-        object.__setattr__(self, "tracks2d", _freeze(t2))
-        object.__setattr__(self, "visibility", _freeze(vis))
-        object.__setattr__(self, "correspondence", _freeze(corr))
-
-    @property
-    def num_queries(self) -> int:
-        return self.query_pixels.shape[0]
-
-    @property
-    def num_frames(self) -> int:
-        return self.tracks2d.shape[1]
-
-
-@dataclass(frozen=True)
-class DepthSupervision:
-    """Per-frame monocular depth maps with a validity mask."""
-
-    depth: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        d = np.array(self.depth, dtype=np.float64)
-        v = np.array(self.valid, dtype=bool)
-        if d.ndim != 3 or v.shape != d.shape:
-            raise ShapeMismatch(f"depth must be (T, H, W) with matching mask, got {d.shape}")
-        if not np.isfinite(d[v]).all():
-            raise ValueError("valid depth entries must be finite")
-        object.__setattr__(self, "depth", _freeze(d))
-        object.__setattr__(self, "valid", _freeze(v))
 
 
 @dataclass(frozen=True)
@@ -387,6 +323,13 @@ def _objective(stacks, K, sup, mono, weights):
 
     rows, cols = queries_to_indices(sup.query_pixels, W, H)
     qflat = rows * W + cols
+    off_grid = sup.correspondence >= H * W
+    if off_grid.any():
+        j = int(np.argmax(off_grid.any(axis=0)))
+        i = int(np.argmax(off_grid[:, j]))
+        raise QueryOutOfBounds(
+            f"query {i}: correspondence {sup.correspondence[i, j]} outside {W}x{H} grid"
+        ).with_frame(j)
     query_ok = sup.visibility.T & trk_valid[:, qflat]
     center = np.array([[W / 2.0], [H / 2.0]])
     gt_c = np.where(query_ok[:, None], sup.tracks2d.transpose(1, 2, 0) - center, 0.0)

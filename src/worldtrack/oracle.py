@@ -18,16 +18,18 @@ pixels' owners in raster order.
 
 Corruption (noise and drift) is applied separately so the clean sequence
 stays available as ground truth.
+
+The types built here, ``SceneSpec``, ``RenderedSequence`` and the two
+supervision containers, are defined in ``data``.
 """
 
-import math
-import numbers
 import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyRaster, UnknownPreset
+from .data import DepthSupervision, RenderedSequence, SceneSpec, TrackSupervision
+from .errors import EmptyRaster
 from .geometry import (
     DEPTH_EPS,
     Intrinsics,
@@ -41,52 +43,10 @@ from .geometry import (
     stack_pointmaps,
     video_pointmaps,
 )
-from .losses import DepthSupervision, TrackSupervision
 
-PRESETS = (
-    "orbit-dynamic",
-    "static-camera",
-    "dynamic-camera-static-scene",
-    "degenerate-planar",
-)
-
-# the smallest image side a scene can be rendered at, in pixels
-MIN_GRID = 8
 STATIC_ID = -1
 BEACON_CLEARANCE = 0.1
 BEACON_DEPTH_RANGE = (0.55, 0.75)
-
-
-@dataclass(frozen=True)
-class SceneSpec:
-    preset: str
-    width: int = 64
-    height: int = 48
-    num_frames: int = 24
-    focal: float = 80.0
-    seed: int = 0
-    num_beacons: int = 10
-
-    def __post_init__(self):
-        if self.preset not in PRESETS:
-            raise UnknownPreset(f"{self.preset!r}; choose from {PRESETS}")
-        for name in ("width", "height", "num_frames", "seed", "num_beacons"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.width < MIN_GRID or self.height < MIN_GRID:
-            raise ValueError(f"grid must be at least {MIN_GRID}x{MIN_GRID}")
-        if self.num_frames < 1:
-            raise ValueError("need at least one frame")
-        try:
-            # NaN fails the comparison; an integer past the float range overflows
-            focal_ok = isinstance(self.focal, numbers.Real) and 0 < float(self.focal) < math.inf
-        except OverflowError:
-            focal_ok = False
-        if isinstance(self.focal, bool) or not focal_ok:
-            raise ValueError(f"focal length must be finite and positive, not {self.focal!r}")
-        if self.num_beacons < 0:
-            raise ValueError("beacon count must be non-negative")
 
 
 @dataclass
@@ -106,24 +66,6 @@ class Scene:
     bodies: list
     static_scatter: np.ndarray
     beacon_tracks: np.ndarray  # (num_beacons, T, 3) prescribed world positions
-
-
-@dataclass
-class RenderedSequence:
-    spec: SceneSpec
-    intrinsics: Intrinsics
-    cameras: list
-    tracking_pointmaps: list
-    recon_pointmaps: list
-    depth: np.ndarray
-    tracks2d: TrackSet
-    tracks3d: TrackSet
-    dynamic_mask: np.ndarray
-    meta: dict
-
-    @property
-    def num_frames(self) -> int:
-        return len(self.cameras)
 
 
 def _preset_rng(spec: SceneSpec) -> np.random.Generator:

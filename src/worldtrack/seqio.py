@@ -1,10 +1,10 @@
 """Directory-based sequence files: a JSON manifest plus raw arrays.
 
-Layout: one directory per sequence holding ``manifest.json`` and one
-``.raw`` file per array. Bulk arrays (pointmaps, depth, tracks) are
-little-endian float32, row major; masks are single bytes; cameras and
-intrinsics are float64 so poses survive a round trip without losing the
-rotation orthonormality contract. Invalid pointmap pixels are stored as
+Layout: one directory per ``data.RenderedSequence`` holding
+``manifest.json`` and one ``.raw`` file per array. Bulk arrays (pointmaps,
+depth, tracks) are little-endian float32, row major; masks are single
+bytes; cameras and intrinsics are float64 so poses survive a round trip
+without losing the rotation orthonormality contract. Invalid pointmap pixels are stored as
 the exact zero triple. Rendered points never collide with it, because
 they come from rays through half-integer pixel centers; a save refuses
 any valid point that would. Each pointmap file loads as one video
@@ -17,7 +17,7 @@ for finiteness, and valid points against the zero triple, and forms a
 manifest with no NaN or infinity, before it writes anything. A load checks
 the same, and refuses a mask byte other than 0 or 1, a ``meta`` that is
 not a JSON object, an array shape entry that is not a non-negative JSON
-integer, and a spec that ``SceneSpec`` refuses (such as a focal that is
+integer, and a spec that ``data.SceneSpec`` refuses (such as a focal that is
 not finite and positive, or sizes, seed or beacon count that are not
 integers). Every file is written to a temporary name, synced and renamed
 into place, with the manifest last, so a crashed writer never leaves a
@@ -34,11 +34,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import RenderedSequence, SceneSpec
 from .errors import ShapeMismatch, UnknownPreset
 from .geometry import (
     Intrinsics, PoseSE3, TrackSet, _pixel_cells, stack_pointmaps, video_pointmaps,
 )
-from .oracle import RenderedSequence, SceneSpec
 
 FORMAT_TAG = "worldtrack-seq/1"
 MANIFEST_NAME = "manifest.json"

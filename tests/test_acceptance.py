@@ -25,6 +25,7 @@ from worldtrack.bench import (
 )
 from worldtrack.camera import RansacConfig, solve_cameras_for_video
 from worldtrack.cli import main as cli_main
+from worldtrack.data import PRESETS, SceneSpec
 from worldtrack.geometry import (
     PixelGrid,
     Pointmap,
@@ -40,8 +41,6 @@ from worldtrack.gradcheck import (
 )
 from worldtrack.losses import AdaptState, depth_loss, traj_loss, tta_optimize
 from worldtrack.oracle import (
-    PRESETS,
-    SceneSpec,
     corrupt,
     generate_sequence,
     make_depth_supervision,

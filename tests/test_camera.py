@@ -23,6 +23,7 @@ from worldtrack.camera import (
     solve_cameras_for_video,
     solve_pnp_ransac,
 )
+from worldtrack.data import PRESETS, SceneSpec
 from worldtrack.errors import (
     BranchContractViolation,
     DegenerateGeometry,
@@ -39,7 +40,7 @@ from worldtrack.geometry import (
     backproject,
     so3_exp,
 )
-from worldtrack.oracle import PRESETS, SceneSpec, corrupt, generate_sequence
+from worldtrack.oracle import corrupt, generate_sequence
 
 
 def plane_pointmap(focal, width=32, height=24, z=2.0, tilt=(0.0, 0.0)):

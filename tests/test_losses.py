@@ -11,6 +11,7 @@ from worldtrack.camera import (
     gauss_newton_refine,
     solve_cameras_for_video,
 )
+from worldtrack.data import DepthSupervision, SceneSpec, TrackSupervision
 from worldtrack.errors import (
     AllOccluded,
     BranchContractViolation,
@@ -18,6 +19,7 @@ from worldtrack.errors import (
     DivergenceDetected,
     NonPositiveProjectedDepth,
     NoOverlap,
+    QueryOutOfBounds,
     ShapeMismatch,
 )
 from worldtrack.geometry import (
@@ -30,10 +32,8 @@ from worldtrack.geometry import (
 )
 from worldtrack.losses import (
     AdaptState,
-    DepthSupervision,
     LossBreakdown,
     LossWeights,
-    TrackSupervision,
     depth_loss,
     tta_optimize,
     traj_loss,
@@ -44,7 +44,6 @@ from worldtrack.losses import (
     _stacks,
 )
 from worldtrack.oracle import (
-    SceneSpec,
     corrupt,
     generate_sequence,
     make_depth_supervision,
@@ -644,6 +643,45 @@ def test_track_supervision_validation():
         TrackSupervision(q, t2, vis, corr - 5)
     with pytest.raises(ShapeMismatch):
         TrackSupervision(q, t2[:, :, :1], vis, corr)
+    with pytest.raises(ValueError, match="query pixels must be finite"):
+        TrackSupervision(q + [np.nan, 0.0], t2, vis, corr)
+
+
+def orbit_inputs():
+    """A 16x12x3 orbit with a noisy tracking branch: its adaptation state
+    and projected supervision, the supervision's arrays as writable copies."""
+    spec = SceneSpec("orbit-dynamic", width=16, height=12, num_frames=3, seed=1)
+    seq = corrupt(generate_sequence(spec), noise=0.05, seed=2)
+    sup = projected_track_supervision(seq)
+    state = AdaptState(seq.tracking_pointmaps, seq.recon_pointmaps, steps=2)
+    arrays = [np.array(a) for a in (sup.query_pixels, sup.tracks2d, sup.visibility,
+                                    sup.correspondence)]
+    return state, arrays, make_depth_supervision(seq)
+
+
+def test_track_supervision_refuses_a_nan_at_a_visible_track_entry():
+    # once accepted, this NaN surfaced in tta_optimize as a non-finite total
+    _, (q, t2, vis, corr), _ = orbit_inputs()
+    assert vis[32, 1]
+    t2[32, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="visible track entries must be finite"):
+        TrackSupervision(q, t2, vis, corr)
+
+
+def test_track_supervision_accepts_a_nan_at_an_invisible_track_entry():
+    state, (q, t2, vis, corr), mono = orbit_inputs()
+    assert not vis[5, 1]
+    t2[5, 1] = np.nan
+    _, trace = tta_optimize(state, TrackSupervision(q, t2, vis, corr), mono)
+    assert all(np.isfinite(b.total) for b in trace)
+
+
+def test_objective_refuses_a_correspondence_off_the_grid():
+    state, (q, t2, vis, corr), mono = orbit_inputs()
+    corr[5, 1] = 16 * 12
+    with pytest.raises(QueryOutOfBounds, match="^frame 1: query 5: correspondence 192 ") as info:
+        tta_optimize(state, TrackSupervision(q, t2, vis, corr), mono)
+    assert info.value.frame == 1
 
 
 def test_breakdown_weighting_invariant():

@@ -9,6 +9,7 @@ from conftest import objective
 
 from worldtrack import oracle
 from worldtrack.camera import RansacConfig, solve_cameras_for_video
+from worldtrack.data import PRESETS, SceneSpec, TrackSupervision
 from worldtrack.errors import EmptyRaster, UnknownPreset
 from worldtrack.geometry import (
     DEPTH_EPS,
@@ -19,11 +20,8 @@ from worldtrack.geometry import (
     _pixels,
     stack_pointmaps,
 )
-from worldtrack.losses import TrackSupervision
 from worldtrack.oracle import (
-    PRESETS,
     Scene,
-    SceneSpec,
     corrupt,
     generate_scene,
     generate_sequence,

@@ -1,5 +1,6 @@
-"""Hypothesis properties: seqio round trips, fuzzed manifests, and the
-similarity invariance of the sim3-aligned tracking metrics.
+"""Hypothesis properties: seqio round trips, fuzzed manifests, the
+similarity invariance of the sim3-aligned tracking metrics, and the
+equivariance of pose recovery under a change of world frame.
 
 Every property runs derandomized and without an example database, and
 ``conftest.py`` points Hypothesis' caches at a temporary directory, so a
@@ -17,9 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from worldtrack.bench import eval_tracking
+from worldtrack.camera import RansacConfig, solve_pnp_ransac
+from worldtrack.data import PRESETS, SceneSpec
 from worldtrack.errors import WorldTrackError
-from worldtrack.geometry import TrackSet, so3_exp
-from worldtrack.oracle import PRESETS, SceneSpec, corrupt, generate_sequence
+from worldtrack.geometry import PoseSE3, TrackSet, so3_exp
+from worldtrack.gradcheck import make_pnp_instance
+from worldtrack.oracle import corrupt, generate_sequence
 from worldtrack.seqio import MANIFEST_NAME, load_sequence, save_sequence
 
 
@@ -158,3 +162,26 @@ def test_sim3_tracking_scores_ignore_a_similarity_of_the_prediction(seed, scale,
         assert moved[name].apd == rep.apd
         assert moved[name].per_threshold == rep.per_threshold
         assert abs(moved[name].epe - rep.epe) <= 1e-9 * rep.epe
+
+
+@_examples(50)
+@given(seed=st.integers(0, 2**31 - 1), transform_seed=st.integers(0, 2**31 - 1))
+def test_pose_recovery_is_equivariant_under_a_change_of_world_frame(seed, transform_seed):
+    """Solving against the cloud moved by a rigid G gives the pose solved
+    against the cloud, after G, and the same inliers: the sample draws are
+    the same and every score is a reprojection, which G does not change."""
+    rng = np.random.default_rng(seed)
+    K, _, pix, X = make_pnp_instance(rng, n=60)
+    # about 10 % gross outliers, each pixel moved 10-30 px along both axes
+    out = rng.uniform(size=len(pix)) < 0.1
+    pix[out] += rng.uniform(10, 30, (out.sum(), 2)) * rng.choice([-1, 1], (out.sum(), 2))
+    move = np.random.default_rng(transform_seed)
+    G = PoseSE3(so3_exp(move.normal(0, 1.5, 3)), move.normal(0, 2.0, 3))
+    cfg = RansacConfig(seed=7)
+    base = solve_pnp_ransac(pix, X, K, cfg)
+    moved = solve_pnp_ransac(pix, G.apply(X.T).T, K, cfg)
+    back = moved.pose.compose(G)
+    np.testing.assert_allclose(back.rotation, base.pose.rotation, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(back.translation, base.pose.translation, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(base.inliers, ~out)
+    np.testing.assert_array_equal(moved.inliers, base.inliers)

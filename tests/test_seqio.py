@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from worldtrack.data import SceneSpec
 from worldtrack.errors import BranchContractViolation, ShapeMismatch
 from worldtrack.geometry import TrackSet
-from worldtrack.oracle import SceneSpec, generate_sequence
+from worldtrack.oracle import generate_sequence
 from worldtrack.seqio import FORMAT_TAG, load_sequence, save_sequence
 
 

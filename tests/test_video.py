@@ -9,6 +9,7 @@ from conftest import objective
 
 from worldtrack.bench import eval_recon
 from worldtrack.camera import solve_cameras_for_video
+from worldtrack.data import SceneSpec
 from worldtrack.errors import BranchContractViolation, EmptyVideo, ShapeMismatch
 from worldtrack.geometry import (
     PixelGrid,
@@ -19,7 +20,6 @@ from worldtrack.geometry import (
 )
 from worldtrack.losses import AdaptState, tta_optimize
 from worldtrack.oracle import (
-    SceneSpec,
     corrupt,
     generate_sequence,
     make_depth_supervision,
