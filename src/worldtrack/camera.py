@@ -29,10 +29,13 @@ polishes it on its consensus within that subset, and the polish and the
 re-count repeat while the count rises. The polished count is the best
 count, and its ratio sets the confidence bound on the number of draws.
 Only the winner is scored on every correspondence, once, and the final
-Gauss-Newton step is the only linearisation of the full set. Gauss-Newton
-builds the closed-form 2x6 Jacobian rows of the pinhole projection and
-forms its normal equations as matrix products; the pose adjoint
-differentiates those closed-form rows directly, and its rotation term uses
+Gauss-Newton step is the only linearisation of the full set. A polish
+stops once its increment falls below 1e-10, or after 10 steps. Each
+closed-form 2x6 Jacobian row of the pinhole projection is a signed pick of
+eight per-pair factors, so Gauss-Newton accumulates the 8x8 products of
+those factors in one matrix product and assembles its normal equations from
+them with constant maps, without forming the Jacobian. The pose adjoint
+differentiates the closed-form rows directly, and its rotation term uses
 the closed-form SO(3) left Jacobian. An inlier mask is a weight, not a copy:
 pairs outside it get zero weight and zero Jacobian rows. Every function
 here takes raw pixels (N, 2), points (3, N) and (R, t), as live adaptation
@@ -417,11 +420,12 @@ def _polish(
     R: np.ndarray, t: np.ndarray, pixels: np.ndarray, points: np.ndarray, K: Intrinsics,
     mask: np.ndarray,
 ):
-    """Gauss-Newton to convergence on the masked pairs, from a hypothesis (R, t)."""
+    """Gauss-Newton to convergence on the masked pairs, from a hypothesis
+    (R, t): until an increment's norm falls below 1e-10, at most 10 steps."""
     for _ in range(10):
         delta = _gn_terms(R, t, points, pixels, K, mask)[0]
         R, t = _apply_increment(delta, R, t)
-        if np.linalg.norm(delta) < 1e-14:
+        if np.linalg.norm(delta) < 1e-10:
             break
     return R, t
 
@@ -437,26 +441,42 @@ def _apply_increment(delta: np.ndarray, R: np.ndarray, t: np.ndarray):
     return E @ R, E @ t + delta[3:]
 
 
+def _residuals(
+    R: np.ndarray, t: np.ndarray, X: np.ndarray, pixels: np.ndarray, K: Intrinsics, mask
+):
+    """Pinhole terms of points X (3, m) and pixels (m, 2) at (R, t).
+
+    Returns ``(xy, w, inv_z, r)``: the normalized coordinates (x/z, y/z) of
+    the camera points (2, m), the weight mask w (``mask`` and positive
+    depth), 1/z and the (2, m) residual pixel - projection. Pairs outside
+    the mask or of non-positive depth get zero weight, coordinates and
+    inverse depth, so they drop out without a copy of the pairs.
+    """
+    xy, _, inv_z, w = (a[0] for a in project_points(R[None], t[None], X, mask))
+    if not w.any():
+        raise DegenerateGeometry("all correspondences behind the camera")
+    proj = K.focal * xy
+    proj[0] += K.cx
+    proj[1] += K.cy
+    return xy, w, inv_z, pixels.T - proj
+
+
 def _projection_terms(
     R: np.ndarray, t: np.ndarray, X: np.ndarray, pixels: np.ndarray, K: Intrinsics, mask
 ):
-    """Pinhole terms of points X (3, m) and pixels (m, 2) at (R, t), Jacobian in closed form.
+    """``_residuals`` with the Jacobian of the residual in closed form.
 
-    Returns ``(xn, yn, w, inv_z, f_z, J, r)``: the normalized coordinates
-    x/z and y/z of the camera points, the weight mask w (``mask`` and
-    positive depth), 1/z, focal/z, the (m, 2, 6) Jacobian of the residual
-    with respect to a left twist (rotation part first) and the (m, 2)
-    residual pixel - projection. ``J`` and ``r`` are views of (6, 2, m) and
-    (2, m) arrays, so each Jacobian entry is one contiguous row. Pairs
-    outside the mask or of non-positive depth get zero weight, inverse depth
-    and Jacobian rows, so they drop out without a copy of the pairs.
+    Returns ``(xn, yn, w, inv_z, f_z, J, r)``: x/z, y/z, the weight mask,
+    1/z, focal/z, the (m, 2, 6) Jacobian of the residual with respect to a
+    left twist (rotation part first), negated, and the (m, 2) residual.
+    ``J`` and ``r`` are views of (6, 2, m) and (2, m) arrays, so each
+    Jacobian entry is one contiguous row; pairs of zero weight get zero
+    rows. The pose adjoint differentiates these rows; the Gauss-Newton step
+    never builds them.
     """
-    (xn, yn), _, inv_z, w = (a[0] for a in project_points(R[None], t[None], X, mask))
-    if not w.any():
-        raise DegenerateGeometry("all correspondences behind the camera")
+    (xn, yn), w, inv_z, r = _residuals(R, t, X, pixels, K, mask)
     f = K.focal
     f_z = f * inv_z
-    r = np.stack([pixels[:, 0] - (f * xn + K.cx), pixels[:, 1] - (f * yn + K.cy)])
     # d(f*x/z, f*y/z) / d(omega, v) for Y -> Y + omega x Y + v, negated
     fu = f * w
     fxy = fu * xn * yn
@@ -476,25 +496,68 @@ def _projection_terms(
     return xn, yn, w, inv_z, f_z, Jt.transpose(2, 1, 0), r.T
 
 
+def _assembly_maps():
+    """The constant maps from the factor products to the normal equations.
+
+    With a = x/z, b = y/z and c = 1/z, the Jacobian rows of
+    ``_projection_terms`` are f [ab, -(1+a^2), b, -c, 0, ac] (u) and
+    f [1+b^2, -ab, -a, 0, -c, bc] (v): each entry is a sign times one of the
+    eight factors V = (ab, 1+a^2, 1+b^2, a, b, c, ac, bc). So for
+    G = sum w V V^T (8, 8) and q = sum w V r^T (8, 2), H0 = f^2 L_H G and
+    g = f L_G q, with L_H (36, 64) and L_G (6, 16) acting on the raveled
+    arrays.
+    """
+    # (factor, sign) of each twist entry in the u and the v row; sign 0 is a zero entry
+    rows = (
+        ((0, 1), (1, -1), (4, 1), (5, -1), (0, 0), (6, 1)),
+        ((2, 1), (0, -1), (3, -1), (0, 0), (5, -1), (7, 1)),
+    )
+    L_H = np.zeros((6, 6, 8, 8))
+    L_G = np.zeros((6, 8, 2))
+    for c, row in enumerate(rows):
+        for i, (k, s) in enumerate(row):
+            L_G[i, k, c] += s
+            for j, (l, u) in enumerate(row):
+                L_H[i, j, k, l] += s * u
+    return L_H.reshape(36, 64), L_G.reshape(6, 16)
+
+
+_L_H, _L_G = _assembly_maps()
+
+
 def _gn_terms(
     R: np.ndarray, t: np.ndarray, X: np.ndarray, pixels: np.ndarray, K: Intrinsics, mask
 ):
-    """One damped Gauss-Newton increment on the masked pairs and its normal-equation pieces."""
-    terms = _projection_terms(R, t, X, pixels, K, mask)
-    w, J, r = terms[2], terms[5], terms[6]
-    # J^T with one row per twist entry and one column per residual row
-    Jk = J.transpose(2, 1, 0).reshape(6, -1)
-    wJ = Jk * np.tile(w, 2)
-    H0 = wJ @ Jk.T
+    """One damped Gauss-Newton increment on the masked pairs and its
+    normal-equation pieces ``(delta, H, g)``: H is the damped sum w J^T J
+    and g = sum w J^T r of ``_projection_terms``, both assembled from the
+    products of the eight Jacobian factors (``_assembly_maps``) without
+    forming J (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000).
+    """
+    xy, w, inv_z, r = _residuals(R, t, X, pixels, K, mask)
+    # V = (ab, 1+a^2, 1+b^2, a, b, c, ac, bc), written in place
+    V = np.empty((8, len(inv_z)))
+    np.multiply(xy[0], xy[1], out=V[0])
+    np.multiply(xy, xy, out=V[1:3])
+    V[1:3] += 1.0
+    V[3:5] = xy
+    V[5] = inv_z
+    np.multiply(inv_z, xy, out=V[6:])
+    # a product of two distinct arrays stays a GEMM (V @ V.T would be a
+    # slower syrk that rounds differently); a float weight multiplies
+    # faster than the bool mask
+    Vw = V * w.astype(np.float64)
+    f = K.focal
+    H0 = (f * f * (_L_H @ (Vw @ V.T).ravel())).reshape(6, 6)
+    g = f * (_L_G @ (Vw @ r.T).ravel())
     eps = GN_DAMPING * np.trace(H0) / 6.0
     H = H0 + eps * np.eye(6)
-    g = wJ @ r.T.reshape(-1)
     try:
         np.linalg.cholesky(H)
         delta = -np.linalg.solve(H, g)
     except np.linalg.LinAlgError as exc:
         raise SingularNormalEquations(str(exc)) from exc
-    return delta, H, terms
+    return delta, H, g
 
 
 def _so3_exp_vjp(omega: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -529,7 +592,7 @@ def gauss_newton_refine(
     ``_pose_adjoint`` takes the increment and normal matrix to pull a
     gradient on (R', t') back onto X.
     """
-    delta, H = _gn_terms(R, t, X, pixels, K, inliers)[:2]
+    delta, H, _ = _gn_terms(R, t, X, pixels, K, inliers)
     return (*_apply_increment(delta, R, t), delta, H)
 
 
@@ -577,14 +640,16 @@ def _pose_adjoint(R, t, delta, H, terms, K, grad_R, grad_T) -> np.ndarray:
 
 
 def correspondences_from_pointmap(pm: Pointmap, grid: PixelGrid):
-    """The valid pixels (N, 2) of a pointmap, their points (3, N) and their
-    flat indices (N,)."""
+    """The valid pixels (N, 2) of a pointmap, their points as a C-ordered
+    (3, N) array and their flat indices (N,)."""
     if (pm.height, pm.width) != (grid.height, grid.width):
         raise ValueError("pointmap and grid sizes differ")
     valid = pm.valid.reshape(-1)
+    flat = np.flatnonzero(valid)
     pixels = grid.flat().compress(valid, axis=0)
-    points = pm.points.reshape(-1, 3).compress(valid, axis=0).T
-    return pixels, points, np.flatnonzero(valid)
+    # one row per coordinate, so each projection reads contiguous rows
+    points = pm.points.reshape(-1, 3).T.take(flat, axis=1)
+    return pixels, points, flat
 
 
 def solve_cameras_for_video(

@@ -394,9 +394,56 @@ def test_gn_first_order_optimality():
     rng = np.random.default_rng(6)
     K, pose, pix, pts = make_pnp_instance(rng, n=35)
     R, t = refine_steps(*perturbed_pose(pose, rng), pix, pts, K, 8)
-    _, _, (_, _, w, _, _, J, r) = _gn_terms(R, t, pts, pix, K, True)
+    _, _, w, _, _, J, r = _projection_terms(R, t, pts, pix, K, True)
     grad = np.einsum("n,nij,ni->j", w, J, r)
     assert np.abs(grad).max() < 1e-6
+
+
+def test_gn_terms_match_the_jacobian_normal_equations():
+    rng = np.random.default_rng(9)
+    K, pose, pix, pts = make_pnp_instance(rng, n=30)
+    pix = pix + rng.normal(scale=0.5, size=pix.shape)
+    # rows 0-2 behind the camera, row 3 on its plane, a random mask
+    cam = pose.apply(pts.T)
+    cam[:3, 2] *= -1.0
+    cam[3, 2] = 0.0
+    X = pose.inverse().apply(cam).T
+    mask = rng.random(30) < 0.7
+    mask[:4] = True
+    R, t = perturbed_pose(pose, rng)
+    delta, H, g = _gn_terms(R, t, X, pix, K, mask)
+    _, _, w, _, _, J, r = _projection_terms(R, t, X, pix, K, mask)
+    H0 = np.einsum("n,nia,nib->ab", w, J, J)
+    ref_H = H0 + GN_DAMPING * np.trace(H0) / 6.0 * np.eye(6)
+    ref_g = np.einsum("n,nia,ni->a", w, J, r)
+    assert np.abs(H - ref_H).max() < 1e-12 * np.abs(ref_H).max()
+    assert np.abs(g - ref_g).max() < 1e-12 * np.abs(ref_g).max()
+    assert np.array_equal(delta, -np.linalg.solve(H, g))
+
+
+def test_polish_stops_at_convergence(monkeypatch):
+    rng = np.random.default_rng(12)
+    K, pose, pix, pts = make_pnp_instance(rng, n=200)
+    pix = pix + rng.normal(scale=0.5, size=pix.shape)
+    R0, t0 = perturbed_pose(pose, rng)
+    every = np.ones(200, dtype=bool)
+    R_cap, t_cap = R0, t0
+    for _ in range(10):
+        delta = _gn_terms(R_cap, t_cap, pts, pix, K, every)[0]
+        R_cap, t_cap = _apply_increment(delta, R_cap, t_cap)
+    steps = []
+    gn_terms = camera._gn_terms
+
+    def counted_gn_terms(*args):
+        out = gn_terms(*args)
+        steps.append(np.linalg.norm(out[0]))
+        return out
+
+    monkeypatch.setattr(camera, "_gn_terms", counted_gn_terms)
+    R, t = camera._polish(R0, t0, pix, pts, K, every)
+    # it stops at the first increment below 1e-10, before the cap
+    assert len(steps) < 10 and steps[-1] < 1e-10 and min(steps[:-1]) >= 1e-10
+    assert np.abs(R - R_cap).max() < 1e-12 and np.abs(t - t_cap).max() < 1e-12
 
 
 def test_projection_jacobian_matches_central_differences():
@@ -730,5 +777,6 @@ def test_correspondences_from_pointmap_indexing():
     pixels, points, idx = correspondences_from_pointmap(pm, grid)
     assert idx.tolist() == [6, 8]
     assert pixels.shape == (2, 2) and points.shape == (3, 2)
+    assert points.flags.c_contiguous
     assert np.allclose(pixels[0], [2.5, 1.5])
     assert np.allclose(points[:, 1], pts[2, 0])
