@@ -8,10 +8,11 @@ stays differentiable with respect to the 3D points. That step,
 ``gauss_newton_refine``, is the one camera step: the solve takes it on a
 frame's valid pairs, and live adaptation on its recon stack at every
 evaluation. The adjoint, ``_pose_adjoint``, takes the step's base pose,
-increment and normal matrix instead of solving again; live adaptation
-(``losses._recon_gradient``) runs it. The solver has one configuration: its
-thresholds, iteration caps and damping are the module constants below, and
-only the RANSAC seed is chosen by the caller.
+increment and normal matrix instead of solving again, and pulls a pose
+gradient back through the same factor products the step formed; live
+adaptation (``losses._recon_gradient``) runs it. The solver has one
+configuration: its thresholds, iteration caps and damping are the module
+constants below, and only the RANSAC seed is chosen by the caller.
 
 RANSAC draws its minimal samples one at a time from a seeded generator and
 solves each batch of draws together, as stacked SVDs. A sample whose centred
@@ -35,11 +36,13 @@ closed-form 2x6 Jacobian row of the pinhole projection is a signed pick of
 eight per-pair factors, so Gauss-Newton accumulates the 8x8 products of
 those factors in one matrix product and assembles its normal equations from
 them with constant maps, without forming the Jacobian. The pose adjoint
-differentiates the closed-form rows directly, and its rotation term uses
-the closed-form SO(3) left Jacobian. An inlier mask is a weight, not a copy:
-pairs outside it get zero weight and zero Jacobian rows. Every function
-here takes raw pixels (N, 2), points (3, N) and (R, t), as live adaptation
-holds them; only a returned estimate holds a validated ``PoseSE3``.
+runs those maps and products in reverse (Amos & Kolter, "OptNet", arXiv
+1703.00443), so the signs of the rows are written once, in
+``_assembly_maps``; its rotation term uses the closed-form SO(3) left
+Jacobian. An inlier mask is a weight, not a copy: pairs outside it get zero
+weight and zero factors. Every function here takes raw pixels (N, 2),
+points (3, N) and (R, t), as live adaptation holds them; only a returned
+estimate holds a validated ``PoseSE3``.
 """
 
 from dataclasses import dataclass
@@ -461,51 +464,17 @@ def _residuals(
     return xy, w, inv_z, pixels.T - proj
 
 
-def _projection_terms(
-    R: np.ndarray, t: np.ndarray, X: np.ndarray, pixels: np.ndarray, K: Intrinsics, mask
-):
-    """``_residuals`` with the Jacobian of the residual in closed form.
-
-    Returns ``(xn, yn, w, inv_z, f_z, J, r)``: x/z, y/z, the weight mask,
-    1/z, focal/z, the (m, 2, 6) Jacobian of the residual with respect to a
-    left twist (rotation part first), negated, and the (m, 2) residual.
-    ``J`` and ``r`` are views of (6, 2, m) and (2, m) arrays, so each
-    Jacobian entry is one contiguous row; pairs of zero weight get zero
-    rows. The pose adjoint differentiates these rows; the Gauss-Newton step
-    never builds them.
-    """
-    (xn, yn), w, inv_z, r = _residuals(R, t, X, pixels, K, mask)
-    f = K.focal
-    f_z = f * inv_z
-    # d(f*x/z, f*y/z) / d(omega, v) for Y -> Y + omega x Y + v, negated
-    fu = f * w
-    fxy = fu * xn * yn
-    Jt = np.empty((6, 2, len(pixels)))
-    Jt[0, 0] = fxy
-    Jt[1, 0] = -fu * (1.0 + xn * xn)
-    Jt[2, 0] = fu * yn
-    Jt[3, 0] = -f_z
-    Jt[4, 0] = 0.0
-    Jt[5, 0] = f_z * xn
-    Jt[0, 1] = fu * (1.0 + yn * yn)
-    Jt[1, 1] = -fxy
-    Jt[2, 1] = -fu * xn
-    Jt[3, 1] = 0.0
-    Jt[4, 1] = -f_z
-    Jt[5, 1] = f_z * yn
-    return xn, yn, w, inv_z, f_z, Jt.transpose(2, 1, 0), r.T
-
-
 def _assembly_maps():
     """The constant maps from the factor products to the normal equations.
 
-    With a = x/z, b = y/z and c = 1/z, the Jacobian rows of
-    ``_projection_terms`` are f [ab, -(1+a^2), b, -c, 0, ac] (u) and
+    With a = x/z, b = y/z and c = 1/z, the Jacobian of the residual
+    pixel - projection with respect to a left twist (rotation part first)
+    has the rows f [ab, -(1+a^2), b, -c, 0, ac] (u) and
     f [1+b^2, -ab, -a, 0, -c, bc] (v): each entry is a sign times one of the
     eight factors V = (ab, 1+a^2, 1+b^2, a, b, c, ac, bc). So for
     G = sum w V V^T (8, 8) and q = sum w V r^T (8, 2), H0 = f^2 L_H G and
     g = f L_G q, with L_H (36, 64) and L_G (6, 16) acting on the raveled
-    arrays.
+    arrays. This table is the only place those signs are written.
     """
     # (factor, sign) of each twist entry in the u and the v row; sign 0 is a zero entry
     rows = (
@@ -525,17 +494,9 @@ def _assembly_maps():
 _L_H, _L_G = _assembly_maps()
 
 
-def _gn_terms(
-    R: np.ndarray, t: np.ndarray, X: np.ndarray, pixels: np.ndarray, K: Intrinsics, mask
-):
-    """One damped Gauss-Newton increment on the masked pairs and its
-    normal-equation pieces ``(delta, H, g)``: H is the damped sum w J^T J
-    and g = sum w J^T r of ``_projection_terms``, both assembled from the
-    products of the eight Jacobian factors (``_assembly_maps``) without
-    forming J (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000).
-    """
-    xy, w, inv_z, r = _residuals(R, t, X, pixels, K, mask)
-    # V = (ab, 1+a^2, 1+b^2, a, b, c, ac, bc), written in place
+def _factors(xy: np.ndarray, w: np.ndarray, inv_z: np.ndarray):
+    """The eight factors V = (ab, 1+a^2, 1+b^2, a, b, c, ac, bc) (8, m) of
+    the ``_residuals`` terms xy = (a, b), w and c = inv_z, and V w."""
     V = np.empty((8, len(inv_z)))
     np.multiply(xy[0], xy[1], out=V[0])
     np.multiply(xy, xy, out=V[1:3])
@@ -543,10 +504,23 @@ def _gn_terms(
     V[3:5] = xy
     V[5] = inv_z
     np.multiply(inv_z, xy, out=V[6:])
+    # a float weight multiplies faster than the bool mask
+    return V, V * w.astype(np.float64)
+
+
+def _gn_terms(
+    R: np.ndarray, t: np.ndarray, X: np.ndarray, pixels: np.ndarray, K: Intrinsics, mask
+):
+    """One damped Gauss-Newton increment on the masked pairs and its
+    normal-equation pieces ``(delta, H, g)``: H is the damped sum w J^T J
+    and g = sum w J^T r of the residual's Jacobian J, both assembled from
+    the products of the eight factors (``_assembly_maps``) without forming J
+    (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000).
+    """
+    xy, w, inv_z, r = _residuals(R, t, X, pixels, K, mask)
+    V, Vw = _factors(xy, w, inv_z)
     # a product of two distinct arrays stays a GEMM (V @ V.T would be a
-    # slower syrk that rounds differently); a float weight multiplies
-    # faster than the bool mask
-    Vw = V * w.astype(np.float64)
+    # slower syrk that rounds differently)
     f = K.focal
     H0 = (f * f * (_L_H @ (Vw @ V.T).ravel())).reshape(6, 6)
     g = f * (_L_G @ (Vw @ r.T).ravel())
@@ -590,49 +564,56 @@ def gauss_newton_refine(
     Returns the stepped pose (R', t'), the increment and the damped normal
     matrix: the step is the differentiable part of the solve, and
     ``_pose_adjoint`` takes the increment and normal matrix to pull a
-    gradient on (R', t') back onto X.
+    gradient on (R', t') back onto X through the step's own factor
+    products.
     """
     delta, H, _ = _gn_terms(R, t, X, pixels, K, inliers)
     return (*_apply_increment(delta, R, t), delta, H)
 
 
-def _pose_adjoint(R, t, delta, H, terms, K, grad_R, grad_T) -> np.ndarray:
-    """(m, 3) pull-back onto the points of ``terms`` (the projection terms at
-    (R, t)) of a gradient (grad_R, grad_T) on the pose exp(delta) o (R, t),
-    where delta and H are the step's increment and damped normal matrix."""
-    xn, yn, w, inv_z, f_z, J, r = terms
+def _pose_adjoint(R, t, delta, H, X, pixels, K, mask, grad_R, grad_T) -> np.ndarray:
+    """(3, m) pull-back onto the points X (3, m) of a gradient (grad_R,
+    grad_T) on the pose exp(delta) o (R, t), where delta and H are the
+    increment and damped normal matrix of the step from (R, t) on the pairs
+    (X, pixels) weighted by ``mask``.
+
+    Reverse mode through that step's normal equations (Amos & Kolter,
+    "OptNet", arXiv 1703.00443): from delta = -H^{-1} g back through
+    H0 = f^2 L_H G and g = f L_G q to G = (V w) V^T and q = (V w) r^T, then
+    to the factors V, the residual r and the camera points. Every term
+    carries the weight w, so pairs outside it get exactly zero gradient.
+    """
+    xy, w, inv_z, r = _residuals(R, t, X, pixels, K, mask)
+    Vw = _factors(xy, w, inv_z)[1]
 
     # pose = exp(delta) o base: pull the pose gradient back to the twist
     grad_delta = np.empty(6)
     grad_delta[:3] = _so3_exp_vjp(delta[:3], grad_R @ R.T + np.outer(grad_T, t))
     grad_delta[3:] = grad_T
 
-    # delta = -H^{-1} g
+    # delta = -H^{-1} g, and H = H0 + GN_DAMPING trace(H0) / 6 I
     grad_g = -np.linalg.solve(H, grad_delta)
     grad_H = np.outer(grad_g, delta)
     grad_H0 = grad_H + (GN_DAMPING / 6.0) * np.trace(grad_H) * np.eye(6)
-    S = grad_H0 + grad_H0.T
 
-    # g = sum w J^T r and H0 = sum w J^T J; every term carries the weight
-    # mask w, so rows outside it get exactly zero gradient.
-    # G[k, i] is dL/dJ[:, i, k] and grad_r[i] is dL/dr[:, i]
-    m = w.shape[0]
-    Jk = J.transpose(2, 1, 0).reshape(6, -1)
-    G = (grad_g[:, None, None] * r.T + (S @ Jk).reshape(6, 2, m)) * w
-    grad_r = (grad_g @ Jk).reshape(2, m) * w
-
-    # J and r = pix - (f xn + cx, f yn + cy) as functions of xn, yn and f/z
+    # back through the assembly maps and the factor products
     f = K.focal
-    cross = G[0, 0] - G[1, 1]
-    g_xn = f * (yn * cross - 2.0 * xn * G[1, 0] - G[2, 1] - grad_r[0]) + f_z * G[5, 0]
-    g_yn = f * (xn * cross + 2.0 * yn * G[0, 1] + G[2, 0] - grad_r[1]) + f_z * G[5, 1]
-    g_fz = xn * G[5, 0] + yn * G[5, 1] - G[3, 0] - G[4, 1]
+    dG = f * f * (grad_H0.ravel() @ _L_H).reshape(8, 8)
+    dq = f * (grad_g @ _L_G).reshape(8, 2)
+    dV = (dG + dG.T) @ Vw
+    dV += (dq @ r) * w
+    dr = dq.T @ Vw
 
-    # xn = x/z, yn = y/z and f_z = f/z of the camera point Y = R X + t
-    grad_Y = np.stack(
-        [g_xn * inv_z, g_yn * inv_z, -(g_xn * xn + g_yn * yn + g_fz * f_z) * inv_z], axis=1
-    )
-    return grad_Y @ R
+    # V of (a, b, c), and r = pixels - f (a, b) - (cx, cy)
+    a, b = xy
+    c = inv_z
+    da = b * dV[0] + 2.0 * a * dV[1] + dV[3] + c * dV[6] - f * dr[0]
+    db = a * dV[0] + 2.0 * b * dV[2] + dV[4] + c * dV[7] - f * dr[1]
+    dc = dV[5] + a * dV[6] + b * dV[7]
+
+    # a = x c, b = y c and c = 1/z of the camera point Y = R X + t
+    grad_Y = np.stack([c * da, c * db, -c * (a * da + b * db + c * dc)])
+    return R.T @ grad_Y
 
 
 # ---------------------------------------------------------------------------

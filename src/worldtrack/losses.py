@@ -20,7 +20,6 @@ import numpy as np
 from .camera import (
     RansacConfig,
     _pose_adjoint,
-    _projection_terms,
     gauss_newton_refine,
     solve_cameras_for_video,
 )
@@ -115,10 +114,12 @@ def _raise_first(checks, attach_frame: bool = True):
 
 
 def _frame_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-frame sums of a * b over every axis but the first, as one
-    batched matrix product (no temporary the size of the inputs)."""
+    """Per-frame sums of a * b over every axis but the first, in numpy's
+    own fixed order (a BLAS product would split long sums over its threads,
+    so the bits would depend on the thread count), with no temporary the
+    size of the inputs."""
     T = len(a)
-    return (a.reshape(T, 1, -1) @ b.reshape(T, -1, 1))[:, 0, 0]
+    return np.einsum("ij,ij->i", a.reshape(T, -1), b.reshape(T, -1))
 
 
 def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
@@ -254,15 +255,22 @@ def depth_loss(
     The per-frame scale alpha* = sum(z_proj * z_mono) / sum(z_proj^2) is the
     closed-form minimizer; its dependence on the projected depths is part
     of the returned gradient. Gradients are with respect to the pointmap
-    coordinates, shape (H, W, 3), zero outside the compared pixels.
+    coordinates, shape (H, W, 3), zero outside the compared pixels. A depth
+    map or mask off the grid raises ``ShapeMismatch``, and a non-finite
+    depth at a compared pixel ``ValueError``.
     """
     _check_branch(recon_pm, "recon", recon_pm.time)
     mono_depth = np.asarray(mono_depth, dtype=np.float64)
-    if mono_depth.shape != (recon_pm.height, recon_pm.width):
+    mask = recon_pm.valid
+    if mono_depth.shape != mask.shape:
         raise ShapeMismatch(f"depth map {mono_depth.shape} vs grid")
-    mask = recon_pm.valid.copy()
     if mono_valid is not None:
-        mask &= np.asarray(mono_valid, dtype=bool)
+        mono_valid = np.asarray(mono_valid, dtype=bool)
+        if mono_valid.shape != mask.shape:
+            raise ShapeMismatch(f"depth mask {mono_valid.shape} vs grid")
+        mask = mask & mono_valid
+    # the supervision's own check refuses a non-finite compared depth
+    DepthSupervision(mono_depth[None], mask[None])
     r3 = pose.rotation[2]
     z = recon_pm.points @ r3 + pose.translation[2]
     loss, grad_z, checks = _depth_terms(
@@ -541,6 +549,7 @@ def _recon_gradient(g_rec, g_R, g_T, R, t, gn, rec, inliers, pixels, K):
     T = len(g_rec)
     g_rec /= T
     for j, (delta, H) in enumerate(gn, start=1):
-        terms = _projection_terms(R[j], t[j], rec[j], pixels, K, inliers[j])
-        g_rec[j] += _pose_adjoint(R[j], t[j], delta, H, terms, K, g_R[j] / T, g_T[j] / T).T
+        g_rec[j] += _pose_adjoint(
+            R[j], t[j], delta, H, rec[j], pixels, K, inliers[j], g_R[j] / T, g_T[j] / T
+        )
     return g_rec

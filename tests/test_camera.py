@@ -14,8 +14,8 @@ from worldtrack.camera import (
     _iterations_needed,
     _minimal_poses,
     _pose_adjoint,
-    _projection_terms,
     _reproj_errors_many,
+    _residuals,
     _so3_exp_vjp,
     correspondences_from_pointmap,
     estimate_focal_weiszfeld,
@@ -377,6 +377,31 @@ def test_gn_converges_on_clean_data():
     assert np.array_equal(R_1, R_ref) and np.array_equal(t_1, t_ref)
 
 
+def factored_jacobian(Y, f):
+    """The residual's Jacobian J = -A B (m, 2, 6) at camera points Y (m, 3),
+    with A = d pixel / d Y and B = d Y / d twist (rotation part first): an
+    independent form of the rows the eight-factor assembly maps encode.
+    Returns (J, A, B)."""
+    x, y, z = Y.T
+    zero = np.zeros_like(z)
+    A = np.stack([np.stack([f / z, zero, -f * x / z**2], 1),
+                  np.stack([zero, f / z, -f * y / z**2], 1)], 1)
+    B = np.zeros((len(Y), 3, 6))
+    B[:, :, :3] = -np.stack([np.stack([zero, -z, y], 1), np.stack([z, zero, -x], 1),
+                             np.stack([-y, x, zero], 1)], 1)
+    B[:, :, 3:] = np.eye(3)
+    return -np.einsum("nij,njk->nik", A, B), A, B
+
+
+def residual_jacobian(R, t, X, pixels, K, mask):
+    """(w, J, r): the weight mask and (m, 2) residual of ``_residuals`` at
+    (R, t), and the (m, 2, 6) ``factored_jacobian``, zero outside the weight."""
+    _, w, _, r = _residuals(R, t, X, pixels, K, mask)
+    Y = X.T @ R.T + t
+    Y[~w] = (0.0, 0.0, 1.0)  # any point in front: its rows are zeroed
+    return w, factored_jacobian(Y, K.focal)[0] * w[:, None, None], r.T
+
+
 def test_gn_steps_do_not_increase_residuals():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -394,7 +419,7 @@ def test_gn_first_order_optimality():
     rng = np.random.default_rng(6)
     K, pose, pix, pts = make_pnp_instance(rng, n=35)
     R, t = refine_steps(*perturbed_pose(pose, rng), pix, pts, K, 8)
-    _, _, w, _, _, J, r = _projection_terms(R, t, pts, pix, K, True)
+    w, J, r = residual_jacobian(R, t, pts, pix, K, True)
     grad = np.einsum("n,nij,ni->j", w, J, r)
     assert np.abs(grad).max() < 1e-6
 
@@ -412,7 +437,7 @@ def test_gn_terms_match_the_jacobian_normal_equations():
     mask[:4] = True
     R, t = perturbed_pose(pose, rng)
     delta, H, g = _gn_terms(R, t, X, pix, K, mask)
-    _, _, w, _, _, J, r = _projection_terms(R, t, X, pix, K, mask)
+    w, J, r = residual_jacobian(R, t, X, pix, K, mask)
     H0 = np.einsum("n,nia,nib->ab", w, J, J)
     ref_H = H0 + GN_DAMPING * np.trace(H0) / 6.0 * np.eye(6)
     ref_g = np.einsum("n,nia,ni->a", w, J, r)
@@ -455,14 +480,14 @@ def test_projection_jacobian_matches_central_differences():
     cam[3, 2] = 0.0
     X = pose.inverse().apply(cam).T
     R, t = pose.rotation, pose.translation
-    _, _, wt, _, _, J, r = _projection_terms(R, t, X, pix, K, True)
+    wt, J, r = residual_jacobian(R, t, X, pix, K, True)
     h = 1e-6
     fd = np.zeros_like(J)
     for k in range(6):
         step = np.zeros(6)
         step[k] = h
-        hi = _projection_terms(*_apply_increment(step, R, t), X, pix, K, True)[6]
-        lo = _projection_terms(*_apply_increment(-step, R, t), X, pix, K, True)[6]
+        hi = residual_jacobian(*_apply_increment(step, R, t), X, pix, K, True)[2]
+        lo = residual_jacobian(*_apply_increment(-step, R, t), X, pix, K, True)[2]
         fd[:, :, k] = (hi - lo) / (2 * h)
     front = np.arange(4, 30)
     scale = np.abs(J[front]).max()
@@ -484,8 +509,7 @@ def pose_adjoint(R, t, pixels, points, K, mask, gR, gT) -> np.ndarray:
     one Gauss-Newton step from (R, t) on the masked pairs reaches: the
     step and adjoint live adaptation runs."""
     delta, H = gauss_newton_refine(R, t, points, pixels, K, mask)[2:]
-    terms = _projection_terms(R, t, points, pixels, K, mask)
-    return _pose_adjoint(R, t, delta, H, terms, K, gR, gT)
+    return _pose_adjoint(R, t, delta, H, points, pixels, K, mask, gR, gT).T
 
 
 def fd_point_gradient(R, t, pixels, points, K, loss, idx, h=1e-5):
@@ -549,14 +573,7 @@ def pose_gradient_reference(R0, t0, pixels, points, K, mask, gR, gT):
     x, y, z = Y.T
     w = (z > 0).astype(float)
     f = K.focal
-    zero = np.zeros_like(z)
-    A = np.stack([np.stack([f / z, zero, -f * x / z**2], 1),
-                  np.stack([zero, f / z, -f * y / z**2], 1)], 1)
-    B = np.zeros((len(pts_m), 3, 6))
-    B[:, :, :3] = -np.stack([np.stack([zero, -z, y], 1), np.stack([z, zero, -x], 1),
-                             np.stack([-y, x, zero], 1)], 1)
-    B[:, :, 3:] = np.eye(3)
-    J = -np.einsum("nij,njk->nik", A, B)
+    J, A, B = factored_jacobian(Y, f)
     r = pix_m - np.stack([f * x / z + K.cx, f * y / z + K.cy], 1)
     H = np.einsum("n,nij,nik->jk", w, J, J)
     H += damping * np.trace(H) / 6.0 * np.eye(6)

@@ -616,6 +616,22 @@ def test_depth_loss_error_paths():
     tracking = Pointmap(pts, np.ones((1, 2), bool), 0, 0, 2)
     with pytest.raises(BranchContractViolation, match="^frame 2: expected a recon"):
         depth_loss(tracking, PoseSE3.identity(), np.ones((1, 2)))
+    # a mask off the 16x12 grid is refused, not broadcast
+    H, W = 12, 16
+    grid_pts = np.zeros((H, W, 3))
+    grid_pts[..., 2] = 1.0 + np.arange(H * W).reshape(H, W) / (H * W)
+    grid_pm = Pointmap(grid_pts, np.ones((H, W), bool), 0, 0, 0)
+    mono = np.ones((H, W))
+    for shape in [(W,), (H, 1), (H, W - 1)]:
+        with pytest.raises(ShapeMismatch, match="depth mask"):
+            depth_loss(grid_pm, PoseSE3.identity(), mono, np.ones(shape, bool))
+    # a non-finite depth is refused where it is compared, and ignored elsewhere
+    mono[3, 5] = np.nan
+    with pytest.raises(ValueError, match="valid depth entries must be finite"):
+        depth_loss(grid_pm, PoseSE3.identity(), mono)
+    off = np.ones((H, W), bool)
+    off[3, 5] = False
+    assert np.isfinite(depth_loss(grid_pm, PoseSE3.identity(), mono, off)[0])
 
 
 def test_align_loss_no_pairs_is_zero_with_flag():
