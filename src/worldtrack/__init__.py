@@ -1,6 +1,6 @@
 """World-frame point tracking and reconstruction toolkit.
 
-Geometric core for estimating cameras from per-frame pointmaps, adapting
+Geometric core for estimating cameras from pointmap videos, adapting
 tracking predictions against 2D track and monocular depth supervision, and
 scoring world-frame trajectories and reconstructions.
 """
@@ -35,7 +35,7 @@ from .errors import WorldTrackError
 from .geometry import (
     Intrinsics,
     PixelGrid,
-    Pointmap,
+    PointmapVideo,
     PoseSE3,
     TrackSet,
     assemble_trajectories,
@@ -67,7 +67,7 @@ __all__ = [
     "MetricReport",
     "PRESETS",
     "PixelGrid",
-    "Pointmap",
+    "PointmapVideo",
     "PoseEstimate",
     "PoseSE3",
     "RansacConfig",

@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     ZeroMedian,
 )
-from .geometry import TrackSet, _freeze, stack_pointmaps
+from .geometry import PointmapVideo, TrackSet, _freeze, video_arrays
 
 THRESHOLDS = (0.1, 0.3, 0.5, 1.0)
 # ground-truth depths (m) a reconstruction pixel must lie within to be scored
@@ -257,20 +257,21 @@ def eval_tracking(
 
 
 def eval_recon(
-    pred_pms: list,
-    gt_pms: list,
+    pred_video: PointmapVideo,
+    gt_video: PointmapVideo,
     alignment: str = "median",
     window: int = DEFAULT_WINDOW,
     depth_maps: np.ndarray | None = None,
 ) -> MetricReport:
-    """Score reconstruction pointmaps pooled over the evaluation window.
+    """Score a recon video against the ground truth's, pooled over the
+    evaluation window.
 
     Both are recon-branch videos on one grid. Pixels must be valid on both
     sides; when ground-truth depth maps (T, H, W) are given, pixels whose
     depth falls outside ``DEPTH_RANGE`` are excluded.
     """
-    pred, pred_valid = stack_pointmaps(pred_pms, "recon")
-    gt, gt_valid = stack_pointmaps(gt_pms, "recon")
+    pred, pred_valid = video_arrays(pred_video, "recon")
+    gt, gt_valid = video_arrays(gt_video, "recon")
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"predicted video {pred.shape[:3]} vs ground truth {gt.shape[:3]}")
     if window < 1:

@@ -1,4 +1,4 @@
-"""Camera recovery from per-frame pointmaps.
+"""Camera recovery from a reconstruction pointmap video.
 
 The pipeline per frame is: robust focal estimation from the anchor
 pointmap (shared across the video), locally optimised RANSAC PnP with a
@@ -61,14 +61,13 @@ from .geometry import (
     DEPTH_EPS,
     Intrinsics,
     PixelGrid,
-    Pointmap,
+    PointmapVideo,
     PoseSE3,
-    _check_branch,
     _freeze,
     project_points,
     skew,
     so3_exp,
-    stack_pointmaps,
+    video_arrays,
 )
 
 WEISZFELD_FLOOR = 1e-8
@@ -117,8 +116,9 @@ class PoseEstimate:
 # focal estimation
 
 
-def estimate_focal_weiszfeld(pm: Pointmap, grid: PixelGrid) -> Intrinsics:
-    """Recover a shared focal length from an anchor self-view pointmap.
+def estimate_focal_weiszfeld(video: PointmapVideo, grid: PixelGrid) -> Intrinsics:
+    """Recover a shared focal length from frame 0 of a video, the anchor
+    self-view on either branch.
 
     Minimizes the robust objective sum_n ||u_n - f * q_n|| over f, where
     u_n is the pixel offset from the image center and q_n = (x/z, y/z) of
@@ -126,19 +126,17 @@ def estimate_focal_weiszfeld(pm: Pointmap, grid: PixelGrid) -> Intrinsics:
     started from the closed-form L2 solution. The principal point is fixed
     at the image center.
     """
-    _check_branch(pm, "tracking", pm.time)
-    if pm.time:
-        raise DegenerateGeometry("focal estimation needs the first-frame self-view pointmap")
-    if (pm.height, pm.width) != (grid.height, grid.width):
+    points, valid = video_arrays(video, frame=0)
+    if valid.shape != (grid.height, grid.width):
         raise ValueError("pointmap and grid sizes differ")
-    mask = pm.valid & (pm.points[..., 2] > DEPTH_EPS)
+    mask = valid & (points[..., 2] > DEPTH_EPS)
     if mask.sum() < MIN_FOCAL_PIXELS:
         raise InsufficientValidPoints(f"{int(mask.sum())} usable pixels")
     cx, cy = grid.width / 2.0, grid.height / 2.0
     # one flat gather per array, then contiguous x and y vectors
     flat = mask.ravel()
     coords = grid.flat().compress(flat, axis=0)
-    pts = pm.points.reshape(-1, 3).compress(flat, axis=0)
+    pts = points.reshape(-1, 3).compress(flat, axis=0)
     ux, uy = coords[:, 0] - cx, coords[:, 1] - cy
     qx, qy = pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2]
     qq = qx * qx + qy * qy
@@ -620,21 +618,22 @@ def _pose_adjoint(R, t, delta, H, X, pixels, K, mask, grad_R, grad_T) -> np.ndar
 # whole-video solving
 
 
-def correspondences_from_pointmap(pm: Pointmap, grid: PixelGrid):
-    """The valid pixels (N, 2) of a pointmap, their points as a C-ordered
-    (3, N) array and their flat indices (N,)."""
-    if (pm.height, pm.width) != (grid.height, grid.width):
+def correspondences_from_pointmap(video: PointmapVideo, j: int, grid: PixelGrid):
+    """The valid pixels (N, 2) of a video's frame j, their points as a
+    C-ordered (3, N) array and their flat indices (N,)."""
+    points, valid = video_arrays(video, frame=j)
+    if valid.shape != (grid.height, grid.width):
         raise ValueError("pointmap and grid sizes differ")
-    valid = pm.valid.reshape(-1)
+    valid = valid.reshape(-1)
     flat = np.flatnonzero(valid)
     pixels = grid.flat().compress(valid, axis=0)
     # one row per coordinate, so each projection reads contiguous rows
-    points = pm.points.reshape(-1, 3).T.take(flat, axis=1)
+    points = points.reshape(-1, 3).T.take(flat, axis=1)
     return pixels, points, flat
 
 
 def solve_cameras_for_video(
-    recon_pointmaps: list[Pointmap],
+    recon: PointmapVideo,
     grid: PixelGrid,
     ransac: RansacConfig = RansacConfig(),
 ) -> tuple[Intrinsics, list[PoseEstimate]]:
@@ -646,12 +645,12 @@ def solve_cameras_for_video(
     reconstruction pointmap (RANSAC PnP then one Gauss-Newton step). Solver
     errors are re-raised with the frame index attached.
     """
-    stack_pointmaps(recon_pointmaps, "recon")  # the contract check alone
-    K = estimate_focal_weiszfeld(recon_pointmaps[0], grid)
+    video_arrays(recon, "recon")  # the branch check alone
+    K = estimate_focal_weiszfeld(recon, grid)
 
     def solve_frame(j: int) -> PoseEstimate:
         try:
-            pixels, points, flat = correspondences_from_pointmap(recon_pointmaps[j], grid)
+            pixels, points, flat = correspondences_from_pointmap(recon, j, grid)
             if j == 0:
                 pose = base = PoseSE3.identity()
             else:
@@ -673,4 +672,4 @@ def solve_cameras_for_video(
         rms = float(np.sqrt(np.mean(err[mask] ** 2)))
         return PoseEstimate(pose, inliers, rms, base)
 
-    return K, [solve_frame(j) for j in range(len(recon_pointmaps))]
+    return K, [solve_frame(j) for j in range(recon.num_frames)]

@@ -69,8 +69,7 @@ def cmd_synth(args) -> int:
 
 def cmd_solve_camera(args) -> int:
     seq = load_sequence(args.seq)
-    first = seq.recon_pointmaps[0]
-    grid = PixelGrid.create(first.width, first.height)
+    grid = PixelGrid.create(seq.recon_pointmaps.width, seq.recon_pointmaps.height)
     K, estimates = solve_cameras_for_video(seq.recon_pointmaps, grid, RansacConfig(args.seed))
     frames = []
     for j, est in enumerate(estimates):
@@ -155,7 +154,7 @@ def cmd_eval(args) -> int:
     pred = load_sequence(args.pred)
     gt = load_sequence(args.gt)
     shapes = [
-        f"{seq.tracking_pointmaps[0].width}x{seq.tracking_pointmaps[0].height}"
+        f"{seq.tracking_pointmaps.width}x{seq.tracking_pointmaps.height}"
         f"x{seq.num_frames}"
         for seq in (pred, gt)
     ]

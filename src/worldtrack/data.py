@@ -1,9 +1,9 @@
 """The containers a sequence and its supervision are made of.
 
 ``SceneSpec`` names a synthetic scene, ``RenderedSequence`` holds one
-sequence (both branches' pointmap videos, cameras, depth and ground-truth
-tracks), and ``TrackSupervision`` and ``DepthSupervision`` hold the 2D-track
-and monocular-depth signals adaptation runs on. The generator (``oracle``)
+sequence (a ``geometry.PointmapVideo`` of each branch, cameras, depth and
+ground-truth tracks), and ``TrackSupervision`` and ``DepthSupervision``
+hold the 2D-track and monocular-depth signals adaptation runs on. The generator (``oracle``)
 builds them, the file format (``seqio``) stores them and the optimizer
 (``losses``) reads them; this module depends on ``errors`` and ``geometry``
 alone, so none of those layers has to load another to share them.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, UnknownPreset
-from .geometry import Intrinsics, TrackSet, _freeze
+from .geometry import Intrinsics, PointmapVideo, TrackSet, _freeze
 
 PRESETS = (
     "orbit-dynamic",
@@ -66,8 +66,8 @@ class RenderedSequence:
     spec: SceneSpec
     intrinsics: Intrinsics
     cameras: list
-    tracking_pointmaps: list
-    recon_pointmaps: list
+    tracking_pointmaps: PointmapVideo
+    recon_pointmaps: PointmapVideo
     depth: np.ndarray
     tracks2d: TrackSet
     tracks3d: TrackSet

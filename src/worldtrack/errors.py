@@ -30,7 +30,7 @@ class QueryOutOfBounds(WorldTrackError):
 
 
 class BranchContractViolation(WorldTrackError):
-    """A pointmap's frame tags do not match the expected branch."""
+    """A video is not a ``PointmapVideo`` of the expected branch."""
 
 
 # ---- camera solving ----

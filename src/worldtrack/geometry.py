@@ -11,13 +11,10 @@ Conventions used throughout the package:
 * Invalid pointmap pixels carry the zero triple (0, 0, 0) with valid=False;
   arrays never hold NaNs.
 
-A branch's video is a ``list[Pointmap]`` whose frame j carries the tags
-(0, 0, j) on the tracking branch and (0, j, j) on the recon branch (world
-frame 0, time j), all on one grid. ``stack_pointmaps`` is the only check
-of that contract, and its per-frame test ``_check_branch`` the only branch
-rule, which single-frame consumers apply to their one frame.
-``video_pointmaps`` builds a video as views of stacks whose arrays it
-checks once.
+A branch's video is one ``PointmapVideo``, checked once when built; the
+definition of both branches is written once, on that type. Consumers read
+its arrays through ``video_arrays``, the only branch check, and address one
+frame as (video, j).
 """
 
 from dataclasses import dataclass, field
@@ -70,24 +67,6 @@ def so3_exp(omega: np.ndarray) -> np.ndarray:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _own_points(pts: np.ndarray, val: np.ndarray, axes: str):
-    """Check the caller's own float64 points (``axes``, 3) and bool mask
-    (``axes``), zero the invalid points and freeze both. ``axes`` is "H, W"
-    or "T, H, W"; for a video, a non-finite valid point names its frame."""
-    if pts.ndim != axes.count(",") + 2 or pts.shape[-1] != 3:
-        raise ShapeMismatch(f"points must be ({axes}, 3), got {pts.shape}")
-    if val.shape != pts.shape[:-1]:
-        raise ShapeMismatch(f"valid mask {val.shape} does not match grid {pts.shape[:-1]}")
-    pts[~val] = 0.0
-    finite = np.isfinite(pts)
-    if not finite.all():
-        where = ""
-        if pts.ndim == 4:
-            where = f"frame {int(np.argmin(finite.reshape(len(pts), -1).all(axis=1)))}: "
-        raise ValueError(f"{where}valid pointmap entries must be finite")
-    return _freeze(pts), _freeze(val)
 
 
 # ---------------------------------------------------------------------------
@@ -150,51 +129,84 @@ class PoseSE3:
         return p @ self.rotation.T + self.translation
 
 
+BRANCHES = ("tracking", "recon")
+
+
 @dataclass(frozen=True)
-class Pointmap:
-    """Per-pixel 3D points with frame tags.
+class PointmapVideo:
+    """One branch's pointmap video: T per-pixel 3D point grids on one H x W
+    grid.
+
+    Frame j of the two branches is the paper's prediction for the frame
+    pair (0, j): both pointmaps "at the same moment, in the same world",
+    time j in world frame 0, the anchor camera's frame. A ``"tracking"``
+    video depicts the anchor frame's content: pixel (r, c) of every frame
+    is the point seen at (r, c) in frame 0, moved to time j, so it follows
+    one physical point through the video. A ``"recon"`` video depicts frame
+    j's own content. Frame 0 of both branches is the anchor's self-view.
 
     Attributes:
-        points: (H, W, 3) float64 grid of 3D coordinates in meters.
-        valid: (H, W) boolean mask; invalid pixels are zeroed.
-        coord_frame: index of the camera frame the coordinates live in.
-        content_frame: index of the frame whose content is depicted.
-        time: index of the time step the content is observed at.
+        branch: ``"tracking"`` or ``"recon"``.
+        points: (T, H, W, 3) float64 coordinates in meters.
+        valid: (T, H, W) bool mask; invalid points are zero.
+
+    The arrays are checked once, when built: they are taken over (copied
+    only if read-only, views, not C-ordered or of another dtype), invalid
+    points are zeroed, a non-finite valid point raises ``ValueError``
+    naming its first frame, and both are frozen. No frames raise
+    ``EmptyVideo``, and arrays of other shapes ``ShapeMismatch``.
     """
 
-    points: np.ndarray
-    valid: np.ndarray
-    coord_frame: int
-    content_frame: int
-    time: int
+    branch: str
+    points: np.ndarray = field(repr=False)
+    valid: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pts, val = _own_points(
-            np.array(self.points, dtype=np.float64), np.array(self.valid, dtype=bool), "H, W"
-        )
-        for tag in (self.coord_frame, self.content_frame, self.time):
-            if tag < 0:
-                raise ValueError(f"frame tags must be non-negative, got {tag}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "valid", val)
+        if self.branch not in BRANCHES:
+            raise ValueError(f"branch must be one of {BRANCHES}, not {self.branch!r}")
+        pts = np.require(self.points, np.float64, "CWO")
+        val = np.require(self.valid, bool, "CWO")
+        if pts.ndim != 4 or pts.shape[-1] != 3:
+            raise ShapeMismatch(f"points must be (T, H, W, 3), got {pts.shape}")
+        if val.shape != pts.shape[:-1]:
+            raise ShapeMismatch(f"valid mask {val.shape} does not match grid {pts.shape[:-1]}")
+        if not len(pts):
+            raise EmptyVideo(f"no {self.branch} frames")
+        pts[~val] = 0.0
+        finite = np.isfinite(pts)
+        if not finite.all():
+            j = int(np.argmin(finite.reshape(len(pts), -1).all(axis=1)))
+            raise ValueError(f"frame {j}: valid pointmap entries must be finite")
+        object.__setattr__(self, "points", _freeze(pts))
+        object.__setattr__(self, "valid", _freeze(val))
 
     @property
-    def height(self) -> int:
+    def num_frames(self) -> int:
         return self.points.shape[0]
 
     @property
-    def width(self) -> int:
+    def height(self) -> int:
         return self.points.shape[1]
 
-    def with_points(self, points: np.ndarray, valid: np.ndarray | None = None) -> "Pointmap":
-        """Copy with replaced coordinates (tags preserved)."""
-        return Pointmap(
-            points,
-            self.valid if valid is None else valid,
-            self.coord_frame,
-            self.content_frame,
-            self.time,
-        )
+    @property
+    def width(self) -> int:
+        return self.points.shape[2]
+
+
+def video_arrays(video, branch: str | None = None, frame: int | None = None):
+    """The read-only (T, H, W, 3) points and (T, H, W) mask of a
+    ``PointmapVideo`` of ``branch`` (either branch for None), or those of
+    its one ``frame``. Anything but such a video raises
+    ``BranchContractViolation``: this is the only branch check."""
+    is_video = isinstance(video, PointmapVideo)
+    if not is_video or branch not in (None, video.branch):
+        got = f"a {video.branch} video" if is_video else type(video).__name__
+        raise BranchContractViolation(f"expected a {branch or 'pointmap'} video, got {got}")
+    if frame is None:
+        return video.points, video.valid
+    if not 0 <= frame < video.num_frames:
+        raise IndexError(f"frame {frame} of a {video.num_frames}-frame video")
+    return video.points[frame], video.valid[frame]
 
 
 @dataclass(frozen=True)
@@ -222,8 +234,8 @@ class PixelGrid:
 class TrackSet:
     """N query points over T frames, 2D or 3D.
 
-    positions: (N, T, D) with D in {2, 3}, taken over as
-    ``video_pointmaps`` takes its stacks (copied only if read-only, a view,
+    positions: (N, T, D) with D in {2, 3}, taken over as a
+    ``PointmapVideo`` takes its points (copied only if read-only, a view,
     not C-ordered or not float64) and frozen; visibility: (N, T) bool;
     dynamic: optional (N,) bool marking moving points.
     """
@@ -335,68 +347,18 @@ def queries_to_indices(queries: np.ndarray, width: int, height: int) -> tuple[np
     return rows, cols
 
 
-def _check_branch(pm: Pointmap, branch: str, frame: int):
-    """The branch rule: a ``branch`` ("tracking" or "recon") pointmap lives
-    in world frame 0 and depicts content 0, or its own time's on the recon
-    branch; else ``BranchContractViolation`` is raised for ``frame``."""
-    if (pm.coord_frame, pm.content_frame) != (0, pm.time if branch == "recon" else 0):
-        raise BranchContractViolation(
-            f"expected a {branch}-branch pointmap in world frame 0, got "
-            f"coord={pm.coord_frame} content={pm.content_frame} time={pm.time}"
-        ).with_frame(frame)
-
-
-def stack_pointmaps(pointmaps: list[Pointmap], branch: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, H, W, 3) points and (T, H, W) masks of a ``branch`` video
-    ("tracking" or "recon"), read-only to the caller: the stacks of one
-    ``video_pointmaps`` call, or new ones. Raises ``EmptyVideo`` on no
-    frames, ``ValueError`` on a frame out of time order and, with the frame
-    attached, ``BranchContractViolation`` on one off the branch or the world
-    frame and ``ShapeMismatch`` on one off the first frame's grid."""
-    if not pointmaps:
-        raise EmptyVideo(f"no {branch} pointmaps")
-    grid = pointmaps[0].points.shape
-    for j, pm in enumerate(pointmaps):
-        _check_branch(pm, branch, j)
-        if pm.time != j:
-            raise ValueError(f"pointmaps must be in time order, got time {pm.time} at {j}")
-        if pm.points.shape != grid:
-            raise ShapeMismatch(f"grid {pm.points.shape[:2]}, not {grid[:2]}").with_frame(j)
-    points, valid = pointmaps[0].points.base, pointmaps[0].valid.base
-    if points is not None and len(points) == len(pointmaps):
-        if all(pm.points.base is points for pm in pointmaps):
-            return points, valid
-    return np.stack([pm.points for pm in pointmaps]), np.stack([pm.valid for pm in pointmaps])
-
-
-def video_pointmaps(points: np.ndarray, valid: np.ndarray, branch: str) -> list[Pointmap]:
-    """The frames of a ``branch`` video, as views of its (T, H, W, 3) points
-    and (T, H, W) masks, taken over (copied only if read-only, views or of
-    another dtype), checked once as ``Pointmap`` checks a frame (the first
-    bad frame named), zeroed where invalid and frozen."""
-    pts, val = _own_points(
-        np.require(points, np.float64, "CWO"), np.require(valid, bool, "CWO"), "T, H, W"
-    )
-    frames = [object.__new__(Pointmap) for _ in pts]
-    for j, pm in enumerate(frames):
-        content = j if branch == "recon" else 0
-        vars(pm).update(points=pts[j], valid=val[j], coord_frame=0, content_frame=content, time=j)
-    return frames
-
-
-def assemble_trajectories(tracking_pointmaps: list[Pointmap], queries: np.ndarray) -> TrackSet:
+def assemble_trajectories(tracking: PointmapVideo, queries: np.ndarray) -> TrackSet:
     """Gather 3D world trajectories for anchor-frame query pixels.
 
     Args:
-        tracking_pointmaps: one tracking-branch video (see
-            ``stack_pointmaps``).
+        tracking: a tracking-branch video.
         queries: (N, 2) pixel coordinates inside the anchor grid.
 
     Returns:
         TrackSet with (N, T, 3) positions; visibility is the pointmap valid
         bit at the query pixel.
     """
-    points, valid = stack_pointmaps(tracking_pointmaps, "tracking")
+    points, valid = video_arrays(tracking, "tracking")
     rows, cols = queries_to_indices(queries, points.shape[2], points.shape[1])
     # gathered straight into a C-ordered (N, T, 3) array, which TrackSet takes over
     return TrackSet(points.transpose(1, 2, 0, 3)[rows, cols], valid[:, rows, cols].T)

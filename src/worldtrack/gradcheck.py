@@ -71,7 +71,7 @@ def _check_term(column, seed, trials):
         seq = oracle.corrupt(oracle.generate_sequence(spec), noise=0.05, drift=0.01,
                              targets=("tracking", "recon"), seed=int(rng.integers(1 << 30)))
         trk, rec, _, _, layout = losses._objective(
-            losses._stacks(seq.tracking_pointmaps, seq.recon_pointmaps), seq.intrinsics,
+            seq.tracking_pointmaps, seq.recon_pointmaps, seq.intrinsics,
             oracle.projected_track_supervision(seq), oracle.make_depth_supervision(seq), weights,
         )
         args = (trk, rec, *losses._pose_stack(seq.cameras))

@@ -36,14 +36,12 @@ from .errors import (
 from .geometry import (
     DEPTH_EPS,
     PixelGrid,
-    Pointmap,
+    PointmapVideo,
     PoseSE3,
-    _check_branch,
     _freeze,
     project_points,
     queries_to_indices,
-    stack_pointmaps,
-    video_pointmaps,
+    video_arrays,
 )
 
 log = logging.getLogger(__name__)
@@ -206,8 +204,8 @@ def _align_pairs(corr, qflat, trk_valid, rec_valid):
 
 
 def _coordinates_first(points: np.ndarray) -> np.ndarray:
-    """(T, H, W, 3) points as a (T, 3, H*W) array."""
-    return np.ascontiguousarray(points.reshape(len(points), -1, 3).transpose(0, 2, 1))
+    """(T, H, W, 3) points as a new (T, 3, H*W) array."""
+    return points.reshape(len(points), -1, 3).transpose(0, 2, 1).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +243,24 @@ def traj_loss(
 
 
 def depth_loss(
-    recon_pm: Pointmap,
+    recon: PointmapVideo,
+    j: int,
     pose: PoseSE3,
     mono_depth: np.ndarray,
     mono_valid: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Scale-aligned squared depth error against monocular supervision.
+    """Scale-aligned squared depth error of frame j of a recon video
+    against monocular supervision.
 
     The per-frame scale alpha* = sum(z_proj * z_mono) / sum(z_proj^2) is the
     closed-form minimizer; its dependence on the projected depths is part
-    of the returned gradient. Gradients are with respect to the pointmap
+    of the returned gradient. Gradients are with respect to frame j's
     coordinates, shape (H, W, 3), zero outside the compared pixels. A depth
     map or mask off the grid raises ``ShapeMismatch``, and a non-finite
     depth at a compared pixel ``ValueError``.
     """
-    _check_branch(recon_pm, "recon", recon_pm.time)
+    points, mask = video_arrays(recon, "recon", j)
     mono_depth = np.asarray(mono_depth, dtype=np.float64)
-    mask = recon_pm.valid
     if mono_depth.shape != mask.shape:
         raise ShapeMismatch(f"depth map {mono_depth.shape} vs grid")
     if mono_valid is not None:
@@ -272,7 +271,7 @@ def depth_loss(
     # the supervision's own check refuses a non-finite compared depth
     DepthSupervision(mono_depth[None], mask[None])
     r3 = pose.rotation[2]
-    z = recon_pm.points @ r3 + pose.translation[2]
+    z = points @ r3 + pose.translation[2]
     loss, grad_z, checks = _depth_terms(
         z.reshape(1, -1), np.where(mask, mono_depth, 0.0).reshape(1, -1), mask.reshape(1, -1)
     )
@@ -305,20 +304,15 @@ class _Layout:
     align_rec: np.ndarray  # (3, m): flat indices into the recon stack
 
 
-def _stacks(tracking_pms, recon_pms):
-    """Both branches' videos checked and stacked once: the tracking
-    (T, H, W, 3) points and (T, H, W) mask, then the recon ones."""
-    return stack_pointmaps(tracking_pms, "tracking") + stack_pointmaps(recon_pms, "recon")
+def _objective(tracking, recon, K, sup, mono, weights):
+    """Validate a tracking and a recon video of T frames of P pixels and
+    lay their objective out once.
 
-
-def _objective(stacks, K, sup, mono, weights):
-    """Validate the ``_stacks`` of T frames of P pixels and lay their
-    objective out once.
-
-    Returns both branches' (T, 3, P) point stacks, their (T, P) masks and
-    the ``_Layout`` that ``_evaluate`` takes.
+    Returns both branches' (T, 3, P) point stacks, new arrays of their own,
+    their (T, P) masks and the ``_Layout`` that ``_evaluate`` takes.
     """
-    trk, trk_valid, rec, rec_valid = stacks
+    trk, trk_valid = video_arrays(tracking, "tracking")
+    rec, rec_valid = video_arrays(recon, "recon")
     T, H, W, _ = trk.shape
     if not (T == len(rec) == sup.num_frames == mono.depth.shape[0]):
         raise ShapeMismatch("frame counts disagree across inputs")
@@ -433,10 +427,10 @@ def _pose_stack(poses: list[PoseSE3]):
 
 @dataclass
 class AdaptState:
-    """Optimizable tracking pointmaps plus the frozen-or-live recon side."""
+    """Optimizable tracking video plus the frozen-or-live recon video."""
 
-    tracking_params: list[Pointmap]
-    recon_pointmaps: list[Pointmap]
+    tracking_params: PointmapVideo
+    recon_pointmaps: PointmapVideo
     freeze_recon: bool = True
     step_size: float = 1e-2
     steps: int = 500
@@ -449,17 +443,18 @@ def tta_optimize(
     mono: DepthSupervision,
     weights: LossWeights = LossWeights(),
 ) -> tuple[AdaptState, list[LossBreakdown]]:
-    """Plain gradient descent on the tracking pointmaps.
+    """Plain gradient descent on the tracking video.
 
-    With freeze_recon the cameras are solved once from the reconstruction
-    pointmaps and held fixed, and the reconstruction side is returned
-    untouched. Otherwise the reconstruction pointmaps are optimized too: each
-    evaluation steps the cameras (solved once, seeded by ``state.seed``) by one
-    Gauss-Newton step on the recon stack, the solve's inliers as a weight, and
-    the loss gradient flows back through that step's increment and normal matrix.
+    With freeze_recon the cameras are solved once from the recon video and
+    held fixed, and the recon video is returned untouched. Otherwise the
+    recon points are optimized too: each evaluation steps the cameras
+    (solved once, seeded by ``state.seed``) by one Gauss-Newton step on the
+    recon stack, the solve's inliers as a weight, and the loss gradient flows
+    back through that step's increment and normal matrix.
 
-    The points live in two (T, 3, H*W) arrays for the whole run (the valid
-    masks are fixed); pointmaps are built once, from the final arrays.
+    The points live in two (T, 3, H*W) copies of the run's own for the whole
+    run (the valid masks are fixed); the input videos are never written to,
+    and the output videos are built once, from the final arrays.
     Non-finite points, poses or loss totals, or a total above
     ``DIVERGENCE_FACTOR`` times the first, raise ``DivergenceDetected``.
 
@@ -472,14 +467,14 @@ def tta_optimize(
     if state.steps == 0:
         return state, []
 
-    stacks = _stacks(state.tracking_params, state.recon_pointmaps)
-    T, H, W = stacks[1].shape  # the tracking mask
+    T, H, W = video_arrays(state.tracking_params, "tracking")[1].shape
     grid = PixelGrid.create(W, H)
     K, estimates = solve_cameras_for_video(
         state.recon_pointmaps, grid, RansacConfig(seed=state.seed)
     )
-    trk, rec, trk_valid, rec_valid, layout = _objective(stacks, K, sup, mono, weights)
-    del stacks  # stacks np.stack built from loose frames need not live through the run
+    trk, rec, trk_valid, rec_valid, layout = _objective(
+        state.tracking_params, state.recon_pointmaps, K, sup, mono, weights
+    )
     live = not state.freeze_recon
     # live cameras step on from the solve's base poses; frozen ones are its poses
     R, t = _pose_stack([e.base_pose if live else e.pose for e in estimates])
@@ -530,13 +525,13 @@ def tta_optimize(
 
     # points last again, each in a new array of its own for its video to take over
     shape = (T, 3, H, W)
-    tracking = video_pointmaps(
-        np.moveaxis(trk.reshape(shape), 1, -1).copy(), trk_valid.reshape(T, H, W), "tracking"
+    tracking = PointmapVideo(
+        "tracking", np.moveaxis(trk.reshape(shape), 1, -1).copy(), trk_valid.reshape(T, H, W)
     )
     recon = state.recon_pointmaps
     if live:
         rec_valid = rec_valid.reshape(T, H, W)
-        recon = video_pointmaps(np.moveaxis(rec.reshape(shape), 1, -1).copy(), rec_valid, "recon")
+        recon = PointmapVideo("recon", np.moveaxis(rec.reshape(shape), 1, -1).copy(), rec_valid)
     return replace(state, tracking_params=tracking, recon_pointmaps=recon), trace
 
 

@@ -34,14 +34,14 @@ from .geometry import (
     DEPTH_EPS,
     Intrinsics,
     PixelGrid,
+    PointmapVideo,
     PoseSE3,
     TrackSet,
     _pixel_cells,
     _pixels,
     backproject,
     so3_exp,
-    stack_pointmaps,
-    video_pointmaps,
+    video_arrays,
 )
 
 STATIC_ID = -1
@@ -306,7 +306,7 @@ def render(scene: Scene) -> RenderedSequence:
     tracks3d[beacons] = scene.beacon_tracks[owner_motion[beacons] - num_bodies]
     pos[:, beacons] = tracks3d[beacons].swapaxes(0, 1)
 
-    tracking = video_pointmaps(tracking_points, np.ones((T, H, W), dtype=bool), "tracking")
+    tracking = PointmapVideo("tracking", tracking_points, np.ones((T, H, W), dtype=bool))
 
     check_margin = 0 < beacons.size < n_owners
     recon_points = np.zeros((T, H, W, 3))
@@ -353,7 +353,7 @@ def render(scene: Scene) -> RenderedSequence:
         intrinsics=K,
         cameras=list(scene.cameras),
         tracking_pointmaps=tracking,
-        recon_pointmaps=video_pointmaps(recon_points, recon_valid, "recon"),
+        recon_pointmaps=PointmapVideo("recon", recon_points, recon_valid),
         depth=depth,
         tracks2d=TrackSet(tracks2d, visibility, dynamic),
         tracks3d=TrackSet(tracks3d, visibility, dynamic),
@@ -391,15 +391,15 @@ def corrupt(
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
 
-        def perturb(pms, branch):
-            points, valid = stack_pointmaps(pms, branch)
+        def perturb(video, branch):
+            points, valid = video_arrays(video, branch)
             # one draw for the video: the per-frame draws, frame after frame
             delta = rng.normal(0.0, noise, points.shape) if noise > 0 else np.zeros(points.shape)
             if drift > 0:
                 delta += (drift * np.arange(len(points)))[:, None, None, None] * direction
-            # invalid pixels moved too; video_pointmaps zeroes them again
+            # invalid pixels moved too; the video zeroes them again
             delta += points
-            return video_pointmaps(delta, valid, branch)
+            return PointmapVideo(branch, delta, valid)
 
         if "tracking" in targets:
             out_tracking = perturb(seq.tracking_pointmaps, "tracking")
@@ -420,7 +420,7 @@ def corrupt(
 def _landing_cells(seq: RenderedSequence) -> np.ndarray:
     """(N, T) flat index of the reconstruction cell each visible track lands
     in, -1 where the track is invisible, off the grid or on an invalid cell."""
-    _, valid = stack_pointmaps(seq.recon_pointmaps, "recon")
+    _, valid = video_arrays(seq.recon_pointmaps, "recon")
     T, H, W = valid.shape
     t2 = seq.tracks2d.positions
     rows, cols, ok = _pixel_cells(t2, W, H)

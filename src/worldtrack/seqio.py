@@ -7,9 +7,8 @@ bytes; cameras and intrinsics are float64 so poses survive a round trip
 without losing the rotation orthonormality contract. Invalid pointmap pixels are stored as
 the exact zero triple. Rendered points never collide with it, because
 they come from rays through half-integer pixel centers; a save refuses
-any valid point that would. Each pointmap file loads as one video
-(``geometry.video_pointmaps``): one float64 stack, checked once, whose
-frames are views of it.
+any valid point that would. Each pointmap file loads as one
+``geometry.PointmapVideo``, whose float64 points are checked once.
 
 A save checks both branches as videos, every array's shape against theirs
 and the float32 values it will write of the pointmaps, depth and tracks
@@ -37,7 +36,7 @@ import numpy as np
 from .data import RenderedSequence, SceneSpec
 from .errors import ShapeMismatch, UnknownPreset
 from .geometry import (
-    Intrinsics, PoseSE3, TrackSet, _pixel_cells, stack_pointmaps, video_pointmaps,
+    Intrinsics, PointmapVideo, PoseSE3, TrackSet, _pixel_cells, video_arrays,
 )
 
 FORMAT_TAG = "worldtrack-seq/1"
@@ -62,8 +61,8 @@ def save_sequence(path, seq: RenderedSequence) -> None:
     triple, and the manifest is formed, with no NaN or infinity in it,
     before any file is written: a sequence ``load_sequence`` would refuse
     or read back with fewer valid pixels leaves no file."""
-    tracking, tracking_valid = stack_pointmaps(seq.tracking_pointmaps, "tracking")
-    recon, recon_valid = stack_pointmaps(seq.recon_pointmaps, "recon")
+    tracking, tracking_valid = video_arrays(seq.tracking_pointmaps, "tracking")
+    recon, recon_valid = video_arrays(seq.recon_pointmaps, "recon")
     T, H, W, _ = tracking.shape
     N = len(seq.tracks2d.positions)
     for name, shape, expect in (
@@ -215,7 +214,7 @@ def load_sequence(path) -> RenderedSequence:
         # a pixel is valid unless it stores the exact zero triple
         valid = (points[..., 0] != 0.0) | (points[..., 1] != 0.0) | (points[..., 2] != 0.0)
         try:
-            return video_pointmaps(points, valid, branch)
+            return PointmapVideo(branch, points, valid)
         except ValueError as exc:
             raise ValueError(f"{indir / arrays[name]['file']}: {exc}") from None
 

@@ -25,7 +25,7 @@ from worldtrack.errors import (
     ShapeMismatch,
     ZeroMedian,
 )
-from worldtrack.geometry import Pointmap, TrackSet, so3_exp
+from worldtrack.geometry import PointmapVideo, TrackSet, so3_exp
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +277,9 @@ def test_eval_recon_filters_and_matches_brute():
     valid = rng.uniform(size=(T, H, W)) > 0.2
     depth = rng.uniform(0.5, 3.0, (T, H, W))
     depth[0, 0, 0] = 9.0  # outside the range filter
-    gt_pms = [Pointmap(gt_pts[j], valid[j], 0, j, j) for j in range(T)]
-    pred_pms = [Pointmap(pred_pts[j], valid[j], 0, j, j) for j in range(T)]
-    rep = eval_recon(pred_pms, gt_pms, alignment="median", depth_maps=depth)
+    gt_video = PointmapVideo("recon", gt_pts.copy(), valid.copy())
+    pred_video = PointmapVideo("recon", pred_pts.copy(), valid.copy())
+    rep = eval_recon(pred_video, gt_video, alignment="median", depth_maps=depth)
     pp, gg = [], []
     for j in range(T):
         for r in range(H):
@@ -291,22 +291,19 @@ def test_eval_recon_filters_and_matches_brute():
     assert rep.apd == apd and rep.per_threshold == fracs and rep.epe == mean_err
     assert rep.num_pairs == len(pp)
     # invalid pixels are excluded no matter their content
-    poisoned = [
-        pm.with_points(np.where(valid[j, ..., None], pm.points, 0.0))
-        for j, pm in enumerate(pred_pms)
-    ]
-    rep2 = eval_recon(poisoned, gt_pms, alignment="median", depth_maps=depth)
+    poisoned = PointmapVideo("recon", np.where(valid[..., None], pred_pts, 1e6), valid)
+    rep2 = eval_recon(poisoned, gt_video, alignment="median", depth_maps=depth)
     assert rep2.apd == rep.apd
     with pytest.raises(NoOverlap):
-        eval_recon(pred_pms, gt_pms, depth_maps=np.full((T, H, W), 99.0))
+        eval_recon(pred_video, gt_video, depth_maps=np.full((T, H, W), 99.0))
 
 
 @pytest.mark.parametrize("shape", [(2, 6, 8), (4, 5, 8), (4, 6, 8, 1)])
 def test_eval_recon_checks_the_depth_map_shape(shape):
-    pms = [Pointmap(np.ones((6, 8, 3)), np.ones((6, 8), bool), 0, j, j) for j in range(4)]
+    video = PointmapVideo("recon", np.ones((4, 6, 8, 3)), np.ones((4, 6, 8), bool))
     message = rf"^depth maps {re.escape(str(shape))} vs video \(4, 6, 8\)$"
     with pytest.raises(ShapeMismatch, match=message):
-        eval_recon(pms, pms, depth_maps=np.ones(shape))
+        eval_recon(video, video, depth_maps=np.ones(shape))
 
 
 def aligned_pairs(pp, gg, alignment):
@@ -343,14 +340,15 @@ def test_tracking_report_keeps_its_definitions(alignment):
 
 @pytest.mark.parametrize("alignment", ["none", "median", "sim3"])
 def test_recon_report_keeps_its_definitions(alignment):
-    pred_pms, gt_pms, depth = recon_video(np.random.default_rng(14))
-    rep = eval_recon(pred_pms, gt_pms, alignment=alignment, depth_maps=depth, window=2)
+    pred_video, gt_video, depth = recon_video(np.random.default_rng(14))
+    rep = eval_recon(pred_video, gt_video, alignment=alignment, depth_maps=depth, window=2)
+    p, g = pred_video, gt_video
     keep = [
-        (pm.points[r, c], g.points[r, c])
-        for pm, g, d in zip(pred_pms[:2], gt_pms[:2], depth[:2])
-        for r in range(pm.height)
-        for c in range(pm.width)
-        if pm.valid[r, c] and g.valid[r, c] and 0.1 <= d[r, c] <= 5.0
+        (p.points[j, r, c], g.points[j, r, c])
+        for j in range(2)
+        for r in range(p.height)
+        for c in range(p.width)
+        if p.valid[j, r, c] and g.valid[j, r, c] and 0.1 <= depth[j, r, c] <= 5.0
     ]
     pp, gg = (np.array(x) for x in zip(*keep))
     assert_report_definitions(rep, aligned_pairs(pp, gg, alignment), gg)
@@ -361,10 +359,9 @@ def recon_video(rng, T=3, H=6, W=8):
     pred_pts = gt_pts * 1.3 + rng.normal(0, 0.15, gt_pts.shape)
     valid = rng.uniform(size=(T, H, W)) > 0.2
     depth = rng.uniform(0.05, 5.5, (T, H, W))
-    gt_pms = [Pointmap(gt_pts[j], valid[j], 0, j, j) for j in range(T)]
+    gt_video = PointmapVideo("recon", gt_pts, valid)
     pred_valid = valid | (rng.uniform(size=(T, H, W)) > 0.8)
-    pred_pms = [Pointmap(pred_pts[j], pred_valid[j], 0, j, j) for j in range(T)]
-    return pred_pms, gt_pms, depth
+    return PointmapVideo("recon", pred_pts, pred_valid), gt_video, depth
 
 
 def frozen(a):
@@ -377,16 +374,16 @@ def frozen(a):
 def test_evaluation_leaves_frozen_inputs_untouched(alignment):
     rng = np.random.default_rng(15)
     pred, gt = random_tracks(rng)
-    pred_pms, gt_pms, depth = recon_video(rng)
+    pred_video, gt_video, depth = recon_video(rng)
     depth = frozen(depth)
     pp, gg = (frozen(x) for x in visible_pairs(pred, gt, 6))
     arrays = [pred.positions, gt.positions, gt.visibility, gt.dynamic, depth, pp, gg]
-    arrays += [a for pm in pred_pms + gt_pms for a in (pm.points, pm.valid)]
+    arrays += [a for v in (pred_video, gt_video) for a in (v.points, v.valid)]
     assert not any(a.flags.writeable for a in arrays)
     before = [a.tobytes() for a in arrays]
     tracks = [eval_tracking(pred, gt, alignment=alignment, window=6) for _ in range(2)]
     recon = [
-        eval_recon(pred_pms, gt_pms, alignment=alignment, depth_maps=depth) for _ in range(2)
+        eval_recon(pred_video, gt_video, alignment=alignment, depth_maps=depth) for _ in range(2)
     ]
     assert tracks[0] == tracks[1] and set(tracks[0]) == {"all", "dynamic"}
     assert recon[0] == recon[1]

@@ -35,7 +35,7 @@ from worldtrack.geometry import (
     DEPTH_EPS,
     Intrinsics,
     PixelGrid,
-    Pointmap,
+    PointmapVideo,
     PoseSE3,
     backproject,
     so3_exp,
@@ -43,43 +43,43 @@ from worldtrack.geometry import (
 from worldtrack.oracle import corrupt, generate_sequence
 
 
-def plane_pointmap(focal, width=32, height=24, z=2.0, tilt=(0.0, 0.0)):
-    """Anchor self-view pointmap of a (possibly tilted) plane."""
+def plane_video(focal, width=32, height=24, z=2.0, tilt=(0.0, 0.0)):
+    """A one-frame video whose anchor self-view is a (possibly tilted) plane."""
     grid = PixelGrid.create(width, height)
     K = Intrinsics(focal, width / 2.0, height / 2.0)
     u = grid.coords[..., 0] - K.cx
     v = grid.coords[..., 1] - K.cy
     depth = z + tilt[0] * u + tilt[1] * v
     pts = backproject(K, grid.coords, depth)
-    pm = Pointmap(pts, np.ones((height, width), dtype=bool), 0, 0, 0)
-    return pm, grid
+    video = PointmapVideo("tracking", pts[None], np.ones((1, height, width), dtype=bool))
+    return video, grid
 
 
 # ---- focal estimation ----
 
 def test_weiszfeld_exact_on_plane():
     for f in (500.0, 80.0, 1.0):
-        pm, grid = plane_pointmap(f)
-        K = estimate_focal_weiszfeld(pm, grid)
+        video, grid = plane_video(f)
+        K = estimate_focal_weiszfeld(video, grid)
         assert abs(K.focal - f) / f < 1e-9
         assert K.cx == grid.width / 2.0 and K.cy == grid.height / 2.0
 
 
 def test_weiszfeld_exact_on_tilted_plane():
-    pm, grid = plane_pointmap(60.0, z=3.0, tilt=(0.004, -0.006))
-    K = estimate_focal_weiszfeld(pm, grid)
+    video, grid = plane_video(60.0, z=3.0, tilt=(0.004, -0.006))
+    K = estimate_focal_weiszfeld(video, grid)
     assert abs(K.focal - 60.0) / 60.0 < 1e-9
 
 
 def test_weiszfeld_robust_to_outlier_depths():
     rng = np.random.default_rng(0)
-    pm, grid = plane_pointmap(500.0, width=64, height=48)
-    pts = np.array(pm.points)
+    video, grid = plane_video(500.0, width=64, height=48)
+    pts = np.array(video.points[0])
     n_out = int(0.10 * pts.shape[0] * pts.shape[1])
     rows = rng.integers(0, pts.shape[0], n_out)
     cols = rng.integers(0, pts.shape[1], n_out)
     pts[rows, cols, 2] *= rng.uniform(0.2, 4.0, n_out)
-    noisy = pm.with_points(pts)
+    noisy = PointmapVideo("tracking", pts[None], video.valid)
     K = estimate_focal_weiszfeld(noisy, grid)
     assert abs(K.focal - 500.0) / 500.0 < 0.01
 
@@ -88,33 +88,37 @@ def test_weiszfeld_degenerate_and_sparse_inputs():
     grid = PixelGrid.create(8, 6)
     axial = np.zeros((6, 8, 3))
     axial[..., 2] = 2.0  # every ray through the optical axis
-    pm = Pointmap(axial, np.ones((6, 8), dtype=bool), 0, 0, 0)
+    video = PointmapVideo("tracking", axial[None], np.ones((1, 6, 8), dtype=bool))
     with pytest.raises(DegenerateGeometry):
-        estimate_focal_weiszfeld(pm, grid)
-    sparse_valid = np.zeros((6, 8), dtype=bool)
-    sparse_valid[0, :4] = True
-    pm2 = Pointmap(np.ones((6, 8, 3)), sparse_valid, 0, 0, 0)
+        estimate_focal_weiszfeld(video, grid)
+    sparse_valid = np.zeros((1, 6, 8), dtype=bool)
+    sparse_valid[0, 0, :4] = True
+    sparse = PointmapVideo("tracking", np.ones((1, 6, 8, 3)), sparse_valid)
     with pytest.raises(InsufficientValidPoints):
-        estimate_focal_weiszfeld(pm2, grid)
+        estimate_focal_weiszfeld(sparse, grid)
 
 
-def test_weiszfeld_rejects_later_frame_content():
-    pm, grid = plane_pointmap(100.0)
-    later = Pointmap(pm.points, pm.valid, coord_frame=0, content_frame=0, time=3)
-    with pytest.raises(DegenerateGeometry):
-        estimate_focal_weiszfeld(later, grid)
-    # a later recon frame is off the tracking branch the anchor belongs to
-    recon = Pointmap(pm.points, pm.valid, coord_frame=0, content_frame=3, time=3)
+def test_weiszfeld_reads_frame_zero_of_either_branch():
+    video, grid = plane_video(100.0)
+    other, _ = plane_video(40.0)
+    # later frames, whatever they hold, do not enter the estimate
+    points = np.concatenate([video.points, other.points, 5.0 * video.points])
+    valid = np.ones(points.shape[:-1], dtype=bool)
+    for branch in ("tracking", "recon"):
+        K = estimate_focal_weiszfeld(PointmapVideo(branch, points, valid), grid)
+        assert K == estimate_focal_weiszfeld(video, grid)
+    # anything but a video is refused, a single frame's arrays included
     with pytest.raises(BranchContractViolation):
-        estimate_focal_weiszfeld(recon, grid)
+        estimate_focal_weiszfeld([video.points[0]], grid)
 
 
 
-def row_weiszfeld(pm, grid):
-    """The focal IRLS on (N, 2) rows: einsum moments and row norms."""
-    mask = pm.valid & (pm.points[..., 2] > DEPTH_EPS)
+def row_weiszfeld(video, grid):
+    """The focal IRLS on (N, 2) rows of frame 0: einsum moments and row norms."""
+    points, valid = video.points[0], video.valid[0]
+    mask = valid & (points[..., 2] > DEPTH_EPS)
     u = grid.coords[mask] - np.array([grid.width / 2.0, grid.height / 2.0])
-    pts = pm.points[mask]
+    pts = points[mask]
     q = pts[:, :2] / pts[:, 2:3]
     qq = np.einsum("ni,ni->n", q, q)
     uq = np.einsum("ni,ni->n", u, q)
@@ -131,9 +135,9 @@ def test_weiszfeld_matches_row_formulation(preset):
     grid = PixelGrid.create(64, 48)
     seq = generate_sequence(SceneSpec(preset, seed=3))
     noisy = corrupt(seq, noise=0.003, targets=("tracking", "recon"), seed=4)
-    for pm in (seq.recon_pointmaps[0], noisy.recon_pointmaps[0], noisy.tracking_pointmaps[0]):
-        ref = row_weiszfeld(pm, grid)
-        assert abs(estimate_focal_weiszfeld(pm, grid).focal - ref) <= 2 * np.spacing(ref)
+    for video in (seq.recon_pointmaps, noisy.recon_pointmaps, noisy.tracking_pointmaps):
+        ref = row_weiszfeld(video, grid)
+        assert abs(estimate_focal_weiszfeld(video, grid).focal - ref) <= 2 * np.spacing(ref)
 
 
 # ---- RANSAC PnP ----
@@ -658,12 +662,12 @@ def test_pose_gradient_matches_factored_reference():
 # ---- whole-video solving ----
 
 def build_recon_video(rng, T=5, width=24, height=18, focal=30.0, static=False):
-    """On-ray reconstruction pointmaps for a smooth camera path."""
+    """An on-ray reconstruction video for a smooth camera path."""
     grid = PixelGrid.create(width, height)
     K = Intrinsics(focal, width / 2.0, height / 2.0)
     u = grid.coords[..., 0] / width
     v = grid.coords[..., 1] / height
-    cams, pms = [], []
+    cams, points = [], []
     for t in range(T):
         if static or t == 0:
             cam = PoseSE3.identity()
@@ -674,15 +678,16 @@ def build_recon_video(rng, T=5, width=24, height=18, focal=30.0, static=False):
             )
         depth = 2.0 + 0.8 * np.sin(3.0 * u + 0.2 * t) + 0.5 * np.cos(4.0 * v - 0.1 * t)
         world = cam.inverse().apply(backproject(K, grid.coords, depth))
-        pms.append(Pointmap(world, np.ones((height, width), dtype=bool), 0, t, t))
+        points.append(world)
         cams.append(cam)
-    return K, cams, pms, grid
+    video = PointmapVideo("recon", np.stack(points), np.ones((T, height, width), dtype=bool))
+    return K, cams, video, grid
 
 
 def test_solve_cameras_recovers_moving_path():
     rng = np.random.default_rng(1)
-    K, cams, pms, grid = build_recon_video(rng)
-    K_est, ests = solve_cameras_for_video(pms, grid)
+    K, cams, video, grid = build_recon_video(rng)
+    K_est, ests = solve_cameras_for_video(video, grid)
     assert abs(K_est.focal - K.focal) / K.focal < 1e-3
     for t, (cam, est) in enumerate(zip(cams, ests)):
         ang, dt = pose_errors(est.pose, cam)
@@ -699,8 +704,8 @@ def test_solve_cameras_on_noisy_recon_maps(preset, seed):
     seq = generate_sequence(spec)
     noisy = corrupt(seq, noise=0.003, targets=("recon",), seed=seed + 1)
     _, ests = solve_cameras_for_video(noisy.recon_pointmaps, PixelGrid.create(256, 192))
-    for t, (cam, est, pm) in enumerate(zip(seq.cameras, ests, noisy.recon_pointmaps)):
-        valid = pm.valid.reshape(-1)
+    for t, (cam, est) in enumerate(zip(seq.cameras, ests)):
+        valid = noisy.recon_pointmaps.valid[t].reshape(-1)
         assert valid.sum() > PREEMPTIVE_SUBSET and not est.inliers[~valid].any()
         ratio = est.inliers[valid].mean()
         assert ratio >= 0.99, f"frame {t}: inlier ratio {ratio:.4f}"
@@ -710,7 +715,7 @@ def test_solve_cameras_on_noisy_recon_maps(preset, seed):
 
 def test_full_set_is_linearised_once_per_frame(monkeypatch):
     rng = np.random.default_rng(4)
-    K, cams, pms, grid = build_recon_video(rng, width=48, height=32, focal=60.0)
+    K, cams, video, grid = build_recon_video(rng, width=48, height=32, focal=60.0)
     assert grid.width * grid.height > PREEMPTIVE_SUBSET
     sizes = []
     gn_terms, ransac = camera._gn_terms, camera.solve_pnp_ransac
@@ -725,8 +730,8 @@ def test_full_set_is_linearised_once_per_frame(monkeypatch):
 
     monkeypatch.setattr(camera, "_gn_terms", counted_gn_terms)
     monkeypatch.setattr(camera, "solve_pnp_ransac", frame_ransac)
-    _, ests = solve_cameras_for_video(pms, grid)
-    assert len(sizes) == len(pms) - 1
+    _, ests = solve_cameras_for_video(video, grid)
+    assert len(sizes) == video.num_frames - 1
     for t, frame in enumerate(sizes, start=1):
         assert sum(m > PREEMPTIVE_SUBSET for m in frame) == 1, f"frame {t}: {frame}"
     for cam, est in zip(cams, ests):
@@ -736,7 +741,7 @@ def test_full_set_is_linearised_once_per_frame(monkeypatch):
 
 def test_solve_builds_a_validated_pose_per_returned_estimate(monkeypatch):
     rng = np.random.default_rng(4)
-    _, _, pms, grid = build_recon_video(rng, width=48, height=32, focal=60.0)
+    _, _, video, grid = build_recon_video(rng, width=48, height=32, focal=60.0)
     built = []
     validate = PoseSE3.__post_init__
 
@@ -745,15 +750,15 @@ def test_solve_builds_a_validated_pose_per_returned_estimate(monkeypatch):
         validate(pose)
 
     monkeypatch.setattr(PoseSE3, "__post_init__", counted)
-    solve_cameras_for_video(pms, grid)
+    solve_cameras_for_video(video, grid)
     # the RANSAC winner and the refined pose, plus frame 0's identity
-    assert len(built) <= 3 * (len(pms) - 1), len(built)
+    assert len(built) <= 3 * (video.num_frames - 1), len(built)
 
 
 def test_solve_cameras_static_video_is_identity():
     rng = np.random.default_rng(2)
-    K, cams, pms, grid = build_recon_video(rng, static=True)
-    _, ests = solve_cameras_for_video(pms, grid)
+    K, cams, video, grid = build_recon_video(rng, static=True)
+    _, ests = solve_cameras_for_video(video, grid)
     for est in ests:
         ang, dt = pose_errors(est.pose, PoseSE3.identity())
         assert ang < 1e-6 and dt < 1e-6
@@ -761,23 +766,24 @@ def test_solve_cameras_static_video_is_identity():
 
 def test_solve_cameras_attaches_frame_index():
     rng = np.random.default_rng(3)
-    K, cams, pms, grid = build_recon_video(rng)
-    starved = np.zeros((grid.height, grid.width), dtype=bool)
-    starved[0, :4] = True
-    pms[2] = Pointmap(pms[2].points, starved, 0, 2, 2)
+    K, cams, video, grid = build_recon_video(rng)
+    starved = np.array(video.valid)
+    starved[2] = False
+    starved[2, 0, :4] = True
+    video = PointmapVideo("recon", video.points, starved)
     with pytest.raises(TooFewCorrespondences) as info:
-        solve_cameras_for_video(pms, grid)
+        solve_cameras_for_video(video, grid)
     assert info.value.frame == 2
 
 
 def test_frame_zero_point_behind_the_camera_is_no_inlier():
     # one valid frame-0 recon point at z = -1 once made the frame's RMS inf
     rng = np.random.default_rng(5)
-    _, _, pms, grid = build_recon_video(rng, T=3)
-    points = np.array(pms[0].points)
-    points[4, 7] = [0.1, -0.2, -1.0]
-    pms[0] = Pointmap(points, pms[0].valid, 0, 0, 0)
-    _, ests = solve_cameras_for_video(pms, grid)
+    _, _, video, grid = build_recon_video(rng, T=3)
+    points = np.array(video.points)
+    points[0, 4, 7] = [0.1, -0.2, -1.0]
+    video = PointmapVideo("recon", points, video.valid)
+    _, ests = solve_cameras_for_video(video, grid)
     inliers = ests[0].inliers.reshape(grid.height, grid.width)
     assert not inliers[4, 7] and inliers.sum() == grid.height * grid.width - 1
     assert np.isfinite(ests[0].rms_reprojection_error)
@@ -786,14 +792,15 @@ def test_frame_zero_point_behind_the_camera_is_no_inlier():
 
 def test_correspondences_from_pointmap_indexing():
     grid = PixelGrid.create(4, 3)
-    pts = np.arange(36, dtype=np.float64).reshape(3, 4, 3) + 1.0
-    valid = np.zeros((3, 4), dtype=bool)
-    valid[1, 2] = True
-    valid[2, 0] = True
-    pm = Pointmap(pts, valid, 0, 0, 0)
-    pixels, points, idx = correspondences_from_pointmap(pm, grid)
+    pts = np.arange(72, dtype=np.float64).reshape(2, 3, 4, 3) + 1.0
+    valid = np.zeros((2, 3, 4), dtype=bool)
+    valid[1, 1, 2] = True
+    valid[1, 2, 0] = True
+    video = PointmapVideo("recon", pts.copy(), valid)
+    assert correspondences_from_pointmap(video, 0, grid)[0].shape == (0, 2)
+    pixels, points, idx = correspondences_from_pointmap(video, 1, grid)
     assert idx.tolist() == [6, 8]
     assert pixels.shape == (2, 2) and points.shape == (3, 2)
     assert points.flags.c_contiguous
     assert np.allclose(pixels[0], [2.5, 1.5])
-    assert np.allclose(points[:, 1], pts[2, 0])
+    assert np.allclose(points[:, 1], pts[1, 2, 0])

@@ -61,22 +61,23 @@ def test_solve_camera_with_a_frame_zero_point_behind_the_camera(tmp_path):
     # that point once made frame 0's RMS inf, which the JSON report refused
     import dataclasses
 
+    from worldtrack.geometry import PointmapVideo
     from worldtrack.seqio import load_sequence, save_sequence
 
     clean, bad = tmp_path / "clean.seq", tmp_path / "bad.seq"
     assert main(["synth", "--preset", "orbit-dynamic", "--width", "32", "--height", "24",
                  "--frames", "4", "--out", str(clean)]) == 0
     seq = load_sequence(clean)
-    first = seq.recon_pointmaps[0]
-    points = np.array(first.points)
-    points[5, 9, 2] = -1.0
-    assert first.valid[5, 9]
-    recon = [first.with_points(points), *seq.recon_pointmaps[1:]]
+    video = seq.recon_pointmaps
+    points = np.array(video.points)
+    points[0, 5, 9, 2] = -1.0
+    assert video.valid[0, 5, 9]
+    recon = PointmapVideo("recon", points, video.valid)
     save_sequence(bad, dataclasses.replace(seq, recon_pointmaps=recon))
     out = tmp_path / "cameras.json"
     assert main(["solve-camera", "--seq", str(bad), "--out", str(out)]) == 0
     frame = json.loads(out.read_text())["frames"][0]
-    assert frame["rms_px"] < 1e-4 and frame["num_inliers"] == first.valid.sum() - 1
+    assert frame["rms_px"] < 1e-4 and frame["num_inliers"] == video.valid[0].sum() - 1
 
 
 def test_adapt_trace_and_meta(workdir):
@@ -258,17 +259,18 @@ def test_usage_errors_exit_two_before_any_work(workdir, tmp_path, capsys, argv):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """``solve-camera`` and ``adapt``, frozen and live, write the same bytes
-    under one and under two OpenBLAS threads. OpenBLAS splits a long dot
-    product over its threads, so a sum it forms rounds by the thread count;
-    on orbit-dynamic inputs of 96x72 such a sum once reached trace.csv,
-    while 64x48 hid it. Only the children's environment is set."""
-    seq = tmp_path / "in.seq"
-    assert main([
-        "synth", "--preset", "orbit-dynamic", "--width", "96", "--height", "72",
-        "--frames", "4", "--seed", "1", "--noise", "0.05", "--drift", "0.01",
-        "--out", str(seq),
-    ]) == 0
+    """``solve-camera``, ``adapt``, frozen and live, and ``eval`` of the live
+    output under sim3 alignment, whose covariance is a BLAS product, write
+    the same bytes under one and under two OpenBLAS threads. OpenBLAS
+    splits a long dot product over its threads, so a sum it forms rounds by
+    the thread count; on orbit-dynamic inputs of 96x72 such a sum once
+    reached trace.csv, while 64x48 hid it. Only the children's environment
+    is set."""
+    seq, clean = tmp_path / "in.seq", tmp_path / "clean.seq"
+    synth = ["synth", "--preset", "orbit-dynamic", "--width", "96", "--height", "72",
+             "--frames", "4", "--seed", "1"]
+    assert main([*synth, "--noise", "0.05", "--drift", "0.01", "--out", str(seq)]) == 0
+    assert main([*synth, "--out", str(clean)]) == 0
     src = str(Path(worldtrack.__file__).parents[1])
     entry = "import sys; from worldtrack.cli import main; sys.exit(main(sys.argv[1:]))"
     outputs = {}
@@ -278,9 +280,12 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         adapt = ["adapt", "--seq", str(seq), "--steps", "2"]
+        evaluate = ["eval", "--pred", str(out / "live.seq"), "--gt", str(clean),
+                    "--mode", "both", "--alignment", "sim3", "--out", str(out / "eval.json")]
         for argv in (["solve-camera", "--seq", str(seq), "--out", str(out / "cameras.json")],
                      adapt + ["--out", str(out / "frozen.seq")],
-                     adapt + ["--out", str(out / "live.seq"), "--unfreeze-recon"]):
+                     adapt + ["--out", str(out / "live.seq"), "--unfreeze-recon"],
+                     evaluate):
             subprocess.run([sys.executable, "-c", entry, *argv], env=env, check=True,
                            capture_output=True)
         outputs[threads] = {
@@ -288,6 +293,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         }
     assert Path("frozen.seq/trace.csv") in outputs["1"]
     assert Path("live.seq/trace.csv") in outputs["1"]
+    assert {"tracks", "recon"} <= json.loads(outputs["1"][Path("eval.json")]).keys()
     assert outputs["1"].keys() == outputs["2"].keys()
     differ = [str(name) for name, data in outputs["1"].items() if outputs["2"][name] != data]
     assert differ == []

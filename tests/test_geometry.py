@@ -11,10 +11,9 @@ from worldtrack.errors import (
 from worldtrack.geometry import (
     Intrinsics,
     PixelGrid,
-    Pointmap,
+    PointmapVideo,
     PoseSE3,
     TrackSet,
-    _check_branch,
     _pixel_cells,
     _pixels,
     assemble_trajectories,
@@ -22,6 +21,7 @@ from worldtrack.geometry import (
     project_points,
     skew,
     so3_exp,
+    video_arrays,
 )
 
 
@@ -155,40 +155,46 @@ def test_skew_is_cross_product():
     assert np.allclose(skew(a) @ b, np.cross(a, b))
 
 
-# ---- pointmaps ----
+# ---- pointmap videos ----
 
 def test_pointmap_zeroes_invalid_and_rejects_nan():
-    pts = np.ones((4, 5, 3))
-    valid = np.ones((4, 5), dtype=bool)
-    valid[0, 0] = False
-    pm = Pointmap(pts, valid, 0, 0, 0)
-    assert np.all(pm.points[0, 0] == 0.0)
-    assert np.all(pm.points[1, 1] == 1.0)
-    pts[1, 1, 0] = np.nan
-    with pytest.raises(ValueError):
-        Pointmap(pts, valid, 0, 0, 0)
+    pts = np.ones((1, 4, 5, 3))
+    valid = np.ones((1, 4, 5), dtype=bool)
+    valid[0, 0, 0] = False
+    video = PointmapVideo("recon", pts.copy(), valid)
+    assert np.all(video.points[0, 0, 0] == 0.0)
+    assert np.all(video.points[0, 1, 1] == 1.0)
+    assert (video.num_frames, video.height, video.width) == (1, 4, 5)
+    pts[0, 1, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="^frame 0: valid pointmap entries must be finite$"):
+        PointmapVideo("recon", pts, valid)
 
 
-def test_one_branch_rule_per_frame():
-    pts = np.ones((2, 2, 3))
-    valid = np.ones((2, 2), dtype=bool)
-    tracking = Pointmap(pts, valid, coord_frame=0, content_frame=0, time=5)
-    recon = Pointmap(pts, valid, coord_frame=0, content_frame=5, time=5)
-    _check_branch(tracking, "tracking", 5)
-    _check_branch(recon, "recon", 5)
-    with pytest.raises(BranchContractViolation, match="^frame 5: expected a tracking"):
-        _check_branch(recon, "tracking", 5)
-    with pytest.raises(BranchContractViolation):
-        _check_branch(tracking, "recon", 5)
-    # frame zero belongs to both branches
-    anchor = Pointmap(pts, valid, 0, 0, 0)
-    _check_branch(anchor, "tracking", 0)
-    _check_branch(anchor, "recon", 0)
-    # a self-view outside world frame 0 belongs to neither
-    elsewhere = Pointmap(pts, valid, 3, 3, 3)
-    for branch in ("tracking", "recon"):
-        with pytest.raises(BranchContractViolation):
-            _check_branch(elsewhere, branch, 3)
+def test_video_arrays_is_the_one_branch_check():
+    pts = np.ones((3, 2, 2, 3))
+    valid = np.ones((3, 2, 2), dtype=bool)
+    tracking = PointmapVideo("tracking", pts, valid)
+    recon = PointmapVideo("recon", pts, valid)
+    points, valid = video_arrays(tracking, "tracking")
+    assert points is tracking.points and valid is tracking.valid
+    assert video_arrays(recon, "recon")[0] is recon.points
+    # no branch asked for: either branch, as the anchor self-view of both
+    assert video_arrays(recon)[0] is recon.points
+    with pytest.raises(BranchContractViolation, match="^expected a tracking video, got a recon"):
+        video_arrays(recon, "tracking")
+    with pytest.raises(BranchContractViolation, match="^expected a recon video, got a tracking"):
+        video_arrays(tracking, "recon")
+    # anything but a video is refused, a list of frames included
+    for other in ([tracking.points[0]], pts, None):
+        for branch in ("tracking", "recon", None):
+            with pytest.raises(BranchContractViolation):
+                video_arrays(other, branch)
+    # one frame, addressed as (video, j), is a view of the video's arrays
+    frame_points, frame_valid = video_arrays(recon, "recon", 2)
+    assert frame_points.base is recon.points and frame_valid.base is recon.valid
+    for j in (-1, 3):
+        with pytest.raises(IndexError, match=f"^frame {j} of a 3-frame video$"):
+            video_arrays(recon, "recon", j)
 
 
 def test_pixel_cells_floor_and_bounds():
@@ -200,9 +206,11 @@ def test_pixel_cells_floor_and_bounds():
 
 
 def test_pointmap_arrays_immutable():
-    pm = Pointmap(np.ones((2, 2, 3)), np.ones((2, 2), dtype=bool), 0, 0, 0)
+    video = PointmapVideo("tracking", np.ones((1, 2, 2, 3)), np.ones((1, 2, 2), dtype=bool))
     with pytest.raises(ValueError):
-        pm.points[0, 0, 0] = 5.0
+        video.points[0, 0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        video.valid[0, 0, 0] = False
 
 
 # ---- grids ----
@@ -219,20 +227,16 @@ def test_pixel_grid_centers():
 
 # ---- trajectory assembly ----
 
-def make_tracking_pms(T=4, H=3, W=4, step=(0.1, 0.0, 0.0)):
+def make_tracking_video(T=4, H=3, W=4, step=(0.1, 0.0, 0.0), valid=None):
     base = np.arange(H * W * 3, dtype=np.float64).reshape(H, W, 3) / 10.0 + 1.0
-    valid = np.ones((H, W), dtype=bool)
-    pms = []
-    for t in range(T):
-        pts = base + np.asarray(step) * t
-        pms.append(Pointmap(pts, valid, coord_frame=0, content_frame=0, time=t))
-    return pms
+    pts = base + np.arange(T)[:, None, None, None] * np.asarray(step)
+    return PointmapVideo("tracking", pts, np.ones((T, H, W), bool) if valid is None else valid)
 
 
 def test_assemble_trajectories_rigid_translation():
-    pms = make_tracking_pms(step=(0.1, 0.0, 0.0))
+    video = make_tracking_video(step=(0.1, 0.0, 0.0))
     queries = np.array([[0.5, 0.5], [2.5, 1.5], [3.5, 2.5]])
-    tracks = assemble_trajectories(pms, queries)
+    tracks = assemble_trajectories(video, queries)
     assert tracks.positions.shape == (3, 4, 3)
     deltas = np.diff(tracks.positions, axis=1)
     assert np.abs(deltas - np.array([0.1, 0.0, 0.0])).max() < 1e-9
@@ -240,32 +244,29 @@ def test_assemble_trajectories_rigid_translation():
 
 
 def test_assemble_trajectories_static_is_constant():
-    pms = make_tracking_pms(step=(0.0, 0.0, 0.0))
-    tracks = assemble_trajectories(pms, np.array([[1.2, 1.7]]))
+    video = make_tracking_video(step=(0.0, 0.0, 0.0))
+    tracks = assemble_trajectories(video, np.array([[1.2, 1.7]]))
     assert np.all(tracks.positions == tracks.positions[:, :1])
 
 
 def test_assemble_trajectories_visibility_from_valid_bit():
-    pms = make_tracking_pms()
-    pts = np.array(pms[2].points)
-    valid = np.array(pms[2].valid)
-    valid[1, 2] = False
-    pms[2] = Pointmap(pts, valid, 0, 0, 2)
-    tracks = assemble_trajectories(pms, np.array([[2.5, 1.5]]))
+    valid = np.ones((4, 3, 4), dtype=bool)
+    valid[2, 1, 2] = False
+    video = make_tracking_video(valid=valid)
+    tracks = assemble_trajectories(video, np.array([[2.5, 1.5]]))
     assert tracks.visibility[0].tolist() == [True, True, False, True]
 
 
 def test_assemble_trajectories_rejects_bad_queries_and_branch():
-    pms = make_tracking_pms()
+    video = make_tracking_video()
     with pytest.raises(QueryOutOfBounds, match=r"^query 0 at \(4\.5, 0\.5\) outside 4x3 grid$"):
-        assemble_trajectories(pms, np.array([[4.5, 0.5]]))
+        assemble_trajectories(video, np.array([[4.5, 0.5]]))
     with pytest.raises(QueryOutOfBounds):
-        assemble_trajectories(pms, np.array([[-0.1, 0.5]]))
-    recon = Pointmap(np.ones((3, 4, 3)), np.ones((3, 4), dtype=bool), 0, 1, 1)
-    with pytest.raises(BranchContractViolation):
-        assemble_trajectories([recon], np.array([[0.5, 0.5]]))
-    with pytest.raises(EmptyVideo):
-        assemble_trajectories([], np.array([[0.5, 0.5]]))
+        assemble_trajectories(video, np.array([[-0.1, 0.5]]))
+    recon = PointmapVideo("recon", np.ones((2, 3, 4, 3)), np.ones((2, 3, 4), dtype=bool))
+    for wrong in (recon, [], [video]):
+        with pytest.raises(BranchContractViolation):
+            assemble_trajectories(wrong, np.array([[0.5, 0.5]]))
 
 
 def test_trackset_shape_checks():
@@ -292,12 +293,12 @@ def test_assemble_trajectories_matches_per_query_gather():
     rng = np.random.default_rng(5)
     points = rng.normal(size=(4, 6, 7, 3))
     valid = rng.random((4, 6, 7)) > 0.3
-    pms = [Pointmap(points[j], valid[j], 0, 0, j) for j in range(4)]
+    video = PointmapVideo("tracking", points, valid)
     queries = rng.uniform(0, [7, 6], size=(9, 2))
-    tracks = assemble_trajectories(pms, queries)
+    tracks = assemble_trajectories(video, queries)
     assert tracks.positions.flags.c_contiguous
     for n, (x, y) in enumerate(queries):
         r, c = int(y), int(x)
-        np.testing.assert_array_equal(tracks.positions[n], np.stack([pm.points[r, c] for pm in pms]))
+        np.testing.assert_array_equal(tracks.positions[n], video.points[:, r, c])
         np.testing.assert_array_equal(tracks.visibility[n], valid[:, r, c])
 

@@ -25,7 +25,7 @@ from worldtrack.errors import (
 from worldtrack.geometry import (
     Intrinsics,
     PixelGrid,
-    Pointmap,
+    PointmapVideo,
     PoseSE3,
     backproject,
     so3_exp,
@@ -41,7 +41,6 @@ from worldtrack.losses import (
     _objective,
     _pose_stack,
     _recon_gradient,
-    _stacks,
 )
 from worldtrack.oracle import (
     corrupt,
@@ -57,6 +56,16 @@ FD_TOL = 1e-4
 def rel_err(a, b):
     denom = max(abs(a), abs(b), 1e-12)
     return abs(a - b) / denom
+
+
+def with_frame(video, j, points=None, valid=None):
+    """``video`` with frame j's points or mask replaced, as a new video."""
+    pts, val = np.array(video.points), np.array(video.valid)
+    if points is not None:
+        pts[j] = points
+    if valid is not None:
+        val[j] = valid
+    return PointmapVideo(video.branch, pts, val)
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +99,13 @@ def make_mini_scene(num_frames=3, track_noise=0.0, recon_noise=0.0, seed=0):
         poses.append(PoseSE3(R, t))  # world -> camera j
 
     anchor_pts = backproject(K, grid.flat(), depth_field(0).ravel()).reshape(H, W, 3)
-    valid = np.ones((H, W), dtype=bool)
-    tracking, recon = [], []
+    valid = np.ones((num_frames, H, W), dtype=bool)
+    tracking = np.repeat(anchor_pts[None], num_frames, axis=0)
+    recon = np.empty((num_frames, H, W, 3))
     for j, pose in enumerate(poses):
-        tracking.append(Pointmap(anchor_pts, valid, 0, 0, j))
         # content sampled on camera-j rays, expressed in world coordinates
         cam_pts = backproject(K, grid.flat(), depth_field(j).ravel())
-        world = (cam_pts - pose.translation) @ pose.rotation
-        recon.append(Pointmap(world.reshape(H, W, 3), valid, 0, j, j))
+        recon[j] = ((cam_pts - pose.translation) @ pose.rotation).reshape(H, W, 3)
 
     queries = grid.flat().copy()
     n = queries.shape[0]
@@ -110,22 +118,19 @@ def make_mini_scene(num_frames=3, track_noise=0.0, recon_noise=0.0, seed=0):
         tracks2d[:, j, 0] = F * cam[:, 0] / cam[:, 2] + K.cx
         tracks2d[:, j, 1] = F * cam[:, 1] / cam[:, 2] + K.cy
         depth_maps[j] = (
-            recon[j].points.reshape(-1, 3) @ pose.rotation[2] + pose.translation[2]
+            recon[j].reshape(-1, 3) @ pose.rotation[2] + pose.translation[2]
         ).reshape(H, W)
     corr[:, 0] = np.arange(n)  # frame 0 recon equals frame 0 tracking rays
     sup = TrackSupervision(queries, tracks2d, vis, corr)
     mono = DepthSupervision(depth_maps, np.ones_like(depth_maps, dtype=bool))
 
+    # one draw per branch: the per-frame draws, frame after frame
     if track_noise:
-        tracking = [
-            pm.with_points(pm.points + rng.normal(0, track_noise, pm.points.shape))
-            for pm in tracking
-        ]
+        tracking = tracking + rng.normal(0, track_noise, tracking.shape)
     if recon_noise:
-        recon = [
-            pm.with_points(pm.points + rng.normal(0, recon_noise, pm.points.shape))
-            for pm in recon
-        ]
+        recon = recon + rng.normal(0, recon_noise, recon.shape)
+    tracking = PointmapVideo("tracking", tracking, valid)
+    recon = PointmapVideo("recon", recon, valid.copy())
     return K, grid, poses, tracking, recon, sup, mono
 
 
@@ -145,10 +150,10 @@ def test_traj_loss_frozen_example():
 
 
 def test_depth_loss_frozen_example():
-    pts = np.array([[[0.0, 0.0, 1.0], [0.1, 0.0, 2.0]]])
-    pm = Pointmap(pts, np.ones((1, 2), bool), 0, 0, 0)
+    pts = np.array([[[[0.0, 0.0, 1.0], [0.1, 0.0, 2.0]]]])
+    video = PointmapVideo("recon", pts, np.ones((1, 1, 2), bool))
     mono = np.array([[3.0, 3.0]])
-    loss, grad = depth_loss(pm, PoseSE3.identity(), mono)
+    loss, grad = depth_loss(video, 0, PoseSE3.identity(), mono)
     # alpha* = (1*3 + 2*3) / (1 + 4) = 1.8, residuals (-1.2, 0.6)
     assert loss == pytest.approx(0.9, abs=1e-12)
     assert grad.shape == (1, 2, 3)
@@ -174,9 +179,9 @@ def test_align_loss_frozen_example():
     K, grid, poses, tracking, recon, sup, mono = make_mini_scene(num_frames=2)
     # one pair: the query at anchor pixel 0 and recon pixel 5 of frame 1,
     # the tracked point 0.1 m behind the recon point
-    pts = np.array(tracking[1].points)
-    pts[0, 0] = recon[1].points[0, 5] + [0.0, 0.0, 0.1]
-    tracking[1] = tracking[1].with_points(pts)
+    pts = np.array(tracking.points[1])
+    pts[0, 0] = recon.points[1, 0, 5] + [0.0, 0.0, 0.1]
+    tracking = with_frame(tracking, 1, pts)
     b, (g_trk, g_rec, g_R, g_T), pairs = align_only(
         tracking, recon, poses, K, with_pairs(sup, {(0, 1): 5}), mono
     )
@@ -216,19 +221,20 @@ def test_traj_loss_gradient_fd():
 
 def test_depth_loss_gradient_fd():
     rng = np.random.default_rng(12)
-    pts = rng.normal(0, 0.5, (3, 4, 3)) + np.array([0, 0, 3.0])
-    valid = rng.uniform(size=(3, 4)) > 0.2
-    valid[0, 0] = True
-    pm = Pointmap(pts, valid, 0, 2, 2)
+    pts = rng.normal(0, 0.5, (3, 3, 4, 3)) + np.array([0, 0, 3.0])
+    valid = rng.uniform(size=(3, 3, 4)) > 0.2
+    valid[2, 0, 0] = True
+    video = PointmapVideo("recon", pts.copy(), valid)
+    pts, valid = video.points[2], video.valid[2]
     pose = PoseSE3(np.eye(3), np.array([0.1, -0.2, 0.3]))
     mono = rng.uniform(2.0, 4.0, (3, 4))
-    _, grad = depth_loss(pm, pose, mono)
+    _, grad = depth_loss(video, 2, pose, mono)
     for r, c in zip(*np.nonzero(valid)):
         for d in range(3):
             delta = np.zeros_like(pts)
             delta[r, c, d] = FD_STEP
-            lo = depth_loss(pm.with_points(pts - delta), pose, mono)[0]
-            hi = depth_loss(pm.with_points(pts + delta), pose, mono)[0]
+            lo = depth_loss(with_frame(video, 2, pts - delta), 2, pose, mono)[0]
+            hi = depth_loss(with_frame(video, 2, pts + delta), 2, pose, mono)[0]
             assert rel_err((hi - lo) / (2 * FD_STEP), grad[r, c, d]) < FD_TOL
     assert np.all(grad[~valid] == 0)
 
@@ -255,11 +261,10 @@ def test_align_loss_gradient_fd():
             for d in range(3):
                 ends = []
                 for sign in (1.0, -1.0):
-                    videos = [list(tracking), list(recon)]
-                    pm = videos[branch][1]
-                    pts = np.array(pm.points)
+                    videos = [tracking, recon]
+                    pts = np.array(videos[branch].points[1])
                     pts[r, c, d] += sign * FD_STEP
-                    videos[branch][1] = pm.with_points(pts)
+                    videos[branch] = with_frame(videos[branch], 1, pts)
                     ends.append(summed(*videos))
                 fd = (ends[0] - ends[1]) / (2 * FD_STEP)
                 assert abs(fd - grad[1, d, pixel]) < FD_TOL * max(1.0, abs(grad[1, d, pixel]))
@@ -270,31 +275,24 @@ def test_total_loss_gradient_fd_frozen_poses():
         num_frames=2, track_noise=0.05, recon_noise=0.02, seed=21
     )
     weights = LossWeights()
-    T = len(tracking)
+    T = tracking.num_frames
     breakdown, grads, _ = objective(tracking, recon, poses, K, sup, mono, weights)
     rng = np.random.default_rng(0)
 
-    def fd_check(pms, idx, grad_field):
-        pts = np.array(pms[idx].points)
+    def fd_check(video, idx, grad_field):
+        pts = video.points[idx]
+
+        def total(points):
+            moved = with_frame(video, idx, points)
+            pair = (moved, recon) if video is tracking else (tracking, moved)
+            return objective(*pair, poses, K, sup, mono, weights)[0].total
+
         for _ in range(6):
             r, c = rng.integers(0, H), rng.integers(0, W)
             d = rng.integers(0, 3)
             delta = np.zeros_like(pts)
             delta[r, c, d] = FD_STEP
-            alt = list(pms)
-            alt[idx] = pms[idx].with_points(pts + delta)
-            hi = objective(
-                alt if pms is tracking else tracking,
-                alt if pms is recon else recon,
-                poses, K, sup, mono, weights,
-            )[0].total
-            alt[idx] = pms[idx].with_points(pts - delta)
-            lo = objective(
-                alt if pms is tracking else tracking,
-                alt if pms is recon else recon,
-                poses, K, sup, mono, weights,
-            )[0].total
-            fd = (hi - lo) / (2 * FD_STEP)
+            fd = (total(pts + delta) - total(pts - delta)) / (2 * FD_STEP)
             analytic = grad_field[idx, d, r * W + c] / T
             assert rel_err(fd, analytic) < FD_TOL
 
@@ -338,11 +336,11 @@ def test_total_loss_gradient_fd_through_pose():
     valid = np.ones((H, W), dtype=bool)
     valid[2, 1:4] = False
     valid[5, 7] = False
-    recon[1] = Pointmap(recon[1].points, valid, 0, 1, 1)
+    recon = with_frame(recon, 1, valid=valid)
     weights = LossWeights()
     # the step reads only the pose and inliers of the solved estimate
     _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=5))
-    trk, rec, _, _, layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)
+    trk, rec, _, _, layout = _objective(tracking, recon, K, sup, mono, weights)
     R0, t0 = _pose_stack([e.pose for e in estimates])
     inliers = np.stack([e.inliers for e in estimates])
     evaluate = live_objective(layout, trk, weights, K, grid, R0, t0, inliers)
@@ -370,13 +368,13 @@ def test_live_recon_gradient_skips_ransac_outliers(monkeypatch):
     )
     valid = np.ones((H, W), dtype=bool)
     valid[2, 1:4] = False
-    points = recon[1].points.copy()
+    points = recon.points[1].copy()
     outliers = np.zeros((H, W), dtype=bool)
     outliers[[1, 3, 4], [6, 0, 5]] = True
     # 1 m along x and y at depth ~2 moves each by several pixels at focal 10,
     # well past the 2 px inlier threshold
     points[outliers, :2] += 1.0
-    recon[1] = Pointmap(points, valid, 0, 1, 1)
+    recon = with_frame(recon, 1, points, valid)
     kept = (valid & ~outliers).reshape(-1)
 
     # the weight live adaptation hands the step for frame 1
@@ -392,7 +390,7 @@ def test_live_recon_gradient_skips_ransac_outliers(monkeypatch):
 
     weights = LossWeights()
     _, estimates = solve_cameras_for_video(recon, grid, RansacConfig(seed=5))
-    trk, rec, _, _, layout = _objective(_stacks(tracking, recon), K, sup, mono, weights)
+    trk, rec, _, _, layout = _objective(tracking, recon, K, sup, mono, weights)
     R0, t0 = _pose_stack([e.base_pose for e in estimates])
     inliers = np.stack([e.inliers for e in estimates])
     assert np.array_equal(inliers[1], kept)
@@ -424,8 +422,8 @@ def reference_objective(tracking, recon, poses, K, sup, mono, weights):
     replace: (T, 3) terms, point gradients of both branches as (T, 3, P)
     stacks and pose gradients (T, 3, 3), (T, 3) of the frames' summed
     objective."""
-    T = len(tracking)
-    Hh, Ww = tracking[0].height, tracking[0].width
+    T, Hh, Ww = tracking.num_frames, tracking.height, tracking.width
+    trk_pts, trk_val, rec_pts, rec_val = tracking.points, tracking.valid, recon.points, recon.valid
     center = np.array([Ww / 2.0, Hh / 2.0])
     qc = np.floor(sup.query_pixels[:, 0]).astype(int)
     qr = np.floor(sup.query_pixels[:, 1]).astype(int)
@@ -437,13 +435,13 @@ def reference_objective(tracking, recon, poses, K, sup, mono, weights):
     for j in range(T):
         R, t = poses[j].rotation, poses[j].translation
         # trajectory term through the projection of the query points
-        pts = tracking[j].points[qr, qc]
+        pts = trk_pts[j, qr, qc]
         Y = pts @ R.T + t
         z = Y[:, 2]
         ok = z > 1e-12
         zs = np.where(ok, z, 1.0)
         pix = np.stack([K.focal * Y[:, 0] / zs + K.cx, K.focal * Y[:, 1] / zs + K.cy], 1)
-        vis = sup.visibility[:, j] & tracking[j].valid[qr, qc] & ok
+        vis = sup.visibility[:, j] & trk_val[j, qr, qc] & ok
         dp = pix - center
         radius = np.linalg.norm(dp, axis=1)
         used = vis & (radius >= 1e-8)
@@ -467,8 +465,8 @@ def reference_objective(tracking, recon, poses, K, sup, mono, weights):
         g_R[j] = grad_Y.T @ pts
         g_T[j] = grad_Y.sum(axis=0)
         # depth term with its closed-form scale
-        mask = recon[j].valid & mono.valid[j]
-        X = recon[j].points[mask]
+        mask = rec_val[j] & mono.valid[j]
+        X = rec_pts[j][mask]
         zp_all = X @ R[2] + t[2]
         pos = zp_all > 1e-12
         zp, zm = zp_all[pos], mono.depth[j][mask][pos]
@@ -487,9 +485,9 @@ def reference_objective(tracking, recon, poses, K, sup, mono, weights):
         has = sup.correspondence[:, j] >= 0
         rows, cols = qr[has], qc[has]
         r2, c2 = np.divmod(sup.correspondence[has, j], Ww)
-        ok2 = tracking[j].valid[rows, cols] & recon[j].valid[r2, c2]
+        ok2 = trk_val[j, rows, cols] & rec_val[j, r2, c2]
         rows, cols, r2, c2 = rows[ok2], cols[ok2], r2[ok2], c2[ok2]
-        diff = tracking[j].points[rows, cols] - recon[j].points[r2, c2]
+        diff = trk_pts[j, rows, cols] - rec_pts[j, r2, c2]
         per_term[j, 2] = np.sum(diff * diff)
         a_trk = np.zeros((Hh, Ww, 3))
         a_rec = np.zeros((Hh, Ww, 3))
@@ -534,8 +532,8 @@ def scene_with_repeats(seed, repeats=True):
     sup = TrackSupervision(queries, tracks2d, vis, corr)
     drop = rng.uniform(size=(3, H, W)) < 0.1
     drop[:, 0, 0] = False
-    tracking = [pm.with_points(pm.points, pm.valid & ~d) for pm, d in zip(tracking, drop)]
-    recon = [pm.with_points(pm.points, pm.valid & ~d) for pm, d in zip(recon, drop[::-1])]
+    tracking = PointmapVideo("tracking", tracking.points, tracking.valid & ~drop)
+    recon = PointmapVideo("recon", recon.points, recon.valid & ~drop[::-1])
     return K, poses, tracking, recon, sup, mono
 
 
@@ -605,33 +603,36 @@ def test_traj_loss_error_paths():
 
 
 def test_depth_loss_error_paths():
-    pts = np.zeros((1, 2, 3))
-    pts[0, :, 2] = [1.0, 2.0]
-    pm = Pointmap(pts, np.ones((1, 2), bool), 0, 0, 0)
+    pts = np.zeros((3, 1, 2, 3))
+    pts[..., 2] = [1.0, 2.0]
+    valid = np.ones((3, 1, 2), bool)
+    pm = PointmapVideo("recon", pts, valid)
     with pytest.raises(NoOverlap):
-        depth_loss(pm, PoseSE3.identity(), np.ones((1, 2)), np.zeros((1, 2), bool))
+        depth_loss(pm, 2, PoseSE3.identity(), np.ones((1, 2)), np.zeros((1, 2), bool))
     behind = PoseSE3(np.eye(3), np.array([0.0, 0.0, -10.0]))
     with pytest.raises(NonPositiveProjectedDepth):
-        depth_loss(pm, behind, np.ones((1, 2)))
-    tracking = Pointmap(pts, np.ones((1, 2), bool), 0, 0, 2)
-    with pytest.raises(BranchContractViolation, match="^frame 2: expected a recon"):
-        depth_loss(tracking, PoseSE3.identity(), np.ones((1, 2)))
+        depth_loss(pm, 2, behind, np.ones((1, 2)))
+    tracking = PointmapVideo("tracking", pts, valid)
+    with pytest.raises(BranchContractViolation, match="^expected a recon video, got a tracking"):
+        depth_loss(tracking, 2, PoseSE3.identity(), np.ones((1, 2)))
+    with pytest.raises(IndexError, match="^frame 3 of a 3-frame video$"):
+        depth_loss(pm, 3, PoseSE3.identity(), np.ones((1, 2)))
     # a mask off the 16x12 grid is refused, not broadcast
     H, W = 12, 16
-    grid_pts = np.zeros((H, W, 3))
+    grid_pts = np.zeros((1, H, W, 3))
     grid_pts[..., 2] = 1.0 + np.arange(H * W).reshape(H, W) / (H * W)
-    grid_pm = Pointmap(grid_pts, np.ones((H, W), bool), 0, 0, 0)
+    grid_pm = PointmapVideo("recon", grid_pts, np.ones((1, H, W), bool))
     mono = np.ones((H, W))
     for shape in [(W,), (H, 1), (H, W - 1)]:
         with pytest.raises(ShapeMismatch, match="depth mask"):
-            depth_loss(grid_pm, PoseSE3.identity(), mono, np.ones(shape, bool))
+            depth_loss(grid_pm, 0, PoseSE3.identity(), mono, np.ones(shape, bool))
     # a non-finite depth is refused where it is compared, and ignored elsewhere
     mono[3, 5] = np.nan
     with pytest.raises(ValueError, match="valid depth entries must be finite"):
-        depth_loss(grid_pm, PoseSE3.identity(), mono)
+        depth_loss(grid_pm, 0, PoseSE3.identity(), mono)
     off = np.ones((H, W), bool)
     off[3, 5] = False
-    assert np.isfinite(depth_loss(grid_pm, PoseSE3.identity(), mono, off)[0])
+    assert np.isfinite(depth_loss(grid_pm, 0, PoseSE3.identity(), mono, off)[0])
 
 
 def test_align_loss_no_pairs_is_zero_with_flag():
@@ -767,18 +768,12 @@ def test_tta_frozen_reduces_loss_and_preserves_recon():
     out, trace = tta_optimize(state, sup, mono)
     assert len(trace) == 121
     assert trace[-1].total < 0.5 * trace[0].total
-    # frozen side returns the very same objects
-    for before, after in zip(recon, out.recon_pointmaps):
-        assert after is before
+    # frozen side returns the very same video
+    assert out.recon_pointmaps is recon
     # adapted maps moved toward the clean content
     clean = make_mini_scene(num_frames=3)[3]
-    before_err = sum(
-        np.abs(a.points - b.points).mean() for a, b in zip(tracking, clean)
-    )
-    after_err = sum(
-        np.abs(a.points - b.points).mean()
-        for a, b in zip(out.tracking_params, clean)
-    )
+    before_err = np.abs(tracking.points - clean.points).mean(axis=(1, 2, 3)).sum()
+    after_err = np.abs(out.tracking_params.points - clean.points).mean(axis=(1, 2, 3)).sum()
     assert after_err < before_err
 
 
@@ -803,12 +798,12 @@ def test_live_step_zero_is_the_solved_step(monkeypatch):
     solve's poses: an inlier mask misaligned with the stack would not."""
     spec = SceneSpec("orbit-dynamic", width=64, height=48, num_frames=4, focal=80.0, seed=2)
     seq = corrupt(generate_sequence(spec), noise=0.003, targets=("recon",), seed=3)
-    recon = list(seq.recon_pointmaps)
+    recon = seq.recon_pointmaps
     # valid pixels the solve rejects, beside the holes it never sees
-    points = np.array(recon[2].points)
-    rows, cols = np.nonzero(recon[2].valid)
+    points = np.array(recon.points[2])
+    rows, cols = np.nonzero(recon.valid[2])
     points[rows[::40], cols[::40], :2] += 0.5
-    recon[2] = recon[2].with_points(points)
+    recon = with_frame(recon, 2, points)
     stepped = []
 
     def recording(R, t, *args):
@@ -820,9 +815,9 @@ def test_live_step_zero_is_the_solved_step(monkeypatch):
     state = AdaptState(seq.tracking_pointmaps, recon, freeze_recon=False, steps=1, seed=4)
     tta_optimize(state, projected_track_supervision(seq), make_depth_supervision(seq))
     _, estimates = solve_cameras_for_video(recon, PixelGrid.create(64, 48), RansacConfig(seed=4))
-    valid = recon[2].valid.reshape(-1)
+    valid = recon.valid[2].reshape(-1)
     assert 0 < estimates[2].inliers.sum() < valid.sum() < valid.size
-    assert len(stepped) == 2 * (len(recon) - 1)
+    assert len(stepped) == 2 * (recon.num_frames - 1)
     for (R, t), est in zip(stepped, estimates[1:]):
         assert np.abs(R - est.pose.rotation).max() <= 1e-12
         assert np.abs(t - est.pose.translation).max() <= 1e-12
@@ -835,8 +830,7 @@ def test_tta_is_deterministic():
     state = AdaptState(tracking, recon, steps=10)
     out1, trace1 = tta_optimize(state, sup, mono)
     out2, trace2 = tta_optimize(state, sup, mono)
-    for a, b in zip(out1.tracking_params, out2.tracking_params):
-        assert np.array_equal(a.points, b.points)
+    assert np.array_equal(out1.tracking_params.points, out2.tracking_params.points)
     assert [t.total for t in trace1] == [t.total for t in trace2]
 
 
@@ -929,11 +923,7 @@ def test_tta_unfrozen_updates_recon_and_decreases():
     out, trace = tta_optimize(state, sup, mono)
     assert len(trace) == 26
     assert trace[-1].total < trace[0].total
-    moved = any(
-        not np.array_equal(a.points, b.points)
-        for a, b in zip(recon, out.recon_pointmaps)
-    )
-    assert moved
+    assert not np.array_equal(recon.points, out.recon_pointmaps.points)
 
 
 def test_loss_weight_validation():

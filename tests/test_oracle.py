@@ -14,11 +14,11 @@ from worldtrack.errors import EmptyRaster, UnknownPreset
 from worldtrack.geometry import (
     DEPTH_EPS,
     PixelGrid,
+    PointmapVideo,
     PoseSE3,
     TrackSet,
     _pixel_cells,
     _pixels,
-    stack_pointmaps,
 )
 from worldtrack.oracle import (
     Scene,
@@ -49,8 +49,8 @@ def test_generation_is_deterministic():
     spec = SceneSpec("orbit-dynamic", **SMALL)
     a = generate_sequence(spec)
     b = generate_sequence(spec)
-    for pa, pb in zip(a.tracking_pointmaps + a.recon_pointmaps,
-                      b.tracking_pointmaps + b.recon_pointmaps):
+    for pa, pb in zip((a.tracking_pointmaps, a.recon_pointmaps),
+                      (b.tracking_pointmaps, b.recon_pointmaps)):
         assert np.array_equal(pa.points, pb.points)
         assert np.array_equal(pa.valid, pb.valid)
     assert np.array_equal(a.tracks2d.positions, b.tracks2d.positions)
@@ -68,22 +68,22 @@ def test_branch_structure(sequences, preset):
     seq = sequences[preset]
     T = seq.num_frames
     assert T == SMALL["num_frames"]
+    trk, rec = seq.tracking_pointmaps, seq.recon_pointmaps
+    assert (trk.branch, rec.branch) == ("tracking", "recon")
+    grid = (T, SMALL["height"], SMALL["width"])
+    assert trk.valid.shape == rec.valid.shape == grid
+    assert trk.valid.all()
     for j in range(T):
-        trk, rec = seq.tracking_pointmaps[j], seq.recon_pointmaps[j]
-        assert (trk.coord_frame, trk.content_frame, trk.time) == (0, 0, j)
-        assert (rec.coord_frame, rec.content_frame, rec.time) == (0, j, j)
-        assert trk.valid.all()
         # depth zero exactly off the valid reconstruction pixels
-        assert (seq.depth[j] > 0).sum() == rec.valid.sum()
-        assert np.all(seq.depth[j][~rec.valid] == 0)
+        assert (seq.depth[j] > 0).sum() == rec.valid[j].sum()
+        assert np.all(seq.depth[j][~rec.valid[j]] == 0)
         # tracking values and 3D tracks are the same numbers
         assert np.array_equal(
-            seq.tracks3d.positions[:, j], trk.points.reshape(-1, 3)
+            seq.tracks3d.positions[:, j], trk.points[j].reshape(-1, 3)
         )
-    assert np.array_equal(
-        seq.recon_pointmaps[0].points, seq.tracking_pointmaps[0].points
-    )
-    assert seq.recon_pointmaps[0].valid.all()
+    # frame 0 of both branches is the anchor's self-view
+    assert np.array_equal(rec.points[0], trk.points[0])
+    assert rec.valid[0].all()
     assert seq.tracks2d.visibility[:, 0].all()
     assert seq.dynamic_mask.sum() == seq.tracks2d.dynamic.sum()
 
@@ -93,10 +93,10 @@ def test_recon_points_sit_on_camera_rays(sequences, preset):
     seq = sequences[preset]
     grid = PixelGrid.create(SMALL["width"], SMALL["height"])
     for j in (1, seq.num_frames - 1):
-        pm = seq.recon_pointmaps[j]
-        pix, z, _ = _pixels(seq.intrinsics, seq.cameras[j], pm.points[pm.valid])
-        np.testing.assert_allclose(pix, grid.coords[pm.valid], atol=1e-9)
-        np.testing.assert_allclose(z, seq.depth[j][pm.valid], atol=1e-9)
+        points, valid = seq.recon_pointmaps.points[j], seq.recon_pointmaps.valid[j]
+        pix, z, _ = _pixels(seq.intrinsics, seq.cameras[j], points[valid])
+        np.testing.assert_allclose(pix, grid.coords[valid], atol=1e-9)
+        np.testing.assert_allclose(z, seq.depth[j][valid], atol=1e-9)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -133,7 +133,7 @@ def test_cross_branch_claims(sequences, preset):
         if not rowsel.any():
             continue
         flat = corr[rowsel, j]
-        stored = seq.recon_pointmaps[j].points.reshape(-1, 3)[flat]
+        stored = seq.recon_pointmaps.points[j].reshape(-1, 3)[flat]
         tracked = seq.tracks3d.positions[rowsel, j]
         assert np.abs(stored - tracked).max() <= EXACT_TOL
 
@@ -142,20 +142,19 @@ def reference_correspondence(seq, exact: bool) -> np.ndarray:
     """The per-frame loop the supervision builder replaced: the landing
     cell of each visible in-grid track on a valid recon pixel, and with
     ``exact`` only where the stored point matches the tracked one."""
-    first = seq.tracking_pointmaps[0]
-    H, W = first.height, first.width
+    H, W = seq.tracking_pointmaps.height, seq.tracking_pointmaps.width
     t2 = np.array(seq.tracks2d.positions)
     vis = np.array(seq.tracks2d.visibility)
     n, T = vis.shape
     corr = np.full((n, T), -1, dtype=np.int64)
     for j in range(T):
-        pm = seq.recon_pointmaps[j]
+        points, valid = seq.recon_pointmaps.points[j], seq.recon_pointmaps.valid[j]
         cols = np.floor(t2[:, j, 0]).astype(np.int64)
         rows = np.floor(t2[:, j, 1]).astype(np.int64)
         ok = vis[:, j] & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
-        ok[ok] &= pm.valid[rows[ok], cols[ok]]
+        ok[ok] &= valid[rows[ok], cols[ok]]
         if exact and ok.any():
-            stored = pm.points[rows[ok], cols[ok]]
+            stored = points[rows[ok], cols[ok]]
             tracked = seq.tracks3d.positions[ok, j]
             ok[ok] = np.abs(stored - tracked).max(axis=1) <= EXACT_TOL
         corr[ok, j] = rows[ok] * W + cols[ok]
@@ -180,8 +179,10 @@ def stressed(seq):
     t2[3::11, 1:, 1] = seq.spec.height + 0.5
     vis[4::11, 1:] = False
     rng = np.random.default_rng(0)
-    recon = [pm.with_points(pm.points, pm.valid & (rng.random(pm.valid.shape) > 0.2))
-             for pm in seq.recon_pointmaps]
+    video = seq.recon_pointmaps
+    # one draw per frame, frame after frame
+    keep = np.stack([rng.random(valid.shape) > 0.2 for valid in video.valid])
+    recon = PointmapVideo("recon", video.points, video.valid & keep)
     return replace(seq, tracks2d=TrackSet(t2, vis, seq.tracks2d.dynamic), recon_pointmaps=recon)
 
 
@@ -248,18 +249,16 @@ def test_corrupt_noise_and_drift(sequences):
     out = corrupt(seq, noise=0.05, drift=0.01, targets=("tracking", "recon"), seed=3)
     again = corrupt(seq, noise=0.05, drift=0.01, targets=("tracking", "recon"), seed=3)
     for j in range(seq.num_frames):
-        a, b = seq.tracking_pointmaps[j], out.tracking_pointmaps[j]
-        assert not np.array_equal(a.points, b.points)
-        assert np.array_equal(
-            out.tracking_pointmaps[j].points, again.tracking_pointmaps[j].points
-        )
-        # invalid reconstruction pixels stay exactly zero
-        rec = out.recon_pointmaps[j]
-        assert np.all(rec.points[~rec.valid] == 0)
+        a, b = seq.tracking_pointmaps.points[j], out.tracking_pointmaps.points[j]
+        assert not np.array_equal(a, b)
+    assert np.array_equal(out.tracking_pointmaps.points, again.tracking_pointmaps.points)
+    # invalid reconstruction pixels stay exactly zero
+    rec = out.recon_pointmaps
+    assert np.all(rec.points[~rec.valid] == 0)
     # drift grows linearly along one direction
     only_drift = corrupt(seq, drift=0.01, seed=3)
-    d1 = only_drift.tracking_pointmaps[1].points - seq.tracking_pointmaps[1].points
-    d3 = only_drift.tracking_pointmaps[3].points - seq.tracking_pointmaps[3].points
+    d1 = only_drift.tracking_pointmaps.points[1] - seq.tracking_pointmaps.points[1]
+    d3 = only_drift.tracking_pointmaps.points[3] - seq.tracking_pointmaps.points[3]
     np.testing.assert_allclose(3 * d1, d3, atol=1e-12)
     with pytest.raises(ValueError):
         corrupt(seq, targets=("poses",))
@@ -370,11 +369,9 @@ def test_render_matches_sort_based_zbuffer(preset, monkeypatch):
     monkeypatch.setattr(oracle, "_zbuffer", by_sort)
     slow = render(scene)
     for branch in ("tracking", "recon"):
-        for a, b in zip(
-            stack_pointmaps(getattr(fast, f"{branch}_pointmaps"), branch),
-            stack_pointmaps(getattr(slow, f"{branch}_pointmaps"), branch),
-        ):
-            np.testing.assert_array_equal(a, b)
+        a, b = getattr(fast, f"{branch}_pointmaps"), getattr(slow, f"{branch}_pointmaps")
+        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a.valid, b.valid)
     for name in ("tracks2d", "tracks3d"):
         for field in ("positions", "visibility", "dynamic"):
             np.testing.assert_array_equal(

@@ -47,8 +47,8 @@ def test_every_benchmark_operation_runs_without_error(tmp_path, workload):
 
 # spans whose calls the recon-M per-layer metrics are made of
 RECON_SPANS = (
-    "seqio.load", "camera.solve_video", "camera.corr_build", "geometry.assemble",
-    "bench.eval_recon",
+    "seqio.load", "camera.solve_video", "camera.focal", "camera.corr_build", "camera.ransac",
+    "camera.gn", "geometry.assemble", "bench.eval_tracking", "bench.eval_recon",
 )
 
 

@@ -1,6 +1,8 @@
 """Hypothesis properties: seqio round trips, fuzzed manifests, the
-similarity invariance of the sim3-aligned tracking metrics, and the
-equivariance of pose recovery under a change of world frame.
+similarity invariance of the sim3-aligned tracking metrics, the
+power-of-two scale invariance of the median-aligned recon metrics, focal
+recovery from an exact self-view, and the equivariance of pose recovery
+under a change of world frame.
 
 Every property runs derandomized and without an example database, and
 ``conftest.py`` points Hypothesis' caches at a temporary directory, so a
@@ -17,11 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from worldtrack.bench import eval_tracking
-from worldtrack.camera import RansacConfig, solve_pnp_ransac
+from worldtrack.bench import eval_recon, eval_tracking
+from worldtrack.camera import RansacConfig, estimate_focal_weiszfeld, solve_pnp_ransac
 from worldtrack.data import PRESETS, SceneSpec
 from worldtrack.errors import WorldTrackError
-from worldtrack.geometry import PoseSE3, TrackSet, so3_exp
+from worldtrack.geometry import (
+    Intrinsics,
+    PixelGrid,
+    PointmapVideo,
+    PoseSE3,
+    TrackSet,
+    backproject,
+    so3_exp,
+)
 from worldtrack.gradcheck import make_pnp_instance
 from worldtrack.oracle import corrupt, generate_sequence
 from worldtrack.seqio import MANIFEST_NAME, load_sequence, save_sequence
@@ -59,9 +69,9 @@ def test_seqio_round_trip_stores_float32_and_saves_identical_bytes(
         save_sequence(first, seq)
         back = load_sequence(first)
         for name in ("tracking_pointmaps", "recon_pointmaps"):
-            for a, b in zip(getattr(seq, name), getattr(back, name), strict=True):
-                np.testing.assert_array_equal(b.valid, a.valid)
-                np.testing.assert_array_equal(b.points, _as_float32(a.points))
+            a, b = getattr(seq, name), getattr(back, name)
+            np.testing.assert_array_equal(b.valid, a.valid)
+            np.testing.assert_array_equal(b.points, _as_float32(a.points))
         np.testing.assert_array_equal(back.depth, _as_float32(seq.depth))
         for name in ("tracks2d", "tracks3d"):
             a, b = getattr(seq, name), getattr(back, name)
@@ -162,6 +172,56 @@ def test_sim3_tracking_scores_ignore_a_similarity_of_the_prediction(seed, scale,
         assert moved[name].apd == rep.apd
         assert moved[name].per_threshold == rep.per_threshold
         assert abs(moved[name].epe - rep.epe) <= 1e-9 * rep.epe
+
+
+@pytest.fixture(scope="module")
+def noisy_recon():
+    """A clean 32x24x5 orbit and its recon video under 5 cm noise."""
+    spec = SceneSpec("orbit-dynamic", width=32, height=24, num_frames=5, focal=40.0, seed=3)
+    seq = generate_sequence(spec)
+    return seq, corrupt(seq, noise=0.05, targets=("recon",), seed=4).recon_pointmaps
+
+
+@_examples(17)
+@given(k=st.integers(-8, 8))
+def test_median_aligned_recon_scores_ignore_a_power_of_two_scale(noisy_recon, k):
+    """Scaling a prediction by 2^k is exact in floating point, and so is
+    every step of median alignment after it: the scores match bit for bit,
+    and the fitted scale is the unscaled one times exactly 2^-k."""
+    seq, pred = noisy_recon
+    scaled = PointmapVideo("recon", pred.points * 2.0**k, pred.valid)
+    base, moved = (
+        eval_recon(video, seq.recon_pointmaps, alignment="median", depth_maps=seq.depth)
+        for video in (pred, scaled)
+    )
+    assert (moved.fingerprint, moved.apd, moved.epe, moved.num_pairs) == (
+        base.fingerprint, base.apd, base.epe, base.num_pairs
+    )
+    assert moved.per_threshold == base.per_threshold
+    assert moved.scale == base.scale * 2.0**-k
+
+
+@_examples(60)
+@given(
+    width=st.integers(8, 64),
+    height=st.integers(8, 64),
+    focal_per_width=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.floats(0.1, 10.0),
+)
+def test_focal_is_recovered_from_an_exact_self_view(width, height, focal_per_width, seed, scale):
+    """Frame 0 backprojected at random depths through a pinhole of focal f,
+    its principal point at the image center, gives back f to 1e-12
+    relative, and so does the same frame with every point scaled."""
+    f = focal_per_width * width
+    grid = PixelGrid.create(width, height)
+    depth = np.random.default_rng(seed).uniform(0.5, 5.0, (height, width))
+    points = backproject(Intrinsics(f, width / 2.0, height / 2.0), grid.coords, depth)
+    valid = np.ones((1, height, width), dtype=bool)
+    for s in (1.0, scale):
+        K = estimate_focal_weiszfeld(PointmapVideo("tracking", s * points[None], valid), grid)
+        assert abs(K.focal - f) <= 1e-12 * f, (s, K.focal, f)
+        assert (K.cx, K.cy) == (width / 2.0, height / 2.0)
 
 
 @_examples(50)

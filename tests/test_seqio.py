@@ -7,7 +7,7 @@ import pytest
 
 from worldtrack.data import SceneSpec
 from worldtrack.errors import BranchContractViolation, ShapeMismatch
-from worldtrack.geometry import TrackSet
+from worldtrack.geometry import PointmapVideo, TrackSet
 from worldtrack.oracle import generate_sequence
 from worldtrack.seqio import FORMAT_TAG, load_sequence, save_sequence
 
@@ -25,14 +25,11 @@ def test_round_trip_arrays(tmp_path, seq):
 
     assert back.spec == seq.spec
     assert back.num_frames == seq.num_frames
-    for a, b in zip(seq.tracking_pointmaps, back.tracking_pointmaps):
+    for branch in ("tracking", "recon"):
+        a, b = getattr(seq, f"{branch}_pointmaps"), getattr(back, f"{branch}_pointmaps")
+        assert b.branch == branch
         assert np.allclose(a.points, b.points, atol=1e-5)
         assert np.array_equal(a.valid, b.valid)
-        assert (b.coord_frame, b.content_frame, b.time) == (0, 0, a.time)
-    for j, (a, b) in enumerate(zip(seq.recon_pointmaps, back.recon_pointmaps)):
-        assert np.allclose(a.points, b.points, atol=1e-5)
-        assert np.array_equal(a.valid, b.valid)
-        assert (b.coord_frame, b.content_frame, b.time) == (0, j, j)
     assert np.allclose(back.depth, seq.depth, atol=1e-5)
     assert np.allclose(back.tracks2d.positions, seq.tracks2d.positions, atol=1e-4)
     assert np.allclose(back.tracks3d.positions, seq.tracks3d.positions, atol=1e-5)
@@ -56,10 +53,9 @@ def test_cameras_and_intrinsics_exact(tmp_path, seq):
 def test_invalid_pixels_stay_zero(tmp_path, seq):
     save_sequence(tmp_path / "s", seq)
     back = load_sequence(tmp_path / "s")
-    for pm in back.recon_pointmaps:
-        gaps = ~pm.valid
-        if gaps.any():
-            assert np.all(pm.points[gaps] == 0.0)
+    video = back.recon_pointmaps
+    gaps = ~video.valid
+    assert gaps.any() and np.all(video.points[gaps] == 0.0)
 
 
 def test_saves_are_byte_identical(tmp_path, seq):
@@ -311,14 +307,16 @@ def _with_entry(tracks: TrackSet, value) -> TrackSet:
         (lambda s: replace(s, tracks3d=_with_entry(s.tracks3d, -np.inf)), ValueError,
          r"^tracks3d entries must be finite$"),
         (
-            lambda s: replace(s, recon_pointmaps=s.recon_pointmaps[:4]),
+            lambda s: replace(s, recon_pointmaps=PointmapVideo(
+                "recon", s.recon_pointmaps.points[:4], s.recon_pointmaps.valid[:4]
+            )),
             ShapeMismatch,
             r"^recon_pointmaps has shape \[4, 18, 24, 3\], not \[5, 18, 24, 3\]$",
         ),
         (
             lambda s: replace(s, tracking_pointmaps=s.recon_pointmaps),
             BranchContractViolation,
-            "^frame 1: expected a tracking-branch pointmap",
+            "^expected a tracking video, got a recon video$",
         ),
         (
             lambda s: replace(s, depth=s.depth[:, 1:]),
@@ -355,14 +353,12 @@ def test_save_refuses_what_load_would_refuse_before_writing(tmp_path, seq, chang
     assert list(tmp_path.iterdir()) == []
 
 
-def _with_point(pointmaps, value):
+def _with_point(video, value):
     """The video with the first valid point of frame 1 moved to x = value."""
-    pointmaps = list(pointmaps)
-    points = np.array(pointmaps[1].points)
-    r, c = np.argwhere(pointmaps[1].valid)[0]
-    points[r, c, 0] = value
-    pointmaps[1] = pointmaps[1].with_points(points)
-    return pointmaps
+    points = np.array(video.points)
+    r, c = np.argwhere(video.valid[1])[0]
+    points[1, r, c, 0] = value
+    return PointmapVideo(video.branch, points, video.valid)
 
 
 @pytest.mark.parametrize(
@@ -389,15 +385,15 @@ def test_save_refuses_a_finite_entry_float32_cannot_hold(tmp_path, seq, name):
 def test_save_refuses_a_valid_point_float32_stores_as_zero(tmp_path, seq, name, point):
     # the zero triple marks an invalid pixel, so this point would load as
     # invalid; -1e-46 casts to -0.0, which a load reads as zero too
-    pointmaps = list(getattr(seq, name))
-    points = np.array(pointmaps[1].points)
-    points[0, 0] = point
-    valid = np.array(pointmaps[1].valid)
-    valid[0, 0] = True
-    pointmaps[1] = pointmaps[1].with_points(points, valid)
+    video = getattr(seq, name)
+    points = np.array(video.points)
+    points[1, 0, 0] = point
+    valid = np.array(video.valid)
+    valid[1, 0, 0] = True
     message = f"^{name} has a valid point that float32 stores as \\(0, 0, 0\\)$"
+    bad = replace(seq, **{name: PointmapVideo(video.branch, points, valid)})
     with pytest.raises(ValueError, match=message):
-        save_sequence(tmp_path / "s", replace(seq, **{name: pointmaps}))
+        save_sequence(tmp_path / "s", bad)
     assert list(tmp_path.iterdir()) == []
 
 
