@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateCovariance,
-    EmptyDynamicSubset,
-    NoOverlap,
-    ShapeMismatch,
-    ZeroMedian,
-)
+from .errors import DegenerateCovariance, NoOverlap, ShapeMismatch, ZeroMedian
 from .geometry import PointmapVideo, TrackSet, _freeze, video_arrays
 
 THRESHOLDS = (0.1, 0.3, 0.5, 1.0)
@@ -199,20 +193,27 @@ def _report(subset, alignment, window, d, errs, scale):
     )
 
 
+def _window_end(window, num_frames: int) -> int:
+    """The end of the evaluation window, the first ``window`` frames; a
+    window that is not an integer at least 1 raises ``ValueError``."""
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
+        raise ValueError(f"window must be a positive integer, got {window!r}")
+    return min(num_frames, int(window))
+
+
 def eval_tracking(
     pred: TrackSet,
     gt: TrackSet,
     alignment: str = "median",
     window: int = DEFAULT_WINDOW,
-    subsets: tuple | None = None,
 ) -> dict:
     """Score predicted 3D tracks against ground truth.
 
     Pairs are the ground-truth-visible entries within the first ``window``
-    frames. One alignment is fitted on all pairs and applied everywhere,
-    then each requested subset ("all", "dynamic") is scored on its own
-    pairs. With subsets=None the dynamic report appears whenever dynamic
-    tracks exist.
+    frames. One alignment is fitted on all pairs and applied everywhere.
+    The result maps "all" to the report on every pair, and "dynamic" to
+    the report on the pairs of tracks the truth marks dynamic, exactly
+    when the window holds such pairs.
     """
     if pred.positions.shape != gt.positions.shape:
         raise ShapeMismatch(
@@ -220,9 +221,7 @@ def eval_tracking(
         )
     if pred.positions.shape[2] != 3:
         raise ShapeMismatch("tracking metrics need 3D tracks")
-    if window < 1:
-        raise ValueError("window must be positive")
-    end = min(gt.num_frames, window)
+    end = _window_end(window, gt.num_frames)
     vis = gt.visibility & (np.arange(gt.num_frames) < end)
     if not vis.any():
         raise NoOverlap("no visible pairs in the evaluation window")
@@ -231,28 +230,16 @@ def eval_tracking(
     aligned, scale = _align(p, g, alignment)
     # aligned is a new array in every mode: the differences overwrite it
     d, errs = _errors(aligned, g, out=aligned)
-
-    has_dynamic = gt.dynamic is not None and bool(gt.dynamic.any())
-    if subsets is None:
-        subsets = ("all", "dynamic") if has_dynamic else ("all",)
     win = (0, end)
-    out = {}
-    for name in subsets:
-        if name == "all":
-            out[name] = _report(name, alignment, win, d, errs, scale)
-        elif name == "dynamic":
-            if gt.dynamic is None or not has_dynamic:
-                raise EmptyDynamicSubset("no dynamic tracks to score")
-            # each query's flag, once per visible pair of it
-            sel = np.repeat(gt.dynamic, vis.sum(axis=1))
-            if not sel.any():
-                raise EmptyDynamicSubset("no dynamic pairs in the window")
+    out = {"all": _report("all", alignment, win, d, errs, scale)}
+    if gt.dynamic is not None:
+        # each query's flag, once per visible pair of it
+        sel = np.repeat(gt.dynamic, vis.sum(axis=1))
+        if sel.any():
             # a subset's differences are the rows of the all-pairs ones
-            out[name] = _report(
-                name, alignment, win, d.compress(sel, axis=0), errs.compress(sel), scale
+            out["dynamic"] = _report(
+                "dynamic", alignment, win, d.compress(sel, axis=0), errs.compress(sel), scale
             )
-        else:
-            raise ValueError(f"unknown subset {name!r}")
     return out
 
 
@@ -261,28 +248,26 @@ def eval_recon(
     gt_video: PointmapVideo,
     alignment: str = "median",
     window: int = DEFAULT_WINDOW,
-    depth_maps: np.ndarray | None = None,
+    *,
+    depth_maps: np.ndarray,
 ) -> MetricReport:
     """Score a recon video against the ground truth's, pooled over the
     evaluation window.
 
-    Both are recon-branch videos on one grid. Pixels must be valid on both
-    sides; when ground-truth depth maps (T, H, W) are given, pixels whose
-    depth falls outside ``DEPTH_RANGE`` are excluded.
+    Both are recon-branch videos on one grid. A pixel is scored when it is
+    valid on both sides and its ground-truth depth, from the (T, H, W)
+    ``depth_maps``, lies within ``DEPTH_RANGE``.
     """
     pred, pred_valid = video_arrays(pred_video, "recon")
     gt, gt_valid = video_arrays(gt_video, "recon")
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"predicted video {pred.shape[:3]} vs ground truth {gt.shape[:3]}")
-    if window < 1:
-        raise ValueError("window must be positive")
-    end = min(len(gt), window)
-    m = pred_valid[:end] & gt_valid[:end]
-    if depth_maps is not None:
-        d = np.asarray(depth_maps)
-        if d.shape != gt_valid.shape:
-            raise ShapeMismatch(f"depth maps {d.shape} vs video {gt_valid.shape}")
-        m &= (d[:end] >= DEPTH_RANGE[0]) & (d[:end] <= DEPTH_RANGE[1])
+    end = _window_end(window, len(gt))
+    depth = np.asarray(depth_maps)
+    if depth.shape != gt_valid.shape:
+        raise ShapeMismatch(f"depth maps {depth.shape} vs video {gt_valid.shape}")
+    depth = depth[:end]
+    m = pred_valid[:end] & gt_valid[:end] & (depth >= DEPTH_RANGE[0]) & (depth <= DEPTH_RANGE[1])
     if not m.any():
         raise NoOverlap("no comparable pixels in the evaluation window")
     # one flat gather per side: compress beats a (T, H, W) boolean index

@@ -99,7 +99,3 @@ class DegenerateCovariance(WorldTrackError):
 
 class ShapeMismatch(WorldTrackError):
     """Arrays that must correspond elementwise have different shapes."""
-
-
-class EmptyDynamicSubset(WorldTrackError):
-    """Dynamic-subset metrics requested but no point is dynamic."""

@@ -58,8 +58,9 @@ class LossWeights:
     align: float = 5.0
 
     def __post_init__(self):
-        if min(self.traj, self.depth, self.align) < 0:
-            raise ValueError("loss weights must be non-negative")
+        weights = (self.traj, self.depth, self.align)
+        if not all(np.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError(f"loss weights must be finite and non-negative, got {weights}")
 
 
 @dataclass(frozen=True)
@@ -460,11 +461,16 @@ def tta_optimize(
 
     The trace holds one entry per evaluated step plus a final evaluation
     after the last update; zero steps returns the state unchanged with an
-    empty trace.
+    empty trace. A step count that is not an integer at least 0, or a step
+    size that is not finite and positive, raises ``ValueError`` before the
+    solve.
     """
-    if state.steps < 0:
-        raise ValueError(f"steps must be non-negative, got {state.steps}")
-    if state.steps == 0:
+    steps = state.steps
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError(f"steps must be an integer at least 0, got {steps!r}")
+    if not (np.isfinite(state.step_size) and state.step_size > 0):
+        raise ValueError(f"step_size must be finite and positive, got {state.step_size!r}")
+    if steps == 0:
         return state, []
 
     T, H, W = video_arrays(state.tracking_params, "tracking")[1].shape
@@ -483,7 +489,7 @@ def tta_optimize(
     pixels = grid.flat()
 
     trace: list[LossBreakdown] = []
-    for step in range(state.steps + 1):
+    for step in range(steps + 1):
         # guard the updated points and poses first: an overflowed step would
         # otherwise surface as a misleading solver or occlusion error
         if not (np.isfinite(trk).all() and (not live or np.isfinite(rec).all())):
@@ -500,7 +506,7 @@ def tta_optimize(
                 gn.append((delta, normal))
             if not (np.isfinite(R).all() and np.isfinite(t).all()):
                 raise DivergenceDetected(f"step {step}: stepped poses are not finite")
-        last = step == state.steps
+        last = step == steps
         per_term, (g_trk, g_rec, g_R, g_T) = _evaluate(layout, trk, rec, R, t, live and not last)
         breakdown = LossBreakdown.combine(per_term, weights)
         if not np.isfinite(breakdown.total):

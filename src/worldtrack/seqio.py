@@ -12,15 +12,18 @@ any valid point that would. Each pointmap file loads as one
 
 A save checks both branches as videos, every array's shape against theirs
 and the float32 values it will write of the pointmaps, depth and tracks
-for finiteness, and valid points against the zero triple, and forms a
-manifest with no NaN or infinity, before it writes anything. A load checks
-the same, and refuses a mask byte other than 0 or 1, a ``meta`` that is
-not a JSON object, an array shape entry that is not a non-negative JSON
-integer, and a spec that ``data.SceneSpec`` refuses (such as a focal that is
-not finite and positive, or sizes, seed or beacon count that are not
-integers). Every file is written to a temporary name, synced and renamed
-into place, with the manifest last, so a crashed writer never leaves a
-directory that parses as complete. Each array file is written
+for finiteness, each track's frame-0 position against the grid (where a
+load reads its dynamic flag, refusing an off-grid one with
+``QueryOutOfBounds`` as any query is refused), and valid points against
+the zero triple, and forms a manifest with no NaN or infinity, before it
+writes anything. A load checks the same, and refuses a mask byte other
+than 0 or 1, a ``meta`` that is not a JSON object, an array shape entry
+that is not a non-negative JSON integer, and a spec that
+``data.SceneSpec`` refuses (such as a focal that is not finite and
+positive, or sizes, seed or beacon count that are not integers). Every
+file is written to a temporary name, synced and renamed into place, with
+the manifest last, so a crashed writer never leaves a directory that
+parses as complete. Each array file is written
 from the buffer of its cast array, the one the checks read, without a
 bytes copy. Writes are deterministic: the same sequence produces
 byte-identical files.
@@ -34,9 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import RenderedSequence, SceneSpec
-from .errors import ShapeMismatch, UnknownPreset
+from .errors import QueryOutOfBounds, ShapeMismatch, UnknownPreset
 from .geometry import (
-    Intrinsics, PointmapVideo, PoseSE3, TrackSet, _pixel_cells, video_arrays,
+    Intrinsics, PointmapVideo, PoseSE3, TrackSet, queries_to_indices, video_arrays,
 )
 
 FORMAT_TAG = "worldtrack-seq/1"
@@ -57,10 +60,11 @@ def _write_atomic(path: Path, data):
 def save_sequence(path, seq: RenderedSequence) -> None:
     """Write ``seq`` to the directory ``path``. Both branches are checked as
     videos, every array's shape against theirs and the float32 values of
-    the bulk arrays for finiteness and valid points against the zero
-    triple, and the manifest is formed, with no NaN or infinity in it,
-    before any file is written: a sequence ``load_sequence`` would refuse
-    or read back with fewer valid pixels leaves no file."""
+    the bulk arrays for finiteness, frame-0 track positions against the
+    grid and valid points against the zero triple, and the manifest is
+    formed, with no NaN or infinity in it, before any file is written: a
+    sequence ``load_sequence`` would refuse or read back with fewer valid
+    pixels leaves no file."""
     tracking, tracking_valid = video_arrays(seq.tracking_pointmaps, "tracking")
     recon, recon_valid = video_arrays(seq.recon_pointmaps, "recon")
     T, H, W, _ = tracking.shape
@@ -90,6 +94,8 @@ def save_sequence(path, seq: RenderedSequence) -> None:
     for name, cast in bulk.items():
         if not np.isfinite(cast).all():
             raise ValueError(f"{name} entries must be finite")
+    # a load reads each track's dynamic flag at its frame-0 cell
+    queries_to_indices(bulk["tracks2d"][:, 0], W, H)
     # a load reads the zero triple as an invalid pixel
     for name, valid in (("tracking_pointmaps", tracking_valid), ("recon_pointmaps", recon_valid)):
         cast = bulk[name]
@@ -247,8 +253,11 @@ def load_sequence(path) -> RenderedSequence:
         raise ValueError(f"{indir}: {exc}") from None
 
     # per-track dynamic flags come from the anchor-grid mask at each query
-    rows, cols, _ = _pixel_cells(tracks2d[:, 0], W, H)
-    dynamic = dynamic_mask[np.clip(rows, 0, H - 1), np.clip(cols, 0, W - 1)]
+    try:
+        rows, cols = queries_to_indices(tracks2d[:, 0], W, H)
+    except QueryOutOfBounds as exc:
+        raise QueryOutOfBounds(f"{indir / arrays['tracks2d']['file']}: {exc}") from None
+    dynamic = dynamic_mask[rows, cols]
 
     return RenderedSequence(
         spec=spec,

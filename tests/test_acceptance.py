@@ -203,7 +203,7 @@ def test_06_metrics_match_brute_force_scorer():
             pairs_p = [tuple(pred_pos[a, b]) for a in range(n) for b in range(t) if vis[a, b]]
             pairs_g = [tuple(gt_pos[a, b]) for a in range(n) for b in range(t) if vis[a, b]]
             for mode in ("none", "median", "sim3"):
-                rep = eval_tracking(pred, gt, alignment=mode, subsets=("all",))["all"]
+                rep = eval_tracking(pred, gt, alignment=mode)["all"]
                 apd, err, fracs = _brute_score(pairs_p, pairs_g, mode)
                 assert (rep.apd, rep.epe, rep.per_threshold) == (apd, err, fracs), (i, mode)
 

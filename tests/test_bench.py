@@ -20,7 +20,6 @@ from worldtrack.bench import (
 )
 from worldtrack.errors import (
     DegenerateCovariance,
-    EmptyDynamicSubset,
     NoOverlap,
     ShapeMismatch,
     ZeroMedian,
@@ -255,18 +254,35 @@ def test_dynamic_subset_errors():
     rng = np.random.default_rng(7)
     gt_pos = rng.normal(0, 1, (8, 3, 3)) + np.array([0, 0, 3.0])
     vis = np.ones((8, 3), bool)
-    static = TrackSet(gt_pos, vis, np.zeros(8, bool))
-    with pytest.raises(EmptyDynamicSubset):
-        eval_tracking(static, static, alignment="none", subsets=("dynamic",))
     nodyn = TrackSet(gt_pos, vis)
-    with pytest.raises(EmptyDynamicSubset):
-        eval_tracking(nodyn, nodyn, alignment="none", subsets=("all", "dynamic"))
-    # auto mode just omits the dynamic report
+    # without dynamic tracks, flagged or not, the dynamic report is omitted
     assert set(eval_tracking(nodyn, nodyn, alignment="none")) == {"all"}
-    with pytest.raises(ValueError):
-        eval_tracking(nodyn, nodyn, alignment="none", subsets=("weird",))
+    static = TrackSet(gt_pos, vis, np.zeros(8, bool))
+    assert set(eval_tracking(static, static, alignment="none")) == {"all"}
+    # a dynamic track first visible in frame 1 has no pair in a 1-frame window
+    vis[0, 0] = False
+    dyn = np.zeros(8, bool)
+    dyn[0] = True
+    late = TrackSet(gt_pos, vis, dyn)
+    assert set(eval_tracking(late, late, alignment="none", window=1)) == {"all"}
+    reports = eval_tracking(late, late, alignment="none", window=2)
+    assert set(reports) == {"all", "dynamic"} and reports["dynamic"].num_pairs == 1
     with pytest.raises(ValueError):
         eval_tracking(nodyn, nodyn, alignment="parade")
+
+
+def test_window_must_be_a_positive_integer():
+    pred, gt = random_tracks(np.random.default_rng(15), n=10, T=4)
+    video = PointmapVideo("recon", np.ones((4, 6, 8, 3)), np.ones((4, 6, 8), bool))
+    depth = np.ones((4, 6, 8))
+    for window in (0, -1, 2.5, np.nan, True, "3"):
+        with pytest.raises(ValueError, match="window must be a positive integer"):
+            eval_tracking(pred, gt, window=window)
+        with pytest.raises(ValueError, match="window must be a positive integer"):
+            eval_recon(video, video, window=window, depth_maps=depth)
+    # a numpy integer is a window, reported as a plain int
+    assert eval_tracking(pred, gt, window=np.int64(2))["all"].window == (0, 2)
+    assert type(eval_recon(video, video, window=np.int64(9), depth_maps=depth).window[1]) is int
 
 
 def test_eval_recon_filters_and_matches_brute():
@@ -328,7 +344,7 @@ def assert_report_definitions(rep, aligned, gt):
 @pytest.mark.parametrize("alignment", ["none", "median", "sim3"])
 def test_tracking_report_keeps_its_definitions(alignment):
     pred, gt = random_tracks(np.random.default_rng(12), n=60, T=7)
-    reports = eval_tracking(pred, gt, alignment=alignment, window=6, subsets=("all", "dynamic"))
+    reports = eval_tracking(pred, gt, alignment=alignment, window=6)
     pp, gg = (np.array(x) for x in visible_pairs(pred, gt, 6))
     dynamic = np.array(
         [gt.dynamic[i] for i in range(gt.num_points) for t in range(6) if gt.visibility[i, t]]

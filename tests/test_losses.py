@@ -754,10 +754,22 @@ def test_tta_zero_steps_is_identity():
     assert out.recon_pointmaps is recon
 
 
-def test_tta_rejects_negative_steps():
+def test_tta_rejects_negative_steps(monkeypatch):
     K, grid, poses, tracking, recon, sup, mono = make_mini_scene(num_frames=2)
-    with pytest.raises(ValueError, match="steps"):
-        tta_optimize(AdaptState(tracking, recon, steps=-1), sup, mono)
+    # a numpy integer is a step count
+    assert len(tta_optimize(AdaptState(tracking, recon, steps=np.int64(1)), sup, mono)[1]) == 2
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the cameras were solved")
+
+    # every refusal comes before the camera solve
+    monkeypatch.setattr(losses, "solve_cameras_for_video", unreachable)
+    for steps in (-1, 2.5, True, np.float64(1.0), "3"):
+        with pytest.raises(ValueError, match="steps must be an integer at least 0"):
+            tta_optimize(AdaptState(tracking, recon, steps=steps), sup, mono)
+    for step_size in (np.nan, np.inf, -np.inf, 0.0, -1e-2):
+        with pytest.raises(ValueError, match="step_size must be finite and positive"):
+            tta_optimize(AdaptState(tracking, recon, step_size=step_size, steps=1), sup, mono)
 
 
 def test_tta_frozen_reduces_loss_and_preserves_recon():
@@ -844,13 +856,23 @@ def test_tta_divergence_guard():
 
 
 @pytest.mark.parametrize("freeze", [True, False])
-@pytest.mark.parametrize("step_size", [np.nan, np.inf])
-def test_tta_non_finite_step_is_divergence(freeze, step_size):
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_tta_non_finite_step_is_divergence(monkeypatch, freeze, value):
+    # a non-finite step size is refused up front, so the first step is made
+    # non-finite through the tracking gradient it scales
     K, grid, poses, tracking, recon, sup, mono = make_mini_scene(
         num_frames=2, track_noise=0.05, recon_noise=0.02, seed=45
     )
-    state = AdaptState(tracking, recon, freeze_recon=freeze, step_size=step_size, steps=5)
-    with pytest.raises(DivergenceDetected, match="step 1"):
+    evaluate = losses._evaluate
+
+    def poisoned(*args):
+        per_term, (g_trk, *rest) = evaluate(*args)
+        g_trk[...] = value
+        return per_term, (g_trk, *rest)
+
+    monkeypatch.setattr(losses, "_evaluate", poisoned)
+    state = AdaptState(tracking, recon, freeze_recon=freeze, steps=5)
+    with pytest.raises(DivergenceDetected, match="step 1: adapted points are not finite"):
         tta_optimize(state, sup, mono)
 
 
@@ -927,5 +949,8 @@ def test_tta_unfrozen_updates_recon_and_decreases():
 
 
 def test_loss_weight_validation():
-    with pytest.raises(ValueError):
-        LossWeights(-1.0, 10.0, 5.0)
+    for weights in [(-1.0, 10.0, 5.0), (np.nan, 10.0, 5.0), (1.0, np.inf, 5.0), (1, 10, -np.inf)]:
+        with pytest.raises(ValueError, match="loss weights must be finite and non-negative"):
+            LossWeights(*weights)
+    # zero weights are allowed
+    assert LossWeights(0.0, 0.0, 0.0).traj == 0.0

@@ -86,3 +86,17 @@ def test_traced_adapt_operation_records_every_layer(tmp_path):
     # the live step of each of the steps + 1 evaluations
     assert tracer.calls["camera.gn"] == (workload.frames - 1) * (workload.steps_per_op + 2)
     assert tracer.step_ms
+
+
+def test_the_dead_trace_targets_are_pinned():
+    # a traced name that goes missing zeroes its per-layer metric and only
+    # lengthens the run's ``info trace_skipped`` line; pinning the list
+    # makes a rename fail here instead (retiring a target updates the pin)
+    assert spans.missing_targets(worldtrack) == [
+        "losses.correspondences_from_pointmap",
+        "camera.pose_gradient_wrt_points",
+        "losses.pose_gradient_wrt_points",
+        "losses.align_loss",
+        "losses.pose_gradient_on_pointmap",
+        "geometry.Pointmap.with_points",
+    ]

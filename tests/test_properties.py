@@ -1,8 +1,8 @@
-"""Hypothesis properties: seqio round trips, fuzzed manifests, the
-similarity invariance of the sim3-aligned tracking metrics, the
-power-of-two scale invariance of the median-aligned recon metrics, focal
-recovery from an exact self-view, and the equivariance of pose recovery
-under a change of world frame.
+"""Hypothesis properties: seqio round trips, fuzzed manifests and mask
+bytes, the similarity invariance of the sim3-aligned tracking metrics,
+the power-of-two scale invariance of the median-aligned recon metrics,
+focal recovery from an exact self-view, and the equivariance of pose
+recovery under a change of world frame.
 
 Every property runs derandomized and without an example database, and
 ``conftest.py`` points Hypothesis' caches at a temporary directory, so a
@@ -11,6 +11,7 @@ run is reproducible and leaves no ``.hypothesis/`` directory behind.
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -147,6 +148,53 @@ def test_one_field_manifest_mutation_loads_cleanly_or_is_refused(saved, data):
         return
     assert isinstance(seq.meta, dict)
     assert math.isfinite(seq.spec.focal) and seq.spec.focal > 0
+
+
+# each mask file and the shape it holds in a loaded 8x8x2 sequence
+_MASKS = {"visibility": (64, 2), "dynamic_mask": (8, 8)}
+
+
+@pytest.fixture(scope="module")
+def saved_masks(tmp_path_factory):
+    """A saved 8x8x2 sequence and the bytes of its two mask files."""
+    path = tmp_path_factory.mktemp("masks") / "s"
+    spec = SceneSpec("orbit-dynamic", width=8, height=8, num_frames=2, focal=10.0, seed=5)
+    save_sequence(path, generate_sequence(spec))
+    return path, {name: (path / f"{name}.raw").read_bytes() for name in _MASKS}
+
+
+@_examples(50)
+@given(data=st.data())
+def test_fuzzed_mask_bytes_load_exactly_or_are_refused(saved_masks, data):
+    """A mask file overwritten with any bytes of its length: bytes that are
+    all 0 or 1 load as that mask and save back to identical files; any
+    other byte is refused with the file's name."""
+    seq_dir, originals = saved_masks
+    name = data.draw(st.sampled_from(sorted(_MASKS)), label="file")
+    n = len(originals[name])
+    raw = data.draw(
+        st.binary(min_size=n, max_size=n)
+        | st.lists(st.integers(0, 1), min_size=n, max_size=n).map(bytes),
+        label="bytes",
+    )
+    path = seq_dir / f"{name}.raw"
+    path.write_bytes(raw)
+    try:
+        if max(raw, default=0) > 1:
+            message = f"{path}: bytes must be 0 or 1"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_sequence(seq_dir)
+            return
+        back = load_sequence(seq_dir)
+        mask = back.tracks2d.visibility if name == "visibility" else back.dynamic_mask
+        expect = np.frombuffer(raw, dtype=np.uint8).reshape(_MASKS[name]).astype(bool)
+        np.testing.assert_array_equal(mask, expect)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_sequence(tmp, back)
+            for written in seq_dir.iterdir():
+                assert Path(tmp, written.name).read_bytes() == written.read_bytes(), written.name
+    finally:
+        path.write_bytes(originals[name])
 
 
 @_examples(30)

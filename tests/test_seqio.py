@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from worldtrack.data import SceneSpec
-from worldtrack.errors import BranchContractViolation, ShapeMismatch
+from worldtrack.errors import BranchContractViolation, QueryOutOfBounds, ShapeMismatch
 from worldtrack.geometry import PointmapVideo, TrackSet
 from worldtrack.oracle import generate_sequence
 from worldtrack.seqio import FORMAT_TAG, load_sequence, save_sequence
@@ -434,6 +434,27 @@ def _cli_refuses(tmp_path, capsys, seq_dir, message):
         assert captured.out == "" and captured.err.startswith("error:"), argv
         assert message in captured.err and captured.err.count("\n") == 1, argv
     assert not any((tmp_path / name).exists() for name in ("adapted", "e", "c"))
+
+
+@pytest.mark.parametrize("x", [-5.0, 24.0], ids=["left", "right"])
+def test_off_grid_frame0_track_is_refused(tmp_path, seq, capsys, x):
+    """A track's dynamic flag is read at its frame-0 cell: a position off
+    the 24x18 grid is refused as an off-grid query, not clipped to an
+    edge pixel's flag."""
+    save_sequence(tmp_path / "s", seq)
+    path = tmp_path / "s" / "tracks2d.raw"
+    values = np.frombuffer(path.read_bytes(), dtype="<f4").reshape(-1, 5, 2).copy()
+    values[0, 0, 0] = x
+    path.write_bytes(values.tobytes())
+    message = f"{path}: query 0 at {(x, float(values[0, 0, 1]))} outside 24x18 grid"
+    with pytest.raises(QueryOutOfBounds, match=f"^{re.escape(message)}$"):
+        load_sequence(tmp_path / "s")
+    _cli_refuses(tmp_path, capsys, tmp_path / "s", message)
+    # a save refuses the same track before it writes anything
+    moved = TrackSet(values.astype(np.float64), seq.tracks2d.visibility, seq.tracks2d.dynamic)
+    with pytest.raises(QueryOutOfBounds, match="query 0 at"):
+        save_sequence(tmp_path / "t", replace(seq, tracks2d=moved))
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("meta", [5, [1, 2], None], ids=["number", "list", "null"])

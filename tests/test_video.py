@@ -212,7 +212,7 @@ def test_videos_are_checked_once_per_stack(tmp_path, video_checks):
     state = AdaptState(bad.tracking_pointmaps, bad.recon_pointmaps, freeze_recon=False, steps=2)
     out, trace = run("adapt-live", tta_optimize, state, sup, mono)
     frozen, _ = run("adapt-frozen", tta_optimize, replace(state, freeze_recon=True), sup, mono)
-    run("eval", eval_recon, out.recon_pointmaps, seq.recon_pointmaps)
+    run("eval", eval_recon, out.recon_pointmaps, seq.recon_pointmaps, depth_maps=seq.depth)
     assert len(trace) == 3
     assert flows == {
         "generate": ["tracking", "recon"], "save": [], "load": ["tracking", "recon"],
