@@ -29,6 +29,10 @@ Chum, "Fixing the locally optimized RANSAC", BMVC 2012): Gauss-Newton
 polishes it on its consensus within that subset, and the polish and the
 re-count repeat while the count rises. The polished count is the best
 count, and its ratio sets the confidence bound on the number of draws.
+A floor of 32 draws holds only while a later draw could still win: a draw
+replaces the best only with a strictly higher count, so once the best holds
+every scored pair the draws stop. The first draw is solved alone so that
+this stop can come before the first batch.
 Only the winner is scored on every correspondence, once, and the final
 Gauss-Newton step is the only linearisation of the full set. A polish
 stops once its increment falls below 1e-10, or after 10 steps. Each
@@ -87,9 +91,15 @@ GN_DAMPING = 1e-9
 @dataclass(frozen=True)
 class RansacConfig:
     """The seed of RANSAC's sample draws (frame j of a video draws with
-    ``seed + j``)."""
+    ``seed + j``); one that is not an integer at least 0 (a bool or 2.5
+    included) raises ``ValueError``."""
 
     seed: int = 0
+
+    def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be an integer at least 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -293,8 +303,10 @@ def _plane_poses(points: np.ndarray, norm_pix: np.ndarray):
 
 def _minimal_poses(points: np.ndarray, norm_pix: np.ndarray):
     """Poses from a stack of minimal samples: near-planar samples by their
-    plane homography, the others by DLT. Returns as ``_dlt_poses``; a
-    stack LAPACK gives up on gives no pose."""
+    plane homography, the others by DLT. Returns as ``_dlt_poses``. A stack
+    LAPACK gives up on is solved again one sample at a time, and only the
+    samples it refuses alone give no pose, so a sample's pose never depends
+    on the draws that share its stack."""
     D = points - points.mean(axis=1, keepdims=True)
     ev = np.linalg.eigvalsh(D.transpose(0, 2, 1) @ D)
     planar = ev[:, 0] < PLANAR_RATIO * ev[:, 1]
@@ -302,11 +314,16 @@ def _minimal_poses(points: np.ndarray, norm_pix: np.ndarray):
     t = np.empty((points.shape[0], 3))
     ok = np.empty(points.shape[0], dtype=bool)
     for solver, pick in ((_dlt_poses, ~planar), (_plane_poses, planar)):
-        if pick.any():
+        stacks = [np.flatnonzero(pick)] if pick.any() else []
+        while stacks:
+            s = stacks.pop()
             try:
-                R[pick], t[pick], ok[pick] = solver(points[pick], norm_pix[pick])
+                R[s], t[s], ok[s] = solver(points[s], norm_pix[s])
             except np.linalg.LinAlgError:
-                R[pick], t[pick], ok[pick] = np.eye(3), 0.0, False
+                if len(s) > 1:
+                    stacks += np.split(s, len(s))
+                else:
+                    R[s], t[s], ok[s] = np.eye(3), 0.0, False
     return R, t, ok
 
 
@@ -336,15 +353,17 @@ def solve_pnp_ransac(
     no more). Each new best is polished by (non-differentiable)
     Gauss-Newton on its consensus within that subset, and re-counted, for
     as long as its count rises. Iterations stop early once the usual
-    confidence bound on the polished inlier ratio is met, but never before
-    a fixed floor so that near-degenerate scenes still get a fair number of
-    draws. The winner's inliers and RMS come from one pass over all pairs.
+    confidence bound on the polished inlier ratio is met, but not before a
+    floor of 32 draws, so that near-degenerate scenes still get a fair
+    number of draws, unless the best already holds every scored pair: a
+    later draw wins only with a strictly higher count, so none can replace
+    it, and the draws stop there with the estimate the floor would give.
+    The winner's inliers and RMS come from one pass over all pairs.
     """
     n = len(pixels)
     if n < MIN_SAMPLE:
         raise TooFewCorrespondences(f"{n} < minimal sample {MIN_SAMPLE}")
     rng = np.random.default_rng(cfg.seed)
-    norm_pix = (pixels - np.array([K.cx, K.cy])) / K.focal
     scored = pixels, points
     if n > PREEMPTIVE_SUBSET:
         pick = np.arange(PREEMPTIVE_SUBSET) * n // PREEMPTIVE_SUBSET
@@ -354,15 +373,17 @@ def solve_pnp_ransac(
     min_iters = 32
     needed = RANSAC_MAX_ITERATIONS
     it = 0
-    # draws stay one seeded sample at a time; a batch holds at most
-    # min_iters of the draws the bound still allows, and is cut short when
-    # a new winner lowers the bound
-    while it < max(min_iters, needed):
-        batch = min(min_iters, max(min_iters, needed) - it)
+    # draws stay one seeded sample at a time. The first is solved alone, so
+    # a best that holds every scored pair stops the draws at once (no later
+    # count can exceed it); later batches hold at most min_iters of the
+    # draws the bound still allows, cut short when a new winner lowers it.
+    while it < max(min_iters, needed) and best_count < len(scored[0]):
+        batch = min(min_iters if it else 1, max(min_iters, needed) - it)
         idx = np.stack(
             [rng.choice(n, size=MIN_SAMPLE, replace=False) for _ in range(batch)]
         )
-        R, t, ok = _minimal_poses(points.T[idx], norm_pix[idx])
+        norm_pix = (pixels[idx] - np.array([K.cx, K.cy])) / K.focal
+        R, t, ok = _minimal_poses(points.T[idx], norm_pix)
         inl = np.zeros((batch, len(scored[0])), dtype=bool)
         if ok.any():
             inl[ok] = _reproj_errors_many(R[ok], t[ok], K, *scored) < INLIER_THRESHOLD

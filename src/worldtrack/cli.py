@@ -242,21 +242,21 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--height", type=_grid_size, default=48)
     s.add_argument("--frames", type=_positive_int, default=24)
     s.add_argument("--focal", type=_positive, default=80.0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count, default=0)
     s.add_argument("--noise", type=_non_negative, default=0.0)
     s.add_argument("--drift", type=_non_negative, default=0.0)
     s.add_argument(
         "--corrupt-targets", nargs="+", default=["tracking"],
         choices=["tracking", "recon"],
     )
-    s.add_argument("--corrupt-seed", type=int, default=0)
+    s.add_argument("--corrupt-seed", type=_count, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_synth)
 
     s = sub.add_parser("solve-camera", help="recover intrinsics and poses")
     s.add_argument("--seq", required=True)
     s.add_argument("--out", default=None, help="report path, '-' for stdout")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count, default=0)
     s.set_defaults(func=cmd_solve_camera)
 
     s = sub.add_parser("adapt", help="test-time optimization of the tracking branch")
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--steps", type=_count, default=500)
     s.add_argument("--lr", type=_positive, default=1e-2)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count, default=0)
     s.add_argument("--unfreeze-recon", action="store_true")
     s.add_argument("--w-traj", type=_non_negative, default=1.0)
     s.add_argument("--w-depth", type=_non_negative, default=10.0)
@@ -278,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alignment", choices=ALIGNMENT_MODES, default="median")
     s.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
     s.add_argument("--max-queries", type=_count, default=0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count, default=0)
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("check-grads", help="finite-difference gradient audit")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count, default=0)
     s.add_argument("--trials", type=_positive_int, default=4)
     s.set_defaults(func=cmd_check_grads)
     return p

@@ -461,23 +461,22 @@ def tta_optimize(
 
     The trace holds one entry per evaluated step plus a final evaluation
     after the last update; zero steps returns the state unchanged with an
-    empty trace. A step count that is not an integer at least 0, or a step
-    size that is not finite and positive, raises ``ValueError`` before the
-    solve.
+    empty trace. A step count or seed that is not an integer at least 0, or
+    a step size that is not finite and positive, raises ``ValueError``
+    before the solve.
     """
     steps = state.steps
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValueError(f"steps must be an integer at least 0, got {steps!r}")
     if not (np.isfinite(state.step_size) and state.step_size > 0):
         raise ValueError(f"step_size must be finite and positive, got {state.step_size!r}")
+    ransac = RansacConfig(seed=state.seed)
     if steps == 0:
         return state, []
 
     T, H, W = video_arrays(state.tracking_params, "tracking")[1].shape
     grid = PixelGrid.create(W, H)
-    K, estimates = solve_cameras_for_video(
-        state.recon_pointmaps, grid, RansacConfig(seed=state.seed)
-    )
+    K, estimates = solve_cameras_for_video(state.recon_pointmaps, grid, ransac)
     trk, rec, trk_valid, rec_valid, layout = _objective(
         state.tracking_params, state.recon_pointmaps, K, sup, mono, weights
     )

@@ -231,6 +231,74 @@ def test_pnp_preemptive_scoring_on_large_instance():
     assert np.array_equal(again.inliers, est.inliers)
 
 
+def test_ransac_seed_must_be_a_non_negative_integer():
+    rng = np.random.default_rng(10)
+    K, _, pix, pts = make_pnp_instance(rng, n=50)
+    # a numpy integer is a seed, and draws as the int does
+    a = solve_pnp_ransac(pix, pts, K, RansacConfig(seed=np.int64(3)))
+    b = solve_pnp_ransac(pix, pts, K, RansacConfig(seed=3))
+    assert np.array_equal(a.pose.rotation, b.pose.rotation)
+    assert np.array_equal(a.inliers, b.inliers)
+    for seed in (2.5, True, -1, np.float64(1.0), "3", None):
+        with pytest.raises(ValueError, match="seed must be an integer at least 0"):
+            RansacConfig(seed=seed)
+
+
+def test_draws_stop_once_the_best_holds_every_scored_pair(monkeypatch):
+    rng = np.random.default_rng(8)
+    K, pose, pix, pts = make_pnp_instance(rng, n=80)
+    solved = []
+    minimal = camera._minimal_poses
+
+    def counted(points, norm_pix):
+        solved.append(len(points))
+        return minimal(points, norm_pix)
+
+    monkeypatch.setattr(camera, "_minimal_poses", counted)
+    est = solve_pnp_ransac(pix, pts, K, RansacConfig(seed=1))
+    # the first draw, polished, holds all 80 pairs: no later draw can win
+    assert solved == [1] and est.inliers.all()
+    # 30 % outliers, none in the first draw: that draw, polished, already
+    # holds every inlier, yet below a full count the floor of draws stands
+    first = np.random.default_rng(1).choice(80, 6, replace=False)
+    out = rng.choice(np.setdiff1d(np.arange(80), first), 24, replace=False)
+    bad = pix.copy()
+    bad[out] += rng.uniform(5.0, 25.0, (24, 2)) * rng.choice([-1, 1], (24, 2))
+    solved.clear()
+    est = solve_pnp_ransac(bad, pts, K, RansacConfig(seed=1))
+    assert solved[0] == 1 and sum(solved) >= 32
+    assert np.array_equal(np.flatnonzero(~est.inliers), np.sort(out))
+
+
+def test_a_sample_lapack_refuses_voids_only_itself(monkeypatch):
+    rng = np.random.default_rng(33)
+    K, pose, pixels, points = make_pnp_instance(rng, n=60)
+    norm_pix = (pixels - np.array([K.cx, K.cy])) / K.focal
+    idx = np.stack([rng.choice(60, 6, replace=False) for _ in range(12)])
+    pts, pix = points.T[idx], norm_pix[idx]
+    # two near-planar samples, solved by the homography
+    pts[10:, :, 2] = pts[10:, :1, 2]
+    cam = pts[10:] @ pose.rotation.T + pose.translation
+    pix[10:] = cam[:, :, :2] / cam[:, :, 2:3]
+    # a pixel no other sample holds; the DLT's system holds its -u as it is
+    sentinel = pix[4, 0, 0] = 0.123456789
+    R, t, ok = _minimal_poses(pts, pix)
+    assert ok.all()
+    svd = np.linalg.svd
+
+    def refusing_svd(a, *args, **kwargs):
+        if np.any(a == -sentinel):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", refusing_svd)
+    R2, t2, ok2 = _minimal_poses(pts, pix)
+    assert not ok2[4] and np.array_equal(R2[4], np.eye(3)) and not t2[4].any()
+    keep = np.arange(12) != 4
+    assert ok2[keep].all()
+    assert np.array_equal(R2[keep], R[keep]) and np.array_equal(t2[keep], t[keep])
+
+
 def dlt_pose_reference(points, norm_pix):
     """Per-sample DLT, the scalar form the stacked solver must reproduce."""
     centroid = points.mean(axis=0)

@@ -238,6 +238,12 @@ def test_adapt_rejects_bad_step_size_and_weights(tmp_path, capsys, flag, value):
     [SYNTH + ["--width", "0"], SYNTH + ["--height", "-4"], SYNTH + ["--frames", "0"],
      SYNTH + ["--focal", "-1"], SYNTH + ["--noise", "-0.1"], SYNTH + ["--drift", "nan"],
      ["adapt", "--seq", "{seq}", "--steps", "-1"],
+     ["adapt", "--seq", "{seq}", "--seed", "-1"],
+     pytest.param(["adapt", "--seq", "{seq}", "--seed", "2.5"], id="adapt--seed-not-an-integer"),
+     ["solve-camera", "--seq", "{seq}", "--seed", "-1"],
+     SYNTH + ["--seed", "-1"], SYNTH + ["--corrupt-seed", "-1"],
+     ["eval", "--pred", "{seq}", "--gt", "{seq}", "--seed", "-1"],
+     ["check-grads", "--seed", "-1"],
      ["eval", "--pred", "{seq}", "--gt", "{seq}", "--window", "0"],
      ["eval", "--pred", "{seq}", "--gt", "{seq}", "--max-queries", "-5"],
      ["check-grads", "--trials", "0"],

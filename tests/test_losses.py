@@ -756,8 +756,11 @@ def test_tta_zero_steps_is_identity():
 
 def test_tta_rejects_negative_steps(monkeypatch):
     K, grid, poses, tracking, recon, sup, mono = make_mini_scene(num_frames=2)
-    # a numpy integer is a step count
+    # a numpy integer is a step count, and a seed that runs as the int does
     assert len(tta_optimize(AdaptState(tracking, recon, steps=np.int64(1)), sup, mono)[1]) == 2
+    a = tta_optimize(AdaptState(tracking, recon, steps=1, seed=np.int64(3)), sup, mono)[1]
+    b = tta_optimize(AdaptState(tracking, recon, steps=1, seed=3), sup, mono)[1]
+    assert [x.total for x in a] == [x.total for x in b]
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the cameras were solved")
@@ -770,6 +773,9 @@ def test_tta_rejects_negative_steps(monkeypatch):
     for step_size in (np.nan, np.inf, -np.inf, 0.0, -1e-2):
         with pytest.raises(ValueError, match="step_size must be finite and positive"):
             tta_optimize(AdaptState(tracking, recon, step_size=step_size, steps=1), sup, mono)
+    for seed in (2.5, True, -1, np.float64(1.0)):
+        with pytest.raises(ValueError, match="seed must be an integer at least 0"):
+            tta_optimize(AdaptState(tracking, recon, steps=1, seed=seed), sup, mono)
 
 
 def test_tta_frozen_reduces_loss_and_preserves_recon():

@@ -1,8 +1,9 @@
 """Hypothesis properties: seqio round trips, fuzzed manifests and mask
 bytes, the similarity invariance of the sim3-aligned tracking metrics,
 the power-of-two scale invariance of the median-aligned recon metrics,
-focal recovery from an exact self-view, and the equivariance of pose
-recovery under a change of world frame.
+focal recovery from an exact self-view, the equivariance of pose
+recovery under a change of world frame, and RANSAC's early stop, which
+returns exactly what the full floor of draws would.
 
 Every property runs derandomized and without an example database, and
 ``conftest.py`` points Hypothesis' caches at a temporary directory, so a
@@ -21,9 +22,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from worldtrack.bench import eval_recon, eval_tracking
-from worldtrack.camera import RansacConfig, estimate_focal_weiszfeld, solve_pnp_ransac
+from worldtrack.camera import (
+    INLIER_THRESHOLD,
+    MIN_SAMPLE,
+    PREEMPTIVE_SUBSET,
+    RANSAC_MAX_ITERATIONS,
+    RansacConfig,
+    _iterations_needed,
+    _local_optimisation,
+    _minimal_poses,
+    _reproj_errors_many,
+    estimate_focal_weiszfeld,
+    solve_pnp_ransac,
+)
 from worldtrack.data import PRESETS, SceneSpec
-from worldtrack.errors import WorldTrackError
+from worldtrack.errors import NoConsensus, WorldTrackError
 from worldtrack.geometry import (
     Intrinsics,
     PixelGrid,
@@ -293,3 +306,84 @@ def test_pose_recovery_is_equivariant_under_a_change_of_world_frame(seed, transf
     np.testing.assert_allclose(back.translation, base.pose.translation, rtol=0, atol=1e-9)
     np.testing.assert_array_equal(base.inliers, ~out)
     np.testing.assert_array_equal(moved.inliers, base.inliers)
+
+
+def _full_floor_ransac(pixels, points, K, seed):
+    """``solve_pnp_ransac`` without its stop on a full count: every call
+    makes at least the floor of 32 draws, in batches of 32, as the solver
+    did before the stop. Returns (R, t, inliers, rms) of the winner."""
+    n = len(pixels)
+    rng = np.random.default_rng(seed)
+    norm_pix = (pixels - np.array([K.cx, K.cy])) / K.focal
+    scored = pixels, points
+    if n > PREEMPTIVE_SUBSET:
+        pick = np.arange(PREEMPTIVE_SUBSET) * n // PREEMPTIVE_SUBSET
+        scored = pixels[pick], points[:, pick]
+    best_R = best_t = None
+    best_count, needed, it = 0, RANSAC_MAX_ITERATIONS, 0
+    while it < max(32, needed):
+        batch = min(32, max(32, needed) - it)
+        idx = np.stack([rng.choice(n, size=MIN_SAMPLE, replace=False) for _ in range(batch)])
+        R, t, ok = _minimal_poses(points.T[idx], norm_pix[idx])
+        inl = np.zeros((batch, len(scored[0])), dtype=bool)
+        if ok.any():
+            inl[ok] = _reproj_errors_many(R[ok], t[ok], K, *scored) < INLIER_THRESHOLD
+        counts = inl.sum(axis=1)
+        for j in range(batch):
+            if it >= max(32, needed):
+                break
+            it += 1
+            if counts[j] > best_count:
+                best_R, best_t, best_count = _local_optimisation(R[j], t[j], scored, K, inl[j])
+                needed = _iterations_needed(best_count / len(scored[0]))
+    if best_R is None:
+        raise NoConsensus(f"best consensus 0 of {n}")
+    err = _reproj_errors_many(best_R[None], best_t[None], K, pixels, points)[0]
+    inliers = err < INLIER_THRESHOLD
+    if int(inliers.sum()) < MIN_SAMPLE:
+        raise NoConsensus(f"best consensus {int(inliers.sum())} of {n}")
+    return best_R, best_t, inliers, float(np.sqrt(np.mean(err[inliers] ** 2)))
+
+
+@_examples(60)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.one_of(st.integers(MIN_SAMPLE, 200), st.integers(PREEMPTIVE_SUBSET + 1, 2000)),
+    pixels=st.sampled_from(["clean", "noisy", "outliers"]),
+    outlier_fraction=st.floats(0.1, 0.3),
+    planar=st.booleans(),
+)
+def test_ransac_stop_returns_what_the_full_floor_returns(
+    seed, n, pixels, outlier_fraction, planar
+):
+    """Once the best holds every scored pair no later draw can replace it
+    (a draw wins only with a strictly higher count), so stopping there
+    gives the estimate of the full floor of draws, byte for byte."""
+    rng = np.random.default_rng(seed)
+    K, pose, pix, X = make_pnp_instance(rng, n=n)
+    if planar:
+        # the cloud on a tilted plane 2-4 m ahead, 10 um off it at most
+        normal = np.array([*rng.normal(0.0, 0.3, 2), 1.0])
+        normal /= np.linalg.norm(normal)
+        rays = backproject(K, pix, np.ones(n))
+        cam = rays * (rng.uniform(2.0, 4.0) / (rays @ normal))[:, None]
+        cam += rng.uniform(-1e-5, 1e-5, (n, 1)) * normal
+        X = np.ascontiguousarray(pose.inverse().apply(cam).T)
+    if pixels == "noisy":
+        pix += rng.normal(0.0, 0.3, pix.shape)
+    elif pixels == "outliers":
+        out = rng.uniform(size=n) < outlier_fraction
+        pix[out] += rng.uniform(10, 30, (out.sum(), 2)) * rng.choice([-1, 1], (out.sum(), 2))
+    cfg = RansacConfig(seed=seed % 1000)
+    try:
+        reference = _full_floor_ransac(pix, X, K, cfg.seed)
+    except NoConsensus as exc:
+        with pytest.raises(NoConsensus, match=f"^{exc}$"):
+            solve_pnp_ransac(pix, X, K, cfg)
+        return
+    est = solve_pnp_ransac(pix, X, K, cfg)
+    R, t, inliers, rms = reference
+    got = (est.pose.rotation, est.pose.translation, est.base_pose.rotation,
+           est.base_pose.translation, est.inliers, est.rms_reprojection_error)
+    for a, b in zip(got, (R, t, R, t, inliers, rms)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
